@@ -1,8 +1,8 @@
 """One workload process: import fhshare, build inputs, warm up, run passes.
 
-Started by run.py, once per set-up sample, from the root of a checkout.
-With --budget 0 it stops after set-up. Otherwise it makes whole passes
-while the next one is expected to end within the budget (at least one).
+Started by run.py, several times per run, from the root of a checkout.
+It makes whole passes while the next one is expected to end within the
+budget (at least one).
 It writes its timings to result.json in its own directory and leaves the
 last pass's outputs there for run.py to check. It prints nothing.
 """
@@ -24,9 +24,9 @@ def make_calibration():
     """A loop of fixed interpreter and numpy work; calling it returns the
     seconds it took.
 
-    Run before every timed job. The machine's speed drifts (by up to 1.8x
-    over tens of seconds on a shared 2-vCPU host), so run.py scales each
-    pass by how fast this loop ran during it.
+    Run before every timed job. The shared host's speed drifts by 10-30%
+    over minutes, so run.py scales job times, and the set-up time of the
+    same process, by how fast this loop ran meanwhile.
     """
     import numpy as np
 
@@ -102,7 +102,7 @@ def main():
     import fhshare.cli
     import fhshare.mixture
     import_s = time.perf_counter() - t
-    import workloads  # after the timed import: it loads numpy and scipy too
+    import workloads  # after the timed import: it loads numpy too
 
     os.chdir(a.dir)
     jobs = workloads.build(a.workload, a.seed, a.threads)
@@ -119,7 +119,7 @@ def main():
     calibrate = make_calibration()
     passes = []
     first = time.perf_counter()
-    while a.budget > 0:
+    while True:
         for job in jobs:
             for path in outputs_of(job):
                 if os.path.exists(path):

@@ -10,6 +10,10 @@ expectation). None compares against stored output.
 A checker takes the job, the bytes of every job's output in the pass
 (keyed by job name), and returns a list of failure messages; an empty
 list means the output passed.
+
+scipy is imported inside the functions that use it: the workload child
+imports this module to build its inputs, and must load nothing that
+fhshare itself does not load.
 """
 from __future__ import annotations
 
@@ -21,8 +25,6 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
-from scipy.special import gammaln, logsumexp
 
 LN2 = math.log(2.0)
 MERGE_REL = 1e-9           # level-merge tolerance on variances (the model's)
@@ -359,6 +361,8 @@ def check_bounds(job, outputs, mc: bool = False) -> List[str]:
 def entropy_dense_grid(comps) -> float:
     """-int p log2 p by the trapezoid rule on the whole line (spectrally
     accurate for this analytic, fast-decaying integrand)."""
+    from scipy.special import logsumexp
+
     w = np.array([a for a, _ in comps])
     var = np.array([b for _, b in comps])
     sig = np.sqrt(var)
@@ -496,6 +500,8 @@ class LoadLaw:
             self.q = np.asarray(doc["q"], dtype=float)
             self.lam = None
         else:
+            from scipy.special import gammaln
+
             lam = float(doc["lambda"])
             top = int(lam + 40.0 * math.sqrt(lam) + 60)
             n = np.arange(top + 1)
@@ -526,6 +532,8 @@ class LoadLaw:
 
     def fh_max(self, u: float, per_user: bool) -> Tuple[float, float]:
         """Independent maximiser: 20001-point grid, then bounded Brent."""
+        from scipy import optimize
+
         xs = np.linspace(0.0, u, 20001)
         fx = self.fh_curve(xs, u, per_user)
         i = int(np.argmax(fx))
@@ -574,6 +582,8 @@ def eta2_poisson(lam: float, u: float) -> Tuple[float, float]:
     """(eta2, omega) of FH under Poisson(lam): for lam > 2 the optimum
     solves exp(-lam w) = 1 - lam w + lam w^2 (brentq); otherwise it is
     the boundary v = u with value (u/2) lam exp(-lam)."""
+    from scipy import optimize
+
     if lam <= 2.0:
         return 0.5 * u * lam * math.exp(-lam), 0.0
     # Divided by w so the function is O(w) rather than O(w^2) near 0.

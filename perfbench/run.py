@@ -1,14 +1,15 @@
 """fhshare benchmark: one workload, timed untraced or traced, outputs checked.
 
-    python3 perfbench/run.py --workload spectra --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload spectra --seed 1 --seconds 24 --trace 0
 
 Run from the root of a checkout. The workload runs in CHILDREN fresh
 processes, one after another. Each sets up (imports fhshare, builds the
-inputs, runs one warm-up job); the first then makes passes over the
-workload's fixed job list for the given seconds, the others stop after
-set-up and only add samples of setup_s. The last line of stdout is one JSON object
-with "correct", "attempted", "failed" and "metrics": the end-to-end
-metrics with --trace 0, the per-layer metrics with --trace 1.
+inputs, runs one warm-up job) and then makes passes over the workload's
+fixed job list for its share of the given seconds (at least one pass).
+Every child gives one sample of setup_s, so the samples are spread over
+the whole run. The last line of stdout is one JSON object with "correct",
+"attempted", "failed" and "metrics": the end-to-end metrics with
+--trace 0, the per-layer metrics with --trace 1.
 
 This process never imports fhshare: it builds the same inputs from the
 seed and checks the children's outputs with refs.py.
@@ -31,14 +32,12 @@ import workloads
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT_DIR = ".perfbench_run"
-CHILDREN = 3            # set-up samples per run; setup_s is their median
-SETUP_TIMEOUT_S = 30.0  # a set-up-only child
-# Reference time of child.make_calibration()'s loop. Job times (and pass
-# times where workloads.SCALE_PASS says so) are reported as if the loop's
-# median time in their pass had been this, which takes out the drift of the
-# shared host's speed; see README.md.
+CHILDREN = 6          # processes per run; setup_s is the median of their set-ups
+# Reference time of child.make_calibration()'s loop. Set-up and job times are
+# reported as if the loop had taken this long in the same process at the
+# same time, which takes out most of the shared host's drift; see README.md.
 CAL_REF_S = 0.002
-PASS_GRACE_S = 60.0     # the measuring child may overrun its seconds by this
+CHILD_GRACE_S = 25.0  # a child may overrun its share of the seconds by this
 
 E2E_UNITS = {"setup_s": "s", "pass_s": "s", "job_p50_ms": "ms", "peak_rss_mb": "MB"}
 
@@ -55,15 +54,14 @@ def run_children(a, rundir, threads):
         os.mkdir(cdir)
         cmd = [sys.executable, os.path.join(HERE, "child.py"),
                "--workload", a.workload, "--seed", str(a.seed), "--dir", cdir,
-               "--budget", repr(a.seconds if k == 0 else 0.0), "--threads", str(threads),
+               "--budget", repr(a.seconds / CHILDREN), "--threads", str(threads),
                "--trace", str(a.trace)]
         if a.trace and k == 0:
             cmd += ["--spans", os.path.abspath(os.path.join(OUT_DIR, f"spans-{a.workload}.jsonl"))]
         cmd += ["--spawned", repr(time.monotonic())]
         try:
-            timeout = a.seconds + PASS_GRACE_S if k == 0 else SETUP_TIMEOUT_S
             proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                                  timeout=timeout, text=True)
+                                  timeout=a.seconds / CHILDREN + CHILD_GRACE_S, text=True)
         except subprocess.TimeoutExpired:
             fail(f"child {k} exceeded its time limit", 1)
         result_path = os.path.join(cdir, "result.json")
@@ -115,24 +113,33 @@ def check_outputs(jobs, results, cdir):
     return attempted, failed, messages
 
 
-def summarize(a, jobs, results):
-    passes = results[0]["passes"]
-    scale = [CAL_REF_S / statistics.median(p["cal_s"]) for p in passes]
-    pass_scale = scale if workloads.SCALE_PASS[a.workload] else [1.0] * len(passes)
-    pass_s = statistics.median(p["pass_s"] * f for p, f in zip(passes, pass_scale))
-    extra = {
-        "wall_pass_s": statistics.median(p["pass_s"] for p in passes),
-        "wall_job_p50_ms": 1000.0 * statistics.median(p["job_p50_s"] for p in passes),
-        "speed_scale": statistics.median(scale),
-    }
+def summarize(a, results):
+    """Set-up and memory are medians over the children; pass times are means
+    over the passes, because the host's speed switches between phases and
+    a median of a few passes jumps with the share of slow ones.
+
+    Times are scaled by CAL_REF_S over the calibration loop's median time:
+    a pass by the loops timed in it, a child's set-up by all the loops
+    timed in that child's passes, which follow right after it.
+    """
+    passes = [p for r in results for p in r["passes"]]
+    pass_s = statistics.mean(p["pass_s"] for p in passes)
     if not a.trace:
+        pscale = [CAL_REF_S / statistics.median(p["cal_s"]) for p in passes]
+        sscale = [CAL_REF_S / statistics.median(c for p in r["passes"] for c in p["cal_s"])
+                  for r in results]
         return {
-            "setup_s": statistics.median(r["setup_s"] for r in results),
-            "pass_s": pass_s,
-            "job_p50_ms": 1000.0 * statistics.median(
-                p["job_p50_s"] * f for p, f in zip(passes, scale)),
-            "peak_rss_mb": results[0]["rss_mb"],
-        }, extra
+            "setup_s": statistics.median(r["setup_s"] * f for r, f in zip(results, sscale)),
+            "pass_s": statistics.mean(p["pass_s"] * f for p, f in zip(passes, pscale)),
+            "job_p50_ms": 1000.0 * statistics.mean(
+                p["job_p50_s"] * f for p, f in zip(passes, pscale)),
+            "peak_rss_mb": statistics.median(r["rss_mb"] for r in results),
+        }, {
+            "wall_setup_s": statistics.median(r["setup_s"] for r in results),
+            "wall_pass_s": pass_s,
+            "wall_job_p50_ms": 1000.0 * statistics.mean(p["job_p50_s"] for p in passes),
+            "speed_scale": statistics.median(pscale),
+        }
     metrics = {}
     for key in spans.SELF_TIME:
         metrics[key] = statistics.median(p["layers"][key] for p in passes)
@@ -142,8 +149,10 @@ def summarize(a, jobs, results):
             fail(f"count {key} differs between passes: {sorted(values)}", 1)
         metrics[key] = values.pop()
     metrics["setup.import_s"] = statistics.median(r["import_s"] for r in results)
-    extra["traced_pass_s"] = pass_s
-    extra["coverage"] = statistics.median(p["covered_s"] / p["pass_s"] for p in passes)
+    extra = {
+        "traced_pass_s": pass_s,
+        "coverage": statistics.median(p["covered_s"] / p["pass_s"] for p in passes),
+    }
     return metrics, extra
 
 
@@ -179,11 +188,11 @@ def main():
             fail("children ran a different job list", 1)
         attempted, failed, messages = check_outputs(
             jobs, results, os.path.join(rundir, "child0"))
-        metrics, extra = summarize(a, jobs, results)
+        metrics, extra = summarize(a, results)
     finally:
         shutil.rmtree(rundir, ignore_errors=True)
 
-    n_passes = len(results[0]["passes"])
+    n_passes = sum(len(r["passes"]) for r in results)
     print(f"workload {a.workload}  seed {a.seed}  trace {a.trace}  threads {threads}  "
           f"processes {CHILDREN}  passes {n_passes}  jobs/pass {len(jobs)}")
     for name, errs in messages.items():

@@ -12,7 +12,8 @@ includes the input variation a seed brings. For every end-to-end metric
 on every workload it prints the median, the quartiles (as
 statistics.quantiles(values, n=4) gives them), and the spread, that is
 (Q3 - Q1) / median, next to the metric's bound in BENCHMARK.json, plus
-the share of failed jobs. --compare prints how far the second set's
+the share of failed jobs. --out also keeps each run's raw (unscaled)
+times. --compare prints how far the second set's
 median moved from the first's, as a share of the first, and the bound.
 Run from the root of a checkout.
 """
@@ -46,6 +47,9 @@ def run_set(bench, runs, seed0, workloads, trace):
             if proc.returncode != 0:
                 sys.exit(f"{w} seed {seed0 + r} failed:\n{proc.stderr}")
             res = json.loads(proc.stdout.strip().splitlines()[-1])
+            suffix = "-trace" if trace else ""
+            with open(os.path.join(ROOT, ".perfbench_run", f"result-{w}{suffix}.json")) as fh:
+                res["extra"] = json.load(fh)["extra"]  # e.g. the raw times
             out[w].append(res)
             vals = "  ".join(f"{k} {v['value']:.5g} {v['unit']}"
                              for k, v in res["metrics"].items())
@@ -64,7 +68,8 @@ def table(bench, data):
             vals = [r["metrics"][name]["value"] for r in results]
             q1, med, q3 = statistics.quantiles(vals, n=4)
             spread = (q3 - q1) / med
-            flag = "" if name == "setup_s" or spread < bound / 3 else "  <-- above bound/3"
+            flag = ("  <-- above bound" if spread > bound
+                    else "  <-- above bound/3" if spread > bound / 3 else "")
             print(f"{w:12s} {name:12s} {med:11.5g} {q1:11.5g} {q3:11.5g} {spread:7.4f} "
                   f"{bound:6.3f} {bound / 3:7.4f}{flag}")
         print(f"{w:12s} failed share {sorted(shares)}")

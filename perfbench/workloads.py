@@ -26,15 +26,6 @@ import refs
 
 WORKLOADS = ("spectra", "monte-carlo", "load-laws")
 
-# Whether pass_s is scaled by the calibration loop (see run.py). The host's
-# busy phases slow interpreter-bound code and the loop alike, but barely
-# slow large numpy array operations. Per-pass CV over 40 s on the build
-# host, unscaled -> scaled: spectra 14% -> 7%, monte-carlo 4.2% -> 2.8%,
-# load-laws 3.4% -> 20% (two array-bound jobs are about 90% of its pass).
-# job_p50_ms is scaled on every workload: its median job is interpreter-bound
-# on all three.
-SCALE_PASS = {"spectra": True, "monte-carlo": True, "load-laws": False}
-
 U_SPECTRA = 16
 P_SPECTRA = 10.0
 MC_GAMMAS = "1e3"
