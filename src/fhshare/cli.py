@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -73,12 +74,23 @@ def _load_scenario(path: str):
     return scenario_from_json(_load_json_file(path))
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _load_pmf(path: str) -> ms.UserCountPmf:
     doc = _load_json_file(path)
+    if not isinstance(doc, dict):
+        raise ValueError("pmf file must hold a JSON object")
     kind = doc.get("type")
     if kind == "finite":
-        return ms.UserCountPmf.finite(doc["q"])
+        q = doc["q"]
+        if not (isinstance(q, list) and all(_is_number(x) for x in q)):
+            raise ValueError("pmf 'q' must be a list of numbers")
+        return ms.UserCountPmf.finite(q)
     if kind == "poisson":
+        if not _is_number(doc["lambda"]):
+            raise ValueError("pmf 'lambda' must be a number")
         return ms.UserCountPmf.poisson(
             float(doc["lambda"]), truncation_n=doc.get("truncation")
         )
@@ -88,14 +100,14 @@ def _load_pmf(path: str) -> ms.UserCountPmf:
 def _parse_floats(text: str) -> List[float]:
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError("grid bounds and step must be finite")
         if step <= 0:
             raise ValueError("step must be positive")
-        vals = []
-        x = start
-        while x <= stop + 1e-12:
-            vals.append(round(x, 12))
-            x += step
-        return vals
+        # index the grid instead of summing steps, so roundoff cannot
+        # drop the endpoint
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        return [round(start + k * step, 12) for k in range(count)]
     return [float(x) for x in text.split(",") if x.strip()]
 
 
@@ -355,7 +367,8 @@ def cmd_compare(args) -> None:
                 "inequality_verified": None,
             }
         )
-    if pmf.is_finite:
+    # the mean-load conditions assume a finite load with no mass at N = 0
+    if pmf.is_finite and pmf.q[0] == 0.0:
         for name, checker in (
             ("eta1_condition", ms.eta1_sufficient_condition),
             ("eta2_condition", ms.eta2_sufficient_condition),
@@ -388,6 +401,7 @@ def cmd_compare(args) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fhshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

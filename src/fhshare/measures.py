@@ -16,6 +16,7 @@ in the band size u and are reported in absolute terms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -34,9 +35,9 @@ class UserCountPmf:
     """Distribution of the number of simultaneously active pairs.
 
     weights[n] is P{N = n}. Finite pmfs carry their exact weights; a
-    Poisson law is truncated where its tail mass drops below 1e-12 (and
-    no earlier than 20*lambda), so truncation error is negligible against
-    every tolerance used here.
+    Poisson law is truncated at the first n_top whose tail mass
+    P{N > n_top} is below 1e-12, so truncation error is negligible
+    against every tolerance used here.
     """
 
     weights: tuple
@@ -59,18 +60,23 @@ class UserCountPmf:
 
     @classmethod
     def poisson(cls, lam: float, truncation_n: Optional[int] = None) -> "UserCountPmf":
-        if not lam > 0:
-            raise ValueError("lambda must be positive")
-        if truncation_n is None:
-            truncation_n = max(int(math.ceil(20.0 * lam)), 20)
-            while poisson_dist.sf(truncation_n, lam) >= _POISSON_TAIL:
-                truncation_n *= 2
+        if not (lam > 0 and math.isfinite(lam)):
+            raise ValueError("lambda must be positive and finite")
+        n_top = truncation_n
+        if n_top is None:
+            # isf gives the first n with sf(n) <= 1e-12; the tail must be
+            # strictly below it
+            n_top = max(int(poisson_dist.isf(_POISSON_TAIL, lam)), 1)
+            while poisson_dist.sf(n_top, lam) >= _POISSON_TAIL:
+                n_top += 1
         else:
-            if poisson_dist.sf(truncation_n, lam) >= _POISSON_TAIL:
-                raise ValueError(
-                    f"truncation_n={truncation_n} leaves tail mass >= 1e-12"
-                )
-        n = np.arange(truncation_n + 1)
+            integral = isinstance(n_top, numbers.Real) and float(n_top).is_integer()
+            if isinstance(n_top, bool) or not integral or n_top < 0:
+                raise ValueError(f"truncation_n must be an integer >= 0, got {n_top!r}")
+            n_top = int(n_top)
+            if poisson_dist.sf(n_top, lam) >= _POISSON_TAIL:
+                raise ValueError(f"truncation_n={n_top} leaves tail mass >= 1e-12")
+        n = np.arange(n_top + 1)
         logs = -lam + n * math.log(lam) - gammaln(n + 1)
         return cls(weights=tuple(np.exp(logs)), poisson_lambda=float(lam))
 
@@ -134,10 +140,6 @@ def fd_smg(n_des: int, n: int, u: float) -> float:
     return 0.5 * u
 
 
-def fd_n_served(n_des: int, n: int) -> int:
-    return min(n, n_des)
-
-
 def fh_n_served(v: float, n: int, u: float) -> int:
     """FH serves everyone unless several users each demand the whole band."""
     if n == 1 or v < u:
@@ -145,35 +147,25 @@ def fh_n_served(v: float, n: int, u: float) -> int:
     return 0
 
 
-def _fh_smg_mean_curve(pmf: UserCountPmf, u: float) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> E{SMG(v, N)}, vectorized over v."""
-    n = np.arange(1, len(pmf.weights))
-    qn = pmf.q[1:] * n
+def _fh_curve(w: np.ndarray, u: float) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> (v/2) sum_{n >= 1} w_n (1 - v/u)^(n-1), vectorized over v.
+
+    w_n = n q_n gives E{SMG(v, N)} (eta1); w_n = q_n gives E{SMG(v, N)/N},
+    the eta2 objective for v < u.
+    """
+    k = np.arange(len(w))
 
     def f(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        om = 1.0 - v / u
-        return 0.5 * v * (om[:, None] ** (n - 1) @ qn)
-
-    return f
-
-
-def _fh_min_gain_curve(pmf: UserCountPmf, u: float) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> E{SMG(v, N)/N} for v < u, vectorized over v."""
-    n = np.arange(1, len(pmf.weights))
-    qn = pmf.q[1:]
-
-    def f(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        om = 1.0 - v / u
-        return 0.5 * v * (om[:, None] ** (n - 1) @ qn)
+        return 0.5 * v * ((1.0 - v / u)[:, None] ** k @ w)
 
     return f
 
 
 def eta1_fh(pmf: UserCountPmf, u: float) -> Tuple[float, float]:
     """Best expected SMG of FH and its hop count: (value, v_star)."""
-    v_star, value = maximize_on_interval(_fh_smg_mean_curve(pmf, u), 0.0, u)
+    n = np.arange(1, len(pmf.weights))
+    v_star, value = maximize_on_interval(_fh_curve(n * pmf.q[1:], u), 0.0, u)
     return value, v_star
 
 
@@ -194,9 +186,8 @@ def eta2_fh(pmf: UserCountPmf, u: float) -> Tuple[float, float]:
     scored separately under the service rule (only N = 1 counts there)
     and compared against the interior optimum.
     """
-    v_dag, value = maximize_on_interval(_fh_min_gain_curve(pmf, u), 0.0, u)
-    q1 = pmf.q[1] if len(pmf.weights) > 1 else 0.0
-    boundary = 0.5 * u * q1
+    v_dag, value = maximize_on_interval(_fh_curve(pmf.q[1:], u), 0.0, u)
+    boundary = 0.5 * u * pmf.q[1]
     if boundary > value:
         return boundary, u
     return value, v_dag
@@ -277,7 +268,7 @@ def eta4(
             raise ValueError("eta4 for FH needs the hop count v")
         if v < u:
             return 1.0
-        return float(pmf.q[1]) if len(pmf.weights) > 1 else 0.0
+        return float(pmf.q[1])
     if scheme == "fd":
         if fd is None:
             raise ValueError("eta4 for FD needs an FdConfig")
@@ -341,8 +332,9 @@ def epsilon_backoff_region(
     if fd is None:
         fd = FdConfig.default_for(pmf, u)
     v = u - epsilon
-    fh1 = float(_fh_smg_mean_curve(pmf, u)(np.array([v]))[0])
-    fh2 = float(_fh_min_gain_curve(pmf, u)(np.array([v]))[0])
+    n = np.arange(1, len(pmf.weights))
+    fh1 = float(_fh_curve(n * pmf.q[1:], u)(np.array([v]))[0])
+    fh2 = float(_fh_curve(pmf.q[1:], u)(np.array([v]))[0])
     fd1 = eta1_fd(pmf, fd, u)
     fd2 = eta2_fd(pmf, fd, u)
 
@@ -376,6 +368,18 @@ class ConditionCheck:
     inequality_verified: bool
 
 
+def _condition_n_max(pmf: UserCountPmf, n_max: Optional[int]) -> int:
+    """n_max for the mean-load conditions, whose hypothesis excludes
+    finite loads with mass at N = 0."""
+    if pmf.is_finite and pmf.q[0] > 0.0:
+        raise ValueError("the mean-load conditions need a finite load with q[0] = 0")
+    if n_max is None:
+        n_max = pmf.n_max
+    if n_max is None:
+        raise ValueError("n_max required for a Poisson user count")
+    return n_max
+
+
 def eta1_sufficient_condition(
     pmf: UserCountPmf, n_max: Optional[int] = None
 ) -> ConditionCheck:
@@ -386,10 +390,7 @@ def eta1_sufficient_condition(
     while the comparison fails would contradict the guarantee, so that
     combination raises.
     """
-    if n_max is None:
-        n_max = pmf.n_max
-    if n_max is None:
-        raise ValueError("n_max required for a Poisson user count")
+    n_max = _condition_n_max(pmf, n_max)
     cond = pmf.mean() < 0.5 * math.log((math.e**2 - 1.0) * n_max)
     fh, _ = eta1_fh(pmf, 1.0)
     fd = eta1_fd(pmf, FdConfig(n_des=n_max), 1.0)
@@ -408,10 +409,7 @@ def eta2_sufficient_condition(
 
     If (1/E{N})(1 - 1/E{N})^(E{N}-1) > 1/n_max then eta2_fh > eta2_fd.
     """
-    if n_max is None:
-        n_max = pmf.n_max
-    if n_max is None:
-        raise ValueError("n_max required for a Poisson user count")
+    n_max = _condition_n_max(pmf, n_max)
     mean_n = pmf.mean()
     # loads with no mass at zero have E{N} >= 1 exactly; allow roundoff
     if mean_n < 1.0 - 1e-9:

@@ -3,12 +3,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from fhshare.bounds import lower_bound_rate, upper_bound_rate
-from fhshare.cli import _fmt, main
+import fhshare
+from fhshare.cli import _fmt, _parse_floats, main
 from fhshare.model import (
     HoppingProfile,
     NetworkScenario,
@@ -314,3 +318,64 @@ def test_error_paths(tmp_path, capsys):
     code, _, err = run_cli(["frobnicate"], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "usage"
+
+
+def test_malformed_pmf_documents(tmp_path, capsys):
+    docs = {
+        "array": [0.5, 0.5],
+        "truncation_str": {"type": "poisson", "lambda": 5, "truncation": "x"},
+        "truncation_bool": {"type": "poisson", "lambda": 5, "truncation": True},
+        "truncation_frac": {"type": "poisson", "lambda": 5, "truncation": 60.5},
+        "lambda_list": {"type": "poisson", "lambda": [5]},
+        "q_scalar": {"type": "finite", "q": 1},
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["measures", "--pmf", str(path), "--u", "4"], capsys)
+        assert code == 1 and out == "", name
+        assert err.count("\n") == 1, name
+        assert json.loads(err)["error"] == "ValueError", name
+
+
+def test_compare_skips_conditions_with_mass_at_zero(tmp_path, capsys):
+    path = tmp_path / "idle.json"
+    path.write_text(json.dumps({"type": "finite", "q": [0.5, 0.25, 0.25]}))
+    code, out, err = run_cli(["compare", "--pmf", str(path), "--u", "10"], capsys)
+    assert code == 0, err
+    rows = parse_csv(out)
+    assert [r["measure"] for r in rows if r["kind"] == "measure"] == [
+        "eta1",
+        "eta2",
+        "eta3",
+        "eta4",
+    ]
+    assert not [r for r in rows if r["kind"] == "condition"]
+
+
+def test_parse_floats_grid_endpoints():
+    grid = _parse_floats("0:1000:0.1")
+    assert len(grid) == 10001
+    assert grid[-1] == 1000.0
+    assert _parse_floats("0.5:4:0.5") == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+    assert _parse_floats("2:10:1") == [float(x) for x in range(2, 11)]
+    with pytest.raises(ValueError):
+        _parse_floats("0:inf:1")
+
+
+def test_repeated_main_matches_fresh_process(pmf_finite_file, capsys):
+    src = os.path.dirname(os.path.dirname(fhshare.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (
+        ["sweep", "--u", "7", "--lambdas", "2:4:1"],
+        ["compare", "--pmf", pmf_finite_file, "--u", "8", "--format", "json"],
+    ):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fhshare.cli"] + argv,
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        assert out.encode() == fresh.stdout

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from fhshare.measures import (
     REPORTED_TEN_USER_ETA2_FD_PER_U,
@@ -59,7 +60,7 @@ def test_poisson_truncation():
     pmf = UserCountPmf.poisson(lam)
     assert not pmf.is_finite
     assert pmf.n_max is None
-    assert pmf.n_top >= max(int(20 * lam), 20)
+    assert poisson.sf(pmf.n_top, lam) < 1e-12 <= poisson.sf(pmf.n_top - 1, lam)
     assert pmf.q.sum() == pytest.approx(1.0, abs=1e-12)
     assert pmf.mean() == pytest.approx(lam, abs=1e-10)
     with pytest.raises(ValueError):
@@ -68,6 +69,29 @@ def test_poisson_truncation():
     assert deep.n_top == 500
     with pytest.raises(ValueError):
         UserCountPmf.poisson(0.0)
+
+
+def test_poisson_truncation_input_checks():
+    assert UserCountPmf.poisson(4.0, truncation_n=500.0).n_top == 500
+    for bad in (True, 40.5, "x", -1, float("nan")):
+        with pytest.raises(ValueError, match="integer"):
+            UserCountPmf.poisson(4.0, truncation_n=bad)
+    # a law too light to reach n = 1 still carries q_0 and q_1
+    assert UserCountPmf.poisson(1e-14).n_top == 1
+    with pytest.raises(ValueError):
+        UserCountPmf.poisson(float("inf"))
+
+
+def test_fh_measures_match_deep_poisson_truncation():
+    # the tail-cut law (549 terms at lambda = 400) against 8001 terms
+    lam, u = 400.0, 16.0
+    cut, deep = UserCountPmf.poisson(lam), UserCountPmf.poisson(lam, truncation_n=8000)
+    assert cut.n_top < 1000
+    for measure in (eta1_fh, eta2_fh):
+        value, v = measure(cut, u)
+        value_deep, v_deep = measure(deep, u)
+        assert value == pytest.approx(value_deep, rel=1e-11)
+        assert v == pytest.approx(v_deep, abs=1e-9 * u)
 
 
 def test_eta1_two_point_edge_optimum():
@@ -299,6 +323,14 @@ def test_sufficient_conditions():
     assert isinstance(c_pois.condition_holds, bool)
     with pytest.raises(ValueError):
         eta2_sufficient_condition(UserCountPmf.finite((0.5, 0.5)))
+
+
+def test_sufficient_conditions_reject_mass_at_zero():
+    # mass at N = 0 is outside both conditions' hypothesis
+    idle = UserCountPmf.finite((0.5, 0.25, 0.25))
+    for checker in (eta1_sufficient_condition, eta2_sufficient_condition):
+        with pytest.raises(ValueError, match="q\\[0\\] = 0"):
+            checker(idle)
 
 
 def test_sufficient_conditions_never_contradicted_randomized():
