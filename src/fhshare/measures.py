@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson as poisson_dist
+from scipy.special import gammaln, pdtrc, pdtrik
 
 from .gains import maximize_on_interval, smg_fair
 
@@ -64,17 +63,24 @@ class UserCountPmf:
             raise ValueError("lambda must be positive and finite")
         n_top = truncation_n
         if n_top is None:
-            # isf gives the first n with sf(n) <= 1e-12; the tail must be
-            # strictly below it
-            n_top = max(int(poisson_dist.isf(_POISSON_TAIL, lam)), 1)
-            while poisson_dist.sf(n_top, lam) >= _POISSON_TAIL:
+            # pdtrik inverts the cdf on a continuous n, close to the first n
+            # with tail pdtrc(n) = P{N > n} strictly below 1e-12; step from
+            # there to that n exactly.
+            start = float(pdtrik(1.0 - _POISSON_TAIL, lam))
+            if not math.isfinite(start):
+                raise ValueError(f"lambda={lam} is too large to truncate")
+            n_top = math.ceil(start)
+            while n_top > 0 and pdtrc(n_top - 1, lam) < _POISSON_TAIL:
+                n_top -= 1
+            while pdtrc(n_top, lam) >= _POISSON_TAIL:
                 n_top += 1
+            n_top = max(n_top, 1)
         else:
             integral = isinstance(n_top, numbers.Real) and float(n_top).is_integer()
             if isinstance(n_top, bool) or not integral or n_top < 0:
                 raise ValueError(f"truncation_n must be an integer >= 0, got {n_top!r}")
             n_top = int(n_top)
-            if poisson_dist.sf(n_top, lam) >= _POISSON_TAIL:
+            if pdtrc(n_top, lam) >= _POISSON_TAIL:
                 raise ValueError(f"truncation_n={n_top} leaves tail mass >= 1e-12")
         n = np.arange(n_top + 1)
         logs = -lam + n * math.log(lam) - gammaln(n + 1)

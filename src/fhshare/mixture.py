@@ -1,22 +1,28 @@
 """Zero-mean Gaussian mixtures: densities, entropies, and entropy bounds.
 
 Everything that reports an entropy does so in bits (log base 2); raw log
-densities are natural logs. Scalar mixtures get a deterministic quadrature
-entropy; vector mixtures with diagonal covariances get a Monte Carlo
-plug-in estimate that is reproducible for a fixed seed and independent of
-how its sample partitions are scheduled across workers.
+densities are natural logs. Every mixture log-density, pointwise, Monte
+Carlo or quadrature node, goes through one row-wise log-sum-exp kernel that
+works on bounded chunks in place.
+
+Scalar mixtures get a deterministic quadrature entropy: composite
+Gauss-Kronrod (G7/K15) panels on half of a symmetric window, refined by
+bisection until the panels' |K15 - G7| error estimates sum to at most tol/8,
+so the doubled integral is certified to within tol/4 of the windowed value
+(the window's tail mass is far below that). Vector mixtures with diagonal
+covariances get a Monte Carlo plug-in estimate that is reproducible for a
+fixed seed and independent of how its sample partitions are scheduled
+across workers.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import logsumexp
-from scipy.stats import norm
+from scipy.special import ndtri
 
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
@@ -25,6 +31,34 @@ _WEIGHT_TOL = 1e-12
 # Sample partition width for Monte Carlo entropy. Fixed so that results do
 # not depend on the worker count: partition j always owns the same samples.
 MC_PARTITION = 1 << 16
+
+# Largest (rows x components) block the log-density kernel holds at once.
+_BLOCK_DOUBLES = 1 << 20
+
+# Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), half of it from the
+# outer node in to 0: Kronrod nodes and weights, and 7-point Gauss weights
+# (0 on the Kronrod-only nodes).
+_XK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+])
+_GK_X = np.concatenate([-_XK, _XK[-2::-1]])
+_GK_WK = np.concatenate([_WK, _WK[-2::-1]])
+_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
 
 
 def gaussian_entropy(variance: float) -> float:
@@ -78,18 +112,6 @@ class GaussianMixture1D:
             weights=self.weights, variances=self.component_variances[:, None]
         )
 
-    def logpdf(self, x) -> np.ndarray:
-        """Natural-log density at scalar or array x."""
-        x = np.asarray(x, dtype=float)
-        w = self.weights
-        var = self.component_variances
-        logs = (
-            np.log(w)
-            - 0.5 * (_LN_2PI + np.log(var))
-            - x[..., None] * x[..., None] / (2.0 * var)
-        )
-        return logsumexp(logs, axis=-1)
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixtureDiag:
@@ -141,44 +163,57 @@ class GaussianMixtureDiag:
 AnyMixture = Union[GaussianMixture1D, GaussianMixtureDiag]
 
 
-def _log_density_rows(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
-    """Natural-log densities for rows of x, shape (n, dim) -> (n,)."""
-    x = np.asarray(x, dtype=float)
-    n, t = x.shape
-    var = m.variances
-    logw = np.log(m.weights)
-    if np.all(var > 0.0):
-        inv = 1.0 / var
-        logdet = -0.5 * (t * _LN_2PI + np.log(var).sum(axis=1))
-        out = np.empty(n)
-        chunk = max(1, int(4_000_000 / max(m.n_components, 1)))
-        for s in range(0, n, chunk):
-            xs = x[s : s + chunk]
-            quad_form = (xs * xs) @ (0.5 * inv).T
-            out[s : s + chunk] = logsumexp(logw + logdet - quad_form, axis=1)
-        return out
+def _log_mixture_rows(
+    x: np.ndarray,
+    log_coef: np.ndarray,
+    inv_2var: np.ndarray,
+    dead: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """log sum_l exp(log_coef[l] - sum_j inv_2var[l, j] x[i, j]^2) per row i.
 
-    # Components with zero-variance coordinates live on a subspace: they
-    # contribute only where x is exactly 0 on those coordinates.
-    cols = np.full((n, m.n_components), -np.inf)
-    for l in range(m.n_components):
-        v = var[l]
-        live = v > 0.0
-        if live.all():
-            ok = np.ones(n, dtype=bool)
-        else:
-            ok = np.all(x[:, ~live] == 0.0, axis=1)
-        if not ok.any():
-            continue
-        if live.any():
-            q = 0.5 * np.sum(x[np.ix_(ok, live)] ** 2 / v[live], axis=1)
-            logdet = -0.5 * (int(live.sum()) * _LN_2PI + np.log(v[live]).sum())
-        else:
-            q = np.zeros(int(ok.sum()))
-            logdet = 0.0
-        cols[ok, l] = logw[l] + logdet - q
-    with np.errstate(invalid="ignore"):
-        return logsumexp(cols, axis=1)
+    x is (n, dim), log_coef (k,), inv_2var (k, dim). Where dead[l, j] is
+    1.0 (else 0.0), component l is a point mass at 0 on coordinate j and
+    adds nothing to rows with x[i, j] != 0 (inv_2var[l, j] must then be 0).
+    Rows go through in chunks of at most _BLOCK_DOUBLES (rows x components)
+    doubles; each chunk's log-sum-exp runs in place (subtract the row
+    maximum, exp, sum). A row to which no component contributes gives -inf.
+    """
+    n = x.shape[0]
+    out = np.empty(n)
+    step = max(1, _BLOCK_DOUBLES // max(log_coef.shape[0], 1))
+    for s in range(0, n, step):
+        xs = x[s : s + step]
+        block = (xs * xs) @ inv_2var.T
+        np.subtract(log_coef, block, out=block)
+        if dead is not None:
+            block[((xs != 0.0).astype(float) @ dead.T) > 0.0] = -np.inf
+        top = block.max(axis=1)
+        top[top == -np.inf] = 0.0
+        block -= top[:, None]
+        np.exp(block, out=block)
+        with np.errstate(divide="ignore"):
+            np.log(block.sum(axis=1), out=out[s : s + step])
+        out[s : s + step] += top
+    return out
+
+
+def _log_density_rows(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
+    """Natural-log densities for rows of x, shape (n, dim) -> (n,).
+
+    Components with zero-variance coordinates live on a subspace: they
+    contribute only where x is exactly 0 on those coordinates, with the
+    density taken over their live coordinates.
+    """
+    var = m.variances
+    live = var > 0.0
+    safe = np.where(live, var, 1.0)
+    logdet = -0.5 * (live.sum(axis=1) * _LN_2PI + np.log(safe).sum(axis=1))
+    return _log_mixture_rows(
+        np.asarray(x, dtype=float),
+        np.log(m.weights) + logdet,
+        np.where(live, 0.5 / safe, 0.0),
+        dead=None if live.all() else (~live).astype(float),
+    )
 
 
 def log_density(m: AnyMixture, x: Sequence[float]) -> float:
@@ -192,22 +227,31 @@ def log_density(m: AnyMixture, x: Sequence[float]) -> float:
 
 def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
     """Differential entropy of a scalar mixture in bits, by adaptive
-    quadrature of -p log2 p.
+    Gauss-Kronrod quadrature of -p log2 p.
 
-    The integration window is wide enough that the neglected tail mass is
-    below tol/10; the quadrature itself is pushed below tol and an error
-    is raised if the integrator cannot certify that.
+    The integration window [-span, span] is wide enough that the neglected
+    tail mass is below tol/10. The integrand is even, so [0, span] is
+    integrated and doubled. It starts as panels cut at break points seeded
+    on the components' own scales; each round evaluates the 15 Kronrod
+    nodes of every open panel in one pass and takes |K15 - G7| as the
+    panel's error. Once the errors of all panels sum to at most tol/8 the
+    K15 sums are returned, doubled, so the value is within tol/4 of the
+    windowed integral. Otherwise each open panel whose error fits its share
+    of tol/8 (in proportion to its width) is accepted and every other one
+    is bisected. RuntimeError is raised when [-span, span] would need more
+    than max(200, 20 + 10 * (number of +-break points)) panels.
     """
     if not isinstance(m, GaussianMixture1D):
         raise TypeError("entropy_quadrature takes a 1-D mixture")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    w = m.weights
     var = m.component_variances
     sig = np.sqrt(var)
-    logw = np.log(w)
-    # Window: norm.isf on the widest component keeps tail mass << tol/10.
-    z = float(norm.isf(min(tol, 1e-3) / 40.0)) + 4.0
+    log_coef = np.log(m.weights) - 0.5 * (_LN_2PI + np.log(var))
+    inv_2var = (0.5 / var)[:, None]
+    # Window: the normal quantile on the widest component keeps tail mass
+    # << tol/10.
+    z = float(-ndtri(min(tol, 1e-3) / 40.0)) + 4.0
     span = z * float(sig.max())
 
     # Seed break points on each component's own scale so narrow spikes
@@ -219,30 +263,39 @@ def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
     s_min = float(sig.min())
     for k in range(1, 9):
         pts.add(k * s_min)
-    points = sorted(p for q in pts for p in (-q, q) if q < span)
+    cuts = sorted(p for p in pts if p < span)
+    # Panels on [-span, span], counting both mirror images.
+    limit = max(200, 20 + 20 * len(cuts))
 
-    def integrand(x: float) -> float:
-        logs = logw - 0.5 * (_LN_2PI + np.log(var)) - x * x / (2.0 * var)
-        lp = float(logsumexp(logs))
-        p = math.exp(lp)
-        if p <= 0.0:
-            return 0.0
-        return -p * lp / _LN2
-
-    value, err = quad(
-        integrand,
-        -span,
-        span,
-        points=points,
-        limit=max(200, 20 + 10 * len(points)),
-        epsabs=tol / 4.0,
-        epsrel=1e-12,
-    )
-    if err > tol:
-        raise RuntimeError(
-            f"entropy quadrature did not converge: estimated error {err:g} > tol {tol:g}"
-        )
-    return float(value)
+    edges = np.array([0.0] + cuts + [span])
+    lo, hi = edges[:-1], edges[1:]
+    budget = tol / 8.0
+    value = 0.0
+    err_done = 0.0
+    n_done = 0
+    while True:
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_X
+        lp = _log_mixture_rows(x.reshape(-1, 1), log_coef, inv_2var).reshape(x.shape)
+        # lp is finite on the window; where exp(lp) underflows f is 0.
+        f = np.exp(lp) * lp * (-1.0 / _LN2)
+        k15 = half * (f @ _GK_WK)
+        err = np.abs(half * (f @ (_GK_WK - _GK_WG)))
+        total_err = err_done + float(err.sum())
+        if total_err <= budget:
+            return 2.0 * (value + float(k15.sum()))
+        ok = err <= budget * (hi - lo) / span
+        value += float(k15[ok].sum())
+        err_done += float(err[ok].sum())
+        n_done += int(ok.sum())
+        lo, hi = lo[~ok], hi[~ok]
+        if 2 * (n_done + 2 * lo.size) > limit:
+            raise RuntimeError(
+                "entropy quadrature did not converge: estimated error "
+                f"{2.0 * total_err:g} > tol/4 = {tol / 4.0:g} within {limit} panels"
+            )
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
 def _mc_partitions(n_samples: int):

@@ -347,22 +347,28 @@ def scenario_from_json(doc: Union[dict, str]):
     """Inverse of scenario_to_json. Accepts a dict or a JSON string."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("scenario document must be a JSON object")
     try:
         u = int(doc["u"])
         users = doc["users"]
         gains = doc["gains"]
         power = float(doc["P"])
         sigma2 = float(doc["sigma2"])
+        if not isinstance(users, list) or not all(isinstance(x, dict) for x in users):
+            raise ValueError("scenario 'users' must be a list of objects")
+        profiles = []
+        for spec in users:
+            if "v" in spec:
+                profiles.append(HoppingProfile.fixed(int(spec["v"])))
+            elif "pmf" in spec:
+                profiles.append(HoppingProfile.from_pmf(spec["pmf"]))
+            else:
+                raise ValueError("each user needs either 'v' or 'pmf'")
     except KeyError as exc:
         raise ValueError(f"scenario document missing field {exc}") from exc
-    profiles = []
-    for spec in users:
-        if "v" in spec:
-            profiles.append(HoppingProfile.fixed(int(spec["v"])))
-        elif "pmf" in spec:
-            profiles.append(HoppingProfile.from_pmf(spec["pmf"]))
-        else:
-            raise ValueError("each user needs either 'v' or 'pmf'")
+    except TypeError as exc:
+        raise ValueError(f"scenario document has a malformed field: {exc}") from exc
     scenario = NetworkScenario(
         n_users=len(profiles),
         n_subbands=u,

@@ -338,6 +338,43 @@ def test_malformed_pmf_documents(tmp_path, capsys):
         assert json.loads(err)["error"] == "ValueError", name
 
 
+def test_malformed_scenario_documents(tmp_path, capsys):
+    docs = {
+        "array": [1, 2],
+        "user_int": {
+            "u": 4,
+            "users": [1],
+            "gains": [[1.0]],
+            "P": 10.0,
+            "sigma2": 2.0,
+        },
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["levels", "--scenario", str(path)], capsys)
+        assert code == 1 and out == "", name
+        assert err.count("\n") == 1, name
+        assert json.loads(err)["error"] == "ValueError", name
+
+
+def test_import_skips_scipy_stats_and_integrate():
+    src = os.path.dirname(os.path.dirname(fhshare.__file__))
+    probe = (
+        "import sys, fhshare, fhshare.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+        text=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_compare_skips_conditions_with_mass_at_zero(tmp_path, capsys):
     path = tmp_path / "idle.json"
     path.write_text(json.dumps({"type": "finite", "q": [0.5, 0.25, 0.25]}))

@@ -82,6 +82,16 @@ def test_poisson_truncation_input_checks():
         UserCountPmf.poisson(float("inf"))
 
 
+def test_poisson_truncation_matches_scipy_stats_search():
+    # the first n >= 1 with tail P{N > n} < 1e-12, searched with scipy.stats
+    for lam in np.concatenate([np.geomspace(0.01, 1000.0, 200), np.arange(1.0, 1001.0, 37.0)]):
+        lam = float(lam)
+        n = max(int(poisson.isf(1e-12, lam)), 1)
+        while poisson.sf(n, lam) >= 1e-12:
+            n += 1
+        assert UserCountPmf.poisson(lam).n_top == n, lam
+
+
 def test_fh_measures_match_deep_poisson_truncation():
     # the tail-cut law (549 terms at lambda = 400) against 8001 terms
     lam, u = 400.0, 16.0

@@ -1,13 +1,19 @@
 """Mixture densities and entropies against closed forms and a Riemann oracle."""
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from fhshare.mixture import (
     GaussianMixture1D,
     GaussianMixtureDiag,
+    _log_density_rows,
     entropy_mc,
     entropy_quadrature,
     entropy_upper_bound,
@@ -27,8 +33,29 @@ def riemann_entropy_bits(mix: GaussianMixture1D, span_sigmas=40.0, n=400001):
     dens = np.zeros_like(x)
     for wi, vi in zip(w, var):
         dens += wi * np.exp(-x * x / (2 * vi)) / math.sqrt(2 * math.pi * vi)
-    integrand = np.where(dens > 0, -dens * np.log2(dens, where=dens > 0), 0.0)
+    integrand = np.where(dens > 0, -dens * np.log2(dens, out=np.zeros_like(dens), where=dens > 0), 0.0)
     return float(np.trapezoid(integrand, x))
+
+
+def quad_entropy_bits(mix: GaussianMixture1D) -> float:
+    """Independent scipy.integrate.quad estimate of -integral p log2 p over
+    [0, 40 sigma_max], doubled, with break points on a geometric grid."""
+    logw = np.log(mix.weights)
+    var = mix.component_variances
+    sig = np.sqrt(var)
+    span = 40.0 * float(sig.max())
+    points = np.unique(np.concatenate([sig, np.geomspace(sig.min() / 4, span, 40)]))
+    points = points[points < span][:90]
+
+    def integrand(x):
+        lp = float(logsumexp(logw - 0.5 * np.log(2 * math.pi * var) - x * x / (2 * var)))
+        return -math.exp(lp) * lp / LN2
+
+    value, err = quad(
+        integrand, 0.0, span, points=points, limit=2000, epsabs=1e-13, epsrel=1e-13
+    )
+    assert err < 1e-11
+    return 2.0 * value
 
 
 def test_gaussian_entropy_closed_form():
@@ -114,6 +141,96 @@ def test_quadrature_matches_riemann_oracle():
         assert entropy_quadrature(m) == pytest.approx(
             riemann_entropy_bits(m), abs=2e-6
         )
+
+
+def test_quadrature_matches_scipy_quad_reference():
+    rng = np.random.default_rng(2026)
+    mixes = []
+    for _ in range(30):
+        k = int(rng.integers(1, 7))
+        w = rng.dirichlet(np.ones(k))
+        var = np.exp(rng.normal(0.0, 2.0, k))
+        mixes.append(GaussianMixture1D.of(*zip(w.tolist(), var.tolist())))
+    # a wide mixture: 2000 components, variances spanning 1 to 1e6
+    var = np.geomspace(1.0, 1e6, 2000)
+    rng.shuffle(var)
+    w = rng.dirichlet(np.ones(2000))
+    mixes.append(GaussianMixture1D.of(*zip(w.tolist(), var.tolist())))
+    for m in mixes:
+        assert entropy_quadrature(m) == pytest.approx(quad_entropy_bits(m), abs=1e-9)
+
+
+def test_quadrature_panel_budget_raises_promptly():
+    m = GaussianMixture1D.of((0.5, 1.0), (0.5, 1e4))
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="did not converge"):
+        entropy_quadrature(m, tol=1e-300)
+    assert time.perf_counter() - t0 < 5.0
+    with pytest.raises(ValueError):
+        entropy_quadrature(m, tol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.01, 1.0), st.floats(-6.0, 6.0)), min_size=1, max_size=6
+    )
+)
+def test_quadrature_within_entropy_bounds(comps):
+    # sum_l w_l h(sigma_l^2) <= h <= min(h_Gauss(total variance), closed-form bound)
+    total = sum(a for a, _ in comps)
+    w = [a / total for a, _ in comps]
+    w[-1] = 1.0 - sum(w[:-1])
+    var = [math.exp(b) for _, b in comps]
+    m = GaussianMixture1D.of(*zip(w, var))
+    tol = 1e-6
+    h = entropy_quadrature(m, tol=tol)
+    lower = sum(wi * gaussian_entropy(vi) for wi, vi in zip(w, var))
+    upper = min(gaussian_entropy(m.variance()), entropy_upper_bound(m))
+    assert lower - tol <= h <= upper + tol
+
+
+def _log_density_rows_loop(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
+    """Reference: one component at a time, each confined to the points that
+    are 0 on its zero-variance coordinates."""
+    cols = np.full((x.shape[0], m.n_components), -np.inf)
+    for l, (w, v) in enumerate(zip(m.weights, m.variances)):
+        live = v > 0.0
+        ok = np.all(x[:, ~live] == 0.0, axis=1)
+        q = 0.5 * np.sum(x[np.ix_(ok, live)] ** 2 / v[live], axis=1)
+        logdet = -0.5 * (int(live.sum()) * math.log(2 * math.pi) + np.log(v[live]).sum())
+        cols[ok, l] = math.log(w) + logdet - q
+    with np.errstate(invalid="ignore"):
+        return logsumexp(cols, axis=1)
+
+
+def test_log_density_rows_degenerate_branch_and_empty_rows():
+    rng = np.random.default_rng(8)
+    var = rng.exponential(2.0, size=(6, 3))
+    var[rng.random((6, 3)) < 0.4] = 0.0
+    var[0] = 0.0  # a point mass at the origin
+    m = GaussianMixtureDiag(weights=rng.dirichlet(np.ones(6)), variances=var)
+    x = rng.normal(size=(400, 3))
+    x[rng.random((400, 3)) < 0.5] = 0.0
+    got = _log_density_rows(m, x)
+    want = _log_density_rows_loop(m, x)
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert finite.sum() > 100 and np.isneginf(want).sum() > 10
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+
+    # rows no component reaches give -inf, without warnings
+    only_axis = GaussianMixtureDiag(
+        weights=np.array([0.5, 0.5]), variances=np.array([[0.0, 1.0], [0.0, 4.0]])
+    )
+    full = GaussianMixtureDiag(
+        weights=np.array([0.5, 0.5]), variances=np.array([[1.0, 1.0], [4.0, 4.0]])
+    )
+    with np.errstate(all="raise"):
+        out = _log_density_rows(only_axis, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert out[0] == -math.inf and math.isfinite(out[1])
+        out = _log_density_rows(full, np.array([[math.inf, 0.0], [0.0, 1.0]]))
+        assert out[0] == -math.inf and math.isfinite(out[1])
 
 
 def test_entropy_mc_agrees_with_quadrature():
