@@ -1,0 +1,41 @@
+"""Seeded fixed-size blocks, mapped in order on one or more threads.
+
+Randomized kernels split their work into blocks of a fixed size and give
+each block generators of its own, keyed by (seed, spawn key). The block
+layout and the keys depend only on the work size, never on the worker
+count, so results are byte-identical for any number of threads.
+"""
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, List, Tuple, TypeVar
+
+import numpy as np
+
+T = TypeVar("T")
+
+_ENTROPY_MASK = (1 << 128) - 1
+
+
+def generator(seed: int, key: Tuple[int, ...]) -> np.random.Generator:
+    """The generator of one block: SeedSequence(seed mod 2**128, key)."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=int(seed) & _ENTROPY_MASK, spawn_key=key)
+    )
+
+
+def map_blocks(
+    fn: Callable[[int, int], T], total: int, block: int, threads: int = 1
+) -> List[T]:
+    """[fn(index, size) for each block of `total` items], in block order.
+
+    Blocks hold `block` items each, the last one the remainder. With
+    threads > 1 and more than one block they run on a thread pool.
+    """
+    blocks = [
+        (b, min(block, total - start)) for b, start in enumerate(range(0, total, block))
+    ]
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda a: fn(*a), blocks))
+    return [fn(*a) for a in blocks]

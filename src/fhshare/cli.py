@@ -111,6 +111,12 @@ def _parse_floats(text: str) -> List[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _check_user(user: int, n_users: int) -> int:
+    if not 0 <= user < n_users:
+        raise ValueError(f"user index {user} out of range 0..{n_users - 1}")
+    return user
+
+
 def cmd_levels(args) -> None:
     scenario, profiles = _load_scenario(args.scenario)
     rows = []
@@ -135,7 +141,7 @@ def cmd_bounds(args) -> None:
     if args.mc_samples > 0 and args.seed is None:
         _fail("usage", "--seed is required when --mc-samples > 0", code=2)
     users = (
-        [int(x) for x in args.users.split(",")]
+        [_check_user(int(x), scenario.n_users) for x in args.users.split(",")]
         if args.users
         else list(range(scenario.n_users))
     )
@@ -200,6 +206,8 @@ def cmd_bounds(args) -> None:
 
 def cmd_simulate(args) -> None:
     scenario, profiles = _load_scenario(args.scenario)
+    if args.dump:
+        _check_user(args.dump_user, scenario.n_users)
     cfg = sm.SimConfig(
         scenario=scenario,
         profiles=tuple(profiles),

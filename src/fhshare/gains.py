@@ -132,9 +132,10 @@ def sample_occupancy(
         counts = rng.choice(u + 1, size=n_slots, p=w).astype(np.int64)
     scores = rng.random((n_slots, u))
     order = np.argsort(scores, axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(u), (n_slots, u)), axis=1)
-    occupancy = ranks < counts[:, None]
+    # the sub-bands holding the v smallest scores: scatter "rank < v"
+    # through the sort order
+    occupancy = np.empty((n_slots, u), dtype=bool)
+    np.put_along_axis(occupancy, order, np.arange(u) < counts[:, None], axis=1)
     return occupancy, counts
 
 

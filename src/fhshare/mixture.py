@@ -17,12 +17,13 @@ across workers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtri
+
+from ._blocks import generator, map_blocks
 
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
@@ -298,18 +299,6 @@ def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
 
 
-def _mc_partitions(n_samples: int):
-    sizes = []
-    left = n_samples
-    j = 0
-    while left > 0:
-        take = min(MC_PARTITION, left)
-        sizes.append((j, take))
-        left -= take
-        j += 1
-    return sizes
-
-
 def entropy_mc(
     m: AnyMixture,
     n_samples: int,
@@ -330,26 +319,16 @@ def entropy_mc(
     diag = m.as_diag()
     std = np.sqrt(diag.variances)
     w = diag.weights
-    entropy_key = int(seed) & ((1 << 128) - 1)
 
-    def one(part) -> Tuple[float, float]:
-        j, size = part
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=entropy_key, spawn_key=(int(stream), j))
-        )
+    def one(j: int, size: int) -> Tuple[float, float]:
+        rng = generator(seed, (int(stream), j))
         idx = rng.choice(diag.n_components, size=size, p=w)
         z = rng.standard_normal((size, diag.dim))
         x = z * std[idx, :]
         ll = _log_density_rows(diag, x) / _LN2
         return float(ll.sum()), float((ll * ll).sum())
 
-    parts = _mc_partitions(n_samples)
-    if threads > 1 and len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, parts))
-    else:
-        results = [one(p) for p in parts]
-
+    results = map_blocks(one, n_samples, MC_PARTITION, threads)
     total = 0.0
     total_sq = 0.0
     for s, s2 in results:

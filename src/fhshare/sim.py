@@ -5,6 +5,14 @@ per user, the number of interference-free sub-bands and the empirical
 frequency of each interference level on the sub-bands the user occupies.
 Those tallies are the ground truth the closed forms are checked against.
 
+A block of slots is simulated for all users at once. The per-sub-band
+occupancy count marks the interference-free sub-bands (count 1); one
+matrix product of the squared cross gains (zero diagonal) with every
+user's per-hop power gives each receiver's interference increment on
+every sub-band; and the level tally is sparse: the distinct
+(slot, level) pairs a receiver hits, with their hit counts, summed per
+level with bincount.
+
 Sampling is reproducible: slots are processed in fixed-size blocks and
 each (user, block) pair owns a generator seeded from (master_seed, user,
 block), so results are identical for any worker count.
@@ -12,12 +20,13 @@ block), so results are identical for any worker count.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Tuple
 
 import numpy as np
 
+from ._blocks import generator, map_blocks
 from .gains import sample_occupancy
 from .model import (
     HoppingProfile,
@@ -83,49 +92,39 @@ def _match_levels(c_sorted: np.ndarray, realized: np.ndarray) -> np.ndarray:
 def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: int):
     scenario = cfg.scenario
     n, u = scenario.n_users, scenario.n_subbands
-    occ = []
-    counts = []
+    occ = np.empty((n, size, u), dtype=bool)
+    counts = np.empty((n, size), dtype=np.int64)
     for k in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=int(cfg.master_seed) & ((1 << 128) - 1),
-                spawn_key=(k, block),
-            )
-        )
-        o, c = sample_occupancy(cfg.profiles[k], u, rng, size)
-        occ.append(o)
-        counts.append(c)
+        rng = generator(cfg.master_seed, (k, block))
+        occ[k], counts[k] = sample_occupancy(cfg.profiles[k], u, rng, size)
 
-    free_sum = np.zeros(n)
-    free_sq = np.zeros(n)
-    freq_sum = [np.zeros(len(level_c[i])) for i in range(n)]
-    freq_sq = [np.zeros(len(level_c[i])) for i in range(n)]
-    freq_slots = np.zeros(n, dtype=np.int64)
+    # A sub-band is free for its user exactly when nobody else is on it,
+    # i.e. when its occupancy count is 1 (a platform int: no overflow).
+    load = occ.sum(axis=0)
+    free = (occ & (load == 1)).sum(axis=2).astype(float)
+    free_sum = free.sum(axis=1)
+    free_sq = (free * free).sum(axis=1)
 
+    # Every receiver's increment on every (slot, sub-band) in one product:
+    # c[i] = sum_k g_ki^2 occ_k / v_k, the zero diagonal dropping the self term.
+    g2 = np.square(scenario.gains)
+    np.fill_diagonal(g2, 0.0)
+    per_hop = occ * (1.0 / np.maximum(counts, 1))[:, :, None]
+    c_real = g2.T @ per_hop.reshape(n, size * u)
+
+    # Sparse level tally: one (slot, level, hits) triple per level a slot
+    # hits, in slot order, so each level's sums run over slots in order.
+    freq_sum, freq_sq = [], []
     for i in range(n):
-        others = np.zeros((size, u), dtype=bool)
-        c_real = np.zeros((size, u))
-        for k in range(n):
-            if k == i:
-                continue
-            others |= occ[k]
-            amp = float(scenario.gains[k, i]) ** 2 / np.maximum(counts[k], 1)
-            amp = np.where(counts[k] > 0, amp, 0.0)
-            c_real += occ[k] * amp[:, None]
-        free = (occ[i] & ~others).sum(axis=1).astype(float)
-        free_sum[i] = free.sum()
-        free_sq[i] = (free * free).sum()
-
-        rows, cols = np.nonzero(occ[i])
-        if rows.size:
-            lvl = _match_levels(level_c[i], c_real[rows, cols])
-            per_slot = np.zeros((size, len(level_c[i])))
-            np.add.at(per_slot, (rows, lvl), 1.0)
-            active = counts[i] > 0
-            frac = per_slot[active] / counts[i][active, None]
-            freq_sum[i] = frac.sum(axis=0)
-            freq_sq[i] = (frac * frac).sum(axis=0)
-            freq_slots[i] = int(active.sum())
+        n_lvl = len(level_c[i])
+        flat = np.flatnonzero(occ[i])
+        lvl = _match_levels(level_c[i], c_real[i, flat])
+        keys, hits = np.unique((flat // u) * n_lvl + lvl, return_counts=True)
+        frac = hits / counts[i, keys // n_lvl]
+        hit_lvl = keys % n_lvl
+        freq_sum.append(np.bincount(hit_lvl, weights=frac, minlength=n_lvl))
+        freq_sq.append(np.bincount(hit_lvl, weights=frac * frac, minlength=n_lvl))
+    freq_slots = (counts > 0).sum(axis=1)
     return free_sum, free_sq, freq_sum, freq_sq, freq_slots
 
 
@@ -137,20 +136,7 @@ def run(cfg: SimConfig, threads: int = 1) -> SimStats:
     ]
     level_c = [s.c_values for s in spectra]
 
-    blocks = []
-    start = 0
-    b = 0
-    while start < cfg.n_slots:
-        size = min(SLOT_BLOCK, cfg.n_slots - start)
-        blocks.append((b, size))
-        start += size
-        b += 1
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda a: _run_block(cfg, level_c, *a), blocks))
-    else:
-        parts = [_run_block(cfg, level_c, *a) for a in blocks]
+    parts = map_blocks(partial(_run_block, cfg, level_c), cfg.n_slots, SLOT_BLOCK, threads)
 
     free_sum = np.zeros(n)
     free_sq = np.zeros(n)
@@ -209,6 +195,8 @@ def sample_received(
     (y, z), both (n_samples, u): z is interference plus noise, y adds the
     user's own signal. Rows are independent slots.
     """
+    if not 0 <= user < scenario.n_users:
+        raise ValueError(f"user {user} out of range 0..{scenario.n_users - 1}")
     if not profiles[user].is_fixed:
         raise ValueError("sample_received requires a fixed hop count for the user")
     if n_samples < 1:
@@ -218,22 +206,8 @@ def sample_received(
     power = scenario.total_power
     sigma = float(np.sqrt(scenario.noise_power))
 
-    blocks = []
-    start = 0
-    b = 0
-    while start < n_samples:
-        size = min(SLOT_BLOCK, n_samples - start)
-        blocks.append((b, size))
-        start += size
-        b += 1
-
-    def one(args):
-        block, size = args
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=int(seed) & ((1 << 128) - 1), spawn_key=(block,)
-            )
-        )
+    def one(block, size):
+        rng = generator(seed, (block,))
         z = rng.standard_normal((size, u)) * sigma
         for k in range(n):
             if k == user:
@@ -248,11 +222,7 @@ def sample_received(
             y[:, :v] += float(scenario.gains[user, user]) * own
         return y, z
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, blocks))
-    else:
-        parts = [one(a) for a in blocks]
+    parts = map_blocks(one, n_samples, SLOT_BLOCK, threads)
     y = np.concatenate([p[0] for p in parts], axis=0)
     z = np.concatenate([p[1] for p in parts], axis=0)
     return y, z

@@ -240,6 +240,41 @@ def test_simulate_dump(scen_file, tmp_path, capsys):
     assert samples.shape == (500, 4)
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["bounds", "--users", "9"],
+        ["bounds", "--users", "-1"],
+        ["bounds", "--users", "0,3"],
+        ["simulate", "--dump-user", "7"],
+        ["simulate", "--dump-user", "-1"],
+    ],
+    ids=["bounds_9", "bounds_neg", "bounds_3", "dump_7", "dump_neg"],
+)
+def test_user_index_out_of_range(tmp_path, capsys, extra):
+    doc = {
+        "u": 4,
+        "users": [{"v": 1}, {"v": 2}, {"pmf": [0.2, 0.3, 0.5, 0, 0]}],
+        "gains": [[1.0, 0.9, 0.8], [0.7, 1.0, 0.6], [0.5, 0.4, 1.0]],
+        "P": 10.0,
+        "sigma2": 2.0,
+    }
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    dump = tmp_path / "y.bin"
+    argv = [extra[0], "--scenario", str(path)] + extra[1:]
+    if extra[0] == "bounds":
+        argv += ["--gammas", "100"]
+    else:
+        argv += ["--slots", "100", "--seed", "1", "--dump", str(dump)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "out of range" in msg["message"]
+    assert not dump.exists()
+
+
 def test_measures_output(pmf_poisson_file, capsys):
     code, out, _ = run_cli(
         ["measures", "--pmf", pmf_poisson_file, "--u", "10"], capsys

@@ -152,6 +152,22 @@ def test_sample_occupancy_pmf():
     assert abs(mean_occ - expect) <= 4 * math.sqrt(0.25 / n_slots)
 
 
+@pytest.mark.parametrize(
+    "profile", [HoppingProfile.fixed(3), HoppingProfile.from_pmf((0.3, 0.1, 0.0, 0.2, 0.4))]
+)
+def test_sample_occupancy_keeps_the_v_smallest_scores(profile):
+    # same stream, same subset: the sub-bands whose scores rank below v
+    u, n_slots = 4, 5000
+    occ, counts = sample_occupancy(profile, u, np.random.default_rng(21), n_slots)
+    rng = np.random.default_rng(21)
+    if not profile.is_fixed:
+        want_counts = rng.choice(u + 1, size=n_slots, p=profile.pmf_for(u))
+        np.testing.assert_array_equal(counts, want_counts)
+    ranks = np.argsort(np.argsort(rng.random((n_slots, u)), axis=1), axis=1)
+    assert occ.dtype == bool
+    np.testing.assert_array_equal(occ, ranks < counts[:, None])
+
+
 def test_proportional_fair_objective():
     assert proportional_fair_objective([1.0, 1.0], 2.0) == pytest.approx(-4.0)
     assert proportional_fair_objective([2.0, 1.0], 2.0) == -math.inf

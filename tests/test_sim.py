@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fhshare.gains import sample_occupancy
 from fhshare.mixture import GaussianMixtureDiag, entropy_mc
 from fhshare.model import (
     HoppingProfile,
@@ -11,7 +14,10 @@ from fhshare.model import (
     enumerate_interference_spectrum,
 )
 from fhshare.sim import (
+    SLOT_BLOCK,
     SimConfig,
+    _match_levels,
+    _run_block,
     read_sample_dump,
     run,
     sample_received,
@@ -187,3 +193,190 @@ def test_sim_config_validation():
             n_slots=0,
             master_seed=0,
         )
+
+
+def reference_run_block(cfg, level_c, block, size):
+    """The simulator block as a loop over receivers and interferers."""
+    scenario = cfg.scenario
+    n, u = scenario.n_users, scenario.n_subbands
+    occ = []
+    counts = []
+    for k in range(n):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=int(cfg.master_seed) & ((1 << 128) - 1),
+                spawn_key=(k, block),
+            )
+        )
+        o, c = sample_occupancy(cfg.profiles[k], u, rng, size)
+        occ.append(o)
+        counts.append(c)
+
+    free_sum = np.zeros(n)
+    free_sq = np.zeros(n)
+    freq_sum = [np.zeros(len(level_c[i])) for i in range(n)]
+    freq_sq = [np.zeros(len(level_c[i])) for i in range(n)]
+    freq_slots = np.zeros(n, dtype=np.int64)
+
+    for i in range(n):
+        others = np.zeros((size, u), dtype=bool)
+        c_real = np.zeros((size, u))
+        for k in range(n):
+            if k == i:
+                continue
+            others |= occ[k]
+            amp = float(scenario.gains[k, i]) ** 2 / np.maximum(counts[k], 1)
+            amp = np.where(counts[k] > 0, amp, 0.0)
+            c_real += occ[k] * amp[:, None]
+        free = (occ[i] & ~others).sum(axis=1).astype(float)
+        free_sum[i] = free.sum()
+        free_sq[i] = (free * free).sum()
+
+        rows, cols = np.nonzero(occ[i])
+        if rows.size:
+            lvl = _match_levels(level_c[i], c_real[rows, cols])
+            per_slot = np.zeros((size, len(level_c[i])))
+            np.add.at(per_slot, (rows, lvl), 1.0)
+            active = counts[i] > 0
+            frac = per_slot[active] / counts[i][active, None]
+            freq_sum[i] = frac.sum(axis=0)
+            freq_sq[i] = (frac * frac).sum(axis=0)
+            freq_slots[i] = int(active.sum())
+    return free_sum, free_sq, freq_sum, freq_sq, freq_slots
+
+
+def assert_block_matches_reference(cfg, level_c, block, size):
+    got = _run_block(cfg, level_c, block, size)
+    want = reference_run_block(cfg, level_c, block, size)
+    for a, b in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(a, b)
+    for part in (2, 3):
+        assert len(got[part]) == len(want[part])
+        for a, b in zip(got[part], want[part]):
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got[4], want[4])
+    return got
+
+
+def spectrum_levels(scen, profs):
+    return [
+        enumerate_interference_spectrum(scen, profs, i).c_values
+        for i in range(scen.n_users)
+    ]
+
+
+@st.composite
+def block_cases(draw):
+    n = draw(st.integers(1, 6))
+    u = draw(st.integers(1, 6))
+    gain = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    gains = np.array(
+        [[draw(gain) for _ in range(n)] for _ in range(n)], dtype=float
+    )
+    profiles = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            profiles.append(HoppingProfile.fixed(draw(st.integers(0, u))))
+        else:
+            w = draw(
+                st.lists(st.integers(0, 3), min_size=u + 1, max_size=u + 1).filter(
+                    lambda x: sum(x) > 0
+                )
+            )
+            profiles.append(HoppingProfile.from_pmf([x / sum(w) for x in w]))
+    scen = NetworkScenario(
+        n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
+    )
+    size = draw(st.integers(1, 300))
+    block = draw(st.integers(0, 3))
+    seed = draw(st.integers(0, 2**64))
+    return scen, tuple(profiles), size, block, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_cases())
+def test_block_equals_per_receiver_loop(case):
+    scen, profs, size, block, seed = case
+    cfg = SimConfig(scenario=scen, profiles=profs, n_slots=size, master_seed=seed)
+    assert_block_matches_reference(cfg, spectrum_levels(scen, profs), block, size)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["single_user", "zero_cross_gains", "pmf_mass_at_zero", "v_zero_and_full"],
+)
+def test_block_equals_per_receiver_loop_edge_cases(name):
+    u = 4
+    gains = np.array([[1.0, 0.7, 0.3], [0.5, 1.0, 0.9], [1.2, 0.4, 1.0]])
+    profs = (
+        HoppingProfile.fixed(1),
+        HoppingProfile.fixed(2),
+        HoppingProfile.from_pmf((0.2, 0.3, 0.0, 0.1, 0.4)),
+    )
+    if name == "single_user":
+        gains, profs = gains[:1, :1], profs[:1]
+    elif name == "zero_cross_gains":
+        gains = np.diag(np.diag(gains))
+    elif name == "pmf_mass_at_zero":
+        profs = (HoppingProfile.from_pmf((0.6, 0.4, 0.0, 0.0, 0.0)),) * 3
+    elif name == "v_zero_and_full":
+        profs = (HoppingProfile.fixed(0), HoppingProfile.fixed(u), profs[2])
+    n = len(profs)
+    scen = NetworkScenario(
+        n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
+    )
+    cfg = SimConfig(scenario=scen, profiles=profs, n_slots=500, master_seed=11)
+    got = assert_block_matches_reference(cfg, spectrum_levels(scen, profs), 2, 500)
+    if name == "single_user":
+        assert got[0][0] == 500.0
+    if name == "zero_cross_gains":
+        # every hit lands on the zero level
+        for i in range(n):
+            assert np.count_nonzero(got[2][i][1:]) == 0
+
+
+def test_block_occupancy_count_holds_many_users():
+    # 256 users on both sub-bands plus one that hops onto some: a sub-band
+    # carries 256 or 257 users, which an 8-bit count would wrap to 0 or 1
+    # and so report as free.
+    n, u = 257, 2
+    profs = (HoppingProfile.fixed(2),) * (n - 1) + (
+        HoppingProfile.from_pmf((0.3, 0.3, 0.4)),
+    )
+    scen = NetworkScenario(
+        n_users=n, n_subbands=u, gains=np.ones((n, n)), total_power=1.0, noise_power=1.0
+    )
+    # 255 other hoppers at 1/2 each, plus 0, 1/2 or 1 from the pmf user
+    level_c = [np.array([127.5, 128.0, 128.5])] * (n - 1) + [np.array([128.0])]
+    cfg = SimConfig(scenario=scen, profiles=profs, n_slots=6, master_seed=5)
+    got = assert_block_matches_reference(cfg, level_c, 0, 6)
+    np.testing.assert_array_equal(got[0], np.zeros(n))
+    assert got[4][0] == 6
+
+
+def test_three_block_run_is_thread_invariant():
+    scen = unit(3, 4)
+    profs = (
+        HoppingProfile.fixed(1),
+        HoppingProfile.fixed(3),
+        HoppingProfile.from_pmf((0.1, 0.2, 0.3, 0.2, 0.2)),
+    )
+    cfg = SimConfig(
+        scenario=scen, profiles=profs, n_slots=2 * SLOT_BLOCK + 123, master_seed=17
+    )
+    runs = [run(cfg, threads=t) for t in (1, 2, 3)]
+    for other in runs[1:]:
+        for field in ("free_mean", "free_se", "level_slots"):
+            assert getattr(other, field).tobytes() == getattr(runs[0], field).tobytes()
+        for field in ("level_freq", "level_se"):
+            for a, b in zip(getattr(other, field), getattr(runs[0], field)):
+                assert a.tobytes() == b.tobytes()
+
+
+def test_sample_received_rejects_out_of_range_user():
+    scen = unit(2, 2)
+    profs = (HoppingProfile.fixed(1),) * 2
+    for user in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_received(scen, profs, user, 10, seed=1)
