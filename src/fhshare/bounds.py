@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import mixture as mx
+from .gains import per_user_gains
 from .model import (
     HoppingProfile,
     NetworkScenario,
@@ -37,39 +38,6 @@ class RateBound:
     value_bits: float
     slope_bits_per_log2snr: float
     residual_bits: float
-
-
-def _fixed_counts(profiles: Sequence[HoppingProfile], who: str) -> list:
-    for k, p in enumerate(profiles):
-        if not p.is_fixed:
-            raise ValueError(f"{who} requires fixed hop counts (user {k} has a pmf)")
-    return [p.fixed_v for p in profiles]
-
-
-def expected_free_subbands(
-    scenario: NetworkScenario, profiles: Sequence[HoppingProfile], user: int
-) -> float:
-    """Mean number of the user's sub-bands that escape all interference:
-    vbar_i * prod_{k != i} (1 - vbar_k / u)."""
-    if len(profiles) != scenario.n_users:
-        raise ValueError("one profile per user required")
-    u = scenario.n_subbands
-    out = profiles[user].mean_v()
-    for k, p in enumerate(profiles):
-        if k != user:
-            out *= 1.0 - p.mean_v() / u
-    return out
-
-
-def asymptotic_multiplexing_gain(
-    profiles: Sequence[HoppingProfile], user: int, u: int
-) -> float:
-    """High-SNR rate prefactor of one user, in bits per doubling of SNR."""
-    out = 0.5 * profiles[user].mean_v()
-    for k, p in enumerate(profiles):
-        if k != user:
-            out *= 1.0 - p.mean_v() / u
-    return out
 
 
 def _interference_realizations(
@@ -103,6 +71,52 @@ def _interference_realizations(
     return weights, power
 
 
+def _placements(
+    scenario: NetworkScenario,
+    profiles: Sequence[HoppingProfile],
+    user: int,
+    who: str,
+    budget: Optional[int],
+    hint: str = "",
+    full_band: bool = False,
+) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
+    """(v, w, d): the user's hop count v and the weights w and powers d of
+    every joint interferer placement on its v sub-bands (all u with
+    full_band); w and d are None when v is 0 or budget is None.
+
+    Every hop count must be fixed and at most u, and the product of the
+    interferers' C(u, v_k) at most budget (else ValueError naming the
+    budget, then hint).
+    """
+    for k, p in enumerate(profiles):
+        if not p.is_fixed:
+            raise ValueError(f"{who} requires fixed hop counts (user {k} has a pmf)")
+    counts = [p.fixed_v for p in profiles]
+    u = scenario.n_subbands
+    if any(c > u for c in counts):
+        raise ValueError("hop count exceeds u")
+    v = counts[user]
+    if v == 0 or budget is None:
+        return v, None, None
+
+    interferers = [k for k in range(scenario.n_users) if k != user and counts[k] >= 1]
+    n_real = 1
+    for k in interferers:
+        n_real *= math.comb(u, counts[k])
+    if n_real > budget:
+        raise ValueError(
+            f"{n_real} joint placements exceed the enumeration budget ({budget}){hint}"
+        )
+    power = scenario.total_power
+    amps = np.array(
+        [power * float(scenario.gains[k, user]) ** 2 / counts[k] for k in interferers]
+    )
+    w, d = _interference_realizations(
+        u, [counts[k] for k in interferers], amps, u if full_band else v
+    )
+    return v, w, d
+
+
 def upper_bound_rate(
     scenario: NetworkScenario,
     profiles: Sequence[HoppingProfile],
@@ -117,37 +131,21 @@ def upper_bound_rate(
     placements. With slope_only=True (or necessarily at large scale) only
     the slope is returned and value/residual are NaN.
     """
-    counts = _fixed_counts(profiles, "upper_bound_rate")
-    u = scenario.n_subbands
-    if any(c > u for c in counts):
-        raise ValueError("hop count exceeds u")
-    v = counts[user]
-    slope = expected_free_subbands(scenario, profiles, user) / 2.0
+    budget = None if slope_only else max_realizations
+    hint = "; request slope_only=True for the slope"
+    v, w, d = _placements(scenario, profiles, user, "upper_bound_rate", budget, hint)
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
+    vbar = [p.mean_v() for p in profiles]
+    slope = float(per_user_gains(vbar, scenario.n_subbands)[user])
     if slope_only:
         return RateBound(math.nan, slope, math.nan)
-
-    interferers = [k for k in range(scenario.n_users) if k != user and counts[k] >= 1]
-    n_real = 1
-    for k in interferers:
-        n_real *= math.comb(u, counts[k])
-    if n_real > max_realizations:
-        raise ValueError(
-            f"{n_real} joint placements exceed the enumeration budget "
-            f"({max_realizations}); request slope_only=True for the slope"
-        )
 
     power = scenario.total_power
     sigma2 = scenario.noise_power
     gamma = scenario.snr()
     h2_own = float(scenario.gains[user, user]) ** 2
     snr_term = math.log2(1.0 + h2_own * gamma / v)
-
-    amps = np.array(
-        [power * float(scenario.gains[k, user]) ** 2 / counts[k] for k in interferers]
-    )
-    w, d = _interference_realizations(u, [counts[k] for k in interferers], amps, v)
     hit = d > 0.0
     with np.errstate(divide="ignore"):
         per_band = 0.5 * np.log2(1.0 + h2_own * power / (v * (d + sigma2)))
@@ -174,9 +172,6 @@ def lower_bound_rate(
     v = profiles[user].fixed_v
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
-    u = scenario.n_subbands
-    if v > u:
-        raise ValueError("hop count exceeds u")
     spectrum = enumerate_interference_spectrum(scenario, profiles, user)
     a0 = spectrum.a0
     h_levels = spectrum.discrete_entropy()
@@ -242,29 +237,13 @@ def mc_mutual_information(
     estimating both entropies by the plug-in estimator. Returns
     (estimate, standard_error); the SE combines both entropy estimates.
     """
-    counts = _fixed_counts(profiles, "mc_mutual_information")
-    u = scenario.n_subbands
-    if any(c > u for c in counts):
-        raise ValueError("hop count exceeds u")
-    v = counts[user]
+    who = "mc_mutual_information"
+    v, w, d = _placements(scenario, profiles, user, who, max_components, full_band=True)
     if v == 0:
         return 0.0, 0.0
 
-    interferers = [k for k in range(scenario.n_users) if k != user and counts[k] >= 1]
-    n_real = 1
-    for k in interferers:
-        n_real *= math.comb(u, counts[k])
-    if n_real > max_components:
-        raise ValueError(
-            f"{n_real} mixture components exceed the budget ({max_components})"
-        )
-
     power = scenario.total_power
     sigma2 = scenario.noise_power
-    amps = np.array(
-        [power * float(scenario.gains[k, user]) ** 2 / counts[k] for k in interferers]
-    )
-    w, d = _interference_realizations(u, [counts[k] for k in interferers], amps, u)
     z_var = d + sigma2
     y_var = z_var.copy()
     y_var[:, :v] += float(scenario.gains[user, user]) ** 2 * power / v

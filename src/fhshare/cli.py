@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -20,6 +21,7 @@ from typing import List, Optional, Sequence
 from . import bounds as bd
 from . import measures as ms
 from . import sim as sm
+from .gains import per_user_gains
 from .model import enumerate_interference_spectrum, scenario_from_json
 
 
@@ -122,22 +124,21 @@ def cmd_levels(args) -> None:
     rows = []
     for i in range(scenario.n_users):
         spectrum = enumerate_interference_spectrum(scenario, profiles, i)
-        for l_idx, level in enumerate(spectrum.levels):
+        columns = zip(
+            spectrum.probabilities.tolist(),
+            spectrum.c_values.tolist(),
+            spectrum.variances.tolist(),
+        )
+        for l_idx, (p, c, var) in enumerate(columns):
             rows.append(
-                {
-                    "receiver": i,
-                    "level": l_idx,
-                    "probability": level.probability,
-                    "c": level.c,
-                    "sigma2": level.variance,
-                }
+                {"receiver": i, "level": l_idx, "probability": p, "c": c, "sigma2": var}
             )
     _emit(["receiver", "level", "probability", "c", "sigma2"], rows, args.format, args.out)
 
 
 def cmd_bounds(args) -> None:
     scenario, profiles = _load_scenario(args.scenario)
-    gammas = _parse_floats(args.gammas)
+    gammas = args.gammas
     if args.mc_samples > 0 and args.seed is None:
         _fail("usage", "--seed is required when --mc-samples > 0", code=2)
     users = (
@@ -146,18 +147,12 @@ def cmd_bounds(args) -> None:
         else list(range(scenario.n_users))
     )
     all_fixed = all(p.is_fixed for p in profiles)
+    slopes = per_user_gains([p.mean_v() for p in profiles], scenario.n_subbands)
     rows = []
     for user in users:
         for gamma in gammas:
-            scen_g = type(scenario)(
-                n_users=scenario.n_users,
-                n_subbands=scenario.n_subbands,
-                gains=scenario.gains,
-                total_power=gamma * scenario.noise_power,
-                noise_power=scenario.noise_power,
-            )
-            slope = bd.asymptotic_multiplexing_gain(
-                profiles, user, scenario.n_subbands
+            scen_g = dataclasses.replace(
+                scenario, total_power=gamma * scenario.noise_power
             )
             # The placement-exact upper bound and the MC estimate need
             # every hop count fixed; the lower bound only needs the
@@ -193,7 +188,7 @@ def cmd_bounds(args) -> None:
                     "r_lb": r_lb,
                     "mi_mc": mi,
                     "mi_se": se,
-                    "slope": slope,
+                    "slope": float(slopes[user]),
                 }
             )
     _emit(
@@ -208,6 +203,8 @@ def cmd_simulate(args) -> None:
     scenario, profiles = _load_scenario(args.scenario)
     if args.dump:
         _check_user(args.dump_user, scenario.n_users)
+        if not profiles[args.dump_user].is_fixed:
+            raise ValueError(f"--dump-user {args.dump_user} has a pmf, not a fixed v")
     cfg = sm.SimConfig(
         scenario=scenario,
         profiles=tuple(profiles),
@@ -409,6 +406,20 @@ def cmd_compare(args) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _snr_grid(text: str) -> List[float]:
+    gammas = _parse_floats(text)
+    if not gammas or not all(math.isfinite(g) and g > 0 for g in gammas):
+        raise argparse.ArgumentTypeError(f"need positive finite SNRs, got {text!r}")
+    return gammas
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fhshare", description=__doc__)
@@ -417,7 +428,7 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("levels", help="enumerate interference spectra")
     p.add_argument("--scenario", required=True)
@@ -426,7 +437,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="rate bounds over an SNR grid")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--gammas", default="1e2,1e3,1e4,1e5,1e6,1e7,1e8")
+    p.add_argument("--gammas", type=_snr_grid, default="1e2,1e3,1e4,1e5,1e6,1e7,1e8")
     p.add_argument("--users", default=None, help="comma list (default: all)")
     p.add_argument("--mc-samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)

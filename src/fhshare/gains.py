@@ -10,37 +10,13 @@ optimizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .model import HoppingProfile
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class SmgProfile:
-    """Mean hop counts of all users, one entry per user."""
-
-    vbar: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vbar", tuple(float(v) for v in self.vbar))
-        if not self.vbar:
-            raise ValueError("vbar must be nonempty")
-
-
-def _vbar_array(vbar, u: float) -> np.ndarray:
-    if isinstance(vbar, SmgProfile):
-        vbar = vbar.vbar
-    arr = np.asarray(vbar, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("vbar must be a nonempty vector")
-    if np.any(arr < 0) or np.any(arr > u):
-        raise ValueError("each mean hop count must lie in [0, u]")
-    return arr
 
 
 def _leave_one_out_products(factors: np.ndarray) -> np.ndarray:
@@ -56,9 +32,12 @@ def _leave_one_out_products(factors: np.ndarray) -> np.ndarray:
 
 def per_user_gains(vbar, u: float) -> np.ndarray:
     """Asymptotic rate prefactor (bits per doubling of SNR) of each user."""
-    arr = _vbar_array(vbar, u)
-    others = _leave_one_out_products(1.0 - arr / u)
-    return 0.5 * arr * others
+    arr = np.asarray(vbar, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("vbar must be a nonempty vector")
+    if np.any(arr < 0) or np.any(arr > u):
+        raise ValueError("each mean hop count must lie in [0, u]")
+    return 0.5 * arr * _leave_one_out_products(1.0 - arr / u)
 
 
 def smg(vbar, u: float) -> float:
@@ -80,11 +59,6 @@ def v_opt(n: int, u: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return u / n
-
-
-def smg_fair_opt(n: int, u: float) -> float:
-    """sup_v smg_fair(v, n, u) = (u/2)(1 - 1/n)^(n-1)."""
-    return smg_fair(v_opt(n, u), n, u)
 
 
 def integer_hop_mixture(v_real: float, u: float) -> Tuple[int, int, float]:
@@ -137,37 +111,6 @@ def sample_occupancy(
     occupancy = np.empty((n_slots, u), dtype=bool)
     np.put_along_axis(occupancy, order, np.arange(u) < counts[:, None], axis=1)
     return occupancy, counts
-
-
-def sample_hop(profile: HoppingProfile, u: int, rng: np.random.Generator) -> frozenset:
-    """One slot's occupied sub-band set (indices in 0..u-1)."""
-    if profile.is_fixed:
-        v = profile.fixed_v
-        if v > u:
-            raise ValueError("fixed_v exceeds u")
-    else:
-        v = int(rng.choice(u + 1, p=profile.pmf_for(u)))
-    if v == 0:
-        return frozenset()
-    return frozenset(int(j) for j in rng.choice(u, size=v, replace=False))
-
-
-def proportional_fair_objective(vbar, u: float, gamma: Optional[float] = None) -> float:
-    """Sum of log rates at high SNR: sum_i log2 of user i's gain.
-
-    Any user whose prefactor vanishes (vbar_i = 0, or someone else holding
-    the whole band) sends the objective to -inf. When gamma is given the
-    constant n*log2(log2(gamma)) is added; it does not move the argmax.
-    """
-    gains_vec = per_user_gains(vbar, u)
-    if np.any(gains_vec <= 0.0):
-        return float("-inf")
-    val = float(np.log2(gains_vec).sum())
-    if gamma is not None:
-        if gamma <= 2.0:
-            raise ValueError("gamma must exceed 2 for the log-log offset")
-        val += gains_vec.size * math.log2(math.log2(gamma))
-    return val
 
 
 def maximize_on_interval(

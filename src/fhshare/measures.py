@@ -23,7 +23,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.special import gammaln, pdtrc, pdtrik
 
-from .gains import maximize_on_interval, smg_fair
+from .gains import maximize_on_interval, smg_fair, v_opt
 
 _PROB_TOL = 1e-12
 _POISSON_TAIL = 1e-12
@@ -133,25 +133,6 @@ class FdConfig:
             return cls(n_des=min(pmf.n_max, u_int) if pmf.n_max else u_int)
         return cls(n_des=u_int)
 
-    def check_divisible(self, u: float) -> None:
-        if int(u) != u or int(u) % self.n_des != 0:
-            raise ValueError(f"u={u} is not an integer multiple of n_des={self.n_des}")
-
-
-def fd_smg(n_des: int, n: int, u: float) -> float:
-    """FD sum multiplexing gain with n active users: each served user gets
-    a u/n_des slice, so (n/2)(u/n_des) until the band is full, then u/2."""
-    if n <= n_des:
-        return 0.5 * n * u / n_des
-    return 0.5 * u
-
-
-def fh_n_served(v: float, n: int, u: float) -> int:
-    """FH serves everyone unless several users each demand the whole band."""
-    if n == 1 or v < u:
-        return n
-    return 0
-
 
 def _fh_curve(w: np.ndarray, u: float) -> Callable[[np.ndarray], np.ndarray]:
     """v -> (v/2) sum_{n >= 1} w_n (1 - v/u)^(n-1), vectorized over v.
@@ -243,7 +224,7 @@ def eta3(scheme: str, n_max: int, u: float, v: Optional[float] = None) -> float:
     """Deterministic worst-case per-user gain with n_max users present.
 
     FD: u / (2 n_max). FH: SMG(v, n_max)/n_max at the design hop count v,
-    defaulting to the even split v = u/n_max.
+    defaulting to the even split v_opt(n_max, u) = u/n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -251,7 +232,7 @@ def eta3(scheme: str, n_max: int, u: float, v: Optional[float] = None) -> float:
         return 0.5 * u / n_max
     if scheme == "fh":
         if v is None:
-            v = u / n_max
+            v = v_opt(n_max, u)
         return smg_fair(v, n_max, u) / n_max
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -508,6 +489,8 @@ def build_measure_reports(
     e1_fh, v_star = eta1_fh(pmf, u)
     e2_fh, v_dag = eta2_fh(pmf, u)
     eta4_v = v_star if v_star < u else u - epsilon
+    if eta3_v is None and n_max:
+        eta3_v = v_opt(n_max, u)
     e3_fh = eta3("fh", n_max, u, v=eta3_v) if n_max else None
     fh = MeasureReport(
         scheme="fh",
@@ -517,7 +500,7 @@ def build_measure_reports(
         eta4=eta4("fh", pmf, u, v=eta4_v),
         v_star=v_star,
         v_dagger=v_dag,
-        eta3_v=(eta3_v if eta3_v is not None else (u / n_max if n_max else None)),
+        eta3_v=eta3_v,
         eta4_v=eta4_v,
         epsilon=epsilon,
     )

@@ -340,6 +340,36 @@ def entropy_mc(
     return -mean, se
 
 
+def merge_levels(
+    c: Sequence[float],
+    p: Sequence[float],
+    base: float,
+    scale: float,
+    rel_tol: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge adjacent levels whose variances agree within rel_tol.
+
+    c holds ascending level parameters and p their probabilities; level l
+    has variance base + c[l] * scale. Walking up the levels, a level joins
+    the one before it when its variance exceeds that level's by at most
+    rel_tol times the latter; the merged level keeps the probability-
+    weighted mean parameter and the summed probability, so the first two
+    moments are preserved. Returns the merged (c, p) arrays.
+    """
+    out_c, out_p = [], []
+    for c_new, p_new in zip(np.asarray(c).tolist(), np.asarray(p).tolist()):
+        if out_c:
+            c_rep, p_rep = out_c[-1], out_p[-1]
+            v_rep = base + c_rep * scale
+            if base + c_new * scale - v_rep <= rel_tol * v_rep:
+                out_c[-1] = (c_rep * p_rep + c_new * p_new) / (p_rep + p_new)
+                out_p[-1] = p_rep + p_new
+                continue
+        out_c.append(c_new)
+        out_p.append(p_new)
+    return np.array(out_c), np.array(out_p)
+
+
 def entropy_upper_bound(m: GaussianMixture1D) -> float:
     """Closed-form entropy bound for a scalar mixture, in bits.
 
@@ -351,24 +381,11 @@ def entropy_upper_bound(m: GaussianMixture1D) -> float:
     where a0 is the ambient level's probability and H the entropy of the
     level index. Always >= the true mixture entropy.
     """
-    w = m.weights
-    var = m.component_variances
-    order = np.argsort(var)
-    w, var = w[order], var[order]
-
-    # Merge levels whose variances agree within 1e-9 relative so H counts
-    # distinct levels only (weighted mean keeps moments).
-    mw, mv = [w[0]], [var[0]]
-    for i in range(1, len(w)):
-        if var[i] - mv[-1] <= 1e-9 * mv[-1]:
-            tot = mw[-1] + w[i]
-            mv[-1] = (mv[-1] * mw[-1] + var[i] * w[i]) / tot
-            mw[-1] = tot
-        else:
-            mw.append(w[i])
-            mv.append(var[i])
-    a = np.array(mw)
-    v = np.array(mv)
+    order = np.argsort(m.component_variances)
+    # H counts distinct levels only: merge variances within 1e-9 relative.
+    v, a = merge_levels(
+        m.component_variances[order], m.weights[order], 0.0, 1.0, 1e-9
+    )
     h_levels = float(-(a * np.log2(a)).sum())
     return (
         0.5 * (1.0 - a[0]) * math.log2(v[-1] / v[0])

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .mixture import GaussianMixture1D
+from .mixture import GaussianMixture1D, merge_levels
 
 # Exhaustive enumeration over interferer subsets is exponential in N.
 MAX_ENUMERATION_USERS = 20
@@ -61,6 +61,12 @@ class NetworkScenario:
             raise ValueError("total_power must be positive")
         if not (self.noise_power > 0 and math.isfinite(self.noise_power)):
             raise ValueError("noise_power must be positive")
+        # Every level variance is at most sigma^2 + P * sum_k gains[k, i]^2.
+        with np.errstate(over="ignore"):
+            top = self.noise_power + self.total_power * (g * g).sum(axis=0)
+            snr = np.float64(self.total_power) / self.noise_power
+        if not (np.isfinite(top).all() and np.isfinite(snr)):
+            raise ValueError("sigma2 + P * sum_k g_ki^2 and P / sigma2 must be finite")
 
     def snr(self) -> float:
         """Transmit SNR gamma = P / sigma^2."""
@@ -119,10 +125,6 @@ class HoppingProfile:
             return self.fixed_v
         return max(v for v, w in enumerate(self.pmf) if w > 0)
 
-    def occupancy_probability(self, u: int) -> float:
-        """Probability that one given sub-band is occupied in a slot."""
-        return self.mean_v() / u
-
     def pmf_for(self, u: int) -> np.ndarray:
         """Canonical length-(u+1) weight vector over counts 0..u."""
         if self.is_fixed:
@@ -136,66 +138,51 @@ class HoppingProfile:
         return np.asarray(self.pmf, dtype=float)
 
 
-@dataclass(frozen=True)
-class InterferenceLevel:
-    """One mixture level: probability, power increment c (so that the
-    level variance is sigma^2 + c * P), and the resulting variance."""
-
-    probability: float
-    c: float
-    variance: float
-
-
 @dataclass(frozen=True, eq=False)
 class InterferenceSpectrum:
     """Exact per-sub-band interference-plus-noise mixture at one receiver.
 
-    Levels are sorted by variance, strictly increasing after merging, and
-    their probabilities sum to 1. Levels with zero probability are
-    dropped, so the c = 0 level is present exactly when some slot leaves
-    the sub-band interference-free.
+    Level l has probability probabilities[l], power increment c_values[l]
+    and variance variances[l] = sigma^2 + c_values[l] * P; the three are
+    read-only float arrays. Levels are sorted by variance, strictly
+    increasing after merging, and their probabilities sum to 1. Levels
+    with zero probability are dropped, so the c = 0 level is present
+    exactly when some slot leaves the sub-band interference-free.
     """
 
     receiver: int
     noise_power: float
     total_power: float
-    levels: tuple
+    probabilities: np.ndarray
+    c_values: np.ndarray
+    variances: np.ndarray
 
     def __post_init__(self):
-        if not self.levels:
+        for name in ("probabilities", "c_values", "variances"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        p, var = self.probabilities, self.variances
+        if p.size == 0:
             raise ValueError("spectrum needs at least one level")
-        total = sum(l.probability for l in self.levels)
+        total = float(p.sum())
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"level probabilities sum to {total}, not 1")
-        var = [l.variance for l in self.levels]
-        if any(b <= a for a, b in zip(var, var[1:])):
+        if np.any(var[1:] <= var[:-1]):
             raise ValueError("level variances must be strictly increasing")
 
     @property
     def n_levels(self) -> int:
-        return len(self.levels)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([l.probability for l in self.levels])
-
-    @property
-    def c_values(self) -> np.ndarray:
-        return np.array([l.c for l in self.levels])
-
-    @property
-    def variances(self) -> np.ndarray:
-        return np.array([l.variance for l in self.levels])
+        return self.probabilities.size
 
     @property
     def a0(self) -> float:
         """Probability of the interference-free level (0 if always hit)."""
-        first = self.levels[0]
-        return first.probability if first.c == 0.0 else 0.0
+        return float(self.probabilities[0]) if self.c_values[0] == 0.0 else 0.0
 
     @property
     def c_max(self) -> float:
-        return self.levels[-1].c
+        return float(self.c_values[-1])
 
     def discrete_entropy(self) -> float:
         """Entropy of the level index, in bits."""
@@ -220,24 +207,6 @@ def check_profiles(profiles: Sequence[HoppingProfile], u: int) -> None:
             raise ValueError(f"profile {k} pmf length != u+1")
 
 
-def prob_interference_free(
-    profiles: Sequence[HoppingProfile], receiver: int, u: int
-) -> float:
-    """Probability that a given sub-band of `receiver` sees no interference.
-
-    Interferers occupy any fixed sub-band independently with probability
-    mean_v/u, so this is the product of (1 - mean_v_k / u) over k != i.
-    """
-    check_profiles(profiles, u)
-    if not 0 <= receiver < len(profiles):
-        raise ValueError("receiver index out of range")
-    out = 1.0
-    for k, p in enumerate(profiles):
-        if k != receiver:
-            out *= 1.0 - p.mean_v() / u
-    return out
-
-
 def _interferer_outcomes(profile: HoppingProfile, gain: float, u: int):
     """Per-slot law of one interferer's variance increment on a sub-band.
 
@@ -246,14 +215,8 @@ def _interferer_outcomes(profile: HoppingProfile, gain: float, u: int):
     that never transmits contributes the single outcome (0, 1).
     """
     h2 = gain * gain
-    if profile.is_fixed:
-        v = profile.fixed_v
-        if v == 0:
-            return [(0.0, 1.0)]
-        p_occ = v / u
-        return [(0.0, 1.0 - p_occ), (h2 / v, p_occ)]
     out = [(0.0, 1.0 - profile.mean_v() / u)]
-    for v, w in enumerate(profile.pmf):
+    for v, w in enumerate(profile.pmf_for(u).tolist()):
         if v >= 1 and w > 0:
             out.append((h2 / v, w * v / u))
     return out
@@ -301,26 +264,20 @@ def enumerate_interference_spectrum(
 
     sigma2 = scenario.noise_power
     power = scenario.total_power
-    entries = sorted((c, p) for c, p in dist.items() if p > 0.0)
-
+    c = np.fromiter(dist.keys(), float, len(dist))
+    p = np.fromiter(dist.values(), float, len(dist))
+    order = np.argsort(c)  # the keys are distinct
+    c, p = c[order], p[order]
+    keep = p > 0.0
     # Merge near-equal variances; probability-weighted mean keeps moments.
-    merged = []
-    for c, p in entries:
-        if merged:
-            c_rep, p_rep = merged[-1]
-            v_rep = sigma2 + c_rep * power
-            v_new = sigma2 + c * power
-            if v_new - v_rep <= merge_rel_tol * v_rep:
-                merged[-1] = ((c_rep * p_rep + c * p) / (p_rep + p), p_rep + p)
-                continue
-        merged.append((c, p))
-
-    levels = tuple(
-        InterferenceLevel(probability=p, c=c, variance=sigma2 + c * power)
-        for c, p in merged
-    )
+    c, p = merge_levels(c[keep], p[keep], sigma2, power, merge_rel_tol)
     return InterferenceSpectrum(
-        receiver=receiver, noise_power=sigma2, total_power=power, levels=levels
+        receiver=receiver,
+        noise_power=sigma2,
+        total_power=power,
+        probabilities=p,
+        c_values=c,
+        variances=sigma2 + c * power,
     )
 
 

@@ -128,6 +128,13 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
     return free_sum, free_sq, freq_sum, freq_sq, freq_slots
 
 
+def _mean_se(total, total_sq, m):
+    """Sample mean and its standard error from m draws' sum and sum of squares."""
+    mean = total / m
+    var = np.maximum((total_sq - m * mean**2) / max(m - 1, 1), 0.0)
+    return mean, np.sqrt(var / m)
+
+
 def run(cfg: SimConfig, threads: int = 1) -> SimStats:
     """Simulate cfg.n_slots slots and aggregate the tallies."""
     n = cfg.scenario.n_users
@@ -151,27 +158,19 @@ def run(cfg: SimConfig, threads: int = 1) -> SimStats:
             freq_sq[i] += q2[i]
         freq_slots += qn
 
-    slots = cfg.n_slots
-    free_mean = free_sum / slots
-    free_var = np.maximum((free_sq - slots * free_mean**2) / max(slots - 1, 1), 0.0)
-    free_se = np.sqrt(free_var / slots)
-
+    free_mean, free_se = _mean_se(free_sum, free_sq, cfg.n_slots)
     freq_mean = []
     freq_se = []
     for i in range(n):
-        m = freq_slots[i]
-        if m > 0:
-            mean = freq_sum[i] / m
-            var = np.maximum((freq_sq[i] - m * mean**2) / max(m - 1, 1), 0.0)
-            se = np.sqrt(var / m)
+        if freq_slots[i] > 0:
+            mean, se = _mean_se(freq_sum[i], freq_sq[i], freq_slots[i])
         else:
-            mean = np.full(len(level_c[i]), np.nan)
-            se = np.full(len(level_c[i]), np.nan)
+            mean, se = np.full((2, len(level_c[i])), np.nan)
         freq_mean.append(mean)
         freq_se.append(se)
 
     return SimStats(
-        n_slots=slots,
+        n_slots=cfg.n_slots,
         free_mean=free_mean,
         free_se=free_se,
         level_c=tuple(level_c),

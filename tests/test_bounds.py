@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from fhshare.bounds import (
-    asymptotic_multiplexing_gain,
-    expected_free_subbands,
     lower_bound_rate,
     mc_mutual_information,
     regulated_rate,
     upper_bound_rate,
 )
+from fhshare.gains import per_user_gains
 from fhshare.model import HoppingProfile, NetworkScenario
+
+
+def mean_counts(profiles):
+    return [p.mean_v() for p in profiles]
 
 
 def scenario(n, u, gains, power, sigma2=1.0):
@@ -69,7 +72,8 @@ def test_lower_bound_hand_value_two_users():
 def test_three_user_slope():
     scen = unit(3, 4, 100.0)
     profs = [HoppingProfile.fixed(1)] * 3
-    assert expected_free_subbands(scen, profs, 0) == pytest.approx(0.5625)
+    # expected free sub-bands vbar_0 prod_{k != 0}(1 - vbar_k/u) = 2 * gain
+    assert 2 * per_user_gains(mean_counts(profs), 4)[0] == pytest.approx(0.5625)
     ub = upper_bound_rate(scen, profs, 0)
     assert ub.slope_bits_per_log2snr == pytest.approx(0.28125)
 
@@ -84,7 +88,7 @@ def test_slopes_agree_everywhere():
         scen = scenario(n, u, gains, float(rng.uniform(10, 1e4)))
         profs = [HoppingProfile.fixed(v) for v in counts]
         user = int(rng.integers(0, n))
-        s_formula = asymptotic_multiplexing_gain(profs, user, u)
+        s_formula = per_user_gains(mean_counts(profs), u)[user]
         ub = upper_bound_rate(scen, profs, user, slope_only=True)
         lb = lower_bound_rate(scen, profs, user)
         assert ub.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
@@ -93,13 +97,13 @@ def test_slopes_agree_everywhere():
 
 
 def test_expected_free_subbands_with_pmf_interferer():
-    scen = unit(2, 4, 10.0)
     profs = [
         HoppingProfile.fixed(2),
         HoppingProfile.from_pmf((0.5, 0.0, 0.0, 0.0, 0.5)),
     ]
-    # Interferer occupies a given band with probability mean_v/u = 1/2.
-    assert expected_free_subbands(scen, profs, 0) == pytest.approx(1.0)
+    # Interferer occupies a given band with probability mean_v/u = 1/2, so
+    # the user's two sub-bands keep 2 * 1/2 = 1 free on average.
+    assert 2 * per_user_gains(mean_counts(profs), 4)[0] == pytest.approx(1.0)
 
 
 def test_lower_bound_value_identity():

@@ -12,6 +12,7 @@ import pytest
 
 from fhshare.bounds import lower_bound_rate, upper_bound_rate
 import fhshare
+import fhshare.sim
 from fhshare.cli import _fmt, _parse_floats, main
 from fhshare.model import (
     HoppingProfile,
@@ -383,14 +384,71 @@ def test_malformed_scenario_documents(tmp_path, capsys):
             "P": 10.0,
             "sigma2": 2.0,
         },
+        # sigma2 + P * sum_k g_ki^2 overflows to inf
+        "overflow": {
+            "u": 2,
+            "users": [{"v": 1}, {"v": 1}],
+            "gains": [[1e200, 1e200], [1e200, 1e200]],
+            "P": 1e308,
+            "sigma2": 1.0,
+        },
+        # P / sigma2 overflows although every level variance is finite
+        "snr_overflow": {
+            "u": 2,
+            "users": [{"v": 1}, {"v": 1}],
+            "gains": [[1.0, 1.0], [1.0, 1.0]],
+            "P": 1e300,
+            "sigma2": 1e-10,
+        },
     }
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["levels", "--scenario", str(path)], capsys)
-        assert code == 1 and out == "", name
-        assert err.count("\n") == 1, name
-        assert json.loads(err)["error"] == "ValueError", name
+        for sub in ("levels", "bounds"):
+            code, out, err = run_cli([sub, "--scenario", str(path)], capsys)
+            assert code == 1 and out == "", (name, sub)
+            assert err.count("\n") == 1, (name, sub)
+            assert json.loads(err)["error"] == "ValueError", (name, sub)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--slots", "100", "--seed", "1", "--threads", "0"],
+        ["bounds", "--gammas", "100", "--threads", "-3"],
+    ],
+    ids=["simulate_threads_0", "bounds_threads_neg"],
+)
+def test_threads_below_one_is_usage_error(scen_file, capsys, argv):
+    code, out, err = run_cli([argv[0], "--scenario", scen_file] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "usage" and "--threads" in msg["message"]
+
+
+@pytest.mark.parametrize("gammas", ["nan", "inf", "0", "-5"])
+def test_bounds_rejects_bad_gammas(scen_fixed_file, capsys, gammas):
+    argv = ["bounds", "--scenario", scen_fixed_file, "--gammas", gammas]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "usage" and "--gammas" in msg["message"]
+
+
+def test_pmf_dump_user_rejected_before_simulating(
+    scen_file, tmp_path, capsys, monkeypatch
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sim.run was entered")
+
+    monkeypatch.setattr(fhshare.sim, "run", no_run)
+    dump = tmp_path / "y.bin"
+    argv = ["simulate", "--scenario", scen_file, "--slots", "300000", "--seed", "1"]
+    code, out, err = run_cli(argv + ["--dump", str(dump), "--dump-user", "2"], capsys)
+    assert code == 1 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "--dump-user 2" in msg["message"]
+    assert not dump.exists()
 
 
 def test_import_skips_scipy_stats_and_integrate():

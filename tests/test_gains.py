@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 
 from fhshare.gains import (
-    SmgProfile,
     integer_hop_mixture,
     maximize_on_interval,
     per_user_gains,
-    proportional_fair_objective,
-    sample_hop,
     sample_occupancy,
     smg,
     smg_fair,
-    smg_fair_opt,
     two_generator_profile,
     v_opt,
 )
@@ -27,7 +23,7 @@ def test_per_user_gains_hand_values():
     g3 = per_user_gains([1.0, 1.0, 1.0], 4.0)
     np.testing.assert_allclose(g3, [0.5 * (0.75) ** 2] * 3)
     assert smg([1.0, 1.0, 1.0], 4.0) == pytest.approx(3 * 0.28125)
-    assert smg(SmgProfile((1.0, 1.0)), 2.0) == pytest.approx(0.5)
+    assert smg((1.0, 1.0), 2.0) == pytest.approx(0.5)
 
 
 def test_per_user_gains_with_zero_factor():
@@ -82,9 +78,9 @@ def test_smg_fair_and_optimum():
         assert vo == pytest.approx(u / n)
         grid = np.linspace(0.0, u, 10001)
         vals = np.array([smg_fair(v, n, u) for v in grid])
-        assert smg_fair_opt(n, u) >= vals.max() - 1e-12
+        assert smg_fair(v_opt(n, u), n, u) >= vals.max() - 1e-12
         assert abs(grid[np.argmax(vals)] - vo) <= u / 10000 + 1e-12
-    assert smg_fair_opt(1, 6.0) == pytest.approx(3.0)
+    assert smg_fair(v_opt(1, 6.0), 1, 6.0) == pytest.approx(3.0)
 
 
 def test_integer_hop_mixture():
@@ -105,24 +101,6 @@ def test_two_generator_profile():
     assert len(prof.pmf) == 9
     prof_int = two_generator_profile(2.0, 8)
     assert prof_int.pmf[2] == 1.0
-
-
-def test_sample_hop_marginals():
-    rng = np.random.default_rng(42)
-    u, trials = 4, 4000
-    hits = np.zeros(u)
-    prof = HoppingProfile.fixed(1)
-    for _ in range(trials):
-        s = sample_hop(prof, u, rng)
-        assert len(s) == 1
-        for j in s:
-            hits[j] += 1
-    p_hat = hits / trials
-    se = math.sqrt(0.25 * 0.75 / trials)
-    np.testing.assert_allclose(p_hat, 0.25, atol=4 * se)
-
-    prof0 = HoppingProfile.from_pmf((1.0, 0.0, 0.0, 0.0, 0.0))
-    assert sample_hop(prof0, 4, rng) == frozenset()
 
 
 def test_sample_occupancy_fixed():
@@ -166,16 +144,6 @@ def test_sample_occupancy_keeps_the_v_smallest_scores(profile):
     ranks = np.argsort(np.argsort(rng.random((n_slots, u)), axis=1), axis=1)
     assert occ.dtype == bool
     np.testing.assert_array_equal(occ, ranks < counts[:, None])
-
-
-def test_proportional_fair_objective():
-    assert proportional_fair_objective([1.0, 1.0], 2.0) == pytest.approx(-4.0)
-    assert proportional_fair_objective([2.0, 1.0], 2.0) == -math.inf
-    base = proportional_fair_objective([1.0, 1.0], 4.0)
-    with_snr = proportional_fair_objective([1.0, 1.0], 4.0, gamma=4.0)
-    assert with_snr == pytest.approx(base + 2.0)
-    with pytest.raises(ValueError):
-        proportional_fair_objective([1.0], 4.0, gamma=2.0)
 
 
 def test_maximizer_quadratic():

@@ -32,8 +32,6 @@ from fhshare.measures import (
     eta3,
     eta4,
     eta_afh,
-    fd_smg,
-    fh_n_served,
     ten_user_fd_eta2_check,
 )
 
@@ -223,9 +221,6 @@ def test_eta2_fd_hand_values():
     assert eta2_fd(pmf, FdConfig(n_des=2), u) == pytest.approx((u / 4) * 0.5)
     with pytest.raises(ValueError):
         FdConfig(n_des=0)
-    FdConfig(n_des=4).check_divisible(8.0)
-    with pytest.raises(ValueError):
-        FdConfig(n_des=3).check_divisible(8.0)
 
 
 def test_eta3_ratio_band():
@@ -241,7 +236,7 @@ def test_eta3_ratio_band():
         prev_ratio = ratio
     assert eta3("fh", 1, u) == pytest.approx(u / 2)
     assert eta3("fh", 4, u, v=u / 2) == pytest.approx(
-        fd_smg(4, 4, u) * 0 + 0.5 * (u / 2) * (0.5) ** 3, rel=1e-12
+        0.5 * (u / 2) * (0.5) ** 3, rel=1e-12
     )
     with pytest.raises(ValueError):
         eta3("tdma", 2, u)
@@ -261,9 +256,6 @@ def test_eta4_values():
         eta4("fh", pmf, u)
     with pytest.raises(ValueError):
         eta4("fd", pmf, u)
-    assert fh_n_served(u, 3, u) == 0
-    assert fh_n_served(u, 1, u) == 1
-    assert fh_n_served(1.0, 3, u) == 3
 
 
 def test_backoff_two_point_algebra():

@@ -19,6 +19,7 @@ from fhshare.mixture import (
     entropy_upper_bound,
     gaussian_entropy,
     log_density,
+    merge_levels,
 )
 
 LN2 = math.log(2.0)
@@ -289,6 +290,103 @@ def test_upper_bound_dominates_randomized():
         var = np.exp(rng.normal(size=k) * 2.0)
         m = GaussianMixture1D.of(*zip(w.tolist(), var.tolist()))
         assert entropy_upper_bound(m) >= entropy_quadrature(m) - 1e-6
+
+
+def reference_spectrum_merge(entries, sigma2, power, merge_rel_tol):
+    """The merge loop of enumerate_interference_spectrum before merge_levels;
+    entries are (c, p) pairs in ascending c."""
+    merged = []
+    for c, p in entries:
+        if merged:
+            c_rep, p_rep = merged[-1]
+            v_rep = sigma2 + c_rep * power
+            v_new = sigma2 + c * power
+            if v_new - v_rep <= merge_rel_tol * v_rep:
+                merged[-1] = ((c_rep * p_rep + c * p) / (p_rep + p), p_rep + p)
+                continue
+        merged.append((c, p))
+    return merged
+
+
+def reference_bound_merge(w, var):
+    """The merge loop of entropy_upper_bound before merge_levels; w and var
+    are numpy arrays sorted by variance."""
+    mw, mv = [w[0]], [var[0]]
+    for i in range(1, len(w)):
+        if var[i] - mv[-1] <= 1e-9 * mv[-1]:
+            tot = mw[-1] + w[i]
+            mv[-1] = (mv[-1] * mw[-1] + var[i] * w[i]) / tot
+            mw[-1] = tot
+        else:
+            mw.append(w[i])
+            mv.append(var[i])
+    return np.array(mw), np.array(mv)
+
+
+@st.composite
+def ascending_levels(draw):
+    """Ascending parameters c (ties allowed) with probabilities, for variance
+    base + c * scale; many gaps sit right at the merge threshold, and with
+    dyadic values those are exact ties."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([0.0, 0.5, 1.0]))
+        scale = draw(st.sampled_from([0.25, 1.0, 2.0]))
+        rel_tol = draw(st.sampled_from([2.0**-10, 2.0**-3]))
+        c = [float(draw(st.integers(0, 8)))]
+        prob = st.sampled_from([0.125, 0.25, 0.5, 1.0])
+    else:
+        base = draw(st.floats(1e-3, 1e3))
+        scale = draw(st.floats(1e-3, 1e3))
+        rel_tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+        c = [draw(st.floats(0.0, 10.0))]
+        prob = st.floats(1e-6, 1.0)
+    near = st.sampled_from([0.0, 0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.5, 2.0])
+    gap = st.one_of(near.map(lambda k: k * rel_tol), st.floats(0.0, 1.0))
+    for r in draw(st.lists(gap, max_size=40)):
+        c.append(c[-1] + r * (base + c[-1] * scale) / scale)
+    p = draw(st.lists(prob, min_size=len(c), max_size=len(c)))
+    return np.array(c), np.array(p), base, scale, rel_tol
+
+
+def assert_matches_spectrum_loop(c, p, base, scale, rel_tol):
+    got_c, got_p = merge_levels(c, p, base, scale, rel_tol)
+    want = reference_spectrum_merge(list(zip(c.tolist(), p.tolist())), base, scale, rel_tol)
+    np.testing.assert_array_equal(got_c, [x for x, _ in want])
+    np.testing.assert_array_equal(got_p, [y for _, y in want])
+    return got_c
+
+
+def assert_matches_bound_loop(w, var):
+    got_v, got_w = merge_levels(var, w, 0.0, 1.0, 1e-9)
+    want_w, want_v = reference_bound_merge(w, var)
+    np.testing.assert_array_equal(got_v, want_v)
+    np.testing.assert_array_equal(got_w, want_w)
+    return got_v
+
+
+@settings(max_examples=200, deadline=None)
+@given(ascending_levels())
+def test_merge_levels_matches_spectrum_loop(case):
+    assert_matches_spectrum_loop(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ascending_levels())
+def test_merge_levels_matches_bound_loop(case):
+    var, w, base, _, _ = case
+    assert_matches_bound_loop(w, var + base)
+
+
+def test_merge_levels_exact_threshold_ties():
+    # A variance gap of exactly rel_tol times the lower variance merges.
+    for n in (3, 5, 6, 7, 9, 10):
+        v0 = n / 1e-9 * 2.0**-20
+        var = np.array([v0, v0 + 1e-9 * v0])
+        assert var[1] - var[0] == 1e-9 * var[0]
+        assert assert_matches_bound_loop(np.array([0.25, 0.75]), var).size == 1
+    c = np.array([1.0, 1.0 + 2.0**-10 * 3.0 / 2.0])
+    assert (1.0 + 2.0 * c[1]) - (1.0 + 2.0 * c[0]) == 2.0**-10 * (1.0 + 2.0 * c[0])
+    assert assert_matches_spectrum_loop(c, np.array([0.5, 0.5]), 1.0, 2.0, 2.0**-10).size == 1
 
 
 def test_entropy_extremal_bounds():

@@ -10,14 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
+from fhshare.gains import per_user_gains
+from fhshare.mixture import entropy_upper_bound
 from fhshare.model import (
     HoppingProfile,
-    InterferenceSpectrum,
     NetworkScenario,
     enumerate_interference_spectrum,
-    prob_interference_free,
     scenario_from_json,
     scenario_to_json,
 )
@@ -181,9 +183,10 @@ def test_a0_equals_free_probability():
         )
         profs = [HoppingProfile.fixed(int(rng.integers(1, u + 1))) for _ in range(n)]
         spec = enumerate_interference_spectrum(scen, profs, 0)
-        assert spec.a0 == pytest.approx(
-            prob_interference_free(profs, 0, u), rel=1e-12
-        )
+        # per-user gain = (vbar_0 / 2) prod_{k != 0} (1 - vbar_k / u)
+        vbar = [p.mean_v() for p in profs]
+        free = per_user_gains(vbar, u)[0] / (0.5 * vbar[0])
+        assert spec.a0 == pytest.approx(free, rel=1e-12)
 
 
 def test_permutation_covariance():
@@ -300,6 +303,59 @@ def test_spectrum_entropy_and_mixture():
     mix = spec.to_mixture()
     np.testing.assert_allclose(mix.weights, p)
     np.testing.assert_allclose(mix.component_variances, spec.variances)
+
+
+def test_spectrum_arrays_are_read_only_and_built_once():
+    scen = unit_scenario(3, 4)
+    spec = enumerate_interference_spectrum(scen, [HoppingProfile.fixed(1)] * 3, 0)
+    for name in ("probabilities", "c_values", "variances"):
+        arr = getattr(spec, name)
+        assert arr is getattr(spec, name)
+        assert arr.dtype == float and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+@st.composite
+def free_level_scenarios(draw):
+    """Random scenarios in which every interferer leaves a sub-band free
+    with positive probability (mean hop count below u), so a0 > 0. Gains
+    are 0 or at least 0.05, so no increment merges into the c = 0 level."""
+    n = draw(st.integers(1, 6))
+    u = draw(st.integers(2, 6))
+    gain = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+    gains = [[draw(gain) for _ in range(n)] for _ in range(n)]
+    profiles = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            profiles.append(HoppingProfile.fixed(draw(st.integers(0, u - 1))))
+        else:
+            w = draw(
+                st.lists(st.integers(0, 3), min_size=u + 1, max_size=u + 1).filter(
+                    lambda x: sum(x[:-1]) > 0
+                )
+            )
+            profiles.append(HoppingProfile.from_pmf([x / sum(w) for x in w]))
+    power = draw(st.floats(1e-2, 1e4))
+    scen = NetworkScenario(
+        n_users=n, n_subbands=u, gains=np.array(gains), total_power=power, noise_power=1.0
+    )
+    return scen, profiles, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(free_level_scenarios())
+def test_entropy_upper_bound_does_not_merge_a_spectrum_again(case):
+    scen, profs, receiver = case
+    spec = enumerate_interference_spectrum(scen, profs, receiver)
+    assert spec.c_values[0] == 0.0 and spec.a0 > 0.0
+    v = spec.variances
+    closed = (
+        0.5 * (1.0 - spec.a0) * math.log2(v[-1] / v[0])
+        + 0.5 * math.log2(2.0 * math.pi * math.e * v[0])
+        + spec.discrete_entropy()
+    )
+    assert entropy_upper_bound(spec.to_mixture()) == closed
 
 
 def test_json_round_trip():
