@@ -9,10 +9,9 @@ Failures print a one-line JSON error object to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
+import itertools
 import json
 import math
 import sys
@@ -35,26 +34,35 @@ def _fail(kind: str, message: str, code: int = 1):
     raise SystemExit(code)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.12g}"
-    return str(x)
+def _row_template(types: tuple) -> str:
+    """%-template of one CSV line whose cells have these types: a float
+    (numpy's included) to 12 significant digits, None as an empty cell
+    ("%.0s" prints no character of it), anything else as str(), so bools
+    read True/False."""
+    cells = (
+        "%.0s" if t is type(None) else "%.12g" if issubclass(t, float) else "%s"
+        for t in types
+    )
+    return ",".join(cells) + "\n"
 
 
-def _emit(header: Sequence[str], rows: List[dict], fmt: str, out: Optional[str]):
+def _emit(header: Sequence[str], rows: List[tuple], fmt: str, out: Optional[str]):
+    """Write rows, tuples in header order, as CSV or as a JSON list of
+    objects. CSV cells are never quoted: every string written is a fixed
+    identifier."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in header])
-        text = buf.getvalue()
+        parts = [",".join(header) + "\n"]
+        # Each run of rows with the same cell types is one % operation.
+        types = [tuple(map(type, row)) for row in rows]
+        start = 0
+        for key, run in itertools.groupby(types):
+            stop = start + len(list(run))
+            cells = tuple(itertools.chain.from_iterable(rows[start:stop]))
+            parts.append(_row_template(key) * (stop - start) % cells)
+            start = stop
+        text = "".join(parts)
     else:
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -124,15 +132,13 @@ def cmd_levels(args) -> None:
     rows = []
     for i in range(scenario.n_users):
         spectrum = enumerate_interference_spectrum(scenario, profiles, i)
-        columns = zip(
+        rows += zip(
+            [i] * spectrum.n_levels,
+            range(spectrum.n_levels),
             spectrum.probabilities.tolist(),
             spectrum.c_values.tolist(),
             spectrum.variances.tolist(),
         )
-        for l_idx, (p, c, var) in enumerate(columns):
-            rows.append(
-                {"receiver": i, "level": l_idx, "probability": p, "c": c, "sigma2": var}
-            )
     _emit(["receiver", "level", "probability", "c", "sigma2"], rows, args.format, args.out)
 
 
@@ -180,17 +186,7 @@ def cmd_bounds(args) -> None:
                     if "budget" not in str(exc):
                         raise
                     mi = se = math.nan
-            rows.append(
-                {
-                    "user": user,
-                    "gamma": gamma,
-                    "r_ub": r_ub,
-                    "r_lb": r_lb,
-                    "mi_mc": mi,
-                    "mi_se": se,
-                    "slope": float(slopes[user]),
-                }
-            )
+            rows.append((user, gamma, r_ub, r_lb, mi, se, float(slopes[user])))
     _emit(
         ["user", "gamma", "r_ub", "r_lb", "mi_mc", "mi_se", "slope"],
         rows,
@@ -222,34 +218,26 @@ def cmd_simulate(args) -> None:
             threads=args.threads,
         )
         sm.write_sample_dump(args.dump, y)
-    rows = []
-    for i in range(scenario.n_users):
-        rows.append(
-            {
-                "user": i,
-                "stat": "free_subbands",
-                "level": None,
-                "c": None,
-                "value": float(stats.free_mean[i]),
-                "se": float(stats.free_se[i]),
-            }
-        )
+    rows = [
+        (i, "free_subbands", None, None, float(stats.free_mean[i]), float(stats.free_se[i]))
+        for i in range(scenario.n_users)
+    ]
     for i in range(scenario.n_users):
         for l_idx in range(len(stats.level_c[i])):
             rows.append(
-                {
-                    "user": i,
-                    "stat": "level_freq",
-                    "level": l_idx,
-                    "c": float(stats.level_c[i][l_idx]),
-                    "value": float(stats.level_freq[i][l_idx]),
-                    "se": float(stats.level_se[i][l_idx]),
-                }
+                (
+                    i,
+                    "level_freq",
+                    l_idx,
+                    float(stats.level_c[i][l_idx]),
+                    float(stats.level_freq[i][l_idx]),
+                    float(stats.level_se[i][l_idx]),
+                )
             )
     _emit(["user", "stat", "level", "c", "value", "se"], rows, args.format, args.out)
 
 
-def _report_rows(report: ms.MeasureReport, u: float) -> List[dict]:
+def _report_rows(report: ms.MeasureReport, u: float) -> List[tuple]:
     rows = []
     params = {
         "eta1": ("v_star", report.v_star),
@@ -266,16 +254,7 @@ def _report_rows(report: ms.MeasureReport, u: float) -> List[dict]:
         if value is None:
             continue
         p_name, p_value = params[name]
-        rows.append(
-            {
-                "scheme": report.scheme,
-                "measure": name,
-                "value": value,
-                "value_per_u": value / u,
-                "param": p_name,
-                "param_value": p_value,
-            }
-        )
+        rows.append((report.scheme, name, value, value / u, p_name, p_value))
     return rows
 
 
@@ -306,23 +285,23 @@ def cmd_sweep(args) -> None:
         e2, omega = ms.eta2_fh_poisson_closed(lam, u)
         e2_fd = ms.eta2_fd(pmf, fd_cfg, u)
         rows.append(
-            {
-                "u": u,
-                "lam": lam,
-                "n_des": fd_cfg.n_des,
-                "eta1_fh": e1,
-                "eta1_fh_per_u": e1 / u,
-                "v_star": v_star,
-                "eta2_fh": e2,
-                "eta2_fh_per_u": e2 / u,
-                "v_dagger": u * (1.0 - omega),
-                "omega_dagger": omega,
-                "eta2_fd": e2_fd,
-                "eta2_fd_per_u": e2_fd / u,
-                "eta_afh_1": ms.eta_afh(1, pmf, u),
-                "eta_afh_2": ms.eta_afh(2, pmf, u),
-                "eta4_fd": ms.eta4("fd", pmf, u, fd=fd_cfg),
-            }
+            (
+                u,
+                lam,
+                fd_cfg.n_des,
+                e1,
+                e1 / u,
+                v_star,
+                e2,
+                e2 / u,
+                u * (1.0 - omega),
+                omega,
+                e2_fd,
+                e2_fd / u,
+                ms.eta_afh(1, pmf, u),
+                ms.eta_afh(2, pmf, u),
+                ms.eta4("fd", pmf, u, fd=fd_cfg),
+            )
         )
     _emit(
         [
@@ -361,17 +340,7 @@ def cmd_compare(args) -> None:
         if fh_val is None or fd_val is None:
             continue
         winner = "fh" if fh_val > fd_val else ("fd" if fd_val > fh_val else "tie")
-        rows.append(
-            {
-                "kind": "measure",
-                "measure": name,
-                "fh": fh_val,
-                "fd": fd_val,
-                "winner": winner,
-                "condition_holds": None,
-                "inequality_verified": None,
-            }
-        )
+        rows.append(("measure", name, fh_val, fd_val, winner, None, None))
     # the mean-load conditions assume a finite load with no mass at N = 0
     if pmf.is_finite and pmf.q[0] == 0.0:
         for name, checker in (
@@ -380,15 +349,8 @@ def cmd_compare(args) -> None:
         ):
             chk = checker(pmf)
             rows.append(
-                {
-                    "kind": "condition",
-                    "measure": name,
-                    "fh": None,
-                    "fd": None,
-                    "winner": None,
-                    "condition_holds": chk.condition_holds,
-                    "inequality_verified": chk.inequality_verified,
-                }
+                ("condition", name, None, None, None, chk.condition_holds,
+                 chk.inequality_verified)
             )
     _emit(
         [
@@ -406,11 +368,17 @@ def cmd_compare(args) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """argparse type for an int of at least minimum."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _snr_grid(text: str) -> List[float]:
@@ -428,7 +396,7 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=_positive_int, default=1)
+        p.add_argument("--threads", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("levels", help="enumerate interference spectra")
     p.add_argument("--scenario", required=True)
@@ -439,7 +407,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--gammas", type=_snr_grid, default="1e2,1e3,1e4,1e5,1e6,1e7,1e8")
     p.add_argument("--users", default=None, help="comma list (default: all)")
-    p.add_argument("--mc-samples", type=int, default=0)
+    p.add_argument("--mc-samples", type=_int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_bounds)

@@ -355,18 +355,41 @@ def merge_levels(
     rel_tol times the latter; the merged level keeps the probability-
     weighted mean parameter and the summed probability, so the first two
     moments are preserved. Returns the merged (c, p) arrays.
+
+    The walk only has work to do near ties. While the level before is
+    alone in its group, the join test is the array test `tie` below, so
+    levels pass through unchanged up to the next tie. From a tie the walk
+    runs level by level until a level does not join; that level is alone
+    in its group again.
     """
+    c = np.array(c, dtype=float)
+    p = np.array(p, dtype=float)
+    var = base + c * scale
+    tie = var[1:] - var[:-1] <= rel_tol * var[:-1]  # level l + 1 joins a lone level l
+    if not tie.any():
+        return c, p
+    c_list, p_list, var_list = c.tolist(), p.tolist(), var.tolist()
     out_c, out_p = [], []
-    for c_new, p_new in zip(np.asarray(c).tolist(), np.asarray(p).tolist()):
-        if out_c:
-            c_rep, p_rep = out_c[-1], out_p[-1]
+    done = 0
+    for t in np.flatnonzero(tie).tolist():
+        if t < done:
+            continue
+        out_c += c_list[done:t]
+        out_p += p_list[done:t]
+        c_rep, p_rep = c_list[t], p_list[t]
+        done = t + 1
+        while done < c.size:
             v_rep = base + c_rep * scale
-            if base + c_new * scale - v_rep <= rel_tol * v_rep:
-                out_c[-1] = (c_rep * p_rep + c_new * p_new) / (p_rep + p_new)
-                out_p[-1] = p_rep + p_new
-                continue
-        out_c.append(c_new)
-        out_p.append(p_new)
+            if not var_list[done] - v_rep <= rel_tol * v_rep:
+                break
+            c_new, p_new = c_list[done], p_list[done]
+            c_rep = (c_rep * p_rep + c_new * p_new) / (p_rep + p_new)
+            p_rep = p_rep + p_new
+            done += 1
+        out_c.append(c_rep)
+        out_p.append(p_rep)
+    out_c += c_list[done:]
+    out_p += p_list[done:]
     return np.array(out_c), np.array(out_p)
 
 

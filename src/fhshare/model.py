@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -84,6 +84,8 @@ class HoppingProfile:
 
     fixed_v: Optional[int] = None
     pmf: Optional[tuple] = None
+    _max_v: int = field(init=False, repr=False, compare=False)
+    _mean_v: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.fixed_v is None) == (self.pmf is None):
@@ -92,6 +94,8 @@ class HoppingProfile:
             if int(self.fixed_v) != self.fixed_v or self.fixed_v < 0:
                 raise ValueError("fixed_v must be a nonnegative integer")
             object.__setattr__(self, "fixed_v", int(self.fixed_v))
+            object.__setattr__(self, "_max_v", self.fixed_v)
+            object.__setattr__(self, "_mean_v", float(self.fixed_v))
         else:
             w = tuple(float(x) for x in self.pmf)
             if len(w) < 1:
@@ -101,6 +105,11 @@ class HoppingProfile:
             if abs(sum(w) - 1.0) > _PROB_TOL:
                 raise ValueError("pmf must sum to 1 within 1e-12")
             object.__setattr__(self, "pmf", w)
+            v_max = max(v for v, x in enumerate(w) if x > 0)
+            # Weights may sum to a little over 1; the mean stays in the support.
+            mean = min(float(sum(v * x for v, x in enumerate(w))), float(v_max))
+            object.__setattr__(self, "_max_v", v_max)
+            object.__setattr__(self, "_mean_v", mean)
 
     @classmethod
     def fixed(cls, v: int) -> "HoppingProfile":
@@ -115,15 +124,12 @@ class HoppingProfile:
         return self.fixed_v is not None
 
     def mean_v(self) -> float:
-        if self.is_fixed:
-            return float(self.fixed_v)
-        return float(sum(v * w for v, w in enumerate(self.pmf)))
+        """Mean count, at most max_v()."""
+        return self._mean_v
 
     def max_v(self) -> int:
         """Largest count that can occur."""
-        if self.is_fixed:
-            return self.fixed_v
-        return max(v for v, w in enumerate(self.pmf) if w > 0)
+        return self._max_v
 
     def pmf_for(self, u: int) -> np.ndarray:
         """Canonical length-(u+1) weight vector over counts 0..u."""
@@ -144,10 +150,12 @@ class InterferenceSpectrum:
 
     Level l has probability probabilities[l], power increment c_values[l]
     and variance variances[l] = sigma^2 + c_values[l] * P; the three are
-    read-only float arrays. Levels are sorted by variance, strictly
-    increasing after merging, and their probabilities sum to 1. Levels
-    with zero probability are dropped, so the c = 0 level is present
-    exactly when some slot leaves the sub-band interference-free.
+    read-only float arrays. Levels are sorted by c, strictly increasing,
+    and their probabilities sum to 1. Levels with zero probability are
+    dropped, so the c = 0 level is present exactly when some slot leaves
+    the sub-band interference-free. Variances are nondecreasing: a hit
+    level whose c * P is below the rounding of sigma^2 has variance
+    sigma^2 but stays a level of its own.
     """
 
     receiver: int
@@ -162,14 +170,14 @@ class InterferenceSpectrum:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        p, var = self.probabilities, self.variances
+        p, c, var = self.probabilities, self.c_values, self.variances
         if p.size == 0:
             raise ValueError("spectrum needs at least one level")
         total = float(p.sum())
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"level probabilities sum to {total}, not 1")
-        if np.any(var[1:] <= var[:-1]):
-            raise ValueError("level variances must be strictly increasing")
+        if np.any(c[1:] <= c[:-1]) or np.any(var[1:] < var[:-1]):
+            raise ValueError("level increments must be strictly increasing")
 
     @property
     def n_levels(self) -> int:
@@ -210,16 +218,49 @@ def check_profiles(profiles: Sequence[HoppingProfile], u: int) -> None:
 def _interferer_outcomes(profile: HoppingProfile, gain: float, u: int):
     """Per-slot law of one interferer's variance increment on a sub-band.
 
-    Returns [(c, prob), ...] where c is |h|^2 / v when the interferer lands
-    on the band while hopping over v sub-bands, and 0 otherwise. A user
-    that never transmits contributes the single outcome (0, 1).
+    Returns arrays (c, p) of the outcomes with nonzero probability: c is
+    |h|^2 / v when the interferer lands on the band while hopping over v
+    sub-bands, and 0 otherwise. A user that never transmits contributes
+    the single outcome (0, 1). The profile must have passed
+    check_profiles for this u.
     """
     h2 = gain * gain
-    out = [(0.0, 1.0 - profile.mean_v() / u)]
-    for v, w in enumerate(profile.pmf_for(u).tolist()):
+    c, p = [0.0], [1.0 - profile.mean_v() / u]
+    hops = [(profile.fixed_v, 1.0)] if profile.is_fixed else enumerate(profile.pmf)
+    for v, w in hops:
         if v >= 1 and w > 0:
-            out.append((h2 / v, w * v / u))
-    return out
+            q = w * v / u
+            if q > 0.0:  # not an underflow
+                c.append(h2 / v)
+                p.append(q)
+    if p[0] == 0.0:
+        del c[0], p[0]
+    return np.array(c), np.array(p)
+
+
+def _add_interferer(c: np.ndarray, p: np.ndarray, c_k: np.ndarray, p_k: np.ndarray):
+    """One convolution round: the law of c + c_k from the laws (c, p) and
+    (c_k, p_k). Equal sums are pooled; the distinct sums come out in order
+    of first appearance in the row-major (c, c_k) grid, and each pooled
+    probability is summed along that grid in order, as a dict keyed by the
+    sum and filled row by row would hold them. That fixes every bit of the
+    result, whatever the grouping method.
+    """
+    keys = np.add.outer(c, c_k).ravel()
+    probs = np.multiply.outer(p, p_k).ravel()
+    order = keys.argsort(kind="stable")
+    sorted_keys = keys[order]
+    start = np.empty(keys.size, dtype=bool)
+    start[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=start[1:])
+    if start.all():
+        return keys, probs
+    # The stable sort keeps each group's members in grid order, and
+    # bincount adds them one after another (group ids start at 1).
+    sums = np.bincount(start.cumsum(), weights=probs[order])[1:]
+    first = order[start]
+    by_appearance = first.argsort()
+    return keys[first[by_appearance]], sums[by_appearance]
 
 
 def enumerate_interference_spectrum(
@@ -233,7 +274,9 @@ def enumerate_interference_spectrum(
     Convolves the independent per-interferer increment laws, then merges
     levels whose variances agree within merge_rel_tol (relative). Merged
     levels keep the probability-weighted mean increment, which preserves
-    the mixture's first two moments.
+    the mixture's first two moments. The interference-free level (c = 0)
+    is never merged with a hit level, so a0 stays the probability that no
+    interferer lands on the sub-band.
     """
     if len(profiles) != scenario.n_users:
         raise ValueError("one profile per user required")
@@ -246,31 +289,27 @@ def enumerate_interference_spectrum(
     u = scenario.n_subbands
     check_profiles(profiles, u)
 
-    dist = {0.0: 1.0}
+    gains = scenario.gains[:, receiver].tolist()
+    c, p = np.zeros(1), np.ones(1)
     for k in range(scenario.n_users):
         if k == receiver:
             continue
-        outcomes = _interferer_outcomes(profiles[k], scenario.gains[k, receiver], u)
-        new: dict = {}
-        for c_prev, p_prev in dist.items():
-            for c_k, p_k in outcomes:
-                if p_k == 0.0:
-                    continue
-                key = c_prev + c_k
-                new[key] = new.get(key, 0.0) + p_prev * p_k
-        dist = new
-        if len(dist) > (1 << 21):
+        c_k, p_k = _interferer_outcomes(profiles[k], gains[k], u)
+        c, p = _add_interferer(c, p, c_k, p_k)
+        if c.size > (1 << 21):
             raise ValueError("interference level count exceeds enumeration budget")
 
     sigma2 = scenario.noise_power
     power = scenario.total_power
-    c = np.fromiter(dist.keys(), float, len(dist))
-    p = np.fromiter(dist.values(), float, len(dist))
     order = np.argsort(c)  # the keys are distinct
     c, p = c[order], p[order]
     keep = p > 0.0
+    c, p = c[keep], p[keep]
+    free = int(c[0] == 0.0)  # the interference-free level is never merged
     # Merge near-equal variances; probability-weighted mean keeps moments.
-    c, p = merge_levels(c[keep], p[keep], sigma2, power, merge_rel_tol)
+    c_hit, p_hit = merge_levels(c[free:], p[free:], sigma2, power, merge_rel_tol)
+    c = np.concatenate((c[:free], c_hit))
+    p = np.concatenate((p[:free], p_hit))
     return InterferenceSpectrum(
         receiver=receiver,
         noise_power=sigma2,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhshare.bounds import (
     lower_bound_rate,
@@ -94,6 +96,32 @@ def test_slopes_agree_everywhere():
         assert ub.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
         assert lb.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
         assert math.isnan(ub.value_bits) and math.isnan(ub.residual_bits)
+
+
+@st.composite
+def pinch_cases(draw):
+    """Fixed hop counts 0..u and nonzero cross gains from 1e-12 to 3."""
+    n = draw(st.integers(2, 5))
+    u = draw(st.integers(1, 6))
+    cross = st.floats(-12.0, 0.5).map(lambda e: 10.0**e)
+    gains = [[1.0 if i == k else draw(cross) for i in range(n)] for k in range(n)]
+    counts = [draw(st.integers(0, u)) for _ in range(n)]
+    power = 10.0 ** draw(st.floats(-2.0, 6.0))
+    return scenario(n, u, gains, power), counts, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinch_cases())
+def test_slopes_equal_multiplexing_gain(case):
+    # The high-SNR pinch: both bounds grow like the leave-one-out gain
+    # (v/2) prod_{k != i} (1 - v_k/u), however weak the cross gains.
+    scen, counts, user = case
+    profs = [HoppingProfile.fixed(v) for v in counts]
+    s_formula = per_user_gains(counts, scen.n_subbands)[user]
+    ub = upper_bound_rate(scen, profs, user, slope_only=True)
+    lb = lower_bound_rate(scen, profs, user)
+    assert ub.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
+    assert lb.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
 
 
 def test_expected_free_subbands_with_pmf_interferer():

@@ -1,4 +1,5 @@
 """Command line interface: output correctness, determinism, error paths."""
+import contextlib
 import csv
 import io
 import json
@@ -9,11 +10,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhshare.bounds import lower_bound_rate, upper_bound_rate
 import fhshare
+import fhshare.cli
 import fhshare.sim
-from fhshare.cli import _fmt, _parse_floats, main
+from fhshare.cli import _emit, _parse_floats, main
 from fhshare.model import (
     HoppingProfile,
     NetworkScenario,
@@ -77,12 +81,111 @@ def parse_csv(text):
     return rows
 
 
+def _reference_fmt(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        return f"{x:.12g}"
+    return str(x)
+
+
+def reference_emit(header, rows, fmt, out):
+    """The writer before the template one: csv.writer over per-cell
+    strings, and json.dumps of one dict per row."""
+    rows = [dict(zip(header, row)) for row in rows]
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_reference_fmt(row.get(col)) for col in header])
+        text = buf.getvalue()
+    else:
+        text = json.dumps(rows, indent=2) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def emitted(emit, header, rows, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit(header, rows, fmt, None)
+    return buf.getvalue()
+
+
 def test_fmt_rules():
-    assert _fmt(1 / 3) == "0.333333333333"
-    assert _fmt(float("nan")) == "nan"
-    assert _fmt(None) == ""
-    assert _fmt(3) == "3"
-    assert _fmt(0.5625) == "0.5625"
+    row = (1 / 3, float("nan"), None, 3, 0.5625, True, "fh")
+    text = emitted(_emit, list("abcdefg"), [row], "csv")
+    assert text == "a,b,c,d,e,f,g\n0.333333333333,nan,,3,0.5625,True,fh\n"
+
+
+ODD_CELLS = [
+    True, False, None, "level_freq", math.nan, math.inf, -math.inf, -0.0, 0.0,
+    1e-300, 5e-324, 1e22, 123456789012345.0, 7, -3, 2**70,
+    np.float64(0.1), np.float64(-np.inf), np.float64(np.nan), np.int64(-9),
+    np.bool_(True), np.bool_(False), np.float32(0.1),
+]
+JSON_CELLS = [x for x in ODD_CELLS if isinstance(x, (bool, type(None), str, int, float))]
+
+
+def test_emit_matches_reference_on_odd_cells():
+    for fmt, values in (("csv", ODD_CELLS), ("json", JSON_CELLS)):
+        header = [f"col{j}" for j in range(len(values))]
+        rows = [tuple(values), tuple(reversed(values)), tuple(values)]
+        assert emitted(_emit, header, rows, fmt) == emitted(reference_emit, header, rows, fmt)
+
+
+cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64),
+    st.integers(-(2**80), 2**80),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.sampled_from(["fh", "fd", "tie", "free_subbands", "v_star"]),
+)
+
+
+# At least two columns, as every subcommand writes: csv.writer quotes a
+# row made of one empty cell as "" so that it does not read as a blank line.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(st.tuples(*[cells] * n), max_size=8)))
+def test_emit_csv_matches_reference(rows):
+    header = [f"col{j}" for j in range(len(rows[0]) if rows else 2)]
+    assert emitted(_emit, header, rows, "csv") == emitted(reference_emit, header, rows, "csv")
+
+
+SUBCOMMANDS = {
+    "levels": ["levels", "--scenario", "{scen}"],
+    "bounds_pmf": ["bounds", "--scenario", "{scen}", "--gammas", "10,1e4"],
+    "bounds_mc": [
+        "bounds", "--scenario", "{fixed}", "--gammas", "100", "--mc-samples", "2000",
+        "--seed", "3",
+    ],
+    "simulate": ["simulate", "--scenario", "{scen}", "--slots", "500", "--seed", "2"],
+    "measures": ["measures", "--pmf", "{finite}", "--u", "8"],
+    "sweep": ["sweep", "--u", "7", "--lambdas", "2:4:1"],
+    "compare": ["compare", "--pmf", "{finite}", "--u", "8"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_emit_matches_reference_for_every_subcommand(
+    name, fmt, scen_file, scen_fixed_file, pmf_finite_file, capsys, monkeypatch
+):
+    files = {"scen": scen_file, "fixed": scen_fixed_file, "finite": pmf_finite_file}
+    argv = [a.format(**files) for a in SUBCOMMANDS[name]] + ["--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == "" and out
+    monkeypatch.setattr(fhshare.cli, "_emit", reference_emit)
+    assert run_cli(argv, capsys) == (0, out, "")
 
 
 def test_levels_matches_library(scen_file, capsys):
@@ -424,6 +527,33 @@ def test_threads_below_one_is_usage_error(scen_file, capsys, argv):
     assert code == 2 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "usage" and "--threads" in msg["message"]
+
+
+def test_negative_mc_samples_is_usage_error(scen_fixed_file, capsys):
+    argv = ["bounds", "--scenario", scen_fixed_file, "--mc-samples", "-1", "--seed", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "usage" and "--mc-samples" in msg["message"]
+
+
+def test_bounds_accepts_pmf_weights_summing_just_over_one(tmp_path, capsys):
+    # The weights sum to 1 + 5e-13, so the raw mean hop count is
+    # 2.0000000000005 > u; the mean is capped at the largest count.
+    doc = {
+        "u": 2,
+        "users": [{"v": 1}, {"pmf": [0.0, 5e-13, 1.0]}],
+        "gains": [[1.0, 0.5], [0.5, 1.0]],
+        "P": 10.0,
+        "sigma2": 1.0,
+    }
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["bounds", "--scenario", str(path), "--gammas", "100"], capsys)
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert [float(r["slope"]) for r in rows] == [0.0, 0.5]
+    assert float(rows[0]["r_lb"]) > 0.0 and rows[1]["r_lb"] == "nan"
 
 
 @pytest.mark.parametrize("gammas", ["nan", "inf", "0", "-5"])

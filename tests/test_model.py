@@ -320,7 +320,8 @@ def test_spectrum_arrays_are_read_only_and_built_once():
 def free_level_scenarios(draw):
     """Random scenarios in which every interferer leaves a sub-band free
     with positive probability (mean hop count below u), so a0 > 0. Gains
-    are 0 or at least 0.05, so no increment merges into the c = 0 level."""
+    are 0 or at least 0.05, so no hit level's variance lies within
+    entropy_upper_bound's merge tolerance of sigma^2."""
     n = draw(st.integers(1, 6))
     u = draw(st.integers(2, 6))
     gain = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
@@ -381,3 +382,103 @@ def test_json_round_trip():
     b = enumerate_interference_spectrum(scen2, profs2, 1)
     np.testing.assert_allclose(a.probabilities, b.probabilities, rtol=0, atol=0)
     np.testing.assert_allclose(a.c_values, b.c_values, rtol=0, atol=0)
+
+
+def reference_spectrum(scenario, profiles, receiver, rel_tol=1e-9):
+    """(c, p) of enumerate_interference_spectrum by the dict convolution it
+    used before the array rounds, with the interference-free level kept
+    out of the merge."""
+    u = scenario.n_subbands
+    dist = {0.0: 1.0}
+    for k in range(scenario.n_users):
+        if k == receiver:
+            continue
+        g = float(scenario.gains[k, receiver])
+        h2 = g * g
+        outcomes = [(0.0, 1.0 - profiles[k].mean_v() / u)]
+        for v, w in enumerate(profiles[k].pmf_for(u).tolist()):
+            if v >= 1 and w > 0:
+                outcomes.append((h2 / v, w * v / u))
+        new = {}
+        for c_prev, p_prev in dist.items():
+            for c_k, p_k in outcomes:
+                if p_k == 0.0:
+                    continue
+                key = c_prev + c_k
+                new[key] = new.get(key, 0.0) + p_prev * p_k
+        dist = new
+    entries = sorted((c, p) for c, p in dist.items() if p > 0.0)
+    free = entries[:1] if entries[0][0] == 0.0 else []
+    merged = free + merge_oracle(
+        entries[len(free):], scenario.noise_power, scenario.total_power, rel_tol
+    )
+    return [c for c, _ in merged], [p for _, p in merged]
+
+
+@st.composite
+def convolution_scenarios(draw):
+    """Scenarios with equal and zero gains (so sums of increments collide
+    exactly), pmf users with zero weights, and hop counts 0 and u."""
+    n = draw(st.integers(1, 6))
+    u = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        gain = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 1.0])
+    else:
+        gain = st.one_of(st.just(0.0), st.floats(1e-6, 3.0))
+    gains = [[draw(gain) for _ in range(n)] for _ in range(n)]
+    profiles = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            profiles.append(HoppingProfile.fixed(draw(st.integers(0, u))))
+        else:
+            w = draw(
+                st.lists(st.integers(0, 3), min_size=u + 1, max_size=u + 1).filter(sum)
+            )
+            profiles.append(HoppingProfile.from_pmf([x / sum(w) for x in w]))
+    scen = NetworkScenario(
+        n_users=n,
+        n_subbands=u,
+        gains=np.array(gains),
+        total_power=draw(st.floats(1e-2, 1e4)),
+        noise_power=draw(st.floats(1e-2, 10.0)),
+    )
+    return scen, profiles, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(convolution_scenarios())
+def test_spectrum_matches_dict_convolution_exactly(case):
+    scen, profs, receiver = case
+    spec = enumerate_interference_spectrum(scen, profs, receiver)
+    want_c, want_p = reference_spectrum(scen, profs, receiver)
+    assert spec.c_values.tolist() == want_c
+    assert spec.probabilities.tolist() == want_p
+
+
+def test_free_level_is_never_merged():
+    # A 1e-5 cross gain gives a hit level c = 2.5e-11 (or 1e-10 / 3),
+    # far inside the merge tolerance of sigma^2 = P = 1.
+    gains = np.array([[1.0, 1e-5], [1e-5, 1.0]])
+    scen = NetworkScenario(n_users=2, n_subbands=4, gains=gains, total_power=1.0, noise_power=1.0)
+    profs = [HoppingProfile.fixed(1), HoppingProfile.fixed(3)]
+    spec0 = enumerate_interference_spectrum(scen, profs, 0)
+    assert spec0.c_values.tolist() == [0.0, 1e-5 * 1e-5 / 3]
+    assert spec0.probabilities.tolist() == [0.25, 0.75]
+    assert spec0.a0 == 0.25
+    # At 1e-12 the hit level's variance rounds to sigma^2; it is still apart.
+    tiny = NetworkScenario(
+        n_users=2, n_subbands=4, gains=np.array([[1.0, 1e-12], [1e-12, 1.0]]),
+        total_power=1.0, noise_power=1.0,
+    )
+    spec1 = enumerate_interference_spectrum(tiny, profs, 1)
+    assert spec1.variances.tolist() == [1.0, 1.0]
+    assert spec1.a0 == 0.75
+
+
+def test_mean_hop_count_capped_at_largest_count():
+    prof = HoppingProfile.from_pmf((0.0, 5e-13, 1.0))
+    assert sum(v * w for v, w in enumerate(prof.pmf)) > 2.0
+    assert prof.mean_v() == 2.0
+    scen = unit_scenario(2, 2)
+    spec = enumerate_interference_spectrum(scen, [HoppingProfile.fixed(1), prof], 0)
+    assert spec.a0 == 0.0 and (spec.probabilities > 0).all()
