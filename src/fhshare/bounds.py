@@ -76,17 +76,16 @@ def _placements(
     profiles: Sequence[HoppingProfile],
     user: int,
     who: str,
-    budget: Optional[int],
-    hint: str = "",
+    budget: int,
     full_band: bool = False,
 ) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
     """(v, w, d): the user's hop count v and the weights w and powers d of
     every joint interferer placement on its v sub-bands (all u with
-    full_band); w and d are None when v is 0 or budget is None.
+    full_band); w and d are None when v is 0.
 
     Every hop count must be fixed and at most u, and the product of the
     interferers' C(u, v_k) at most budget (else ValueError naming the
-    budget, then hint).
+    budget).
     """
     for k, p in enumerate(profiles):
         if not p.is_fixed:
@@ -96,7 +95,7 @@ def _placements(
     if any(c > u for c in counts):
         raise ValueError("hop count exceeds u")
     v = counts[user]
-    if v == 0 or budget is None:
+    if v == 0:
         return v, None, None
 
     interferers = [k for k in range(scenario.n_users) if k != user and counts[k] >= 1]
@@ -105,7 +104,7 @@ def _placements(
         n_real *= math.comb(u, counts[k])
     if n_real > budget:
         raise ValueError(
-            f"{n_real} joint placements exceed the enumeration budget ({budget}){hint}"
+            f"{n_real} joint placements exceed the enumeration budget ({budget})"
         )
     power = scenario.total_power
     amps = np.array(
@@ -121,25 +120,23 @@ def upper_bound_rate(
     scenario: NetworkScenario,
     profiles: Sequence[HoppingProfile],
     user: int,
-    slope_only: bool = False,
-    max_realizations: int = MAX_REALIZATIONS,
 ) -> RateBound:
     """Average-over-placements upper bound on one user's rate.
 
     The interference-free part contributes the slope term, the hit
     sub-bands the residual, averaged exactly over all joint interferer
-    placements. With slope_only=True (or necessarily at large scale) only
-    the slope is returned and value/residual are NaN.
+    placements (at most MAX_REALIZATIONS of them). An interferer with a
+    zero gain to the user leaves the bands it lands on interference-free,
+    so the slope counts them as free, as the residual does.
     """
-    budget = None if slope_only else max_realizations
-    hint = "; request slope_only=True for the slope"
-    v, w, d = _placements(scenario, profiles, user, "upper_bound_rate", budget, hint)
+    v, w, d = _placements(scenario, profiles, user, "upper_bound_rate", MAX_REALIZATIONS)
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
-    vbar = [p.mean_v() for p in profiles]
+    vbar = [
+        p.mean_v() if k == user or scenario.gains[k, user] != 0.0 else 0.0
+        for k, p in enumerate(profiles)
+    ]
     slope = float(per_user_gains(vbar, scenario.n_subbands)[user])
-    if slope_only:
-        return RateBound(math.nan, slope, math.nan)
 
     power = scenario.total_power
     sigma2 = scenario.noise_power
@@ -228,17 +225,17 @@ def mc_mutual_information(
     n_samples: int,
     seed: int,
     threads: int = 1,
-    max_components: int = MAX_MC_COMPONENTS,
 ) -> Tuple[float, float]:
     """Monte Carlo mutual information of one user's link, in bits.
 
     Computes h(Y) - h(Z) over the full band for the user's fixed state
-    (its first v sub-bands), building the exact interference mixtures and
-    estimating both entropies by the plug-in estimator. Returns
+    (its first v sub-bands), building the exact interference mixtures (at
+    most MAX_MC_COMPONENTS placements) and estimating both entropies by the
+    plug-in estimator. Returns
     (estimate, standard_error); the SE combines both entropy estimates.
     """
     who = "mc_mutual_information"
-    v, w, d = _placements(scenario, profiles, user, who, max_components, full_band=True)
+    v, w, d = _placements(scenario, profiles, user, who, MAX_MC_COMPONENTS, full_band=True)
     if v == 0:
         return 0.0, 0.0
 

@@ -300,7 +300,7 @@ def cmd_sweep(args) -> None:
                 e2_fd / u,
                 ms.eta_afh(1, pmf, u),
                 ms.eta_afh(2, pmf, u),
-                ms.eta4("fd", pmf, u, fd=fd_cfg),
+                ms.eta4_fd(pmf, fd_cfg),
             )
         )
     _emit(
@@ -342,7 +342,7 @@ def cmd_compare(args) -> None:
         winner = "fh" if fh_val > fd_val else ("fd" if fd_val > fh_val else "tie")
         rows.append(("measure", name, fh_val, fd_val, winner, None, None))
     # the mean-load conditions assume a finite load with no mass at N = 0
-    if pmf.is_finite and pmf.q[0] == 0.0:
+    if pmf.is_finite and pmf.weights[0] == 0.0:
         for name, checker in (
             ("eta1_condition", ms.eta1_sufficient_condition),
             ("eta2_condition", ms.eta2_sufficient_condition),

@@ -18,6 +18,11 @@ from .model import HoppingProfile
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# maximize_on_interval: abscissae of the coarse grid (both ends included),
+# and the final bracket width relative to the interval.
+GRID_POINTS = 4097
+BRACKET_REL_TOL = 1e-9
+
 
 def _leave_one_out_products(factors: np.ndarray) -> np.ndarray:
     """prod_{k != i} factors[k] for every i, tolerant of zero factors."""
@@ -117,19 +122,17 @@ def maximize_on_interval(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    grid_points: int = 4097,
-    rel_tol: float = 1e-9,
 ) -> Tuple[float, float]:
     """Deterministic 1-D maximizer: coarse grid, then golden-section.
 
     f must accept a 1-D numpy array and return values elementwise. The
-    grid holds grid_points evenly spaced abscissae including both ends;
-    the best bracket is refined until its width is rel_tol * (hi - lo).
-    Ties resolve toward the smaller argument.
+    grid holds GRID_POINTS evenly spaced abscissae including both ends;
+    the best bracket is refined until its width is BRACKET_REL_TOL *
+    (hi - lo). Ties resolve toward the smaller argument.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(lo, hi, GRID_POINTS)
     fx = np.asarray(f(xs), dtype=float)
     if fx.shape != xs.shape:
         raise ValueError("objective must map arrays elementwise")
@@ -140,8 +143,8 @@ def maximize_on_interval(
         return float(np.asarray(f(np.array([x])), dtype=float)[0])
 
     a = float(xs[i - 1]) if i > 0 else float(xs[0])
-    b = float(xs[i + 1]) if i + 1 < grid_points else float(xs[-1])
-    tol = rel_tol * (hi - lo)
+    b = float(xs[i + 1]) if i + 1 < xs.size else float(xs[-1])
+    tol = BRACKET_REL_TOL * (hi - lo)
     if b - a > tol:
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)

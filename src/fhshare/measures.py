@@ -29,33 +29,35 @@ _PROB_TOL = 1e-12
 _POISSON_TAIL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserCountPmf:
     """Distribution of the number of simultaneously active pairs.
 
-    weights[n] is P{N = n}. Finite pmfs carry their exact weights; a
-    Poisson law is truncated at the first n_top whose tail mass
-    P{N > n_top} is below 1e-12, so truncation error is negligible
-    against every tolerance used here.
+    weights[n] is P{N = n}, held as one read-only float array. Finite
+    pmfs carry their exact weights; a Poisson law is truncated at the
+    first n_top whose tail mass P{N > n_top} is below 1e-12, so truncation
+    error is negligible against every tolerance used here. Every sum over
+    the law goes through expect().
     """
 
-    weights: tuple
+    weights: np.ndarray
     poisson_lambda: Optional[float] = None
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if len(w) < 2:
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1 or w.size < 2:
             raise ValueError("need weights for at least n in {0, 1}")
-        if any(x < 0 for x in w):
-            raise ValueError("weights must be nonnegative")
-        if self.poisson_lambda is None and abs(sum(w) - 1.0) > _PROB_TOL:
+        if not np.all(w >= 0):
+            raise ValueError("weights must be nonnegative numbers, not NaN")
+        if self.poisson_lambda is None and abs(w.sum() - 1.0) > _PROB_TOL:
             raise ValueError("finite pmf must sum to 1 within 1e-12")
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def finite(cls, q) -> "UserCountPmf":
         """Finite pmf; q[n] = P{N = n} starting at n = 0."""
-        return cls(weights=tuple(q))
+        return cls(weights=q)
 
     @classmethod
     def poisson(cls, lam: float, truncation_n: Optional[int] = None) -> "UserCountPmf":
@@ -84,7 +86,7 @@ class UserCountPmf:
                 raise ValueError(f"truncation_n={n_top} leaves tail mass >= 1e-12")
         n = np.arange(n_top + 1)
         logs = -lam + n * math.log(lam) - gammaln(n + 1)
-        return cls(weights=tuple(np.exp(logs)), poisson_lambda=float(lam))
+        return cls(weights=np.exp(logs), poisson_lambda=float(lam))
 
     @property
     def is_finite(self) -> bool:
@@ -93,26 +95,22 @@ class UserCountPmf:
     @property
     def n_top(self) -> int:
         """Largest n carried (truncation point for Poisson)."""
-        return len(self.weights) - 1
+        return self.weights.size - 1
 
     @property
     def n_max(self) -> Optional[int]:
         """Largest possible user count; None for Poisson (unbounded)."""
         if not self.is_finite:
             return None
-        return max(n for n, w in enumerate(self.weights) if w > 0)
-
-    @property
-    def q(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        return int(np.flatnonzero(self.weights)[-1])
 
     def mean(self) -> float:
-        return float((np.arange(len(self.weights)) * self.q).sum())
+        return self.expect(lambda n: n)
 
     def expect(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """sum_{n >= 1} q_n f(n) with f vectorized over integer n."""
-        n = np.arange(1, len(self.weights))
-        return float((self.q[1:] * np.asarray(f(n), dtype=float)).sum())
+        n = np.arange(1, self.weights.size)
+        return float((self.weights[1:] * np.asarray(f(n), dtype=float)).sum())
 
 
 @dataclass(frozen=True)
@@ -134,13 +132,20 @@ class FdConfig:
         return cls(n_des=u_int)
 
 
-def _fh_curve(w: np.ndarray, u: float) -> Callable[[np.ndarray], np.ndarray]:
+def _fh_curve(
+    pmf: UserCountPmf, u: float, per_user: bool
+) -> Callable[[np.ndarray], np.ndarray]:
     """v -> (v/2) sum_{n >= 1} w_n (1 - v/u)^(n-1), vectorized over v.
 
-    w_n = n q_n gives E{SMG(v, N)} (eta1); w_n = q_n gives E{SMG(v, N)/N},
-    the eta2 objective for v < u.
+    w_n = n q_n gives E{SMG(v, N)} (eta1); with per_user, w_n = q_n gives
+    E{SMG(v, N)/N}, the eta2 objective for v < u. The weights are built
+    once and the curve is one (grid x n_top) matrix product, rather than
+    an expect() per abscissa.
     """
-    k = np.arange(len(w))
+    w = pmf.weights[1:]
+    if not per_user:
+        w = np.arange(1, pmf.weights.size) * w
+    k = np.arange(w.size)
 
     def f(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -151,8 +156,7 @@ def _fh_curve(w: np.ndarray, u: float) -> Callable[[np.ndarray], np.ndarray]:
 
 def eta1_fh(pmf: UserCountPmf, u: float) -> Tuple[float, float]:
     """Best expected SMG of FH and its hop count: (value, v_star)."""
-    n = np.arange(1, len(pmf.weights))
-    v_star, value = maximize_on_interval(_fh_curve(n * pmf.q[1:], u), 0.0, u)
+    v_star, value = maximize_on_interval(_fh_curve(pmf, u, False), 0.0, u)
     return value, v_star
 
 
@@ -173,8 +177,8 @@ def eta2_fh(pmf: UserCountPmf, u: float) -> Tuple[float, float]:
     scored separately under the service rule (only N = 1 counts there)
     and compared against the interior optimum.
     """
-    v_dag, value = maximize_on_interval(_fh_curve(pmf.q[1:], u), 0.0, u)
-    boundary = 0.5 * u * pmf.q[1]
+    v_dag, value = maximize_on_interval(_fh_curve(pmf, u, True), 0.0, u)
+    boundary = 0.5 * u * pmf.weights[1]
     if boundary > value:
         return boundary, u
     return value, v_dag
@@ -183,9 +187,7 @@ def eta2_fh(pmf: UserCountPmf, u: float) -> Tuple[float, float]:
 def eta2_fd(pmf: UserCountPmf, fd: FdConfig, u: float) -> float:
     """Expected worst-user gain of FD: (u / 2 n_des) P{1 <= N <= n_des}."""
     n_des = fd.n_des
-    q = pmf.q
-    served = q[1 : n_des + 1].sum()
-    return 0.5 * u / n_des * float(served)
+    return 0.5 * u / n_des * pmf.expect(lambda n: n <= n_des)
 
 
 def eta2_fh_poisson_closed(lam: float, u: float) -> Tuple[float, float]:
@@ -220,52 +222,41 @@ def eta2_fh_poisson_closed(lam: float, u: float) -> Tuple[float, float]:
     return value, omega
 
 
-def eta3(scheme: str, n_max: int, u: float, v: Optional[float] = None) -> float:
-    """Deterministic worst-case per-user gain with n_max users present.
-
-    FD: u / (2 n_max). FH: SMG(v, n_max)/n_max at the design hop count v,
-    defaulting to the even split v_opt(n_max, u) = u/n_max.
-    """
+def eta3_fh(n_max: int, u: float) -> float:
+    """Worst-case per-user gain of FH with n_max users present, at the even
+    split v = v_opt(n_max, u) = u/n_max: SMG(v, n_max)/n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if scheme == "fd":
-        return 0.5 * u / n_max
-    if scheme == "fh":
-        if v is None:
-            v = v_opt(n_max, u)
-        return smg_fair(v, n_max, u) / n_max
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return smg_fair(v_opt(n_max, u), n_max, u) / n_max
 
 
-def eta4(
-    scheme: str,
-    pmf: UserCountPmf,
-    u: float,
-    v: Optional[float] = None,
-    fd: Optional[FdConfig] = None,
-) -> float:
-    """Expected fraction of users served.
+def eta3_fd(n_max: int, u: float) -> float:
+    """Worst-case per-user gain of FD with n_max users present: u/(2 n_max)."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return 0.5 * u / n_max
+
+
+def eta4_fh(pmf: UserCountPmf, v: float, u: float) -> float:
+    """Expected fraction of users served by FH at hop count v.
 
     FH serves everyone whenever v < u (value 1); at v = u only a lone
-    user is served, giving P{N = 1}. FD turns away arrivals beyond
-    n_des: 1 - sum_{n > n_des} q_n (1 - n_des/n).
+    user is served, giving P{N = 1}.
     """
-    if scheme == "fh":
-        if v is None:
-            raise ValueError("eta4 for FH needs the hop count v")
-        if v < u:
-            return 1.0
-        return float(pmf.q[1])
-    if scheme == "fd":
-        if fd is None:
-            raise ValueError("eta4 for FD needs an FdConfig")
-        n_des = fd.n_des
-        q = pmf.q
-        n = np.arange(len(q))
-        over = n > n_des
-        loss = float((q[over] * (1.0 - n_des / n[over])).sum())
-        return 1.0 - loss
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if v < u:
+        return 1.0
+    return float(pmf.weights[1])
+
+
+def eta4_fd(pmf: UserCountPmf, fd: FdConfig) -> float:
+    """Expected fraction of users served by FD, which turns away arrivals
+    beyond n_des: 1 - sum_{n > n_des} q_n (1 - n_des/n).
+
+    The "1 - loss" form is kept on purpose: E{min(1, n_des/N)} differs
+    from it when q_0 > 0 or when a Poisson law is truncated.
+    """
+    n_des = fd.n_des
+    return 1.0 - pmf.expect(lambda n: np.maximum(0.0, 1.0 - n_des / n))
 
 
 def eta_afh(measure: int, pmf: UserCountPmf, u: float) -> float:
@@ -319,9 +310,8 @@ def epsilon_backoff_region(
     if fd is None:
         fd = FdConfig.default_for(pmf, u)
     v = u - epsilon
-    n = np.arange(1, len(pmf.weights))
-    fh1 = float(_fh_curve(n * pmf.q[1:], u)(np.array([v]))[0])
-    fh2 = float(_fh_curve(pmf.q[1:], u)(np.array([v]))[0])
+    fh1 = float(_fh_curve(pmf, u, False)(np.array([v]))[0])
+    fh2 = float(_fh_curve(pmf, u, True)(np.array([v]))[0])
     fd1 = eta1_fd(pmf, fd, u)
     fd2 = eta2_fd(pmf, fd, u)
 
@@ -358,7 +348,7 @@ class ConditionCheck:
 def _condition_n_max(pmf: UserCountPmf, n_max: Optional[int]) -> int:
     """n_max for the mean-load conditions, whose hypothesis excludes
     finite loads with mass at N = 0."""
-    if pmf.is_finite and pmf.q[0] > 0.0:
+    if pmf.is_finite and pmf.weights[0] > 0.0:
         raise ValueError("the mean-load conditions need a finite load with q[0] = 0")
     if n_max is None:
         n_max = pmf.n_max
@@ -474,7 +464,6 @@ def build_measure_reports(
     u: float,
     n_des: Optional[int] = None,
     epsilon: Optional[float] = None,
-    eta3_v: Optional[float] = None,
 ) -> Tuple[MeasureReport, MeasureReport, MeasureReport]:
     """Measure reports for FH, FD and AFH on a common user count law.
 
@@ -484,23 +473,21 @@ def build_measure_reports(
     if epsilon is None:
         epsilon = 1e-3 * u
     fd_cfg = FdConfig(n_des=n_des) if n_des is not None else FdConfig.default_for(pmf, u)
-    n_max = pmf.n_max if pmf.is_finite else None
+    n_max = pmf.n_max
 
     e1_fh, v_star = eta1_fh(pmf, u)
     e2_fh, v_dag = eta2_fh(pmf, u)
     eta4_v = v_star if v_star < u else u - epsilon
-    if eta3_v is None and n_max:
-        eta3_v = v_opt(n_max, u)
-    e3_fh = eta3("fh", n_max, u, v=eta3_v) if n_max else None
+    e3_fh = eta3_fh(n_max, u) if n_max else None
     fh = MeasureReport(
         scheme="fh",
         eta1=e1_fh,
         eta2=e2_fh,
         eta3=e3_fh,
-        eta4=eta4("fh", pmf, u, v=eta4_v),
+        eta4=eta4_fh(pmf, eta4_v, u),
         v_star=v_star,
         v_dagger=v_dag,
-        eta3_v=eta3_v,
+        eta3_v=v_opt(n_max, u) if n_max else None,
         eta4_v=eta4_v,
         epsilon=epsilon,
     )
@@ -508,15 +495,15 @@ def build_measure_reports(
         scheme="fd",
         eta1=eta1_fd(pmf, fd_cfg, u),
         eta2=eta2_fd(pmf, fd_cfg, u),
-        eta3=eta3("fd", n_max, u) if n_max else None,
-        eta4=eta4("fd", pmf, u, fd=fd_cfg),
+        eta3=eta3_fd(n_max, u) if n_max else None,
+        eta4=eta4_fd(pmf, fd_cfg),
         n_des=fd_cfg.n_des,
     )
     afh = MeasureReport(
         scheme="afh",
         eta1=eta_afh(1, pmf, u),
         eta2=eta_afh(2, pmf, u),
-        eta3=eta3("fh", n_max, u) if n_max else None,
+        eta3=e3_fh,
         eta4=1.0,
     )
     return fh, fd, afh

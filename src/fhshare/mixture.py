@@ -29,6 +29,10 @@ _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
 _WEIGHT_TOL = 1e-12
 
+# Relative variance gap within which merge_levels joins adjacent levels,
+# for interference spectra and for entropy_upper_bound's level entropy.
+MERGE_REL_TOL = 1e-9
+
 # Sample partition width for Monte Carlo entropy. Fixed so that results do
 # not depend on the worker count: partition j always owns the same samples.
 MC_PARTITION = 1 << 16
@@ -405,9 +409,9 @@ def entropy_upper_bound(m: GaussianMixture1D) -> float:
     level index. Always >= the true mixture entropy.
     """
     order = np.argsort(m.component_variances)
-    # H counts distinct levels only: merge variances within 1e-9 relative.
+    # H counts distinct levels only: merge variances within MERGE_REL_TOL.
     v, a = merge_levels(
-        m.component_variances[order], m.weights[order], 0.0, 1.0, 1e-9
+        m.component_variances[order], m.weights[order], 0.0, 1.0, MERGE_REL_TOL
     )
     h_levels = float(-(a * np.log2(a)).sum())
     return (

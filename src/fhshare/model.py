@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .mixture import GaussianMixture1D, merge_levels
+from .mixture import MERGE_REL_TOL, GaussianMixture1D, merge_levels
 
 # Exhaustive enumeration over interferer subsets is exponential in N.
 MAX_ENUMERATION_USERS = 20
@@ -267,12 +267,11 @@ def enumerate_interference_spectrum(
     scenario: NetworkScenario,
     profiles: Sequence[HoppingProfile],
     receiver: int,
-    merge_rel_tol: float = 1e-9,
 ) -> InterferenceSpectrum:
     """Enumerate the exact interference-plus-noise mixture at one receiver.
 
     Convolves the independent per-interferer increment laws, then merges
-    levels whose variances agree within merge_rel_tol (relative). Merged
+    levels whose variances agree within mixture.MERGE_REL_TOL (relative). Merged
     levels keep the probability-weighted mean increment, which preserves
     the mixture's first two moments. The interference-free level (c = 0)
     is never merged with a hit level, so a0 stays the probability that no
@@ -307,7 +306,7 @@ def enumerate_interference_spectrum(
     c, p = c[keep], p[keep]
     free = int(c[0] == 0.0)  # the interference-free level is never merged
     # Merge near-equal variances; probability-weighted mean keeps moments.
-    c_hit, p_hit = merge_levels(c[free:], p[free:], sigma2, power, merge_rel_tol)
+    c_hit, p_hit = merge_levels(c[free:], p[free:], sigma2, power, MERGE_REL_TOL)
     c = np.concatenate((c[:free], c_hit))
     p = np.concatenate((p[:free], p_hit))
     return InterferenceSpectrum(

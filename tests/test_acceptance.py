@@ -31,8 +31,10 @@ from fhshare.measures import (
     eta2_fh,
     eta2_fh_poisson_closed,
     eta2_sufficient_condition,
-    eta3,
-    eta4,
+    eta3_fd,
+    eta3_fh,
+    eta4_fd,
+    eta4_fh,
     ten_user_fd_eta2_check,
 )
 from fhshare.mixture import (
@@ -108,9 +110,9 @@ def test_acceptance_02_ten_user_mix():
 def test_acceptance_03_service_capability():
     u = 5.0
     pois = UserCountPmf.poisson(3.0)
-    fd_val = eta4("fd", pois, u, fd=FdConfig(n_des=5))
+    fd_val = eta4_fd(pois, FdConfig(n_des=5))
     _, v_star = eta1_fh(pois, u)
-    fh_val = eta4("fh", pois, u, v=v_star)
+    fh_val = eta4_fh(pois, v_star, u)
     ok = (
         abs(fd_val - 0.9806) <= 5e-4
         and abs(v_star - u / 3.0) <= 1e-6 * u
@@ -327,7 +329,7 @@ def test_acceptance_10_worst_case_ratio():
     bad = []
     prev = None
     for n in range(1, 51):
-        ratio = eta3("fh", n, u) / eta3("fd", n, u)
+        ratio = eta3_fh(n, u) / eta3_fd(n, u)
         closed = (1.0 - 1.0 / n) ** (n - 1)
         if abs(ratio - closed) > 1e-12:
             bad.append((n, "closed", ratio, closed))

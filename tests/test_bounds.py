@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhshare import bounds
 from fhshare.bounds import (
     lower_bound_rate,
     mc_mutual_information,
@@ -91,11 +92,11 @@ def test_slopes_agree_everywhere():
         profs = [HoppingProfile.fixed(v) for v in counts]
         user = int(rng.integers(0, n))
         s_formula = per_user_gains(mean_counts(profs), u)[user]
-        ub = upper_bound_rate(scen, profs, user, slope_only=True)
+        ub = upper_bound_rate(scen, profs, user)
         lb = lower_bound_rate(scen, profs, user)
         assert ub.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
         assert lb.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
-        assert math.isnan(ub.value_bits) and math.isnan(ub.residual_bits)
+        assert lb.value_bits <= ub.value_bits
 
 
 @st.composite
@@ -118,10 +119,51 @@ def test_slopes_equal_multiplexing_gain(case):
     scen, counts, user = case
     profs = [HoppingProfile.fixed(v) for v in counts]
     s_formula = per_user_gains(counts, scen.n_subbands)[user]
-    ub = upper_bound_rate(scen, profs, user, slope_only=True)
+    ub = upper_bound_rate(scen, profs, user)
     lb = lower_bound_rate(scen, profs, user)
     assert ub.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
     assert lb.slope_bits_per_log2snr == pytest.approx(s_formula, rel=1e-12)
+
+
+def test_zero_cross_gains_upper_bound_is_awgn():
+    # Interferers with no gain to the user leave every band free, so both
+    # bounds and the mutual information are the AWGN rate (v/2) log2(1 + 100/v).
+    scen = scenario(2, 2, np.eye(2), 100.0)
+    profs = [HoppingProfile.fixed(1)] * 2
+    awgn = 0.5 * math.log2(101.0)
+    ub = upper_bound_rate(scen, profs, 0)
+    assert ub.value_bits == pytest.approx(awgn, rel=1e-12)
+    assert ub.slope_bits_per_log2snr == 0.5 and ub.residual_bits == 0.0
+    assert lower_bound_rate(scen, profs, 0).value_bits == pytest.approx(awgn, rel=1e-12)
+    mi, se = mc_mutual_information(scen, profs, 0, 20000, seed=1)
+    assert abs(mi - awgn) <= 4 * se
+
+
+@st.composite
+def sandwich_cases(draw):
+    """Small fixed-hop scenarios whose cross gains are often exactly 0."""
+    n = draw(st.integers(2, 3))
+    u = draw(st.integers(1, 3))
+    cross = st.one_of(st.just(0.0), st.floats(-3.0, 0.5).map(lambda e: 10.0**e))
+    gains = [
+        [draw(st.floats(0.5, 2.0)) if i == k else draw(cross) for i in range(n)]
+        for k in range(n)
+    ]
+    counts = [draw(st.integers(0, u)) for _ in range(n)]
+    power = 10.0 ** draw(st.floats(0.0, 4.0))
+    return scenario(n, u, gains, power), counts, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sandwich_cases())
+def test_bounds_sandwich_mutual_information(case):
+    # UB >= MI >= LB, with MI estimated by Monte Carlo (4 SE)
+    scen, counts, user = case
+    profs = [HoppingProfile.fixed(v) for v in counts]
+    mi, se = mc_mutual_information(scen, profs, user, 20000, seed=5)
+    ub = upper_bound_rate(scen, profs, user).value_bits
+    lb = lower_bound_rate(scen, profs, user).value_bits
+    assert lb - 4 * se - 1e-12 <= mi <= ub + 4 * se + 1e-12
 
 
 def test_expected_free_subbands_with_pmf_interferer():
@@ -223,15 +265,15 @@ def test_zero_hop_user():
     assert mc_mutual_information(scen, profs, 0, 1000, seed=1) == (0.0, 0.0)
 
 
-def test_enumeration_guards():
+def test_enumeration_guards(monkeypatch):
     scen = unit(4, 6, 100.0)
     profs = [HoppingProfile.fixed(3)] * 4
-    with pytest.raises(ValueError, match="slope_only"):
-        upper_bound_rate(scen, profs, 0, max_realizations=10)
-    rb = upper_bound_rate(scen, profs, 0, slope_only=True)
-    assert math.isnan(rb.value_bits)
-    with pytest.raises(ValueError):
-        mc_mutual_information(scen, profs, 0, 1000, seed=1, max_components=10)
+    monkeypatch.setattr(bounds, "MAX_REALIZATIONS", 10)
+    with pytest.raises(ValueError, match="enumeration budget \\(10\\)"):
+        upper_bound_rate(scen, profs, 0)
+    monkeypatch.setattr(bounds, "MAX_MC_COMPONENTS", 10)
+    with pytest.raises(ValueError, match="enumeration budget \\(10\\)"):
+        mc_mutual_information(scen, profs, 0, 1000, seed=1)
     with pytest.raises(ValueError):
         upper_bound_rate(
             scen, [HoppingProfile.from_pmf([0.5] + [0] * 5 + [0.5])] * 4, 0

@@ -202,6 +202,25 @@ def test_levels_matches_library(scen_file, capsys):
     assert {r["receiver"] for r in rows} == {"0", "1", "2"}
 
 
+def test_levels_gain_orientation(tmp_path, capsys):
+    # gains[k][i] is transmitter k to receiver i: receiver 1 hears
+    # transmitter 0 through gains[0][1] = 0.3, spread over v_0 = 2 bands.
+    doc = {
+        "u": 2,
+        "users": [{"v": 2}, {"v": 1}],
+        "gains": [[1.0, 0.3], [0.5, 1.0]],
+        "P": 10.0,
+        "sigma2": 1.0,
+    }
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["levels", "--scenario", str(path)], capsys)
+    assert code == 0 and err == ""
+    hits = {r["receiver"]: float(r["c"]) for r in parse_csv(out) if float(r["c"]) > 0}
+    assert hits["1"] == pytest.approx(0.3**2 / 2, rel=1e-12)
+    assert hits["0"] == pytest.approx(0.5**2 / 1, rel=1e-12)
+
+
 def test_levels_json_format(scen_file, capsys):
     code, out, _ = run_cli(
         ["levels", "--scenario", scen_file, "--format", "json"], capsys

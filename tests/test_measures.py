@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from fhshare.measures import (
@@ -29,8 +31,10 @@ from fhshare.measures import (
     eta2_fh,
     eta2_fh_poisson_closed,
     eta2_sufficient_condition,
-    eta3,
-    eta4,
+    eta3_fd,
+    eta3_fh,
+    eta4_fd,
+    eta4_fh,
     eta_afh,
     ten_user_fd_eta2_check,
 )
@@ -59,7 +63,7 @@ def test_poisson_truncation():
     assert not pmf.is_finite
     assert pmf.n_max is None
     assert poisson.sf(pmf.n_top, lam) < 1e-12 <= poisson.sf(pmf.n_top - 1, lam)
-    assert pmf.q.sum() == pytest.approx(1.0, abs=1e-12)
+    assert pmf.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert pmf.mean() == pytest.approx(lam, abs=1e-10)
     with pytest.raises(ValueError):
         UserCountPmf.poisson(lam, truncation_n=10)
@@ -119,7 +123,7 @@ def test_eta1_two_point_interior_optimum():
     assert value == pytest.approx(0.8 * u / 3.0, abs=1e-9 * u)
     # Independent coarse grid can only do worse.
     grid = np.linspace(0.0, u, 20001)
-    q = two_point(0.4).q
+    q = two_point(0.4).weights
     obj = 0.5 * grid * (q[1] + 2 * q[2] * (1 - grid / u))
     assert value >= obj.max() - 1e-12
 
@@ -227,35 +231,93 @@ def test_eta3_ratio_band():
     u = 12.0
     prev_ratio = 1.0 + 1e-12
     for n in range(1, 51):
-        fd = eta3("fd", n, u)
-        fh = eta3("fh", n, u)
+        fd = eta3_fd(n, u)
+        fh = eta3_fh(n, u)
         assert fd == pytest.approx(0.5 * u / n, rel=1e-12)
         ratio = fh / fd
         assert 1.0 / math.e - 1e-12 <= ratio <= 1.0 + 1e-12
         assert ratio <= prev_ratio + 1e-12
         prev_ratio = ratio
-    assert eta3("fh", 1, u) == pytest.approx(u / 2)
-    assert eta3("fh", 4, u, v=u / 2) == pytest.approx(
-        0.5 * (u / 2) * (0.5) ** 3, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        eta3("tdma", 2, u)
+    assert eta3_fh(1, u) == pytest.approx(u / 2)
+    # the even split v = u/4: SMG(u/4, 4)/4 = (u/8)(3/4)^3
+    assert eta3_fh(4, u) == pytest.approx((u / 8) * 0.75**3, rel=1e-12)
+    for fn in (eta3_fh, eta3_fd):
+        with pytest.raises(ValueError):
+            fn(0, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10_000), st.floats(1e-6, 1e6))
+def test_eta3_ratio_property(n_max, u):
+    # worst case at n_max: FH keeps between 1/e and all of FD's share
+    ratio = eta3_fh(n_max, u) / eta3_fd(n_max, u)
+    assert 1.0 / math.e - 1e-12 <= ratio <= 1.0 + 1e-12
 
 
 def test_eta4_values():
     u = 5.0
     pmf = UserCountPmf.poisson(3.0)
-    assert eta4("fh", pmf, u, v=2.0) == 1.0
-    val = eta4("fd", pmf, u, fd=FdConfig(n_des=5))
+    assert eta4_fh(pmf, 2.0, u) == 1.0
+    val = eta4_fd(pmf, FdConfig(n_des=5))
     assert val == pytest.approx(0.9806, abs=5e-4)
     # Full-band hopping only serves a lone user.
     finite = UserCountPmf.finite((0.1, 0.6, 0.3))
-    assert eta4("fh", finite, u, v=u) == pytest.approx(0.6)
-    assert eta4("fd", finite, u, fd=FdConfig(n_des=2)) == 1.0
+    assert eta4_fh(finite, u, u) == pytest.approx(0.6)
+    assert eta4_fd(finite, FdConfig(n_des=2)) == 1.0
+
+
+def reference_eta2_fd(pmf, fd, u):
+    """eta2_fd as a slice of the weights, before it went through expect()."""
+    q = np.asarray(pmf.weights)
+    return 0.5 * u / fd.n_des * float(q[1 : fd.n_des + 1].sum())
+
+
+def reference_eta4_fd(pmf, fd):
+    """FD eta4 as a masked sum, before it went through expect()."""
+    q = np.asarray(pmf.weights)
+    n = np.arange(len(q))
+    over = n > fd.n_des
+    return 1.0 - float((q[over] * (1.0 - fd.n_des / n[over])).sum())
+
+
+@st.composite
+def loads(draw):
+    """Finite loads, with and without mass at N = 0, or Poisson laws."""
+    if draw(st.booleans()):
+        return UserCountPmf.poisson(10.0 ** draw(st.floats(-2.0, 2.7)))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40))
+    w = np.array(raw)
+    w[1] += 1e-3  # not all zero
+    if draw(st.booleans()):
+        w[0] = 0.0
+    return UserCountPmf.finite(w / w.sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(loads(), st.integers(1, 60), st.floats(0.5, 100.0))
+def test_fd_sums_through_expect_match_references(pmf, n_des, u):
+    fd = FdConfig(n_des=n_des)
+    got2, want2 = eta2_fd(pmf, fd, u), reference_eta2_fd(pmf, fd, u)
+    # both are (u / 2 n_des) times a probability in [0, 1]
+    assert abs(got2 - want2) <= 1e-15 * (0.5 * u / n_des)
+    got4, want4 = eta4_fd(pmf, fd), reference_eta4_fd(pmf, fd)
+    assert 0.0 <= got4 <= 1.0
+    assert abs(got4 - want4) <= 1e-15
+    assert pmf.mean() == pytest.approx(float(np.arange(pmf.n_top + 1) @ pmf.weights), rel=1e-14)
+
+
+def test_weights_are_a_read_only_array():
+    q = [0.0, 0.5, 0.5]
+    pmf = UserCountPmf.finite(q)
+    assert isinstance(pmf.weights, np.ndarray) and pmf.weights.dtype == float
     with pytest.raises(ValueError):
-        eta4("fh", pmf, u)
+        pmf.weights[1] = 1.0
+    q[1] = 1.0  # the law holds its own copy
+    assert pmf.weights[1] == 0.5
+    with pytest.raises(ValueError, match="NaN"):
+        UserCountPmf.finite((0.5, float("nan"), 0.5))
     with pytest.raises(ValueError):
-        eta4("fd", pmf, u)
+        UserCountPmf.finite(((0.5, 0.5),))
 
 
 def test_backoff_two_point_algebra():
@@ -428,6 +490,7 @@ def test_build_measure_reports_finite():
     assert fh.v_star == pytest.approx(u)
     assert fh.eta4_v == pytest.approx(u - 0.5)
     assert fh.eta4 == 1.0
-    assert fh.eta3 == pytest.approx(eta3("fh", 2, u))
+    assert fh.eta3 == pytest.approx(eta3_fh(2, u))
+    assert fh.eta3_v == pytest.approx(u / 2)
     assert fd.eta3 == pytest.approx(u / 4)
     assert fd.n_des == 2
