@@ -29,10 +29,13 @@ MAX_MC_COMPONENTS = 20_000
 
 @dataclass(frozen=True)
 class RateBound:
-    """A rate bound split into slope and residual:
+    """A rate bound split into a high-SNR slope (bits per doubling of the
+    SNR) and a residual.
 
-    value_bits = slope_bits_per_log2snr * log2(gamma) + residual_bits
-    holds exactly at the bound's own SNR.
+    value_bits = slope_bits_per_log2snr * log2(s) + residual_bits holds at
+    the bound's own SNR gamma, where the SNR term s is the one the bound is
+    built from: gamma for lower_bound_rate, 1 + |h|^2 gamma / v for
+    upper_bound_rate.
     """
 
     value_bits: float
@@ -116,6 +119,22 @@ def _placements(
     return v, w, d
 
 
+def multiplexing_gain(
+    scenario: NetworkScenario, profiles: Sequence[HoppingProfile], user: int
+) -> float:
+    """The user's asymptotic rate prefactor, bits per doubling of SNR.
+
+    per_user_gains over every user's mean hop count, where an interferer
+    with a zero gain to the user counts as hopping on no sub-band: the
+    bands it lands on stay interference-free for the user.
+    """
+    vbar = [
+        p.mean_v() if k == user or scenario.gains[k, user] != 0.0 else 0.0
+        for k, p in enumerate(profiles)
+    ]
+    return float(per_user_gains(vbar, scenario.n_subbands)[user])
+
+
 def upper_bound_rate(
     scenario: NetworkScenario,
     profiles: Sequence[HoppingProfile],
@@ -125,18 +144,15 @@ def upper_bound_rate(
 
     The interference-free part contributes the slope term, the hit
     sub-bands the residual, averaged exactly over all joint interferer
-    placements (at most MAX_REALIZATIONS of them). An interferer with a
-    zero gain to the user leaves the bands it lands on interference-free,
-    so the slope counts them as free, as the residual does.
+    placements (at most MAX_REALIZATIONS of them). The slope is
+    multiplexing_gain, which, like the residual, counts the bands an
+    interferer with a zero gain to the user lands on as free. The value is
+    slope * log2(1 + |h|^2 gamma / v) + residual.
     """
     v, w, d = _placements(scenario, profiles, user, "upper_bound_rate", MAX_REALIZATIONS)
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
-    vbar = [
-        p.mean_v() if k == user or scenario.gains[k, user] != 0.0 else 0.0
-        for k, p in enumerate(profiles)
-    ]
-    slope = float(per_user_gains(vbar, scenario.n_subbands)[user])
+    slope = multiplexing_gain(scenario, profiles, user)
 
     power = scenario.total_power
     sigma2 = scenario.noise_power
@@ -163,6 +179,7 @@ def lower_bound_rate(
                          / (v (c_max gamma + 1)^(1 - a0)) + 1 ).
 
     Interferers may use pmf profiles; the user itself needs a fixed v.
+    The value is slope * log2(gamma) + residual with slope (v/2) a0.
     """
     if not profiles[user].is_fixed:
         raise ValueError("lower_bound_rate requires a fixed hop count for the user")

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 from . import bounds as bd
 from . import measures as ms
 from . import sim as sm
-from .gains import per_user_gains
+from .mixture import MC_MIN_SAMPLES
 from .model import enumerate_interference_spectrum, scenario_from_json
 
 
@@ -153,9 +153,9 @@ def cmd_bounds(args) -> None:
         else list(range(scenario.n_users))
     )
     all_fixed = all(p.is_fixed for p in profiles)
-    slopes = per_user_gains([p.mean_v() for p in profiles], scenario.n_subbands)
     rows = []
     for user in users:
+        slope = bd.multiplexing_gain(scenario, profiles, user)
         for gamma in gammas:
             scen_g = dataclasses.replace(
                 scenario, total_power=gamma * scenario.noise_power
@@ -186,7 +186,7 @@ def cmd_bounds(args) -> None:
                     if "budget" not in str(exc):
                         raise
                     mi = se = math.nan
-            rows.append((user, gamma, r_ub, r_lb, mi, se, float(slopes[user])))
+            rows.append((user, gamma, r_ub, r_lb, mi, se, slope))
     _emit(
         ["user", "gamma", "r_ub", "r_lb", "mi_mc", "mi_se", "slope"],
         rows,
@@ -381,6 +381,20 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _mc_samples(text: str) -> int:
+    """argparse type for --mc-samples: 0 (no Monte Carlo) or enough
+    samples for mixture.entropy_mc."""
+    n = int(text)
+    if n != 0 and n < MC_MIN_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (off) or at least {MC_MIN_SAMPLES}, got {n}"
+        )
+    return n
+
+
+_mc_samples.__name__ = "int"
+
+
 def _snr_grid(text: str) -> List[float]:
     gammas = _parse_floats(text)
     if not gammas or not all(math.isfinite(g) and g > 0 for g in gammas):
@@ -407,18 +421,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--gammas", type=_snr_grid, default="1e2,1e3,1e4,1e5,1e6,1e7,1e8")
     p.add_argument("--users", default=None, help="comma list (default: all)")
-    p.add_argument("--mc-samples", type=_int_at_least(0), default=0)
+    p.add_argument("--mc-samples", type=_mc_samples, default=0)
     p.add_argument("--seed", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="slot-level simulation")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--slots", type=int, required=True)
+    p.add_argument("--slots", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dump", default=None, help="binary sample dump path")
     p.add_argument("--dump-user", type=int, default=0)
-    p.add_argument("--dump-samples", type=int, default=10000)
+    p.add_argument("--dump-samples", type=_int_at_least(1), default=10000)
     common(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -110,11 +110,24 @@ def sample_occupancy(
         w = profile.pmf_for(u)
         counts = rng.choice(u + 1, size=n_slots, p=w).astype(np.int64)
     scores = rng.random((n_slots, u))
-    order = np.argsort(scores, axis=1)
-    # the sub-bands holding the v smallest scores: scatter "rank < v"
-    # through the sort order
-    occupancy = np.empty((n_slots, u), dtype=bool)
-    np.put_along_axis(occupancy, order, np.arange(u) < counts[:, None], axis=1)
+    # the sub-bands holding the v smallest scores: those at or below the
+    # row's v-th smallest score
+    ranked = np.sort(scores, axis=1)
+    rows = np.arange(n_slots)
+    threshold = ranked[rows, np.maximum(counts - 1, 0)]
+    occupancy = scores <= threshold[:, None]
+    occupancy[counts == 0] = False
+    # A row marks more than v sub-bands exactly when its (v+1)-th smallest
+    # score equals the v-th; such rows take the first v sub-bands of the
+    # argsort order instead.
+    tied = np.flatnonzero(
+        (counts > 0) & (counts < u) & (ranked[rows, np.minimum(counts, u - 1)] == threshold)
+    )
+    if tied.size:
+        order = np.argsort(scores[tied], axis=1)
+        redo = np.empty((tied.size, u), dtype=bool)
+        np.put_along_axis(redo, order, np.arange(u) < counts[tied, None], axis=1)
+        occupancy[tied] = redo
     return occupancy, counts
 
 

@@ -37,8 +37,13 @@ MERGE_REL_TOL = 1e-9
 # not depend on the worker count: partition j always owns the same samples.
 MC_PARTITION = 1 << 16
 
-# Largest (rows x components) block the log-density kernel holds at once.
-_BLOCK_DOUBLES = 1 << 20
+# Fewest samples entropy_mc accepts.
+MC_MIN_SAMPLES = 100
+
+# Size of the (rows x components) blocks the log-density kernel works on:
+# 512 KiB, so each of its passes over a block runs from L2 cache. With two
+# or more components no row's value depends on it (see _log_mixture_rows).
+_BLOCK_DOUBLES = 1 << 16
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), half of it from the
 # outer node in to 0: Kronrod nodes and weights, and 7-point Gauss weights
@@ -179,15 +184,23 @@ def _log_mixture_rows(
     x is (n, dim), log_coef (k,), inv_2var (k, dim). Where dead[l, j] is
     1.0 (else 0.0), component l is a point mass at 0 on coordinate j and
     adds nothing to rows with x[i, j] != 0 (inv_2var[l, j] must then be 0).
-    Rows go through in chunks of at most _BLOCK_DOUBLES (rows x components)
+    Rows go through in chunks of about _BLOCK_DOUBLES (rows x components)
     doubles; each chunk's log-sum-exp runs in place (subtract the row
     maximum, exp, sum). A row to which no component contributes gives -inf.
+
+    A chunk holds two rows or more (unless n is 1): numpy hands a one-row
+    product to BLAS gemv, whose sums can differ from gemm's in the last
+    bit, so with two or more components every row's value is the same
+    for any chunk size.
     """
     n = x.shape[0]
     out = np.empty(n)
-    step = max(1, _BLOCK_DOUBLES // max(log_coef.shape[0], 1))
-    for s in range(0, n, step):
-        xs = x[s : s + step]
+    step = max(2, _BLOCK_DOUBLES // max(log_coef.shape[0], 1))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()  # a lone last row joins the chunk before it
+    for s, stop in zip(starts, starts[1:] + [n]):
+        xs = x[s:stop]
         block = (xs * xs) @ inv_2var.T
         np.subtract(log_coef, block, out=block)
         if dead is not None:
@@ -197,8 +210,8 @@ def _log_mixture_rows(
         block -= top[:, None]
         np.exp(block, out=block)
         with np.errstate(divide="ignore"):
-            np.log(block.sum(axis=1), out=out[s : s + step])
-        out[s : s + step] += top
+            np.log(block.sum(axis=1), out=out[s:stop])
+        out[s:stop] += top
     return out
 
 
@@ -318,8 +331,8 @@ def entropy_mc(
     worker count. Zero-variance coordinates are sampled exactly at 0 and
     handled by the density's support rule.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    if n_samples < MC_MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MC_MIN_SAMPLES}")
     diag = m.as_diag()
     std = np.sqrt(diag.variances)
     w = diag.weights

@@ -99,9 +99,10 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
         occ[k], counts[k] = sample_occupancy(cfg.profiles[k], u, rng, size)
 
     # A sub-band is free for its user exactly when nobody else is on it,
-    # i.e. when its occupancy count is 1 (a platform int: no overflow).
-    load = occ.sum(axis=0)
-    free = (occ & (load == 1)).sum(axis=2).astype(float)
+    # i.e. when its occupancy count is 1 (counted in the smallest unsigned
+    # type that holds n, the free bands in one that holds u: no overflow).
+    load = occ.sum(axis=0, dtype=np.min_scalar_type(n))
+    free = (occ & (load == 1)).sum(axis=2, dtype=np.min_scalar_type(u)).astype(float)
     free_sum = free.sum(axis=1)
     free_sq = (free * free).sum(axis=1)
 
@@ -207,14 +208,19 @@ def sample_received(
 
     def one(block, size):
         rng = generator(seed, (block,))
-        z = rng.standard_normal((size, u)) * sigma
+        z = rng.standard_normal((size, u))
+        z *= sigma
         for k in range(n):
             if k == user:
                 continue
             occ, counts = sample_occupancy(profiles[k], u, rng, size)
             std = np.where(counts > 0, np.sqrt(power / np.maximum(counts, 1)), 0.0)
-            x = rng.standard_normal((size, u)) * std[:, None]
-            z += occ * (float(scenario.gains[k, user]) * x)
+            # occ * (g * (normal * std)), formed in place
+            x = rng.standard_normal((size, u))
+            x *= std[:, None]
+            x *= float(scenario.gains[k, user])
+            x *= occ
+            z += x
         y = z.copy()
         if v > 0:
             own = rng.standard_normal((size, v)) * np.sqrt(power / v)

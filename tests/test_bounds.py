@@ -10,6 +10,7 @@ from fhshare import bounds
 from fhshare.bounds import (
     lower_bound_rate,
     mc_mutual_information,
+    multiplexing_gain,
     regulated_rate,
     upper_bound_rate,
 )
@@ -303,3 +304,24 @@ def test_mc_sandwiched_by_bounds():
     lb = lower_bound_rate(scen, profs, 0).value_bits
     ub = upper_bound_rate(scen, profs, 0).value_bits
     assert lb - 4 * se <= mi <= ub + 4 * se
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sandwich_cases())
+def test_rate_bound_splits_into_slope_and_residual(case):
+    # value = slope * log2(s) + residual, with s = gamma for the lower
+    # bound and s = 1 + |h|^2 gamma / v for the upper bound
+    scen, counts, user = case
+    profs = [HoppingProfile.fixed(v) for v in counts]
+    ub = upper_bound_rate(scen, profs, user)
+    lb = lower_bound_rate(scen, profs, user)
+    v = counts[user]
+    if v == 0:
+        assert ub == lb == bounds.RateBound(0.0, 0.0, 0.0)
+        return
+    assert ub.slope_bits_per_log2snr == multiplexing_gain(scen, profs, user)
+    gamma = scen.snr()
+    h2 = float(scen.gains[user, user]) ** 2
+    for bound, s in ((lb, gamma), (ub, 1.0 + h2 * gamma / v)):
+        rebuilt = bound.slope_bits_per_log2snr * math.log2(s) + bound.residual_bits
+        assert rebuilt == pytest.approx(bound.value_bits, rel=1e-12, abs=0.0)

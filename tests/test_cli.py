@@ -658,3 +658,74 @@ def test_repeated_main_matches_fresh_process(pmf_finite_file, capsys):
             check=True,
         )
         assert out.encode() == fresh.stdout
+
+
+def assert_usage_error(code, out, err, flag):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "usage" and flag in msg["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--slots", "0"), ("--slots", "-3"), ("--dump-samples", "0")]
+)
+def test_simulate_sizes_below_one_are_usage_errors(
+    scen_fixed_file, tmp_path, capsys, monkeypatch, flag, value
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation was entered")
+
+    monkeypatch.setattr(fhshare.sim, "run", no_run)
+    dump = tmp_path / "y.bin"
+    argv = ["simulate", "--scenario", scen_fixed_file, "--slots", "300000", "--seed", "1",
+            "--dump", str(dump)]
+    assert_usage_error(*run_cli(argv + [flag, value], capsys), flag)
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("value", ["1", "99"])
+def test_mc_samples_below_the_estimator_minimum_is_usage_error(
+    scen_fixed_file, capsys, monkeypatch, value
+):
+    def no_bound(*args, **kwargs):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(fhshare.bounds, "upper_bound_rate", no_bound)
+    argv = ["bounds", "--scenario", scen_fixed_file, "--gammas", "100",
+            "--mc-samples", value, "--seed", "1"]
+    assert_usage_error(*run_cli(argv, capsys), "--mc-samples")
+
+
+def test_mc_samples_at_the_estimator_minimum_runs(scen_fixed_file, capsys):
+    argv = ["bounds", "--scenario", scen_fixed_file, "--gammas", "100", "--users", "0",
+            "--mc-samples", "100", "--seed", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert math.isfinite(float(parse_csv(out)[0]["mi_mc"]))
+
+
+def test_bounds_slope_skips_zero_gain_interferers(tmp_path, capsys):
+    # Zero cross gains: every band is free, so both bounds rise with
+    # slope 1/2 (v = 1 of u = 2), as the slope column must say.
+    doc = {
+        "u": 2,
+        "users": [{"v": 1}, {"v": 1}],
+        "gains": [[1.0, 0.0], [0.0, 1.0]],
+        "P": 100.0,
+        "sigma2": 1.0,
+    }
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["bounds", "--scenario", str(path), "--gammas", "100,1e6"], capsys
+    )
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert [float(r["slope"]) for r in rows] == [0.5] * 4
+    scen, profs = scenario_from_json(doc)
+    assert upper_bound_rate(scen, profs, 0).slope_bits_per_log2snr == 0.5
+    for row in rows:
+        awgn = 0.5 * math.log2(1.0 + float(row["gamma"]))
+        assert float(row["r_ub"]) == pytest.approx(awgn, rel=1e-11)
+        assert float(row["r_lb"]) == pytest.approx(awgn, rel=1e-11)

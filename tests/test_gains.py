@@ -131,7 +131,15 @@ def test_sample_occupancy_pmf():
 
 
 @pytest.mark.parametrize(
-    "profile", [HoppingProfile.fixed(3), HoppingProfile.from_pmf((0.3, 0.1, 0.0, 0.2, 0.4))]
+    "profile",
+    [
+        HoppingProfile.fixed(3),
+        HoppingProfile.from_pmf((0.3, 0.1, 0.0, 0.2, 0.4)),  # mass at 0 and at u
+        HoppingProfile.fixed(0),
+        HoppingProfile.fixed(4),  # v = u
+        HoppingProfile.fixed(1),
+        HoppingProfile.from_pmf((0.5, 0.0, 0.0, 0.0, 0.5)),  # only 0 and u
+    ],
 )
 def test_sample_occupancy_keeps_the_v_smallest_scores(profile):
     # same stream, same subset: the sub-bands whose scores rank below v
@@ -141,9 +149,47 @@ def test_sample_occupancy_keeps_the_v_smallest_scores(profile):
     if not profile.is_fixed:
         want_counts = rng.choice(u + 1, size=n_slots, p=profile.pmf_for(u))
         np.testing.assert_array_equal(counts, want_counts)
+    else:
+        np.testing.assert_array_equal(counts, np.full(n_slots, profile.fixed_v))
     ranks = np.argsort(np.argsort(rng.random((n_slots, u)), axis=1), axis=1)
-    assert occ.dtype == bool
+    assert occ.dtype == bool and occ.shape == (n_slots, u)
     np.testing.assert_array_equal(occ, ranks < counts[:, None])
+
+
+class QuantizedScores:
+    """A generator whose scores take only `levels` values, so equal scores
+    often straddle a row's v-th smallest one."""
+
+    def __init__(self, seed, levels):
+        self._rng = np.random.default_rng(seed)
+        self._levels = levels
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+    def random(self, shape):
+        return np.floor(self._rng.random(shape) * self._levels) / self._levels
+
+
+@pytest.mark.parametrize("u, levels", [(4, 3), (6, 4), (16, 8)])
+def test_sample_occupancy_ties_follow_the_argsort_order(u, levels):
+    n_slots = 3000
+    pmf = np.arange(1.0, u + 2.0)
+    for profile in (
+        HoppingProfile.fixed(u // 2),
+        HoppingProfile.from_pmf(pmf / pmf.sum()),
+    ):
+        occ, counts = sample_occupancy(profile, u, QuantizedScores(5, levels), n_slots)
+        stub = QuantizedScores(5, levels)
+        if not profile.is_fixed:
+            stub.choice(u + 1, size=n_slots, p=profile.pmf_for(u))
+        scores = stub.random((n_slots, u))
+        ranks = np.argsort(np.argsort(scores, axis=1), axis=1)
+        np.testing.assert_array_equal(occ, ranks < counts[:, None])
+        # the ties reach the threshold in many rows
+        kth = np.sort(scores, axis=1)[np.arange(n_slots), np.maximum(counts - 1, 0)]
+        straddle = ((scores <= kth[:, None]).sum(axis=1) > counts) & (counts > 0)
+        assert straddle.sum() > n_slots // 10
 
 
 def test_maximizer_quadratic():

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from fhshare import mixture
 from fhshare.mixture import (
     GaussianMixture1D,
     GaussianMixtureDiag,
@@ -232,6 +233,34 @@ def test_log_density_rows_degenerate_branch_and_empty_rows():
         assert out[0] == -math.inf and math.isfinite(out[1])
         out = _log_density_rows(full, np.array([[math.inf, 0.0], [0.0, 1.0]]))
         assert out[0] == -math.inf and math.isfinite(out[1])
+
+
+@pytest.mark.parametrize("dead", [False, True], ids=["live", "dead"])
+@pytest.mark.parametrize("n_rows", [1, 2, 401, 1000])
+def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, dead, n_rows):
+    # With 37 components, blocks of 7 and 111 doubles make chunks of 2 and
+    # 3 rows, so 401 and 1000 rows end in a lone row; 1 << 16 or 1 << 20
+    # doubles hold every row in one chunk.
+    rng = np.random.default_rng(9)
+    var = rng.exponential(2.0, size=(37, 5)) + 0.1
+    if dead:
+        var[rng.random(var.shape) < 0.3] = 0.0
+    m = GaussianMixtureDiag(weights=rng.dirichlet(np.ones(37)), variances=var)
+    x = rng.normal(size=(n_rows, 5)) * 3.0
+    if dead:
+        x[rng.random(x.shape) < 0.4] = 0.0
+    outs = []
+    for block in (1, 7, 111, 1 << 16, 1 << 20):
+        monkeypatch.setattr(mixture, "_BLOCK_DOUBLES", block)
+        outs.append(_log_density_rows(m, x).tobytes())
+    assert outs[1:] == outs[:-1]
+    # the scalar kernel of entropy_quadrature too
+    xq = rng.normal(size=(n_rows, 1)) * 2.0
+    outs = []
+    for block in (1, 7, 111, 1 << 16, 1 << 20):
+        monkeypatch.setattr(mixture, "_BLOCK_DOUBLES", block)
+        outs.append(mixture._log_mixture_rows(xq, m.weights, var[:, :1] + 0.5).tobytes())
+    assert outs[1:] == outs[:-1]
 
 
 def test_entropy_mc_agrees_with_quadrature():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhshare.gains import sample_occupancy
 from fhshare.mixture import GaussianMixtureDiag, entropy_mc
 from fhshare.model import (
     HoppingProfile,
@@ -195,6 +194,19 @@ def test_sim_config_validation():
         )
 
 
+def reference_occupancy(profile, u, rng, size):
+    """One user's occupancy by the argsort scatter: hop counts first, then
+    scores; the sub-bands of the v first entries of each row's argsort."""
+    if profile.is_fixed:
+        counts = np.full(size, profile.fixed_v, dtype=np.int64)
+    else:
+        counts = rng.choice(u + 1, size=size, p=profile.pmf_for(u)).astype(np.int64)
+    order = np.argsort(rng.random((size, u)), axis=1)
+    occ = np.empty((size, u), dtype=bool)
+    np.put_along_axis(occ, order, np.arange(u) < counts[:, None], axis=1)
+    return occ, counts
+
+
 def reference_run_block(cfg, level_c, block, size):
     """The simulator block as a loop over receivers and interferers."""
     scenario = cfg.scenario
@@ -208,7 +220,7 @@ def reference_run_block(cfg, level_c, block, size):
                 spawn_key=(k, block),
             )
         )
-        o, c = sample_occupancy(cfg.profiles[k], u, rng, size)
+        o, c = reference_occupancy(cfg.profiles[k], u, rng, size)
         occ.append(o)
         counts.append(c)
 
@@ -380,3 +392,75 @@ def test_sample_received_rejects_out_of_range_user():
     for user in (-1, 2):
         with pytest.raises(ValueError, match="out of range"):
             sample_received(scen, profs, user, 10, seed=1)
+
+
+def bernstein_halfwidth(m, var, span, alpha):
+    """Deviation t with P(|mean of m iid draws - expectation| >= t) <= alpha
+    for draws in an interval of length span with variance at most var."""
+    lg = math.log(2.0 / alpha)
+    a = span * lg / 3.0
+    return (a + math.sqrt(a * a + 2.0 * m * var * lg)) / m
+
+
+@st.composite
+def frequency_cases(draw):
+    """Small scenarios with fixed and pmf users, with equal gains (levels
+    merge), zero cross gains, or unequal gains."""
+    n = draw(st.integers(1, 4))
+    u = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["equal", "zero_cross", "unequal"]))
+    if kind == "equal":
+        gains = np.ones((n, n))
+    elif kind == "zero_cross":
+        gains = np.eye(n)
+    else:
+        gains = np.array(
+            [[draw(st.floats(0.2, 2.0)) for _ in range(n)] for _ in range(n)]
+        )
+    profiles = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            profiles.append(HoppingProfile.fixed(draw(st.integers(0, u))))
+        else:
+            w = draw(
+                st.lists(st.integers(0, 3), min_size=u + 1, max_size=u + 1).filter(
+                    lambda x: sum(x) > 0
+                )
+            )
+            profiles.append(HoppingProfile.from_pmf([x / sum(w) for x in w]))
+    scen = NetworkScenario(
+        n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
+    )
+    return scen, tuple(profiles), draw(st.integers(0, 2**32))
+
+
+FREQUENCY_EXAMPLES = 40
+FREQUENCY_ALPHA = 1e-7  # false-alarm rate of the whole test
+
+
+@settings(max_examples=FREQUENCY_EXAMPLES, deadline=None, derandomize=True)
+@given(frequency_cases())
+def test_level_frequencies_match_enumerated_probabilities(case):
+    # Each active slot's fraction of the user's sub-bands at level l lies
+    # in [0, 1] with mean a_l, so its variance is at most a_l (1 - a_l);
+    # Bernstein's bound at alpha split over every level of every example
+    # holds even for levels too rare to be seen.
+    scen, profs, seed = case
+    cfg = SimConfig(scenario=scen, profiles=profs, n_slots=4000, master_seed=seed)
+    stats = run(cfg)
+    spectra = [
+        enumerate_interference_spectrum(scen, profs, i) for i in range(scen.n_users)
+    ]
+    n_checks = sum(s.n_levels for s in spectra)
+    alpha = FREQUENCY_ALPHA / (FREQUENCY_EXAMPLES * n_checks)
+    for i, spec in enumerate(spectra):
+        np.testing.assert_array_equal(stats.level_c[i], spec.c_values)
+        m = int(stats.level_slots[i])
+        if m == 0:  # the user never hops: nothing to average
+            assert np.isnan(stats.level_freq[i]).all()
+            continue
+        freq = stats.level_freq[i]
+        assert abs(freq.sum() - 1.0) <= 1e-9
+        for l, (a, f) in enumerate(zip(spec.probabilities, freq)):
+            tol = bernstein_halfwidth(m, a * (1.0 - a), 1.0, alpha)
+            assert abs(f - a) <= tol, (i, l, f, a, tol)
