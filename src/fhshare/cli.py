@@ -395,6 +395,17 @@ def _mc_samples(text: str) -> int:
 _mc_samples.__name__ = "int"
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type for a positive finite float."""
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return x
+
+
+_positive_finite.__name__ = "float"
+
+
 def _snr_grid(text: str) -> List[float]:
     gammas = _parse_floats(text)
     if not gammas or not all(math.isfinite(g) and g > 0 for g in gammas):
@@ -407,10 +418,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fhshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, threads=False):
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=_int_at_least(1), default=1)
+        if threads:
+            p.add_argument("--threads", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("levels", help="enumerate interference spectra")
     p.add_argument("--scenario", required=True)
@@ -423,7 +435,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--users", default=None, help="comma list (default: all)")
     p.add_argument("--mc-samples", type=_mc_samples, default=0)
     p.add_argument("--seed", type=int, default=None)
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="slot-level simulation")
@@ -433,26 +445,26 @@ def _build_parser() -> _Parser:
     p.add_argument("--dump", default=None, help="binary sample dump path")
     p.add_argument("--dump-user", type=int, default=0)
     p.add_argument("--dump-samples", type=_int_at_least(1), default=10000)
-    common(p)
+    common(p, threads=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("measures", help="eta measures for FH/FD/AFH")
     p.add_argument("--pmf", required=True)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--u", type=_positive_finite, required=True)
     p.add_argument("--n-des", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     common(p)
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("sweep", help="Poisson load sweep of the measures")
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--u", type=_positive_finite, required=True)
     p.add_argument("--lambdas", required=True, help="comma list or start:stop:step")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="FH vs FD winners and conditions")
     p.add_argument("--pmf", required=True)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--u", type=_positive_finite, required=True)
     p.add_argument("--n-des", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     common(p)
@@ -467,7 +479,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, RuntimeError, KeyError, OSError) as exc:
+    except (ValueError, RuntimeError, KeyError, OSError, OverflowError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

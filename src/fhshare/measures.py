@@ -47,8 +47,10 @@ class UserCountPmf:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("need weights for at least n in {0, 1}")
-        if not np.all(w >= 0):
-            raise ValueError("weights must be nonnegative numbers, not NaN")
+        # a weight above 1 fails the sum check anyway; testing it first
+        # keeps the sum from overflowing (q = [1e308, 1e308])
+        if not np.all((w >= 0) & (w <= 1.0 + _PROB_TOL)):
+            raise ValueError("weights must be probabilities in [0, 1], not NaN")
         if self.poisson_lambda is None and abs(w.sum() - 1.0) > _PROB_TOL:
             raise ValueError("finite pmf must sum to 1 within 1e-12")
         w.flags.writeable = False
@@ -190,31 +192,50 @@ def eta2_fd(pmf: UserCountPmf, fd: FdConfig, u: float) -> float:
     return 0.5 * u / n_des * pmf.expect(lambda n: n <= n_des)
 
 
+def _expm1_residual(x: float) -> float:
+    """(exp(-x) - 1 + x) / x^2 for x >= 0, without cancellation: the
+    alternating series sum_k (-x)^k / (k + 2)! below x = 0.5, else
+    expm1."""
+    if x >= 0.5:
+        return (math.expm1(-x) + x) / (x * x)
+    total, term, k = 0.0, 0.5, 0
+    while total + term != total:
+        total += term
+        k += 1
+        term *= -x / (k + 2)
+    return total
+
+
 def eta2_fh_poisson_closed(lam: float, u: float) -> Tuple[float, float]:
     """Closed-form eta2 for FH under a Poisson(lam) user count.
 
     Writing omega = 1 - v/u, the optimum for lam > 2 solves
-    exp(-lam*omega) = 1 - lam*omega + lam*omega^2, found by bisection to
-    1e-12; for lam <= 2 the optimum sits at v = u (omega = 0). Returns
-    (value, omega_dagger).
+    g(omega) = exp(-lam*omega) - 1 + lam*omega - lam*omega^2 = 0, found by
+    bisection to 1e-12; for lam <= 2 the optimum sits at v = u (omega = 0).
+    Returns (value, omega_dagger).
+
+    The bisection reads the sign of g(omega)/(lam*omega^2) =
+    lam*h(lam*omega) - 1 with h(x) = (exp(-x) - 1 + x)/x^2, which is
+    lam/2 - 1 > 0 at omega = 0 and (exp(-lam) - 1)/lam < 0 at omega = 1.
+    h comes from expm1 or, for small x, its series: g itself is a
+    difference of terms near 1 whose rounding hides its sign for small
+    lam*omega, where g is about lam*omega^2*(lam/2 - 1).
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
     if lam <= 2.0:
         return 0.5 * u * lam * math.exp(-lam), 0.0
 
-    def g(om: float) -> float:
-        return math.exp(-lam * om) - 1.0 + lam * om - lam * om * om
+    def positive(om: float) -> bool:
+        return lam * _expm1_residual(lam * om) > 1.0
 
     lo, hi = 1e-8, 1.0 - 1e-15
-    if g(lo) <= 0.0:
-        lo = 1e-12
-    f_lo = g(lo)
+    if not positive(lo):
+        lo = 0.0  # the root is below 1e-8 for lam < 2 + 1.3e-8
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        f_mid = g(mid)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        if positive(mid):
+            lo = mid
         else:
             hi = mid
     omega = 0.5 * (lo + hi)
@@ -456,7 +477,6 @@ class MeasureReport:
     n_des: Optional[int] = None
     eta3_v: Optional[float] = None
     eta4_v: Optional[float] = None
-    epsilon: Optional[float] = None
 
 
 def build_measure_reports(
@@ -468,10 +488,13 @@ def build_measure_reports(
     """Measure reports for FH, FD and AFH on a common user count law.
 
     epsilon is the hop-count backoff used for FH's service measure when
-    the eta1 optimum sits at v = u; it defaults to u/1000.
+    the eta1 optimum sits at v = u; it defaults to u/1000 and must lie in
+    (0, u/2), as in epsilon_backoff_region.
     """
     if epsilon is None:
         epsilon = 1e-3 * u
+    if not 0.0 < epsilon < 0.5 * u:
+        raise ValueError("epsilon must lie in (0, u/2)")
     fd_cfg = FdConfig(n_des=n_des) if n_des is not None else FdConfig.default_for(pmf, u)
     n_max = pmf.n_max
 
@@ -489,7 +512,6 @@ def build_measure_reports(
         v_dagger=v_dag,
         eta3_v=v_opt(n_max, u) if n_max else None,
         eta4_v=eta4_v,
-        epsilon=epsilon,
     )
     fd = MeasureReport(
         scheme="fd",

@@ -3,7 +3,10 @@
 Everything that reports an entropy does so in bits (log base 2); raw log
 densities are natural logs. Every mixture log-density, pointwise, Monte
 Carlo or quadrature node, goes through one row-wise log-sum-exp kernel that
-works on bounded chunks in place.
+works on bounded chunks in place. The kernel raises every term below the
+row maximum by more than 700 to exactly that floor before exponentiating,
+which keeps exp off its slow path for subnormal and zero results and
+changes no bit of any density (see _log_mixture_rows).
 
 Scalar mixtures get a deterministic quadrature entropy: composite
 Gauss-Kronrod (G7/K15) panels on half of a symmetric window, refined by
@@ -44,6 +47,11 @@ MC_MIN_SAMPLES = 100
 # 512 KiB, so each of its passes over a block runs from L2 cache. With two
 # or more components no row's value depends on it (see _log_mixture_rows).
 _BLOCK_DOUBLES = 1 << 16
+
+# Floor for the log-sum-exp terms once the row maximum is subtracted. exp
+# of an argument in [-745, -708] is subnormal and takes a slow path that
+# costs over 100x an in-range exp (below -745 it is 0, still about 20x).
+_LOG_TERM_FLOOR = -700.0
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), half of it from the
 # outer node in to 0: Kronrod nodes and weights, and 7-point Gauss weights
@@ -186,7 +194,16 @@ def _log_mixture_rows(
     adds nothing to rows with x[i, j] != 0 (inv_2var[l, j] must then be 0).
     Rows go through in chunks of about _BLOCK_DOUBLES (rows x components)
     doubles; each chunk's log-sum-exp runs in place (subtract the row
-    maximum, exp, sum). A row to which no component contributes gives -inf.
+    maximum, raise to _LOG_TERM_FLOOR, exp, sum). A row to which no
+    component contributes gives -inf, without a floating-point warning.
+
+    The floor changes no bit of the result. A term it raises changed from
+    exp(t) with t < -700 to exp(-700), by less than 1e-304, and the row
+    sum holds the maximum's term exp(0) = 1, so the sum is at least 1 and
+    rounding to its ulp of 2.2e-16 or more absorbs the change (tests check
+    the bytes against the unfloored kernel). In exchange
+    exp never sees an argument whose result is subnormal or 0, where
+    numpy's vectorized exp leaves its fast path for the whole vector.
 
     A chunk holds two rows or more (unless n is 1): numpy hands a one-row
     product to BLAS gemv, whose sums can differ from gemm's in the last
@@ -206,12 +223,14 @@ def _log_mixture_rows(
         if dead is not None:
             block[((xs != 0.0).astype(float) @ dead.T) > 0.0] = -np.inf
         top = block.max(axis=1)
-        top[top == -np.inf] = 0.0
+        empty = top == -np.inf
+        top[empty] = 0.0
         block -= top[:, None]
+        np.maximum(block, _LOG_TERM_FLOOR, out=block)
         np.exp(block, out=block)
-        with np.errstate(divide="ignore"):
-            np.log(block.sum(axis=1), out=out[s:stop])
+        np.log(block.sum(axis=1), out=out[s:stop])
         out[s:stop] += top
+        out[s:stop][empty] = -np.inf
     return out
 
 

@@ -362,7 +362,7 @@ def scenario_from_json(doc: Union[dict, str]):
                 raise ValueError("each user needs either 'v' or 'pmf'")
     except KeyError as exc:
         raise ValueError(f"scenario document missing field {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"scenario document has a malformed field: {exc}") from exc
     scenario = NetworkScenario(
         n_users=len(profiles),

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -486,11 +487,15 @@ def test_malformed_pmf_documents(tmp_path, capsys):
         "truncation_frac": {"type": "poisson", "lambda": 5, "truncation": 60.5},
         "lambda_list": {"type": "poisson", "lambda": [5]},
         "q_scalar": {"type": "finite", "q": 1},
+        "q_sum_overflows": {"type": "finite", "q": [1e308, 1e308]},
     }
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["measures", "--pmf", str(path), "--u", "4"], capsys)
+        # a numpy RuntimeWarning would be a second line on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["measures", "--pmf", str(path), "--u", "4"], capsys)
         assert code == 1 and out == "", name
         assert err.count("\n") == 1, name
         assert json.loads(err)["error"] == "ValueError", name
@@ -522,10 +527,13 @@ def test_malformed_scenario_documents(tmp_path, capsys):
             "P": 1e300,
             "sigma2": 1e-10,
         },
+        # a JSON number beyond the double range parses as inf
+        "u_1e400": '{"u": 1e400, "users": [{"v": 1}], "gains": [[1.0]], '
+        '"P": 10.0, "sigma2": 2.0}',
     }
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         for sub in ("levels", "bounds"):
             code, out, err = run_cli([sub, "--scenario", str(path)], capsys)
             assert code == 1 and out == "", (name, sub)
@@ -546,6 +554,44 @@ def test_threads_below_one_is_usage_error(scen_file, capsys, argv):
     assert code == 2 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "usage" and "--threads" in msg["message"]
+
+
+@pytest.mark.parametrize("sub", ["levels", "measures", "sweep", "compare"])
+def test_threads_only_on_sampling_subcommands(scen_file, pmf_finite_file, capsys, sub):
+    args = {
+        "levels": ["--scenario", scen_file],
+        "measures": ["--pmf", pmf_finite_file, "--u", "8"],
+        "sweep": ["--u", "7", "--lambdas", "3"],
+        "compare": ["--pmf", pmf_finite_file, "--u", "8"],
+    }[sub]
+    assert_usage_error(*run_cli([sub] + args + ["--threads", "2"], capsys), "--threads")
+
+
+@pytest.mark.parametrize("sub", ["measures", "sweep", "compare"])
+@pytest.mark.parametrize("u", ["inf", "nan", "1e400", "0", "-4"])
+def test_u_must_be_positive_and_finite(pmf_finite_file, capsys, sub, u):
+    args = ["--lambdas", "3"] if sub == "sweep" else ["--pmf", pmf_finite_file]
+    assert_usage_error(*run_cli([sub, "--u", u] + args, capsys), "--u")
+
+
+def test_overflow_is_a_json_error(capsys):
+    # the grid's point count (stop - start) / step overflows to inf
+    code, out, err = run_cli(["sweep", "--u", "7", "--lambdas", "0:1e300:1e-10"], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize("sub", ["measures", "compare"])
+@pytest.mark.parametrize("epsilon", ["5", "2", "0", "-1", "nan", "inf"])
+def test_epsilon_outside_half_u_is_an_error(tmp_path, capsys, sub, epsilon):
+    # with q = (0, 1) the eta1 optimum is v = u, so eta4 would be taken at
+    # v = u - epsilon
+    path = tmp_path / "q01.json"
+    path.write_text(json.dumps({"type": "finite", "q": [0.0, 1.0]}))
+    code, out, err = run_cli([sub, "--pmf", str(path), "--u", "4", "--epsilon", epsilon], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "epsilon" in msg["message"]
 
 
 def test_negative_mc_samples_is_usage_error(scen_fixed_file, capsys):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -183,6 +183,24 @@ def test_eta2_poisson_closed_vs_numeric():
             assert v_dag == pytest.approx(u * (1 - omega), abs=1e-4 * u)
         else:
             assert v_dag == pytest.approx(u, abs=1e-6 * u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam=st.one_of(
+        st.floats(0.0, 500.0, exclude_min=True),
+        st.floats(2.0, 2.5),
+        st.floats(-12.0, -0.3).map(lambda e: 2.0 + 10.0**e),
+    ),
+    u=st.floats(1.0, 100.0),
+)
+@example(lam=2.05, u=16.0)
+def test_eta2_poisson_closed_form_matches_numeric_optimum(lam, u):
+    # just above lambda = 2 the optimum sits at a small omega, where the
+    # root's sign test must be resolved, not rounding noise
+    closed, _ = eta2_fh_poisson_closed(lam, u)
+    numeric, _ = eta2_fh(UserCountPmf.poisson(lam), u)
+    assert abs(closed - numeric) <= 1e-9 * u
 
 
 def test_eta1_poisson_closed_vs_numeric_curve():

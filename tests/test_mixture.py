@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
@@ -261,6 +261,75 @@ def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, dead, n_r
         monkeypatch.setattr(mixture, "_BLOCK_DOUBLES", block)
         outs.append(mixture._log_mixture_rows(xq, m.weights, var[:, :1] + 0.5).tobytes())
     assert outs[1:] == outs[:-1]
+
+
+def reference_log_mixture_rows(x, log_coef, inv_2var, dead=None):
+    """The log-density kernel without the term floor: exp runs on every
+    term, subnormal and zero results included."""
+    n = x.shape[0]
+    out = np.empty(n)
+    step = max(2, mixture._BLOCK_DOUBLES // max(log_coef.shape[0], 1))
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for s, stop in zip(starts, starts[1:] + [n]):
+        xs = x[s:stop]
+        block = (xs * xs) @ inv_2var.T
+        np.subtract(log_coef, block, out=block)
+        if dead is not None:
+            block[((xs != 0.0).astype(float) @ dead.T) > 0.0] = -np.inf
+        top = block.max(axis=1)
+        top[top == -np.inf] = 0.0
+        block -= top[:, None]
+        with np.errstate(under="ignore"):
+            np.exp(block, out=block)
+        with np.errstate(divide="ignore"):
+            np.log(block.sum(axis=1), out=out[s:stop])
+        out[s:stop] += top
+    return out
+
+
+def _kernel_args(var, weights):
+    """(log_coef, inv_2var, dead) as _log_density_rows builds them."""
+    live = var > 0.0
+    safe = np.where(live, var, 1.0)
+    logdet = -0.5 * (live.sum(axis=1) * math.log(2 * math.pi) + np.log(safe).sum(axis=1))
+    dead = None if live.all() else (~live).astype(float)
+    return np.log(weights) + logdet, np.where(live, 0.5 / safe, 0.0), dead
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 400),
+    dim=st.integers(1, 8),
+    n_rows=st.integers(1, 300),
+    p_dead=st.sampled_from([0.0, 0.2, 0.6]),
+)
+@example(seed=0, k=1, dim=1, n_rows=1, p_dead=0.0)
+@example(seed=1, k=1, dim=3, n_rows=50, p_dead=0.6)
+@example(seed=2, k=400, dim=1, n_rows=1, p_dead=0.0)
+def test_log_term_floor_changes_no_bit(seed, k, dim, n_rows, p_dead):
+    # Variances e^-25..e^25 put many terms below the row maximum by
+    # 708-745 (subnormal exp) and by more (exp is 0); the floor must keep
+    # every output byte and every -inf of a row no component reaches.
+    rng = np.random.default_rng(seed)
+    var = np.exp(rng.uniform(-25.0, 25.0, size=(k, dim)))
+    var[rng.random((k, dim)) < p_dead] = 0.0
+    if p_dead > 0.5:
+        var[:, 0] = 0.0  # rows nonzero on coordinate 0 are reached by none
+    weights = rng.dirichlet(np.ones(k))
+    idx = rng.integers(0, k, size=n_rows)
+    x = rng.standard_normal((n_rows, dim)) * np.sqrt(var[idx])
+    x[rng.random((n_rows, dim)) < p_dead] = 0.0
+    x[rng.random(n_rows) < 0.2] *= np.exp(rng.uniform(0.0, 12.0))
+    if p_dead > 0.0:
+        x[rng.random(n_rows) < 0.3, 0] = 1.0
+    log_coef, inv_2var, dead = _kernel_args(var, weights)
+    want = reference_log_mixture_rows(x, log_coef, inv_2var, dead)
+    with np.errstate(all="raise"):
+        got = mixture._log_mixture_rows(x, log_coef, inv_2var, dead)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_entropy_mc_agrees_with_quadrature():
