@@ -21,7 +21,11 @@ from . import bounds as bd
 from . import measures as ms
 from . import sim as sm
 from .mixture import MC_MIN_SAMPLES
-from .model import enumerate_interference_spectrum, scenario_from_json
+from .model import _is_number, enumerate_interference_spectrum, scenario_from_json
+
+# Most points of a start:stop:step grid of SNRs or lambdas: sweep spends
+# about 2 ms per lambda, so its longest grid runs in about 30 s.
+MAX_GRID_POINTS = 1 << 14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,10 +88,6 @@ def _load_scenario(path: str):
     return scenario_from_json(_load_json_file(path))
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _load_pmf(path: str) -> ms.UserCountPmf:
     doc = _load_json_file(path)
     if not isinstance(doc, dict):
@@ -117,6 +117,8 @@ def _parse_floats(text: str) -> List[float]:
         # index the grid instead of summing steps, so roundoff cannot
         # drop the endpoint
         count = math.floor((stop - start) / step + 1e-9) + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} values, got {count}")
         return [round(start + k * step, 12) for k in range(count)]
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -407,7 +409,10 @@ _positive_finite.__name__ = "float"
 
 
 def _snr_grid(text: str) -> List[float]:
-    gammas = _parse_floats(text)
+    try:
+        gammas = _parse_floats(text)
+    except ValueError as exc:  # argparse would print only "invalid value"
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if not gammas or not all(math.isfinite(g) and g > 0 for g in gammas):
         raise argparse.ArgumentTypeError(f"need positive finite SNRs, got {text!r}")
     return gammas

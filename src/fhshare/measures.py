@@ -24,8 +24,8 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, pdtrik
 
 from .gains import maximize_on_interval, smg_fair, v_opt
+from .mixture import PROB_TOL
 
-_PROB_TOL = 1e-12
 _POISSON_TAIL = 1e-12
 
 
@@ -49,9 +49,9 @@ class UserCountPmf:
             raise ValueError("need weights for at least n in {0, 1}")
         # a weight above 1 fails the sum check anyway; testing it first
         # keeps the sum from overflowing (q = [1e308, 1e308])
-        if not np.all((w >= 0) & (w <= 1.0 + _PROB_TOL)):
+        if not np.all((w >= 0) & (w <= 1.0 + PROB_TOL)):
             raise ValueError("weights must be probabilities in [0, 1], not NaN")
-        if self.poisson_lambda is None and abs(w.sum() - 1.0) > _PROB_TOL:
+        if self.poisson_lambda is None and abs(w.sum() - 1.0) > PROB_TOL:
             raise ValueError("finite pmf must sum to 1 within 1e-12")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)

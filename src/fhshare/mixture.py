@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -30,7 +30,8 @@ from ._blocks import generator, map_blocks
 
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
-_WEIGHT_TOL = 1e-12
+# Every law's probabilities (mixture weights, pmfs, levels) sum to 1 within this.
+PROB_TOL = 1e-12
 
 # Relative variance gap within which merge_levels joins adjacent levels,
 # for interference spectra and for entropy_upper_bound's level entropy.
@@ -87,51 +88,6 @@ def gaussian_entropy(variance: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianMixture1D:
-    """Finite zero-mean scalar Gaussian mixture.
-
-    components is a tuple of (weight, variance) pairs; weights sum to 1
-    and variances are strictly positive.
-    """
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple((float(w), float(v)) for w, v in self.components)
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        if any(w < 0 for w, _ in comps):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(w for w, _ in comps) - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
-        comps = tuple((w, v) for w, v in comps if w > 0)
-        if any(v <= 0 for _, v in comps):
-            raise ValueError("variances must be positive")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def of(cls, *components: Tuple[float, float]) -> "GaussianMixture1D":
-        return cls(components=tuple(components))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.components])
-
-    @property
-    def component_variances(self) -> np.ndarray:
-        return np.array([v for _, v in self.components])
-
-    def variance(self) -> float:
-        """Total variance of the mixture."""
-        return float((self.weights * self.component_variances).sum())
-
-    def as_diag(self) -> "GaussianMixtureDiag":
-        return GaussianMixtureDiag(
-            weights=self.weights, variances=self.component_variances[:, None]
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class GaussianMixtureDiag:
     """Zero-mean vector Gaussian mixture with diagonal covariances.
 
@@ -153,7 +109,7 @@ class GaussianMixtureDiag:
             raise ValueError("one weight per component required")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > _WEIGHT_TOL:
+        if abs(w.sum() - 1.0) > PROB_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
         if np.any(v < 0):
             raise ValueError("variances must be nonnegative")
@@ -175,10 +131,31 @@ class GaussianMixtureDiag:
         return self.variances.shape[1]
 
     def as_diag(self) -> "GaussianMixtureDiag":
+        """The mixture itself (perfbench/spans.py still calls this)."""
         return self
 
 
-AnyMixture = Union[GaussianMixture1D, GaussianMixtureDiag]
+class GaussianMixture1D(GaussianMixtureDiag):
+    """Finite zero-mean scalar Gaussian mixture: one coordinate, strictly
+    positive variances, built from (weight, variance) pairs."""
+
+    def __init__(self, components):
+        pairs = np.array(components, dtype=float).reshape(len(components), 2)
+        super().__init__(weights=pairs[:, 0], variances=pairs[:, 1:])
+        if np.any(self.variances <= 0):
+            raise ValueError("variances must be positive")
+
+    @classmethod
+    def of(cls, *components: Tuple[float, float]) -> "GaussianMixture1D":
+        return cls(components)
+
+    @property
+    def components(self) -> tuple:
+        return tuple(zip(self.weights.tolist(), self.variances[:, 0].tolist()))
+
+    def variance(self) -> float:
+        """Total variance of the mixture."""
+        return float((self.weights * self.variances[:, 0]).sum())
 
 
 def _log_mixture_rows(
@@ -234,8 +211,9 @@ def _log_mixture_rows(
     return out
 
 
-def _log_density_rows(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
-    """Natural-log densities for rows of x, shape (n, dim) -> (n,).
+def _density_coefficients(m: GaussianMixtureDiag):
+    """(log_coef, inv_2var, dead) of m for _log_mixture_rows; dead is None
+    when every variance is positive.
 
     Components with zero-variance coordinates live on a subspace: they
     contribute only where x is exactly 0 on those coordinates, with the
@@ -245,21 +223,25 @@ def _log_density_rows(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
     live = var > 0.0
     safe = np.where(live, var, 1.0)
     logdet = -0.5 * (live.sum(axis=1) * _LN_2PI + np.log(safe).sum(axis=1))
-    return _log_mixture_rows(
-        np.asarray(x, dtype=float),
+    return (
         np.log(m.weights) + logdet,
         np.where(live, 0.5 / safe, 0.0),
-        dead=None if live.all() else (~live).astype(float),
+        None if live.all() else (~live).astype(float),
     )
 
 
-def log_density(m: AnyMixture, x: Sequence[float]) -> float:
+def _log_density_rows(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
+    """Natural-log densities for rows of x, shape (n, dim) -> (n,)."""
+    log_coef, inv_2var, dead = _density_coefficients(m)
+    return _log_mixture_rows(np.asarray(x, dtype=float), log_coef, inv_2var, dead)
+
+
+def log_density(m: GaussianMixtureDiag, x: Sequence[float]) -> float:
     """Natural-log mixture density at one point x (length = dim)."""
-    diag = m.as_diag()
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != diag.dim:
-        raise ValueError(f"x has length {x.shape[0]}, mixture dim is {diag.dim}")
-    return float(_log_density_rows(diag, x[None, :])[0])
+    if x.shape[0] != m.dim:
+        raise ValueError(f"x has length {x.shape[0]}, mixture dim is {m.dim}")
+    return float(_log_density_rows(m, x[None, :])[0])
 
 
 def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
@@ -282,10 +264,8 @@ def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
         raise TypeError("entropy_quadrature takes a 1-D mixture")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    var = m.component_variances
-    sig = np.sqrt(var)
-    log_coef = np.log(m.weights) - 0.5 * (_LN_2PI + np.log(var))
-    inv_2var = (0.5 / var)[:, None]
+    sig = np.sqrt(m.variances[:, 0])
+    log_coef, inv_2var, _ = _density_coefficients(m)
     # Window: the normal quantile on the widest component keeps tail mass
     # << tol/10.
     z = float(-ndtri(min(tol, 1e-3) / 40.0)) + 4.0
@@ -336,7 +316,7 @@ def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
 
 
 def entropy_mc(
-    m: AnyMixture,
+    m: GaussianMixtureDiag,
     n_samples: int,
     seed: int,
     threads: int = 1,
@@ -352,16 +332,14 @@ def entropy_mc(
     """
     if n_samples < MC_MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MC_MIN_SAMPLES}")
-    diag = m.as_diag()
-    std = np.sqrt(diag.variances)
-    w = diag.weights
+    std = np.sqrt(m.variances)
 
     def one(j: int, size: int) -> Tuple[float, float]:
         rng = generator(seed, (int(stream), j))
-        idx = rng.choice(diag.n_components, size=size, p=w)
-        z = rng.standard_normal((size, diag.dim))
+        idx = rng.choice(m.n_components, size=size, p=m.weights)
+        z = rng.standard_normal((size, m.dim))
         x = z * std[idx, :]
-        ll = _log_density_rows(diag, x) / _LN2
+        ll = _log_density_rows(m, x) / _LN2
         return float(ll.sum()), float((ll * ll).sum())
 
     results = map_blocks(one, n_samples, MC_PARTITION, threads)
@@ -429,6 +407,11 @@ def merge_levels(
     return np.array(out_c), np.array(out_p)
 
 
+def discrete_entropy(p: np.ndarray) -> float:
+    """Entropy of a law with positive probabilities p, in bits."""
+    return float(-(p * np.log2(p)).sum())
+
+
 def entropy_upper_bound(m: GaussianMixture1D) -> float:
     """Closed-form entropy bound for a scalar mixture, in bits.
 
@@ -440,14 +423,12 @@ def entropy_upper_bound(m: GaussianMixture1D) -> float:
     where a0 is the ambient level's probability and H the entropy of the
     level index. Always >= the true mixture entropy.
     """
-    order = np.argsort(m.component_variances)
+    var = m.variances[:, 0]
+    order = np.argsort(var)
     # H counts distinct levels only: merge variances within MERGE_REL_TOL.
-    v, a = merge_levels(
-        m.component_variances[order], m.weights[order], 0.0, 1.0, MERGE_REL_TOL
-    )
-    h_levels = float(-(a * np.log2(a)).sum())
+    v, a = merge_levels(var[order], m.weights[order], 0.0, 1.0, MERGE_REL_TOL)
     return (
         0.5 * (1.0 - a[0]) * math.log2(v[-1] / v[0])
         + 0.5 * math.log2(2.0 * math.pi * math.e * v[0])
-        + h_levels
+        + discrete_entropy(a)
     )

@@ -20,11 +20,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .mixture import MERGE_REL_TOL, GaussianMixture1D, merge_levels
+from .mixture import MERGE_REL_TOL, PROB_TOL, GaussianMixture1D, discrete_entropy, merge_levels
 
 # Exhaustive enumeration over interferer subsets is exponential in N.
 MAX_ENUMERATION_USERS = 20
-_PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +101,7 @@ class HoppingProfile:
                 raise ValueError("pmf must be nonempty")
             if any(x < 0 for x in w):
                 raise ValueError("pmf entries must be nonnegative")
-            if abs(sum(w) - 1.0) > _PROB_TOL:
+            if abs(sum(w) - 1.0) > PROB_TOL:
                 raise ValueError("pmf must sum to 1 within 1e-12")
             object.__setattr__(self, "pmf", w)
             v_max = max(v for v, x in enumerate(w) if x > 0)
@@ -174,7 +173,7 @@ class InterferenceSpectrum:
         if p.size == 0:
             raise ValueError("spectrum needs at least one level")
         total = float(p.sum())
-        if abs(total - 1.0) > _PROB_TOL:
+        if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"level probabilities sum to {total}, not 1")
         if np.any(c[1:] <= c[:-1]) or np.any(var[1:] < var[:-1]):
             raise ValueError("level increments must be strictly increasing")
@@ -194,17 +193,11 @@ class InterferenceSpectrum:
 
     def discrete_entropy(self) -> float:
         """Entropy of the level index, in bits."""
-        a = self.probabilities
-        return float(-(a * np.log2(a)).sum())
-
-    def mean_variance(self) -> float:
-        return float((self.probabilities * self.variances).sum())
+        return discrete_entropy(self.probabilities)
 
     def to_mixture(self) -> GaussianMixture1D:
         """The mixture itself, as a zero-mean 1-D Gaussian mixture."""
-        return GaussianMixture1D.of(
-            *zip(self.probabilities.tolist(), self.variances.tolist())
-        )
+        return GaussianMixture1D(np.column_stack((self.probabilities, self.variances)))
 
 
 def check_profiles(profiles: Sequence[HoppingProfile], u: int) -> None:
@@ -338,26 +331,41 @@ def scenario_to_json(
     }
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number(x, name: str, integral: bool = False) -> float:
+    if not _is_number(x) or integral and not float(x).is_integer():
+        kind = "an integer" if integral else "a number"
+        raise ValueError(f"scenario {name} must be {kind}, got {x!r}")
+    return float(x)
+
+
 def scenario_from_json(doc: Union[dict, str]):
-    """Inverse of scenario_to_json. Accepts a dict or a JSON string."""
+    """Inverse of scenario_to_json. Accepts a dict or a JSON string; u and
+    v must be integral numbers, and no number may be a string or a bool."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise ValueError("scenario document must be a JSON object")
     try:
-        u = int(doc["u"])
+        u = int(_number(doc["u"], "'u'", integral=True))
         users = doc["users"]
-        gains = doc["gains"]
-        power = float(doc["P"])
-        sigma2 = float(doc["sigma2"])
+        gains = [[_number(g, "'gains' entry") for g in row] for row in doc["gains"]]
+        power = _number(doc["P"], "'P'")
+        sigma2 = _number(doc["sigma2"], "'sigma2'")
         if not isinstance(users, list) or not all(isinstance(x, dict) for x in users):
             raise ValueError("scenario 'users' must be a list of objects")
         profiles = []
         for spec in users:
             if "v" in spec:
-                profiles.append(HoppingProfile.fixed(int(spec["v"])))
+                v = int(_number(spec["v"], "'v'", integral=True))
+                profiles.append(HoppingProfile.fixed(v))
             elif "pmf" in spec:
-                profiles.append(HoppingProfile.from_pmf(spec["pmf"]))
+                pmf = [_number(x, "'pmf' entry") for x in spec["pmf"]]
+                profiles.append(HoppingProfile.from_pmf(pmf))
             else:
                 raise ValueError("each user needs either 'v' or 'pmf'")
     except KeyError as exc:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -541,6 +542,52 @@ def test_malformed_scenario_documents(tmp_path, capsys):
             assert json.loads(err)["error"] == "ValueError", (name, sub)
 
 
+def _scenario_with(field, value):
+    doc = {
+        "u": 4,
+        "users": [{"v": 1}, {"pmf": [0.5, 0.5, 0.0, 0.0, 0.0]}],
+        "gains": [[1.0, 0.9], [0.7, 1.0]],
+        "P": 10.0,
+        "sigma2": 2.0,
+    }
+    if field == "v":
+        doc["users"][0]["v"] = value
+    elif field == "pmf":
+        doc["users"][1]["pmf"][1] = value
+    elif field == "gains":
+        doc["gains"][0][1] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("u", 2.7), ("u", "4"), ("u", True), ("v", 1.5), ("v", "1"), ("v", True),
+     ("P", "100"), ("P", True), ("sigma2", "2"), ("sigma2", False),
+     ("gains", "0.9"), ("gains", True), ("pmf", "0.5"), ("pmf", True)],
+)
+def test_scenario_fields_are_not_coerced(tmp_path, capsys, field, value):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(_scenario_with(field, value)))
+    code, out, err = run_cli(["levels", "--scenario", str(path)], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValueError"
+    assert f"'{field}'" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("field,value", [("u", 4.0), ("v", 1.0)])
+def test_scenario_counts_may_be_integral_floats(tmp_path, capsys, field, value):
+    outs = []
+    for v in (value, int(value)):
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(_scenario_with(field, v)))
+        code, out, err = run_cli(["levels", "--scenario", str(path)], capsys)
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -676,6 +723,20 @@ def test_compare_skips_conditions_with_mass_at_zero(tmp_path, capsys):
         "eta4",
     ]
     assert not [r for r in rows if r["kind"] == "condition"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["sweep", "--u", "16", "--lambdas", "1:1e6:1"], 1),
+     (["bounds", "--scenario", "unread.json", "--gammas", "1:1e6:1"], 2)],
+    ids=["sweep", "bounds"],
+)
+def test_grids_beyond_the_cap_fail_fast(capsys, argv, code):
+    t0 = time.perf_counter()
+    got, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == code and out == "" and err.count("\n") == 1
+    assert "16384" in json.loads(err)["message"]
 
 
 def test_parse_floats_grid_endpoints():

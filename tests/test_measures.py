@@ -140,6 +140,17 @@ def test_eta1_poisson_closed_form():
         assert value == pytest.approx(0.25 * u * math.exp(-0.5), abs=1e-9 * u)
 
 
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(1.0, 50.0), u=st.floats(1e-3, 1e3))
+@example(lam=1.0, u=8.0)
+@example(lam=50.0, u=1e3)
+def test_eta1_poisson_closed_form_property(lam, u):
+    # (v/2) lam exp(-lam v/u) peaks at v* = u/lam <= u with value u/(2e)
+    value, v_star = eta1_fh(UserCountPmf.poisson(lam), u)
+    assert abs(value - u / (2 * math.e)) <= 1e-9 * u
+    assert abs(v_star - u / lam) <= 1e-6 * u
+
+
 def test_eta1_fd():
     u = 8.0
     assert eta1_fd(two_point(0.8), FdConfig(n_des=2), u) == pytest.approx(
@@ -372,18 +383,22 @@ def test_backoff_two_point_algebra():
     assert math.isfinite(wide.fh_eta1) and math.isfinite(wide.fd_eta2)
 
 
-def test_direct_comparison_flips():
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1e-6, 0.3))
+@example(8.0, 1e-4)
+@example(8.0, 1e-2)
+@example(1e-3, 1e-6)
+@example(1e3, 1e-6)
+def test_direct_comparison_flips(u, d):
     # For two-point laws the FH/FD winner flips at q1 = 2/3 (eta1) and
-    # q1 = 1/2 (eta2); check both sides close to the threshold.
-    u = 8.0
+    # q1 = 1/2 (eta2) for every u; check both sides at distance d.
     fd = FdConfig(n_des=2)
-    for d in (1e-4, 1e-2):
-        hi, lo = 2 / 3 + d, 2 / 3 - d
-        assert eta1_fh(two_point(hi), u)[0] > eta1_fd(two_point(hi), fd, u)
-        assert eta1_fh(two_point(lo), u)[0] < eta1_fd(two_point(lo), fd, u)
-        hi2, lo2 = 0.5 + d, 0.5 - d
-        assert eta2_fh(two_point(hi2), u)[0] > eta2_fd(two_point(hi2), fd, u)
-        assert eta2_fh(two_point(lo2), u)[0] < eta2_fd(two_point(lo2), fd, u)
+    hi, lo = 2 / 3 + d, 2 / 3 - d
+    assert eta1_fh(two_point(hi), u)[0] > eta1_fd(two_point(hi), fd, u)
+    assert eta1_fh(two_point(lo), u)[0] < eta1_fd(two_point(lo), fd, u)
+    hi2, lo2 = 0.5 + d, 0.5 - d
+    assert eta2_fh(two_point(hi2), u)[0] > eta2_fd(two_point(hi2), fd, u)
+    assert eta2_fh(two_point(lo2), u)[0] < eta2_fd(two_point(lo2), fd, u)
 
 
 def test_sufficient_conditions():

@@ -29,7 +29,7 @@ LN2 = math.log(2.0)
 def riemann_entropy_bits(mix: GaussianMixture1D, span_sigmas=40.0, n=400001):
     """Independent trapezoid estimate of -integral p log2 p."""
     w = mix.weights
-    var = mix.component_variances
+    var = mix.variances[:, 0]
     span = span_sigmas * math.sqrt(var.max())
     x = np.linspace(-span, span, n)
     dens = np.zeros_like(x)
@@ -43,7 +43,7 @@ def quad_entropy_bits(mix: GaussianMixture1D) -> float:
     """Independent scipy.integrate.quad estimate of -integral p log2 p over
     [0, 40 sigma_max], doubled, with break points on a geometric grid."""
     logw = np.log(mix.weights)
-    var = mix.component_variances
+    var = mix.variances[:, 0]
     sig = np.sqrt(var)
     span = 40.0 * float(sig.max())
     points = np.unique(np.concatenate([sig, np.geomspace(sig.min() / 4, span, 40)]))
@@ -514,3 +514,63 @@ def test_mixture_validation():
     assert m.variance() == pytest.approx(2.0)
     with pytest.raises(ValueError):
         GaussianMixtureDiag(weights=np.array([1.0]), variances=np.array([1.0]))
+
+
+@st.composite
+def scalar_mixtures(draw):
+    """(weights, variances) of a scalar mixture: 1-8 components, variances
+    spread over e^-30..e^30, weights summing to 1 within 1e-12."""
+    comps = draw(
+        st.lists(
+            st.tuples(st.floats(0.01, 1.0), st.floats(-30.0, 30.0)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    total = sum(a for a, _ in comps)
+    w = [a / total for a, _ in comps]
+    w[-1] = 1.0 - sum(w[:-1])
+    return np.array(w), np.exp([b for _, b in comps])
+
+
+def test_scalar_mixture_is_a_one_coordinate_diag():
+    m = GaussianMixture1D.of((0.25, 1.0), (0.0, 3.0), (0.75, 4.0))
+    assert isinstance(m, GaussianMixtureDiag)
+    assert m.dim == 1 and m.n_components == 2
+    assert m.variances.shape == (2, 1) and not m.variances.flags.writeable
+    assert m.components == ((0.25, 1.0), (0.75, 4.0))
+    assert GaussianMixture1D(np.array([[0.25, 1.0], [0.75, 4.0]])).components == m.components
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_mixtures())
+def test_quadrature_coefficients_match_the_scalar_formula(case):
+    # entropy_quadrature's coefficients before it shared _density_coefficients
+    w, var = case
+    m = GaussianMixture1D.of(*zip(w.tolist(), var.tolist()))
+    want_log_coef = np.log(m.weights) - 0.5 * (
+        math.log(2.0 * math.pi) + np.log(m.variances[:, 0])
+    )
+    want_inv_2var = (0.5 / m.variances[:, 0])[:, None]
+    log_coef, inv_2var, dead = mixture._density_coefficients(m)
+    assert log_coef.tobytes() == want_log_coef.tobytes()
+    assert inv_2var.shape == want_inv_2var.shape
+    assert inv_2var.tobytes() == want_inv_2var.tobytes()
+    assert dead is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(scalar_mixtures(), st.integers(0, 2**32))
+def test_entropy_mc_scalar_equals_hand_built_diag(case, seed):
+    w, var = case
+    m = GaussianMixture1D.of(*zip(w.tolist(), var.tolist()))
+    diag = GaussianMixtureDiag(weights=w, variances=var[:, None])
+    assert entropy_mc(m, 1000, seed=seed) == entropy_mc(diag, 1000, seed=seed)
+
+
+def test_entropy_quadrature_rejects_vector_mixtures():
+    m = GaussianMixtureDiag(
+        weights=np.array([0.5, 0.5]), variances=np.array([[1.0, 2.0], [3.0, 4.0]])
+    )
+    with pytest.raises(TypeError, match="1-D mixture"):
+        entropy_quadrature(m)

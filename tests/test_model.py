@@ -169,7 +169,7 @@ def test_mean_variance_identity():
         expected = scen.noise_power + scen.total_power / u * sum(
             gains[k, 0] ** 2 * active[k] for k in range(1, n)
         )
-        assert spec.mean_variance() == pytest.approx(expected, rel=1e-12)
+        assert spec.to_mixture().variance() == pytest.approx(expected, rel=1e-12)
 
 
 def test_a0_equals_free_probability():
@@ -243,7 +243,7 @@ def test_merge_keeps_moments():
     assert spec.probabilities[1] == pytest.approx(0.5, abs=1e-12)
     assert spec.c_values[1] == pytest.approx(1.0 + eps / 2, rel=1e-12)
     raw_mean = 1.0 + 0.25 * (0.0 + 1.0 + (1.0 + eps) + (2.0 + eps))
-    assert spec.mean_variance() == pytest.approx(raw_mean, rel=1e-15)
+    assert spec.to_mixture().variance() == pytest.approx(raw_mean, rel=1e-15)
 
     # Distinct levels stay distinct.
     gains2 = gains.copy()
@@ -302,7 +302,22 @@ def test_spectrum_entropy_and_mixture():
     assert spec.discrete_entropy() == pytest.approx(expected, rel=1e-12)
     mix = spec.to_mixture()
     np.testing.assert_allclose(mix.weights, p)
-    np.testing.assert_allclose(mix.component_variances, spec.variances)
+    np.testing.assert_allclose(mix.variances[:, 0], spec.variances)
+
+
+def test_to_mixture_holds_the_spectrum_arrays():
+    rng = np.random.default_rng(12)
+    scen = NetworkScenario(
+        n_users=5, n_subbands=4, gains=np.exp(rng.normal(size=(5, 5))),
+        total_power=7.0, noise_power=0.3,
+    )
+    profs = [HoppingProfile.fixed(2), HoppingProfile.from_pmf((0.1, 0.2, 0.3, 0.4, 0.0))]
+    profs += [HoppingProfile.fixed(1), HoppingProfile.fixed(3), HoppingProfile.fixed(4)]
+    spec = enumerate_interference_spectrum(scen, profs, 2)
+    mix = spec.to_mixture()
+    assert spec.n_levels == 16
+    assert mix.weights.tobytes() == spec.probabilities.tobytes()
+    assert mix.variances[:, 0].tobytes() == spec.variances.tobytes()
 
 
 def test_spectrum_arrays_are_read_only_and_built_once():
