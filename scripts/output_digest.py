@@ -2,12 +2,12 @@
 
     python3 scripts/output_digest.py --seeds 1,2,3,57 > digests.txt
 
-For each workload (all of perfbench's unless --workloads names some) and
-seed, it builds the job list with perfbench/workloads.build, writes the
-jobs' input documents into a temporary directory and runs each job once,
-in this process, through perfbench/child.run_job. It prints one line per
-job, `workload seed job sha256` (child.digest of the job's outputs), or
-FAILED in place of the digest when the job did not succeed. Run it in two
+For each of perfbench's workloads and each seed, it builds the job list
+with perfbench/workloads.build, writes the jobs' input documents into a
+temporary directory and runs each job once, in this process, through
+perfbench/child.run_job. It prints one line per job,
+`workload seed job sha256` (child.digest of the job's outputs), or FAILED
+in place of the digest when the job did not succeed. Run it in two
 checkouts and diff the lines: equal lines mean byte-identical outputs.
 Seeds take the form of scripts/bench_record.py's --seeds (1-3,57).
 """
@@ -46,10 +46,9 @@ def digest_lines(workload: str, seed: int, threads: int):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="1,2,3,57")
-    ap.add_argument("--workloads", default=",".join(workloads.WORKLOADS))
     a = ap.parse_args()
     threads = workloads.bench_threads()
-    for workload in a.workloads.split(","):
+    for workload in workloads.WORKLOADS:
         for seed in parse_seeds(a.seeds):
             for line in digest_lines(workload, seed, threads):
                 print(line, flush=True)

@@ -423,6 +423,8 @@ def entropy_upper_bound(m: GaussianMixture1D) -> float:
     where a0 is the ambient level's probability and H the entropy of the
     level index. Always >= the true mixture entropy.
     """
+    if not isinstance(m, GaussianMixture1D):
+        raise TypeError("entropy_upper_bound takes a 1-D mixture")
     var = m.variances[:, 0]
     order = np.argsort(var)
     # H counts distinct levels only: merge variances within MERGE_REL_TOL.

@@ -568,9 +568,10 @@ def test_entropy_mc_scalar_equals_hand_built_diag(case, seed):
     assert entropy_mc(m, 1000, seed=seed) == entropy_mc(diag, 1000, seed=seed)
 
 
-def test_entropy_quadrature_rejects_vector_mixtures():
+@pytest.mark.parametrize("fn", [entropy_quadrature, entropy_upper_bound])
+def test_scalar_entropy_functions_reject_vector_mixtures(fn):
     m = GaussianMixtureDiag(
         weights=np.array([0.5, 0.5]), variances=np.array([[1.0, 2.0], [3.0, 4.0]])
     )
     with pytest.raises(TypeError, match="1-D mixture"):
-        entropy_quadrature(m)
+        fn(m)
