@@ -20,11 +20,18 @@ from .gains import per_user_gains
 from .model import (
     HoppingProfile,
     NetworkScenario,
+    check_profiles,
+    check_user,
     enumerate_interference_spectrum,
 )
 
 MAX_REALIZATIONS = 10_000_000
 MAX_MC_COMPONENTS = 20_000
+
+
+class NotApplicable(ValueError):
+    """The inputs lie outside the bound's hypothesis (a hop count that is
+    a pmf where a fixed one is needed) or its enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,6 @@ def _placements(
     scenario: NetworkScenario,
     profiles: Sequence[HoppingProfile],
     user: int,
-    who: str,
     budget: int,
     full_band: bool = False,
 ) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -86,29 +92,33 @@ def _placements(
     every joint interferer placement on its v sub-bands (all u with
     full_band); w and d are None when v is 0.
 
-    Every hop count must be fixed and at most u, and the product of the
-    interferers' C(u, v_k) at most budget (else ValueError naming the
-    budget).
+    Every hop count must be fixed and the product of the interferers'
+    C(u, v_k) at most budget, else NotApplicable; a hop count above u is a
+    ValueError.
     """
+    check_user(scenario, profiles, user)
     for k, p in enumerate(profiles):
         if not p.is_fixed:
-            raise ValueError(f"{who} requires fixed hop counts (user {k} has a pmf)")
-    counts = [p.fixed_v for p in profiles]
+            raise NotApplicable(f"the bound requires fixed hop counts (user {k} has a pmf)")
     u = scenario.n_subbands
-    if any(c > u for c in counts):
-        raise ValueError("hop count exceeds u")
+    check_profiles(profiles, u)
+    counts = [p.fixed_v for p in profiles]
     v = counts[user]
     if v == 0:
         return v, None, None
 
     interferers = [k for k in range(scenario.n_users) if k != user and counts[k] >= 1]
+    # The product of the C(u, v_k), one exact factor (u - j)/(j + 1) at a
+    # time, so that a huge u stops at the budget (math.comb(10**6, 5 * 10**5)
+    # alone takes seconds).
     n_real = 1
     for k in interferers:
-        n_real *= math.comb(u, counts[k])
-    if n_real > budget:
-        raise ValueError(
-            f"{n_real} joint placements exceed the enumeration budget ({budget})"
-        )
+        for j in range(min(counts[k], u - counts[k])):
+            n_real = n_real * (u - j) // (j + 1)
+            if n_real > budget:
+                raise NotApplicable(
+                    f"the joint placements exceed the enumeration budget ({budget})"
+                )
     power = scenario.total_power
     amps = np.array(
         [power * float(scenario.gains[k, user]) ** 2 / counts[k] for k in interferers]
@@ -128,6 +138,7 @@ def multiplexing_gain(
     with a zero gain to the user counts as hopping on no sub-band: the
     bands it lands on stay interference-free for the user.
     """
+    check_user(scenario, profiles, user)
     vbar = [
         p.mean_v() if k == user or scenario.gains[k, user] != 0.0 else 0.0
         for k, p in enumerate(profiles)
@@ -144,12 +155,13 @@ def upper_bound_rate(
 
     The interference-free part contributes the slope term, the hit
     sub-bands the residual, averaged exactly over all joint interferer
-    placements (at most MAX_REALIZATIONS of them). The slope is
+    placements. It needs every hop count fixed and at most
+    MAX_REALIZATIONS placements, else NotApplicable. The slope is
     multiplexing_gain, which, like the residual, counts the bands an
     interferer with a zero gain to the user lands on as free. The value is
     slope * log2(1 + |h|^2 gamma / v) + residual.
     """
-    v, w, d = _placements(scenario, profiles, user, "upper_bound_rate", MAX_REALIZATIONS)
+    v, w, d = _placements(scenario, profiles, user, MAX_REALIZATIONS)
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
     slope = multiplexing_gain(scenario, profiles, user)
@@ -178,11 +190,12 @@ def lower_bound_rate(
         R >= (v/2) log2( 2^(-2H) |h|^2 gamma
                          / (v (c_max gamma + 1)^(1 - a0)) + 1 ).
 
-    Interferers may use pmf profiles; the user itself needs a fixed v.
-    The value is slope * log2(gamma) + residual with slope (v/2) a0.
+    Interferers may use pmf profiles; the user itself needs a fixed v
+    (else NotApplicable). The value is slope * log2(gamma) + residual with
+    slope (v/2) a0.
     """
-    if not profiles[user].is_fixed:
-        raise ValueError("lower_bound_rate requires a fixed hop count for the user")
+    if not profiles[check_user(scenario, profiles, user)].is_fixed:
+        raise NotApplicable("lower_bound_rate requires a fixed hop count for the user")
     v = profiles[user].fixed_v
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
@@ -246,13 +259,13 @@ def mc_mutual_information(
     """Monte Carlo mutual information of one user's link, in bits.
 
     Computes h(Y) - h(Z) over the full band for the user's fixed state
-    (its first v sub-bands), building the exact interference mixtures (at
-    most MAX_MC_COMPONENTS placements) and estimating both entropies by the
-    plug-in estimator. Returns
+    (its first v sub-bands), building the exact interference mixtures and
+    estimating both entropies by the plug-in estimator. Like
+    upper_bound_rate it raises NotApplicable unless every hop count is
+    fixed and there are at most MAX_MC_COMPONENTS placements. Returns
     (estimate, standard_error); the SE combines both entropy estimates.
     """
-    who = "mc_mutual_information"
-    v, w, d = _placements(scenario, profiles, user, who, MAX_MC_COMPONENTS, full_band=True)
+    v, w, d = _placements(scenario, profiles, user, MAX_MC_COMPONENTS, full_band=True)
     if v == 0:
         return 0.0, 0.0
 

@@ -21,7 +21,7 @@ from . import bounds as bd
 from . import measures as ms
 from . import sim as sm
 from .mixture import MC_MIN_SAMPLES
-from .model import _is_number, enumerate_interference_spectrum, scenario_from_json
+from .model import _is_number, check_user, enumerate_interference_spectrum, scenario_from_json
 
 # Most points of a start:stop:step grid of SNRs or lambdas: sweep spends
 # about 2 ms per lambda, so its longest grid runs in about 30 s.
@@ -123,12 +123,6 @@ def _parse_floats(text: str) -> List[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _check_user(user: int, n_users: int) -> int:
-    if not 0 <= user < n_users:
-        raise ValueError(f"user index {user} out of range 0..{n_users - 1}")
-    return user
-
-
 def cmd_levels(args) -> None:
     scenario, profiles = _load_scenario(args.scenario)
     rows = []
@@ -144,17 +138,25 @@ def cmd_levels(args) -> None:
     _emit(["receiver", "level", "probability", "c", "sigma2"], rows, args.format, args.out)
 
 
+def _nan_unless_applicable(call, missing=math.nan):
+    """call(), or the nan cells missing where bounds.NotApplicable says the
+    bound's hypothesis fails."""
+    try:
+        return call()
+    except bd.NotApplicable:
+        return missing
+
+
 def cmd_bounds(args) -> None:
     scenario, profiles = _load_scenario(args.scenario)
     gammas = args.gammas
     if args.mc_samples > 0 and args.seed is None:
         _fail("usage", "--seed is required when --mc-samples > 0", code=2)
     users = (
-        [_check_user(int(x), scenario.n_users) for x in args.users.split(",")]
+        [check_user(scenario, profiles, int(x)) for x in args.users.split(",")]
         if args.users
         else list(range(scenario.n_users))
     )
-    all_fixed = all(p.is_fixed for p in profiles)
     rows = []
     for user in users:
         slope = bd.multiplexing_gain(scenario, profiles, user)
@@ -162,32 +164,21 @@ def cmd_bounds(args) -> None:
             scen_g = dataclasses.replace(
                 scenario, total_power=gamma * scenario.noise_power
             )
-            # The placement-exact upper bound and the MC estimate need
-            # every hop count fixed; the lower bound only needs the
-            # target user's. Cells that do not apply come out as nan.
-            r_ub = r_lb = mi = se = math.nan
-            if all_fixed:
-                try:
-                    r_ub = bd.upper_bound_rate(scen_g, profiles, user).value_bits
-                except ValueError as exc:
-                    if "budget" not in str(exc):
-                        raise
-            if profiles[user].is_fixed:
-                r_lb = bd.lower_bound_rate(scen_g, profiles, user).value_bits
-            if args.mc_samples > 0 and all_fixed:
-                try:
-                    mi, se = bd.mc_mutual_information(
-                        scen_g,
-                        profiles,
-                        user,
-                        args.mc_samples,
-                        args.seed,
+            r_ub = _nan_unless_applicable(
+                lambda: bd.upper_bound_rate(scen_g, profiles, user).value_bits
+            )
+            r_lb = _nan_unless_applicable(
+                lambda: bd.lower_bound_rate(scen_g, profiles, user).value_bits
+            )
+            mi, se = math.nan, math.nan
+            if args.mc_samples > 0:
+                mi, se = _nan_unless_applicable(
+                    lambda: bd.mc_mutual_information(
+                        scen_g, profiles, user, args.mc_samples, args.seed,
                         threads=args.threads,
-                    )
-                except ValueError as exc:
-                    if "budget" not in str(exc):
-                        raise
-                    mi = se = math.nan
+                    ),
+                    (math.nan, math.nan),
+                )
             rows.append((user, gamma, r_ub, r_lb, mi, se, slope))
     _emit(
         ["user", "gamma", "r_ub", "r_lb", "mi_mc", "mi_se", "slope"],
@@ -200,8 +191,7 @@ def cmd_bounds(args) -> None:
 def cmd_simulate(args) -> None:
     scenario, profiles = _load_scenario(args.scenario)
     if args.dump:
-        _check_user(args.dump_user, scenario.n_users)
-        if not profiles[args.dump_user].is_fixed:
+        if not profiles[check_user(scenario, profiles, args.dump_user)].is_fixed:
             raise ValueError(f"--dump-user {args.dump_user} has a pmf, not a fixed v")
     cfg = sm.SimConfig(
         scenario=scenario,
@@ -220,54 +210,24 @@ def cmd_simulate(args) -> None:
             threads=args.threads,
         )
         sm.write_sample_dump(args.dump, y)
-    rows = [
-        (i, "free_subbands", None, None, float(stats.free_mean[i]), float(stats.free_se[i]))
-        for i in range(scenario.n_users)
+    users = range(scenario.n_users)
+    rows = [(i, "free_subbands", None, None, m, se)
+            for i, m, se in zip(users, stats.free_mean.tolist(), stats.free_se.tolist())]
+    rows += [
+        (i, "level_freq", level, *cells)
+        for i in users
+        for level, cells in enumerate(zip(stats.level_c[i].tolist(), stats.level_freq[i].tolist(),
+                                          stats.level_se[i].tolist()))
     ]
-    for i in range(scenario.n_users):
-        for l_idx in range(len(stats.level_c[i])):
-            rows.append(
-                (
-                    i,
-                    "level_freq",
-                    l_idx,
-                    float(stats.level_c[i][l_idx]),
-                    float(stats.level_freq[i][l_idx]),
-                    float(stats.level_se[i][l_idx]),
-                )
-            )
     _emit(["user", "stat", "level", "c", "value", "se"], rows, args.format, args.out)
 
 
-def _report_rows(report: ms.MeasureReport, u: float) -> List[tuple]:
-    rows = []
-    params = {
-        "eta1": ("v_star", report.v_star),
-        "eta2": ("v_dagger", report.v_dagger),
-        "eta3": ("v", report.eta3_v),
-        "eta4": ("v", report.eta4_v),
-    }
-    if report.scheme == "fd":
-        params = {k: ("n_des", report.n_des) for k in params}
-    if report.scheme == "afh":
-        params = {k: (None, None) for k in params}
-    for name in ("eta1", "eta2", "eta3", "eta4"):
-        value = getattr(report, name)
-        if value is None:
-            continue
-        p_name, p_value = params[name]
-        rows.append((report.scheme, name, value, value / u, p_name, p_value))
-    return rows
-
-
 def cmd_measures(args) -> None:
-    pmf = _load_pmf(args.pmf)
-    fh, fd, afh = ms.build_measure_reports(
-        pmf, args.u, n_des=args.n_des, epsilon=args.epsilon
+    measures = ms.build_measure_reports(
+        _load_pmf(args.pmf), args.u, n_des=args.n_des, epsilon=args.epsilon
     )
-    rows = []
-    for report in (fh, fd, afh):
-        rows.extend(_report_rows(report, args.u))
+    rows = [(m.scheme, m.measure, m.value, m.value / args.u, m.param, m.param_value)
+            for m in measures]
     _emit(
         ["scheme", "measure", "value", "value_per_u", "param", "param_value"],
         rows,
@@ -300,8 +260,8 @@ def cmd_sweep(args) -> None:
                 omega,
                 e2_fd,
                 e2_fd / u,
-                ms.eta_afh(1, pmf, u),
-                ms.eta_afh(2, pmf, u),
+                ms.eta1_afh(pmf, u),
+                ms.eta2_afh(pmf, u),
                 ms.eta4_fd(pmf, fd_cfg),
             )
         )
@@ -332,17 +292,15 @@ def cmd_sweep(args) -> None:
 def cmd_compare(args) -> None:
     pmf = _load_pmf(args.pmf)
     u = args.u
-    fh, fd, afh = ms.build_measure_reports(
-        pmf, u, n_des=args.n_des, epsilon=args.epsilon
-    )
+    measures = ms.build_measure_reports(pmf, u, n_des=args.n_des, epsilon=args.epsilon)
+    fd = {m.measure: m.value for m in measures if m.scheme == "fd"}
     rows = []
-    for name in ("eta1", "eta2", "eta3", "eta4"):
-        fh_val = getattr(fh, name)
-        fd_val = getattr(fd, name)
-        if fh_val is None or fd_val is None:
+    for m in measures:
+        if m.scheme != "fh":
             continue
+        fh_val, fd_val = m.value, fd[m.measure]
         winner = "fh" if fh_val > fd_val else ("fd" if fd_val > fh_val else "tie")
-        rows.append(("measure", name, fh_val, fd_val, winner, None, None))
+        rows.append(("measure", m.measure, fh_val, fd_val, winner, None, None))
     # the mean-load conditions assume a finite load with no mass at N = 0
     if pmf.is_finite and pmf.weights[0] == 0.0:
         for name, checker in (

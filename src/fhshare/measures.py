@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from scipy.special import gammaln, pdtrc, pdtrik
@@ -27,6 +27,9 @@ from .gains import maximize_on_interval, smg_fair, v_opt
 from .mixture import PROB_TOL
 
 _POISSON_TAIL = 1e-12
+# Largest user count a law may carry: a measure curve is one
+# (4097 x n_top) matrix, 268 MB at this cap (Poisson lambda up to ~7500).
+MAX_USER_COUNT = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,8 +39,8 @@ class UserCountPmf:
     weights[n] is P{N = n}, held as one read-only float array. Finite
     pmfs carry their exact weights; a Poisson law is truncated at the
     first n_top whose tail mass P{N > n_top} is below 1e-12, so truncation
-    error is negligible against every tolerance used here. Every sum over
-    the law goes through expect().
+    error is negligible against every tolerance used here. No law carries
+    n above MAX_USER_COUNT. Every sum over the law goes through expect().
     """
 
     weights: np.ndarray
@@ -45,8 +48,8 @@ class UserCountPmf:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 2:
-            raise ValueError("need weights for at least n in {0, 1}")
+        if w.ndim != 1 or not 2 <= w.size <= MAX_USER_COUNT + 1:
+            raise ValueError(f"weights must cover n = 0, 1 and stop by n = {MAX_USER_COUNT}")
         # a weight above 1 fails the sum check anyway; testing it first
         # keeps the sum from overflowing (q = [1e308, 1e308])
         if not np.all((w >= 0) & (w <= 1.0 + PROB_TOL)):
@@ -71,8 +74,8 @@ class UserCountPmf:
             # with tail pdtrc(n) = P{N > n} strictly below 1e-12; step from
             # there to that n exactly.
             start = float(pdtrik(1.0 - _POISSON_TAIL, lam))
-            if not math.isfinite(start):
-                raise ValueError(f"lambda={lam} is too large to truncate")
+            if not start <= MAX_USER_COUNT:  # nan and inf too
+                raise ValueError(f"lambda={lam} is too large to truncate at n <= {MAX_USER_COUNT}")
             n_top = math.ceil(start)
             while n_top > 0 and pdtrc(n_top - 1, lam) < _POISSON_TAIL:
                 n_top -= 1
@@ -81,8 +84,10 @@ class UserCountPmf:
             n_top = max(n_top, 1)
         else:
             integral = isinstance(n_top, numbers.Real) and float(n_top).is_integer()
-            if isinstance(n_top, bool) or not integral or n_top < 0:
-                raise ValueError(f"truncation_n must be an integer >= 0, got {n_top!r}")
+            if isinstance(n_top, bool) or not integral or not 0 <= n_top <= MAX_USER_COUNT:
+                raise ValueError(
+                    f"truncation_n must be an integer in 0..{MAX_USER_COUNT}, got {n_top!r}"
+                )
             n_top = int(n_top)
             if pdtrc(n_top, lam) >= _POISSON_TAIL:
                 raise ValueError(f"truncation_n={n_top} leaves tail mass >= 1e-12")
@@ -280,21 +285,21 @@ def eta4_fd(pmf: UserCountPmf, fd: FdConfig) -> float:
     return 1.0 - pmf.expect(lambda n: np.maximum(0.0, 1.0 - n_des / n))
 
 
-def eta_afh(measure: int, pmf: UserCountPmf, u: float) -> float:
-    """Adaptive hopping: every slot uses the load-matched v = u/N.
+def _afh_gain(n: np.ndarray) -> np.ndarray:
+    """sup_v SMG(v, n) / (u/2) = (1 - 1/n)^(n-1), reached at v = u/n."""
+    n = n.astype(float)
+    return (1.0 - 1.0 / n) ** (n - 1.0)
 
-    measure 1 gives E{sup_v SMG(v, N)} = (u/2) E{(1 - 1/N)^(N-1)};
-    measure 2 the per-user version with 1/N inside the expectation.
-    """
-    if measure not in (1, 2):
-        raise ValueError("measure must be 1 or 2")
 
-    def f(n: np.ndarray) -> np.ndarray:
-        n = n.astype(float)
-        base = (1.0 - 1.0 / n) ** (n - 1.0)
-        return base if measure == 1 else base / n
+def eta1_afh(pmf: UserCountPmf, u: float) -> float:
+    """Adaptive hopping, where every slot uses the load-matched v = u/N:
+    E{sup_v SMG(v, N)} = (u/2) E{(1 - 1/N)^(N-1)}."""
+    return 0.5 * u * pmf.expect(_afh_gain)
 
-    return 0.5 * u * pmf.expect(f)
+
+def eta2_afh(pmf: UserCountPmf, u: float) -> float:
+    """Per-user adaptive hopping gain: (u/2) E{(1 - 1/N)^(N-1) / N}."""
+    return 0.5 * u * pmf.expect(lambda n: _afh_gain(n) / n)
 
 
 @dataclass(frozen=True)
@@ -462,21 +467,15 @@ def ten_user_fd_eta2_check(u: float) -> ReferenceValueCheck:
     )
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """All four measures for one scheme, with the tuning that achieved
-    them. Fields that do not apply to a scheme are None."""
+class Measure(NamedTuple):
+    """One measure of one scheme, with the tuning parameter that achieved
+    it (param and param_value are None where nothing is tuned)."""
 
     scheme: str
-    eta1: Optional[float] = None
-    eta2: Optional[float] = None
-    eta3: Optional[float] = None
-    eta4: Optional[float] = None
-    v_star: Optional[float] = None
-    v_dagger: Optional[float] = None
-    n_des: Optional[int] = None
-    eta3_v: Optional[float] = None
-    eta4_v: Optional[float] = None
+    measure: str
+    value: float
+    param: Optional[str]
+    param_value: Union[float, int, None]
 
 
 def build_measure_reports(
@@ -484,12 +483,16 @@ def build_measure_reports(
     u: float,
     n_des: Optional[int] = None,
     epsilon: Optional[float] = None,
-) -> Tuple[MeasureReport, MeasureReport, MeasureReport]:
-    """Measure reports for FH, FD and AFH on a common user count law.
+) -> List[Measure]:
+    """Every measure of FH, FD and AFH on a common user count law, in the
+    order fh, fd, afh and eta1 to eta4 within a scheme; eta3 is left out
+    when the load has no n_max.
 
-    epsilon is the hop-count backoff used for FH's service measure when
-    the eta1 optimum sits at v = u; it defaults to u/1000 and must lie in
-    (0, u/2), as in epsilon_backoff_region.
+    FH reports the hop count each measure was reached at (v_star,
+    v_dagger, v = u/n_max, v), FD its n_des, AFH no parameter. epsilon is
+    the hop-count backoff used for FH's service measure when the eta1
+    optimum sits at v = u; it defaults to u/1000 and must lie in (0, u/2),
+    as in epsilon_backoff_region.
     """
     if epsilon is None:
         epsilon = 1e-3 * u
@@ -501,31 +504,21 @@ def build_measure_reports(
     e1_fh, v_star = eta1_fh(pmf, u)
     e2_fh, v_dag = eta2_fh(pmf, u)
     eta4_v = v_star if v_star < u else u - epsilon
-    e3_fh = eta3_fh(n_max, u) if n_max else None
-    fh = MeasureReport(
-        scheme="fh",
-        eta1=e1_fh,
-        eta2=e2_fh,
-        eta3=e3_fh,
-        eta4=eta4_fh(pmf, eta4_v, u),
-        v_star=v_star,
-        v_dagger=v_dag,
-        eta3_v=v_opt(n_max, u) if n_max else None,
-        eta4_v=eta4_v,
-    )
-    fd = MeasureReport(
-        scheme="fd",
-        eta1=eta1_fd(pmf, fd_cfg, u),
-        eta2=eta2_fd(pmf, fd_cfg, u),
-        eta3=eta3_fd(n_max, u) if n_max else None,
-        eta4=eta4_fd(pmf, fd_cfg),
-        n_des=fd_cfg.n_des,
-    )
-    afh = MeasureReport(
-        scheme="afh",
-        eta1=eta_afh(1, pmf, u),
-        eta2=eta_afh(2, pmf, u),
-        eta3=e3_fh,
-        eta4=1.0,
-    )
-    return fh, fd, afh
+    # eta3 is the worst case at n_max users, so it needs an n_max
+    e3_fh, e3_fd = (eta3_fh(n_max, u), eta3_fd(n_max, u)) if n_max else (None, None)
+    fd_param = ("n_des", fd_cfg.n_des)
+    measures = [
+        Measure("fh", "eta1", e1_fh, "v_star", v_star),
+        Measure("fh", "eta2", e2_fh, "v_dagger", v_dag),
+        Measure("fh", "eta3", e3_fh, "v", v_opt(n_max, u) if n_max else None),
+        Measure("fh", "eta4", eta4_fh(pmf, eta4_v, u), "v", eta4_v),
+        Measure("fd", "eta1", eta1_fd(pmf, fd_cfg, u), *fd_param),
+        Measure("fd", "eta2", eta2_fd(pmf, fd_cfg, u), *fd_param),
+        Measure("fd", "eta3", e3_fd, *fd_param),
+        Measure("fd", "eta4", eta4_fd(pmf, fd_cfg), *fd_param),
+        Measure("afh", "eta1", eta1_afh(pmf, u), None, None),
+        Measure("afh", "eta2", eta2_afh(pmf, u), None, None),
+        Measure("afh", "eta3", e3_fh, None, None),
+        Measure("afh", "eta4", 1.0, None, None),
+    ]
+    return [m for m in measures if m.value is not None]

@@ -208,6 +208,20 @@ def check_profiles(profiles: Sequence[HoppingProfile], u: int) -> None:
             raise ValueError(f"profile {k} pmf length != u+1")
 
 
+def check_user(
+    scenario: NetworkScenario, profiles: Sequence[HoppingProfile], user: int
+) -> int:
+    """user, once there is one profile per user and user is an index
+    0..N-1 (a negative index would count the user as its own interferer);
+    ValueError otherwise."""
+    n = scenario.n_users
+    if len(profiles) != n:
+        raise ValueError("one profile per user required")
+    if not 0 <= user < n:
+        raise ValueError(f"user index {user} out of range 0..{n - 1}")
+    return user
+
+
 def _interferer_outcomes(profile: HoppingProfile, gain: float, u: int):
     """Per-slot law of one interferer's variance increment on a sub-band.
 
@@ -270,10 +284,7 @@ def enumerate_interference_spectrum(
     is never merged with a hit level, so a0 stays the probability that no
     interferer lands on the sub-band.
     """
-    if len(profiles) != scenario.n_users:
-        raise ValueError("one profile per user required")
-    if not 0 <= receiver < scenario.n_users:
-        raise ValueError("receiver index out of range")
+    check_user(scenario, profiles, receiver)
     if scenario.n_users > MAX_ENUMERATION_USERS:
         raise ValueError(
             f"exhaustive enumeration limited to N <= {MAX_ENUMERATION_USERS} users"

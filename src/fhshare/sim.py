@@ -31,10 +31,15 @@ from .gains import sample_occupancy
 from .model import (
     HoppingProfile,
     NetworkScenario,
+    check_user,
     enumerate_interference_spectrum,
 )
 
 SLOT_BLOCK = 1 << 14
+# Most (user, slot, sub-band) cells of one block. A cell of a run's block
+# peaks at about 19 bytes (occupancy, per-hop power, increment), so a
+# block stays near 300 MB.
+MAX_BLOCK_CELLS = 1 << 24
 
 _DUMP_HEADER = struct.Struct("<QQ")
 
@@ -129,6 +134,17 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
     return free_sum, free_sq, freq_sum, freq_sq, freq_slots
 
 
+def _check_block_cells(n: int, n_slots: int, u: int) -> None:
+    """ValueError, before anything is allocated, when a block's
+    (n, min(n_slots, SLOT_BLOCK), u) arrays exceed MAX_BLOCK_CELLS."""
+    size = min(n_slots, SLOT_BLOCK)
+    if n * size * u > MAX_BLOCK_CELLS:
+        raise ValueError(
+            f"a block of {n} users x {size} slots x {u} sub-bands exceeds the "
+            f"simulation budget of {MAX_BLOCK_CELLS} cells"
+        )
+
+
 def _mean_se(total, total_sq, m):
     """Sample mean and its standard error from m draws' sum and sum of squares."""
     mean = total / m
@@ -139,6 +155,7 @@ def _mean_se(total, total_sq, m):
 def run(cfg: SimConfig, threads: int = 1) -> SimStats:
     """Simulate cfg.n_slots slots and aggregate the tallies."""
     n = cfg.scenario.n_users
+    _check_block_cells(n, cfg.n_slots, cfg.scenario.n_subbands)
     spectra = [
         enumerate_interference_spectrum(cfg.scenario, cfg.profiles, i) for i in range(n)
     ]
@@ -195,13 +212,12 @@ def sample_received(
     (y, z), both (n_samples, u): z is interference plus noise, y adds the
     user's own signal. Rows are independent slots.
     """
-    if not 0 <= user < scenario.n_users:
-        raise ValueError(f"user {user} out of range 0..{scenario.n_users - 1}")
-    if not profiles[user].is_fixed:
+    if not profiles[check_user(scenario, profiles, user)].is_fixed:
         raise ValueError("sample_received requires a fixed hop count for the user")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n, u = scenario.n_users, scenario.n_subbands
+    _check_block_cells(n, n_samples, u)
     v = profiles[user].fixed_v
     power = scenario.total_power
     sigma = float(np.sqrt(scenario.noise_power))

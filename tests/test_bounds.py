@@ -325,3 +325,70 @@ def test_rate_bound_splits_into_slope_and_residual(case):
     for bound, s in ((lb, gamma), (ub, 1.0 + h2 * gamma / v)):
         rebuilt = bound.slope_bits_per_log2snr * math.log2(s) + bound.residual_bits
         assert rebuilt == pytest.approx(bound.value_bits, rel=1e-12, abs=0.0)
+
+
+THREE_USERS = scenario(
+    3, 4, [[1.0, 0.9, 0.8], [0.7, 1.0, 0.6], [0.5, 0.4, 1.0]], 10.0, 2.0
+)
+
+
+def mc_1000(scen, profs, user):
+    return mc_mutual_information(scen, profs, user, 1000, seed=1)
+
+
+@pytest.mark.parametrize("user", [-1, 3], ids=["neg", "N"])
+@pytest.mark.parametrize(
+    "fn",
+    [upper_bound_rate, lower_bound_rate, mc_1000, multiplexing_gain],
+    ids=["upper", "lower", "mc", "slope"],
+)
+def test_bounds_reject_a_user_index_out_of_range(fn, user):
+    # -1 used to count the last user as its own interferer (upper bound
+    # 0.9423 bits where user 2 has 0.9659) and 3 raised IndexError
+    profs = [HoppingProfile.fixed(v) for v in (1, 2, 1)]
+    with pytest.raises(ValueError, match="out of range") as info:
+        fn(THREE_USERS, profs, user)
+    assert not isinstance(info.value, bounds.NotApplicable)
+    with pytest.raises(ValueError, match="one profile per user"):
+        fn(THREE_USERS, profs[:2], 0)
+
+
+def test_not_applicable_marks_each_bound_hypothesis(monkeypatch):
+    pmf = HoppingProfile.from_pmf([0.5, 0.5, 0.0, 0.0, 0.0])
+    mixed = [HoppingProfile.fixed(1), HoppingProfile.fixed(2), pmf]
+    for fn in (upper_bound_rate, mc_1000):
+        with pytest.raises(bounds.NotApplicable, match="fixed hop counts"):
+            fn(THREE_USERS, mixed, 0)
+    with pytest.raises(bounds.NotApplicable, match="fixed hop count"):
+        lower_bound_rate(THREE_USERS, mixed, 2)
+    # the lower bound only needs the target user's hop count fixed
+    assert lower_bound_rate(THREE_USERS, mixed, 0).value_bits > 0.0
+    fixed = [HoppingProfile.fixed(v) for v in (1, 2, 1)]
+    monkeypatch.setattr(bounds, "MAX_REALIZATIONS", 10)
+    with pytest.raises(bounds.NotApplicable, match="enumeration budget"):
+        upper_bound_rate(THREE_USERS, fixed, 0)
+    # a hop count above u is an input error, not a failed hypothesis
+    with pytest.raises(ValueError, match="more than u=2") as info:
+        upper_bound_rate(unit(2, 2, 10.0), [HoppingProfile.fixed(1), HoppingProfile.fixed(3)], 0)
+    assert not isinstance(info.value, bounds.NotApplicable)
+
+
+def test_placement_budget_is_exact(monkeypatch):
+    # three interferers on C(6, 3) = 20 subsets each: 8000 placements
+    scen = unit(4, 6, 10.0)
+    profs = [HoppingProfile.fixed(3)] * 4
+    monkeypatch.setattr(bounds, "MAX_REALIZATIONS", 8000)
+    upper_bound_rate(scen, profs, 0)
+    monkeypatch.setattr(bounds, "MAX_REALIZATIONS", 7999)
+    with pytest.raises(bounds.NotApplicable, match="enumeration budget \\(7999\\)"):
+        upper_bound_rate(scen, profs, 0)
+
+
+def test_placement_budget_stops_early_on_a_huge_band():
+    # C(10**7, 5 * 10**6) has three million digits: the check stops as
+    # soon as the running product passes the budget
+    scen = unit(2, 10**7, 10.0)
+    profs = [HoppingProfile.fixed(5 * 10**6)] * 2
+    for fn in (upper_bound_rate, mc_1000):
+        with pytest.raises(bounds.NotApplicable, match="enumeration budget"):
+            fn(scen, profs, 0)

@@ -287,6 +287,47 @@ def test_bounds_mixed_profiles_report_nan(scen_file, capsys):
     assert math.isfinite(float(by_user["2"]["slope"]))
 
 
+def test_bounds_reports_other_budget_errors(scen_fixed_file, capsys, monkeypatch):
+    # Only bounds.NotApplicable becomes a nan cell: a plain ValueError
+    # reaches the user, whatever its text says.
+    def fails(*args, **kwargs):
+        raise ValueError("the joint placements exceed the enumeration budget (10)")
+
+    monkeypatch.setattr(fhshare.bounds, "upper_bound_rate", fails)
+    code, out, err = run_cli(["bounds", "--scenario", scen_fixed_file, "--gammas", "100"], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "budget" in msg["message"]
+
+
+def test_bounds_over_budget_cells_are_nan(scen_fixed_file, capsys, monkeypatch):
+    # every user has two interferers on 4 placements each: 16 > 10
+    monkeypatch.setattr(fhshare.bounds, "MAX_REALIZATIONS", 10)
+    monkeypatch.setattr(fhshare.bounds, "MAX_MC_COMPONENTS", 10)
+    argv = ["bounds", "--scenario", scen_fixed_file, "--gammas", "100,1e4",
+            "--mc-samples", "100", "--seed", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert len(rows) == 6
+    for row in rows:
+        assert row["r_ub"] == row["mi_mc"] == row["mi_se"] == "nan"
+        assert math.isfinite(float(row["r_lb"])) and math.isfinite(float(row["slope"]))
+
+
+def test_simulate_over_the_cell_budget_is_a_json_error(tmp_path, capsys):
+    path = tmp_path / "huge_u.json"
+    path.write_text(json.dumps(
+        {"u": 10**9, "users": [{"v": 1}, {"v": 1}], "gains": [[1.0, 0.5], [0.5, 1.0]],
+         "P": 10.0, "sigma2": 1.0}
+    ))
+    argv = ["simulate", "--scenario", str(path), "--slots", "10", "--seed", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "budget" in msg["message"]
+
+
 def test_bounds_mc_needs_seed(scen_file, capsys):
     code, out, err = run_cli(
         ["bounds", "--scenario", scen_file, "--mc-samples", "1000"], capsys

@@ -18,15 +18,18 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from fhshare.measures import (
+    MAX_USER_COUNT,
     REPORTED_TEN_USER_ETA2_FD_PER_U,
     TEN_USER_MIX,
     FdConfig,
     UserCountPmf,
     build_measure_reports,
     epsilon_backoff_region,
+    eta1_afh,
     eta1_fd,
     eta1_fh,
     eta1_sufficient_condition,
+    eta2_afh,
     eta2_fd,
     eta2_fh,
     eta2_fh_poisson_closed,
@@ -35,7 +38,6 @@ from fhshare.measures import (
     eta3_fh,
     eta4_fd,
     eta4_fh,
-    eta_afh,
     ten_user_fd_eta2_check,
 )
 
@@ -92,6 +94,23 @@ def test_poisson_truncation_matches_scipy_stats_search():
         while poisson.sf(n, lam) >= 1e-12:
             n += 1
         assert UserCountPmf.poisson(lam).n_top == n, lam
+
+
+def test_user_count_laws_stop_at_the_cap():
+    # lambda = 1e6 used to build a 4097 x 1007043 curve matrix (30.7 GiB)
+    with pytest.raises(ValueError, match="too large to truncate"):
+        UserCountPmf.poisson(1e6)
+    with pytest.raises(ValueError, match="truncation_n"):
+        UserCountPmf.poisson(5.0, truncation_n=MAX_USER_COUNT + 1)
+    assert UserCountPmf.poisson(5.0, truncation_n=MAX_USER_COUNT).n_top == MAX_USER_COUNT
+    for size, ok in ((MAX_USER_COUNT + 1, True), (MAX_USER_COUNT + 2, False)):
+        q = np.zeros(size)
+        q[1] = 1.0
+        if ok:
+            assert UserCountPmf.finite(q).n_top == MAX_USER_COUNT
+        else:
+            with pytest.raises(ValueError, match="stop by"):
+                UserCountPmf.finite(q)
 
 
 def test_fh_measures_match_deep_poisson_truncation():
@@ -470,17 +489,15 @@ def test_eta2_condition_boundary_two_point():
 
 def test_eta_afh_hand_values():
     u = 8.0
-    assert eta_afh(1, UserCountPmf.finite((0.0, 1.0)), u) == pytest.approx(u / 2)
-    assert eta_afh(1, UserCountPmf.finite((0.0, 0.0, 1.0)), u) == pytest.approx(u / 4)
-    assert eta_afh(2, UserCountPmf.finite((0.0, 0.0, 1.0)), u) == pytest.approx(u / 8)
-    with pytest.raises(ValueError):
-        eta_afh(3, TEN_USER_MIX, u)
+    assert eta1_afh(UserCountPmf.finite((0.0, 1.0)), u) == pytest.approx(u / 2)
+    assert eta1_afh(UserCountPmf.finite((0.0, 0.0, 1.0)), u) == pytest.approx(u / 4)
+    assert eta2_afh(UserCountPmf.finite((0.0, 0.0, 1.0)), u) == pytest.approx(u / 8)
 
 
 def test_eta_afh_truncation_stability():
     u = 5.0
-    base = eta_afh(1, UserCountPmf.poisson(4.0), u)
-    deep = eta_afh(1, UserCountPmf.poisson(4.0, truncation_n=400), u)
+    base = eta1_afh(UserCountPmf.poisson(4.0), u)
+    deep = eta1_afh(UserCountPmf.poisson(4.0, truncation_n=400), u)
     assert base == pytest.approx(deep, abs=1e-9 * u)
 
 
@@ -498,32 +515,40 @@ def test_measure_dominance():
         e1, _ = eta1_fh(pmf, u)
         e2, _ = eta2_fh(pmf, u)
         assert e1 >= e2 - 1e-12
-        assert eta_afh(1, pmf, u) >= e1 - 1e-9
-        assert eta_afh(2, pmf, u) >= e2 - 1e-9
-        assert eta_afh(1, pmf, u) >= eta_afh(2, pmf, u) - 1e-12
+        assert eta1_afh(pmf, u) >= e1 - 1e-9
+        assert eta2_afh(pmf, u) >= e2 - 1e-9
+        assert eta1_afh(pmf, u) >= eta2_afh(pmf, u) - 1e-12
 
 
 def test_build_measure_reports_poisson():
     u = 10.0
-    fh, fd, afh = build_measure_reports(UserCountPmf.poisson(5.0), u)
-    assert fh.scheme == "fh" and fd.scheme == "fd" and afh.scheme == "afh"
-    assert fh.eta1 == pytest.approx(u / (2 * math.e), abs=1e-9 * u)
-    assert fh.v_star == pytest.approx(2.0, abs=1e-5)
-    assert fh.eta3 is None and fd.eta3 is None
-    assert fh.eta4 == 1.0
-    assert fd.n_des == 10
-    assert afh.eta4 == 1.0
-    assert afh.eta1 >= fh.eta1 - 1e-9
+    records = build_measure_reports(UserCountPmf.poisson(5.0), u)
+    # no n_max, so no eta3
+    assert [(m.scheme, m.measure) for m in records] == [
+        (s, e) for s in ("fh", "fd", "afh") for e in ("eta1", "eta2", "eta4")
+    ]
+    by_key = {(m.scheme, m.measure): m for m in records}
+    fh1 = by_key["fh", "eta1"]
+    assert fh1.value == pytest.approx(u / (2 * math.e), abs=1e-9 * u)
+    assert fh1.param == "v_star"
+    assert fh1.param_value == pytest.approx(2.0, abs=1e-5)
+    assert by_key["fh", "eta4"].value == 1.0
+    assert all(m.param == "n_des" and m.param_value == 10 for m in records if m.scheme == "fd")
+    assert all(m.param is None and m.param_value is None for m in records if m.scheme == "afh")
+    assert by_key["afh", "eta4"].value == 1.0
+    assert by_key["afh", "eta1"].value >= fh1.value - 1e-9
 
 
 def test_build_measure_reports_finite():
     u = 8.0
-    fh, fd, afh = build_measure_reports(two_point(0.8), u, epsilon=0.5)
+    records = build_measure_reports(two_point(0.8), u, epsilon=0.5)
+    by_key = {(m.scheme, m.measure): m for m in records}
     # eta1 edge optimum forces the service hop count back to u - epsilon.
-    assert fh.v_star == pytest.approx(u)
-    assert fh.eta4_v == pytest.approx(u - 0.5)
-    assert fh.eta4 == 1.0
-    assert fh.eta3 == pytest.approx(eta3_fh(2, u))
-    assert fh.eta3_v == pytest.approx(u / 2)
-    assert fd.eta3 == pytest.approx(u / 4)
-    assert fd.n_des == 2
+    assert by_key["fh", "eta1"].param_value == pytest.approx(u)
+    assert by_key["fh", "eta4"][3:] == ("v", pytest.approx(u - 0.5))
+    assert by_key["fh", "eta4"].value == 1.0
+    assert by_key["fh", "eta3"].value == pytest.approx(eta3_fh(2, u))
+    assert by_key["fh", "eta3"][3:] == ("v", pytest.approx(u / 2))
+    assert by_key["fd", "eta3"].value == pytest.approx(u / 4)
+    assert by_key["fd", "eta3"][3:] == ("n_des", 2)
+    assert by_key["afh", "eta3"].value == by_key["fh", "eta3"].value

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhshare import sim
 from fhshare.mixture import GaussianMixtureDiag, entropy_mc
 from fhshare.model import (
     HoppingProfile,
@@ -464,3 +465,33 @@ def test_level_frequencies_match_enumerated_probabilities(case):
         for l, (a, f) in enumerate(zip(spec.probabilities, freq)):
             tol = bernstein_halfwidth(m, a * (1.0 - a), 1.0, alpha)
             assert abs(f - a) <= tol, (i, l, f, a, tol)
+
+
+def test_blocks_over_the_cell_budget_fail_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_occupancy was called")
+
+    monkeypatch.setattr(sim, "sample_occupancy", no_sampling)
+    scen = unit(2, 10**9)
+    profs = (HoppingProfile.fixed(1),) * 2
+    budget = f"budget of {sim.MAX_BLOCK_CELLS} cells"
+    with pytest.raises(ValueError, match=budget):
+        run(SimConfig(scen, profs, 10, 1))
+    with pytest.raises(ValueError, match=budget):
+        sample_received(scen, profs, 0, 10, seed=1)
+    # 8 users x a full block x 16 sub-bands, the largest block the
+    # benchmark simulates, stays an eighth of the budget or less
+    assert 8 * (8 * SLOT_BLOCK * 16) <= sim.MAX_BLOCK_CELLS
+
+
+def test_cell_budget_counts_users_block_slots_and_subbands(monkeypatch):
+    scen = unit(2, 4)
+    profs = (HoppingProfile.fixed(1),) * 2
+    monkeypatch.setattr(sim, "MAX_BLOCK_CELLS", 2 * 20 * 4)
+    run(SimConfig(scen, profs, 20, 1))
+    sample_received(scen, profs, 0, 20, seed=1)
+    monkeypatch.setattr(sim, "MAX_BLOCK_CELLS", 2 * 20 * 4 - 1)
+    with pytest.raises(ValueError, match="budget"):
+        run(SimConfig(scen, profs, 20, 1))
+    with pytest.raises(ValueError, match="budget"):
+        sample_received(scen, profs, 0, 20, seed=1)
