@@ -2,16 +2,16 @@
 
 All rates are in bits per channel use across the whole band. The upper
 bound averages the exact single-slot rate over every joint interferer
-placement; the lower bound is the entropy-power form driven by the exact
-interference spectrum. Both share the same high-SNR slope, which equals
-the user's asymptotic multiplexing gain.
+placement, as v times its mean on one sub-band; the lower bound is the
+entropy-power form. Both read the exact interference spectrum and share
+the same high-SNR slope, the user's asymptotic multiplexing gain.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,42 +60,45 @@ def _interference_realizations(
     sub-band subsets, deduplicating by the per-coordinate occupancy
     pattern. Returns (weights, power_matrix) with power_matrix of shape
     (n_realizations, n_coords).
+
+    Only interferers on 1..u-1 sub-bands are enumerated, one bit of an
+    int64 pattern each; one on 0 or u sub-bands occupies every coordinate
+    the same way in every placement. 63 such interferers already make
+    2^63 placements, far past any caller's budget.
     """
+    constant = np.array([v_k >= u for v_k in hop_counts], dtype=np.int64)
+    hopping = [t for t, v_k in enumerate(hop_counts) if 0 < v_k < u]
     patterns = np.zeros((1, n_coords), dtype=np.int64)
     weights = np.array([1.0])
-    for t, v_k in enumerate(hop_counts):
-        subsets = list(itertools.combinations(range(u), v_k))
+    for bit, t in enumerate(hopping):
+        subsets = list(itertools.combinations(range(u), hop_counts[t]))
         occ = np.zeros((len(subsets), n_coords), dtype=np.int64)
         for s_idx, subset in enumerate(subsets):
             for j in subset:
                 if j < n_coords:
                     occ[s_idx, j] = 1
-        merged = (patterns[:, None, :] + (occ[None, :, :] << t)).reshape(-1, n_coords)
+        merged = (patterns[:, None, :] + (occ[None, :, :] << bit)).reshape(-1, n_coords)
         w_new = np.repeat(weights, len(subsets)) / len(subsets)
         patterns, inverse = np.unique(merged, axis=0, return_inverse=True)
         weights = np.bincount(
             inverse.reshape(-1), weights=w_new, minlength=patterns.shape[0]
         )
-    bits = (patterns[:, :, None] >> np.arange(len(hop_counts))) & 1
+    bits = np.broadcast_to(constant, patterns.shape + constant.shape).copy()
+    bits[:, :, hopping] = (patterns[:, :, None] >> np.arange(len(hopping))) & 1
     power = bits @ np.asarray(amps, dtype=float)
     return weights, power
 
 
-def _placements(
+def _fixed_counts(
     scenario: NetworkScenario,
     profiles: Sequence[HoppingProfile],
     user: int,
     budget: int,
-    full_band: bool = False,
-) -> Tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
-    """(v, w, d): the user's hop count v and the weights w and powers d of
-    every joint interferer placement on its v sub-bands (all u with
-    full_band); w and d are None when v is 0.
-
-    Every hop count must be fixed and the product of the interferers'
-    C(u, v_k) at most budget, else NotApplicable; a hop count above u is a
-    ValueError.
-    """
+) -> List[int]:
+    """Every user's hop count, once every hop count is fixed and, unless
+    the user's is 0, the joint placements (the product of the
+    interferers' C(u, v_k)) number at most budget; else NotApplicable. A
+    hop count above u is a ValueError."""
     check_user(scenario, profiles, user)
     for k, p in enumerate(profiles):
         if not p.is_fixed:
@@ -103,30 +106,20 @@ def _placements(
     u = scenario.n_subbands
     check_profiles(profiles, u)
     counts = [p.fixed_v for p in profiles]
-    v = counts[user]
-    if v == 0:
-        return v, None, None
-
-    interferers = [k for k in range(scenario.n_users) if k != user and counts[k] >= 1]
+    if counts[user] == 0:
+        return counts
     # The product of the C(u, v_k), one exact factor (u - j)/(j + 1) at a
     # time, so that a huge u stops at the budget (math.comb(10**6, 5 * 10**5)
     # alone takes seconds).
     n_real = 1
-    for k in interferers:
-        for j in range(min(counts[k], u - counts[k])):
+    for v_k in counts[:user] + counts[user + 1:]:
+        for j in range(min(v_k, u - v_k)):
             n_real = n_real * (u - j) // (j + 1)
             if n_real > budget:
                 raise NotApplicable(
                     f"the joint placements exceed the enumeration budget ({budget})"
                 )
-    power = scenario.total_power
-    amps = np.array(
-        [power * float(scenario.gains[k, user]) ** 2 / counts[k] for k in interferers]
-    )
-    w, d = _interference_realizations(
-        u, [counts[k] for k in interferers], amps, u if full_band else v
-    )
-    return v, w, d
+    return counts
 
 
 def multiplexing_gain(
@@ -153,29 +146,26 @@ def upper_bound_rate(
 ) -> RateBound:
     """Average-over-placements upper bound on one user's rate.
 
-    The interference-free part contributes the slope term, the hit
-    sub-bands the residual, averaged exactly over all joint interferer
-    placements. It needs every hop count fixed and at most
-    MAX_REALIZATIONS placements, else NotApplicable. The slope is
-    multiplexing_gain, which, like the residual, counts the bands an
-    interferer with a zero gain to the user lands on as free. The value is
-    slope * log2(1 + |h|^2 gamma / v) + residual.
+    The single-slot rate sum_{j<v} log2(1 + |h|^2 P / (v sigma_j^2)) / 2,
+    averaged exactly over all joint interferer placements, is v times its
+    mean on one sub-band, whose law is the interference spectrum: the
+    value is v sum_l a_l log2(1 + |h|^2 P / (v sigma_l^2)) / 2. It needs
+    every hop count fixed and at most MAX_REALIZATIONS placements, else
+    NotApplicable. The slope is multiplexing_gain, which, like the
+    spectrum, counts the bands an interferer with a zero gain to the user
+    lands on as free; the residual is value - slope * log2(1 + |h|^2
+    gamma / v), the hit bands' share.
     """
-    v, w, d = _placements(scenario, profiles, user, MAX_REALIZATIONS)
+    v = _fixed_counts(scenario, profiles, user, MAX_REALIZATIONS)[user]
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
     slope = multiplexing_gain(scenario, profiles, user)
+    spectrum = enumerate_interference_spectrum(scenario, profiles, user)
 
-    power = scenario.total_power
-    sigma2 = scenario.noise_power
-    gamma = scenario.snr()
     h2_own = float(scenario.gains[user, user]) ** 2
-    snr_term = math.log2(1.0 + h2_own * gamma / v)
-    hit = d > 0.0
-    with np.errstate(divide="ignore"):
-        per_band = 0.5 * np.log2(1.0 + h2_own * power / (v * (d + sigma2)))
-    residual = float((w * np.where(hit, per_band, 0.0).sum(axis=1)).sum())
-    value = slope * snr_term + residual
+    per_band = 0.5 * np.log2(1.0 + h2_own * scenario.total_power / (v * spectrum.variances))
+    value = v * float(spectrum.probabilities @ per_band)
+    residual = value - slope * math.log2(1.0 + h2_own * scenario.snr() / v)
     return RateBound(value, slope, residual)
 
 
@@ -265,11 +255,19 @@ def mc_mutual_information(
     fixed and there are at most MAX_MC_COMPONENTS placements. Returns
     (estimate, standard_error); the SE combines both entropy estimates.
     """
-    v, w, d = _placements(scenario, profiles, user, MAX_MC_COMPONENTS, full_band=True)
+    counts = _fixed_counts(scenario, profiles, user, MAX_MC_COMPONENTS)
+    v = counts[user]
     if v == 0:
         return 0.0, 0.0
 
     power = scenario.total_power
+    interferers = [k for k in range(scenario.n_users) if k != user and counts[k] >= 1]
+    amps = np.array(
+        [power * float(scenario.gains[k, user]) ** 2 / counts[k] for k in interferers]
+    )
+    w, d = _interference_realizations(
+        scenario.n_subbands, [counts[k] for k in interferers], amps, scenario.n_subbands
+    )
     sigma2 = scenario.noise_power
     z_var = d + sigma2
     y_var = z_var.copy()

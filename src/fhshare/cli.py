@@ -93,18 +93,19 @@ def _load_pmf(path: str) -> ms.UserCountPmf:
     if not isinstance(doc, dict):
         raise ValueError("pmf file must hold a JSON object")
     kind = doc.get("type")
+    if kind not in ("finite", "poisson"):
+        raise ValueError("pmf file needs type 'finite' or 'poisson'")
+    field = "q" if kind == "finite" else "lambda"
+    if field not in doc:
+        raise ValueError(f"pmf document missing field '{field}'")
     if kind == "finite":
         q = doc["q"]
         if not (isinstance(q, list) and all(_is_number(x) for x in q)):
             raise ValueError("pmf 'q' must be a list of numbers")
         return ms.UserCountPmf.finite(q)
-    if kind == "poisson":
-        if not _is_number(doc["lambda"]):
-            raise ValueError("pmf 'lambda' must be a number")
-        return ms.UserCountPmf.poisson(
-            float(doc["lambda"]), truncation_n=doc.get("truncation")
-        )
-    raise ValueError("pmf file needs type 'finite' or 'poisson'")
+    if not _is_number(doc["lambda"]):
+        raise ValueError("pmf 'lambda' must be a number")
+    return ms.UserCountPmf.poisson(float(doc["lambda"]), truncation_n=doc.get("truncation"))
 
 
 def _parse_floats(text: str) -> List[float]:
@@ -242,7 +243,7 @@ def cmd_sweep(args) -> None:
     rows = []
     for lam in lams:
         pmf = ms.UserCountPmf.poisson(lam)
-        fd_cfg = ms.FdConfig(n_des=int(u))
+        fd_cfg = ms.FdConfig.default_for(pmf, u)
         e1, v_star = ms.eta1_fh(pmf, u)
         e2, omega = ms.eta2_fh_poisson_closed(lam, u)
         e2_fd = ms.eta2_fd(pmf, fd_cfg, u)

@@ -132,11 +132,12 @@ class FdConfig:
 
     @classmethod
     def default_for(cls, pmf: UserCountPmf, u: float) -> "FdConfig":
-        """Serve as many users as fit: n_des = min(n_max, u)."""
-        u_int = int(u)
-        if pmf.is_finite:
-            return cls(n_des=min(pmf.n_max, u_int) if pmf.n_max else u_int)
-        return cls(n_des=u_int)
+        """Serve as many users as fit: n_des = floor(u), capped at a finite
+        law's n_max (when above 0), and at least 1."""
+        n_des = int(u)
+        if pmf.is_finite and pmf.n_max:
+            n_des = min(pmf.n_max, n_des)
+        return cls(n_des=max(n_des, 1))
 
 
 def _fh_curve(
@@ -244,6 +245,10 @@ def eta2_fh_poisson_closed(lam: float, u: float) -> Tuple[float, float]:
         else:
             hi = mid
     omega = 0.5 * (lo + hi)
+    if lam * omega > 700.0:
+        # exp(-lam) * expm1(lam*omega) without expm1 overflowing past 709.8
+        growth = -math.expm1(-lam * omega) * math.exp(lam * (omega - 1.0))
+        return growth * (1.0 - omega) * u / (2.0 * omega), omega
     value = math.exp(-lam) * (1.0 - omega) * (math.expm1(lam * omega)) * u / (2.0 * omega)
     return value, omega
 

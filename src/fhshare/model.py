@@ -22,9 +22,6 @@ import numpy as np
 
 from .mixture import MERGE_REL_TOL, PROB_TOL, GaussianMixture1D, discrete_entropy, merge_levels
 
-# Exhaustive enumeration over interferer subsets is exponential in N.
-MAX_ENUMERATION_USERS = 20
-
 
 @dataclass(frozen=True, eq=False)
 class NetworkScenario:
@@ -282,13 +279,10 @@ def enumerate_interference_spectrum(
     levels keep the probability-weighted mean increment, which preserves
     the mixture's first two moments. The interference-free level (c = 0)
     is never merged with a hit level, so a0 stays the probability that no
-    interferer lands on the sub-band.
+    interferer lands on the sub-band. A round whose grid of sums would
+    exceed 2^21 cells is a ValueError, raised before the grid is built.
     """
     check_user(scenario, profiles, receiver)
-    if scenario.n_users > MAX_ENUMERATION_USERS:
-        raise ValueError(
-            f"exhaustive enumeration limited to N <= {MAX_ENUMERATION_USERS} users"
-        )
     u = scenario.n_subbands
     check_profiles(profiles, u)
 
@@ -298,9 +292,12 @@ def enumerate_interference_spectrum(
         if k == receiver:
             continue
         c_k, p_k = _interferer_outcomes(profiles[k], gains[k], u)
+        if c.size * c_k.size > 1 << 21:
+            raise ValueError(
+                f"a convolution round of {c.size} x {c_k.size} levels exceeds "
+                "the enumeration budget (2^21)"
+            )
         c, p = _add_interferer(c, p, c_k, p_k)
-        if c.size > (1 << 21):
-            raise ValueError("interference level count exceeds enumeration budget")
 
     sigma2 = scenario.noise_power
     power = scenario.total_power

@@ -140,6 +140,19 @@ def test_zero_cross_gains_upper_bound_is_awgn():
     assert abs(mi - awgn) <= 4 * se
 
 
+def test_upper_bound_averages_every_spectrum_level():
+    # the increment g^2 = 1e-340 underflows to 0, so the spectrum holds
+    # the one level c = 0 while multiplexing_gain still counts the
+    # interferer; the value stays the per-band rate averaged over the
+    # spectrum, the AWGN rate, and does not fall below the lower bound
+    scen = scenario(2, 2, [[1.0, 1e-170], [1e-170, 1.0]], 1e300)
+    profs = [HoppingProfile.fixed(1)] * 2
+    awgn = 0.5 * math.log2(1.0 + 1e300)
+    ub = upper_bound_rate(scen, profs, 0)
+    assert ub.value_bits == pytest.approx(awgn, rel=1e-12)
+    assert lower_bound_rate(scen, profs, 0).value_bits == pytest.approx(awgn, rel=1e-12)
+
+
 @st.composite
 def sandwich_cases(draw):
     """Small fixed-hop scenarios whose cross gains are often exactly 0."""
@@ -325,6 +338,85 @@ def test_rate_bound_splits_into_slope_and_residual(case):
     for bound, s in ((lb, gamma), (ub, 1.0 + h2 * gamma / v)):
         rebuilt = bound.slope_bits_per_log2snr * math.log2(s) + bound.residual_bits
         assert rebuilt == pytest.approx(bound.value_bits, rel=1e-12, abs=0.0)
+
+
+def reference_upper_bound(scen, counts, user):
+    """The upper bound as a placement average: the single-slot rate
+    sum_{j<v} (1/2) log2(1 + |h|^2 P / (v (d_j + sigma^2))) over the user's
+    hit bands, averaged over every joint interferer placement on its v
+    sub-bands, plus the slope term. Returns (value, residual)."""
+    v = counts[user]
+    if v == 0:
+        return 0.0, 0.0
+    power, sigma2 = scen.total_power, scen.noise_power
+    others = [k for k in range(scen.n_users) if k != user and counts[k] >= 1]
+    amps = np.array([power * float(scen.gains[k, user]) ** 2 / counts[k] for k in others])
+    w, d = bounds._interference_realizations(
+        scen.n_subbands, [counts[k] for k in others], amps, v
+    )
+    h2 = float(scen.gains[user, user]) ** 2
+    with np.errstate(divide="ignore"):
+        per_band = 0.5 * np.log2(1.0 + h2 * power / (v * (d + sigma2)))
+    residual = float((w * np.where(d > 0.0, per_band, 0.0).sum(axis=1)).sum())
+    profs = [HoppingProfile.fixed(c) for c in counts]
+    slope = multiplexing_gain(scen, profs, user)
+    return slope * math.log2(1.0 + h2 * scen.snr() / v) + residual, residual
+
+
+@st.composite
+def placement_cases(draw):
+    """Fixed hop counts 0..u (often above 1) with cross gains that are 0,
+    1e-12 or up to 3."""
+    n = draw(st.integers(2, 5))
+    u = draw(st.integers(1, 6))
+    cross = st.one_of(
+        st.just(0.0), st.just(1e-12), st.floats(-3.0, 0.5).map(lambda e: 10.0**e)
+    )
+    gains = [
+        [draw(st.floats(0.5, 2.0)) if i == k else draw(cross) for i in range(n)]
+        for k in range(n)
+    ]
+    counts = [draw(st.integers(0, u)) for _ in range(n)]
+    power = 10.0 ** draw(st.floats(-1.0, 6.0))
+    return scenario(n, u, gains, power), counts, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(placement_cases())
+def test_upper_bound_is_the_placement_average(case):
+    # v times the one-sub-band expectation over the spectrum equals the
+    # average over every joint placement of the user's v sub-bands
+    scen, counts, user = case
+    profs = [HoppingProfile.fixed(c) for c in counts]
+    ub = upper_bound_rate(scen, profs, user)
+    value, residual = reference_upper_bound(scen, counts, user)
+    assert ub.value_bits == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert ub.residual_bits == pytest.approx(residual, rel=1e-12, abs=0.0)
+
+
+def test_more_than_64_interferers():
+    # users 0-65 hop on both of u = 2 sub-bands, user 66 on one of them; at
+    # user 0 the 65 always-on interferers add 65 * 10 * 0.01 / 2 = 3.25 to
+    # both bands and user 66 adds 10 to one of them
+    n = 67
+    gains = np.full((n, n), 0.1)
+    np.fill_diagonal(gains, 1.0)
+    gains[66, 0] = 1.0
+    scen = scenario(n, 2, gains, 10.0)
+    profs = [HoppingProfile.fixed(2)] * 66 + [HoppingProfile.fixed(1)]
+    hand = 0.5 * math.log2(1 + 5 / 14.25) + 0.5 * math.log2(1 + 5 / 4.25)
+    ub = upper_bound_rate(scen, profs, 0)
+    assert ub.value_bits == pytest.approx(hand, rel=1e-12)
+    assert ub.slope_bits_per_log2snr == 0.0
+
+    amps = np.array([0.05] * 65 + [10.0])
+    w, d = bounds._interference_realizations(2, [2] * 65 + [1], amps, 2)
+    assert w.tolist() == [0.5, 0.5]
+    np.testing.assert_allclose(d, [[3.25, 13.25], [13.25, 3.25]], rtol=1e-12)
+
+    mi, se = mc_mutual_information(scen, profs, 0, 20000, seed=3)
+    lb = lower_bound_rate(scen, profs, 0).value_bits
+    assert lb - 4 * se <= mi <= ub.value_bits + 4 * se
 
 
 THREE_USERS = scenario(

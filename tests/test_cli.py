@@ -877,3 +877,69 @@ def test_bounds_slope_skips_zero_gain_interferers(tmp_path, capsys):
         awgn = 0.5 * math.log2(1.0 + float(row["gamma"]))
         assert float(row["r_ub"]) == pytest.approx(awgn, rel=1e-11)
         assert float(row["r_lb"]) == pytest.approx(awgn, rel=1e-11)
+
+
+def test_more_than_20_users_run_everywhere(tmp_path, capsys):
+    # 24 equal-gain users on u = 2: 2^23 joint placements, 24 spectrum levels
+    n = 24
+    path = tmp_path / "n24.json"
+    path.write_text(json.dumps(
+        {"u": 2, "users": [{"v": 1}] * n, "gains": [[1.0] * n] * n, "P": 10.0, "sigma2": 1.0}
+    ))
+    code, out, _ = run_cli(["levels", "--scenario", str(path)], capsys)
+    assert code == 0 and len(parse_csv(out)) == n * n
+    code, out, _ = run_cli(["bounds", "--scenario", str(path), "--users", "0,23"], capsys)
+    assert code == 0
+    for row in parse_csv(out):
+        assert 0.0 < float(row["r_lb"]) <= float(row["r_ub"])
+    argv = ["simulate", "--scenario", str(path), "--slots", "100", "--seed", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and len(parse_csv(out)) > n
+
+
+def test_wide_pmf_spectrum_is_a_json_error(tmp_path, capsys):
+    # a third round of 1001 pmf outcomes against ~5e5 levels would ask for
+    # gigabytes; the round is refused before it allocates
+    u, n = 1000, 4
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(
+        {"u": u, "users": [{"pmf": [1.0 / (u + 1)] * (u + 1)}] * n,
+         "gains": [[1.0] * n] * n, "P": 10.0, "sigma2": 1.0}
+    ))
+    code, out, err = run_cli(["levels", "--scenario", str(path)], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "enumeration budget" in msg["message"]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"type": "finite"}, "q"),
+    ({"type": "poisson", "truncation": 50}, "lambda"),
+])
+def test_pmf_document_names_its_missing_field(tmp_path, capsys, doc, field):
+    path = tmp_path / "pmf.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["measures", "--pmf", str(path), "--u", "4"], capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "ValueError", "message": f"pmf document missing field '{field}'"
+    }
+
+
+def test_sweep_past_the_closed_form_overflow(capsys):
+    code, out, _ = run_cli(["sweep", "--u", "4", "--lambdas", "720"], capsys)
+    assert code == 0
+    (row,) = parse_csv(out)
+    assert float(row["eta2_fh"]) == pytest.approx(1.0233096e-3, rel=1e-7)
+
+
+def test_default_n_des_serves_one_user_below_one_sub_band(tmp_path, capsys):
+    code, out, _ = run_cli(["sweep", "--u", "0.5", "--lambdas", "3"], capsys)
+    assert code == 0 and parse_csv(out)[0]["n_des"] == "1"
+    for doc in ({"type": "poisson", "lambda": 3.0}, {"type": "finite", "q": [0.0, 0.5, 0.5]}):
+        path = tmp_path / "pmf.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["measures", "--pmf", str(path), "--u", "0.5"], capsys)
+        assert code == 0
+        fd = [r for r in parse_csv(out) if r["scheme"] == "fd"]
+        assert fd and all(r["param_value"] == "1" for r in fd)

@@ -233,6 +233,17 @@ def test_eta2_poisson_closed_form_matches_numeric_optimum(lam, u):
     assert abs(closed - numeric) <= 1e-9 * u
 
 
+@pytest.mark.parametrize("lam", [720.0, 800.0])
+def test_eta2_poisson_closed_form_past_expm1_overflow(lam):
+    # lam * omega passes 709.8, where expm1 alone overflows although
+    # exp(-lam) * expm1(lam * omega) is about 1e-3
+    u = 4.0
+    closed, omega = eta2_fh_poisson_closed(lam, u)
+    assert lam * omega > 709.8
+    numeric, _ = eta2_fh(UserCountPmf.poisson(lam), u)
+    assert closed == pytest.approx(numeric, rel=1e-9)
+
+
 def test_eta1_poisson_closed_vs_numeric_curve():
     u = 6.0
     for lam in (0.5, 0.9, 1.0, 1.7, 3.0, 8.0, 15.0):
@@ -273,6 +284,17 @@ def test_eta2_fd_hand_values():
     assert eta2_fd(pmf, FdConfig(n_des=2), u) == pytest.approx((u / 4) * 0.5)
     with pytest.raises(ValueError):
         FdConfig(n_des=0)
+
+
+@pytest.mark.parametrize(
+    "pmf",
+    [UserCountPmf.poisson(3.0), UserCountPmf.finite((0.0, 0.5, 0.5))],
+    ids=["poisson", "finite"],
+)
+def test_fd_default_serves_at_least_one_user(pmf):
+    # floor(u) slices for u < 1 would be none at all
+    assert FdConfig.default_for(pmf, 0.5).n_des == 1
+    assert FdConfig.default_for(pmf, 7.9).n_des == (7 if pmf.n_max is None else 2)
 
 
 def test_eta3_ratio_band():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from fhshare import model
 from fhshare.gains import per_user_gains
 from fhshare.mixture import entropy_upper_bound
 from fhshare.model import (
@@ -255,12 +256,23 @@ def test_merge_keeps_moments():
     assert spec2.n_levels == 4
 
 
-def test_user_count_guard():
+def test_enumeration_guard_is_on_round_size(monkeypatch):
+    # 21 users with equal gains pool into 21 levels: N itself is not capped
     n = 21
-    scen = unit_scenario(n, 4)
-    profs = [HoppingProfile.fixed(1)] * n
-    with pytest.raises(ValueError, match="enumeration"):
-        enumerate_interference_spectrum(scen, profs, 0)
+    spec = enumerate_interference_spectrum(
+        unit_scenario(n, 4), [HoppingProfile.fixed(1)] * n, 0
+    )
+    assert spec.n_levels == n
+    # two interferers with 1501 outcomes each: the second round's grid
+    # would hold 1501^2 > 2^21 cells and is refused before it is built
+    rounds = []
+    add = model._add_interferer
+    monkeypatch.setattr(model, "_add_interferer", lambda *a: rounds.append(1) or add(*a))
+    u = 1500
+    profs = [HoppingProfile.from_pmf([1.0 / (u + 1)] * (u + 1))] * 3
+    with pytest.raises(ValueError, match="1501 x 1501 levels exceeds the enumeration budget"):
+        enumerate_interference_spectrum(unit_scenario(3, u), profs, 0)
+    assert len(rounds) == 1
 
 
 def test_silent_interferer():
