@@ -61,10 +61,9 @@ def _interference_realizations(
     pattern. Returns (weights, power_matrix) with power_matrix of shape
     (n_realizations, n_coords).
 
-    Only interferers on 1..u-1 sub-bands are enumerated, one bit of an
-    int64 pattern each; one on 0 or u sub-bands occupies every coordinate
-    the same way in every placement. 63 such interferers already make
-    2^63 placements, far past any caller's budget.
+    Only interferers on 1..u-1 sub-bands take a bit of the int64 pattern
+    (63 of them make 2^63 placements, past any budget); one on 0 or u
+    sub-bands occupies every coordinate alike in every placement.
     """
     constant = np.array([v_k >= u for v_k in hop_counts], dtype=np.int64)
     hopping = [t for t, v_k in enumerate(hop_counts) if 0 < v_k < u]
@@ -150,11 +149,11 @@ def upper_bound_rate(
     averaged exactly over all joint interferer placements, is v times its
     mean on one sub-band, whose law is the interference spectrum: the
     value is v sum_l a_l log2(1 + |h|^2 P / (v sigma_l^2)) / 2. It needs
-    every hop count fixed and at most MAX_REALIZATIONS placements, else
-    NotApplicable. The slope is multiplexing_gain, which, like the
-    spectrum, counts the bands an interferer with a zero gain to the user
-    lands on as free; the residual is value - slope * log2(1 + |h|^2
-    gamma / v), the hit bands' share.
+    every hop count fixed and at most MAX_REALIZATIONS placements (which
+    model.MAX_ROUND_CELLS admits), else NotApplicable. The slope is
+    multiplexing_gain, which, like the spectrum, counts the bands an
+    interferer with a zero gain to the user lands on as free; the residual
+    is value - slope * log2(1 + |h|^2 gamma / v), the hit bands' share.
     """
     v = _fixed_counts(scenario, profiles, user, MAX_REALIZATIONS)[user]
     if v == 0:

@@ -22,6 +22,11 @@ import numpy as np
 
 from .mixture import MERGE_REL_TOL, PROB_TOL, GaussianMixture1D, discrete_entropy, merge_levels
 
+# Cells in one convolution round's grid. With fixed hop counts a round has
+# at most as many cells as there are joint placements, so this admits every
+# spectrum with under 2^24 of them (bounds.MAX_REALIZATIONS is 10^7).
+MAX_ROUND_CELLS = 1 << 23
+
 
 @dataclass(frozen=True, eq=False)
 class NetworkScenario:
@@ -279,8 +284,8 @@ def enumerate_interference_spectrum(
     levels keep the probability-weighted mean increment, which preserves
     the mixture's first two moments. The interference-free level (c = 0)
     is never merged with a hit level, so a0 stays the probability that no
-    interferer lands on the sub-band. A round whose grid of sums would
-    exceed 2^21 cells is a ValueError, raised before the grid is built.
+    interferer lands on the sub-band. A round whose grid of sums exceeds
+    MAX_ROUND_CELLS is a ValueError, raised before the grid is built.
     """
     check_user(scenario, profiles, receiver)
     u = scenario.n_subbands
@@ -292,10 +297,10 @@ def enumerate_interference_spectrum(
         if k == receiver:
             continue
         c_k, p_k = _interferer_outcomes(profiles[k], gains[k], u)
-        if c.size * c_k.size > 1 << 21:
+        if c.size * c_k.size > MAX_ROUND_CELLS:
             raise ValueError(
                 f"a convolution round of {c.size} x {c_k.size} levels exceeds "
-                "the enumeration budget (2^21)"
+                f"the enumeration budget ({MAX_ROUND_CELLS} cells)"
             )
         c, p = _add_interferer(c, p, c_k, p_k)
 

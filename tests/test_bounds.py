@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhshare import bounds
+from fhshare import bounds, model
 from fhshare.bounds import (
     lower_bound_rate,
     mc_mutual_information,
@@ -417,6 +417,38 @@ def test_more_than_64_interferers():
     mi, se = mc_mutual_information(scen, profs, 0, 20000, seed=3)
     lb = lower_bound_rate(scen, profs, 0).value_bits
     assert lb - 4 * se <= mi <= ub.value_bits + 4 * se
+
+
+def binary_power_scenario(m):
+    """User 0 on one of u = 2 sub-bands with m interferers on one each,
+    whose hit powers at user 0 are 1, 2, ..., 2^(m-1): the 2^m placements
+    give the 2^m distinct levels s = 0 .. 2^m - 1, and with P = sigma^2 = 1
+    the placement average (1/2) mean_s log2((s + 2)/(s + 1)) telescopes to
+    (1/2) log2(2^m + 1) / 2^m."""
+    n = m + 1
+    gains = np.ones((n, n))
+    gains[1:, 0] = np.sqrt(2.0 ** np.arange(m))
+    scen = scenario(n, 2, gains, 1.0)
+    return scen, [1] * n, 0.5 * math.log2(2**m + 1) / 2**m
+
+
+def test_upper_bound_serves_its_whole_placement_budget():
+    # With fixed hop counts a convolution round's grid holds at most 2^m
+    # cells for m interferers, who make at least 2^m placements, so the
+    # round budget covers every placement count the domain check admits.
+    assert 2 ** int(math.log2(bounds.MAX_REALIZATIONS)) <= model.MAX_ROUND_CELLS
+    scen, counts, hand = binary_power_scenario(11)
+    profs = [HoppingProfile.fixed(v) for v in counts]
+    value, _ = reference_upper_bound(scen, counts, 0)
+    assert value == pytest.approx(hand, rel=1e-12, abs=0.0)
+    assert upper_bound_rate(scen, profs, 0).value_bits == pytest.approx(hand, rel=1e-12, abs=0.0)
+    # 22 interferers: 2^22 placements, inside MAX_REALIZATIONS, and a last
+    # round of 2^21 x 2 cells
+    scen, counts, hand = binary_power_scenario(22)
+    profs = [HoppingProfile.fixed(v) for v in counts]
+    ub = upper_bound_rate(scen, profs, 0)
+    assert ub.value_bits == pytest.approx(hand, rel=1e-12, abs=0.0)
+    assert ub.slope_bits_per_log2snr == 0.5 * 0.5**22
 
 
 THREE_USERS = scenario(

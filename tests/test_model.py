@@ -263,14 +263,20 @@ def test_enumeration_guard_is_on_round_size(monkeypatch):
         unit_scenario(n, 4), [HoppingProfile.fixed(1)] * n, 0
     )
     assert spec.n_levels == n
-    # two interferers with 1501 outcomes each: the second round's grid
-    # would hold 1501^2 > 2^21 cells and is refused before it is built
+    # two interferers with 1501 outcomes each: a 1501^2-cell round, pooled
+    # to fewer than 2^21 levels, is inside the round budget
+    u = 1500
+    profs = [HoppingProfile.from_pmf([1.0 / (u + 1)] * (u + 1))] * 3
+    spec = enumerate_interference_spectrum(unit_scenario(3, u), profs, 0)
+    assert 1501 < spec.n_levels < 1 << 21
+    # with 3001 outcomes each the second round's 3001^2 cells exceed
+    # MAX_ROUND_CELLS and are refused before they are built
     rounds = []
     add = model._add_interferer
     monkeypatch.setattr(model, "_add_interferer", lambda *a: rounds.append(1) or add(*a))
-    u = 1500
+    u = 3000
     profs = [HoppingProfile.from_pmf([1.0 / (u + 1)] * (u + 1))] * 3
-    with pytest.raises(ValueError, match="1501 x 1501 levels exceeds the enumeration budget"):
+    with pytest.raises(ValueError, match="3001 x 3001 levels exceeds the enumeration budget"):
         enumerate_interference_spectrum(unit_scenario(3, u), profs, 0)
     assert len(rounds) == 1
 
