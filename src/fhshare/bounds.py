@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from . import mixture as mx
 from .gains import per_user_gains
 from .model import (
     HoppingProfile,
+    InterferenceSpectrum,
     NetworkScenario,
     check_profiles,
     check_user,
@@ -121,27 +122,59 @@ def _fixed_counts(
     return counts
 
 
+def _occupying_mean_v(profile: HoppingProfile, h2: float) -> float:
+    """An interferer's mean hop count at a user it reaches with squared
+    gain h2, where a hop count v whose increment h2 / v is 0.0 counts as
+    no hop: the spectrum pools those bands into its free level."""
+    v_max = profile.max_v()
+    if v_max == 0 or h2 / v_max != 0.0:  # then h2 / v != 0.0 for every v <= v_max
+        return profile.mean_v()
+    hops = [(profile.fixed_v, 1.0)] if profile.is_fixed else enumerate(profile.pmf)
+    return float(sum(w * v for v, w in hops if v >= 1 and h2 / v != 0.0))
+
+
 def multiplexing_gain(
     scenario: NetworkScenario, profiles: Sequence[HoppingProfile], user: int
 ) -> float:
     """The user's asymptotic rate prefactor, bits per doubling of SNR.
 
-    per_user_gains over every user's mean hop count, where an interferer
-    with a zero gain to the user counts as hopping on no sub-band: the
-    bands it lands on stay interference-free for the user.
+    per_user_gains over every user's mean hop count, where an interferer's
+    hop count v counts as no hop when its increment |g|^2 / v to the user
+    is 0.0 (a zero gain, or a square that underflows), as in the spectrum:
+    the bands it lands on stay interference-free for the user.
     """
     check_user(scenario, profiles, user)
+    gains = scenario.gains[:, user].tolist()
     vbar = [
-        p.mean_v() if k == user or scenario.gains[k, user] != 0.0 else 0.0
+        p.mean_v() if k == user else _occupying_mean_v(p, gains[k] * gains[k])
         for k, p in enumerate(profiles)
     ]
     return float(per_user_gains(vbar, scenario.n_subbands)[user])
+
+
+def _check_spectrum(
+    spectrum: Optional[InterferenceSpectrum], scenario: NetworkScenario, user: int
+) -> None:
+    """ValueError unless spectrum is None or the user's at the scenario's
+    noise and transmit power."""
+    if spectrum is not None and (
+        spectrum.receiver != user
+        or spectrum.noise_power != scenario.noise_power
+        or spectrum.total_power != scenario.total_power
+    ):
+        raise ValueError(
+            f"the spectrum of receiver {spectrum.receiver} at sigma2 = "
+            f"{spectrum.noise_power!r}, P = {spectrum.total_power!r} is not user "
+            f"{user}'s at sigma2 = {scenario.noise_power!r}, P = {scenario.total_power!r}"
+        )
 
 
 def upper_bound_rate(
     scenario: NetworkScenario,
     profiles: Sequence[HoppingProfile],
     user: int,
+    *,
+    spectrum: Optional[InterferenceSpectrum] = None,
 ) -> RateBound:
     """Average-over-placements upper bound on one user's rate.
 
@@ -152,14 +185,20 @@ def upper_bound_rate(
     every hop count fixed and at most MAX_REALIZATIONS placements (which
     model.MAX_ROUND_CELLS admits), else NotApplicable. The slope is
     multiplexing_gain, which, like the spectrum, counts the bands an
-    interferer with a zero gain to the user lands on as free; the residual
-    is value - slope * log2(1 + |h|^2 gamma / v), the hit bands' share.
+    interferer adds an increment of 0.0 to as free; the residual is
+    value - slope * log2(1 + |h|^2 gamma / v), the hit bands' share.
+
+    spectrum, if given, must be the user's at the scenario's noise and
+    transmit power (else ValueError); it is enumerated otherwise. It is
+    read only when the hypothesis holds and v >= 1.
     """
+    _check_spectrum(spectrum, scenario, user)
     v = _fixed_counts(scenario, profiles, user, MAX_REALIZATIONS)[user]
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
     slope = multiplexing_gain(scenario, profiles, user)
-    spectrum = enumerate_interference_spectrum(scenario, profiles, user)
+    if spectrum is None:
+        spectrum = enumerate_interference_spectrum(scenario, profiles, user)
 
     h2_own = float(scenario.gains[user, user]) ** 2
     per_band = 0.5 * np.log2(1.0 + h2_own * scenario.total_power / (v * spectrum.variances))
@@ -169,7 +208,11 @@ def upper_bound_rate(
 
 
 def lower_bound_rate(
-    scenario: NetworkScenario, profiles: Sequence[HoppingProfile], user: int
+    scenario: NetworkScenario,
+    profiles: Sequence[HoppingProfile],
+    user: int,
+    *,
+    spectrum: Optional[InterferenceSpectrum] = None,
 ) -> RateBound:
     """Entropy-power lower bound on one user's rate.
 
@@ -181,14 +224,16 @@ def lower_bound_rate(
 
     Interferers may use pmf profiles; the user itself needs a fixed v
     (else NotApplicable). The value is slope * log2(gamma) + residual with
-    slope (v/2) a0.
+    slope (v/2) a0. spectrum is taken or enumerated as in upper_bound_rate.
     """
+    _check_spectrum(spectrum, scenario, user)
     if not profiles[check_user(scenario, profiles, user)].is_fixed:
         raise NotApplicable("lower_bound_rate requires a fixed hop count for the user")
     v = profiles[user].fixed_v
     if v == 0:
         return RateBound(0.0, 0.0, 0.0)
-    spectrum = enumerate_interference_spectrum(scenario, profiles, user)
+    if spectrum is None:
+        spectrum = enumerate_interference_spectrum(scenario, profiles, user)
     a0 = spectrum.a0
     h_levels = spectrum.discrete_entropy()
     c_max = spectrum.c_max

@@ -11,17 +11,24 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import bounds as bd
 from . import measures as ms
 from . import sim as sm
 from .mixture import MC_MIN_SAMPLES
-from .model import _is_number, check_user, enumerate_interference_spectrum, scenario_from_json
+from .model import (
+    _is_number,
+    check_user,
+    enumerate_interference_spectrum,
+    interference_law,
+    scenario_from_json,
+)
 
 # Most points of a start:stop:step grid of SNRs or lambdas: sweep spends
 # about 2 ms per lambda, so its longest grid runs in about 30 s.
@@ -38,40 +45,61 @@ def _fail(kind: str, message: str, code: int = 1):
     raise SystemExit(code)
 
 
-def _row_template(types: tuple) -> str:
-    """%-template of one CSV line whose cells have these types: a float
-    (numpy's included) to 12 significant digits, None as an empty cell
-    ("%.0s" prints no character of it), anything else as str(), so bools
-    read True/False."""
-    cells = (
-        "%.0s" if t is type(None) else "%.12g" if issubclass(t, float) else "%s"
-        for t in types
-    )
-    return ",".join(cells) + "\n"
+def _cell_format(cell_type: type) -> str:
+    """%-format of a CSV cell of this type: a float (numpy's included) to
+    12 significant digits, None as an empty cell ("%.0s" prints no
+    character of it), anything else as str(), so bools read True/False."""
+    if cell_type is type(None):
+        return "%.0s"
+    return "%.12g" if issubclass(cell_type, float) else "%s"
 
 
-def _emit(header: Sequence[str], rows: List[tuple], fmt: str, out: Optional[str]):
-    """Write rows, tuples in header order, as CSV or as a JSON list of
-    objects. CSV cells are never quoted: every string written is a fixed
-    identifier."""
+def _column_format(cells: list, typed: bool) -> Tuple[list, str]:
+    """cells and the %-format of their one type (typed cells all have the
+    first one's), or, where their types differ, each cell formatted on its
+    own and "%s"."""
+    types = set(map(type, cells[:1] if typed else cells))
+    if len(types) > 1:
+        return [_cell_format(type(x)) % (x,) for x in cells], "%s"
+    return cells, _cell_format(types.pop()) if types else "%s"
+
+
+def _json_cell(x):
+    """x, or None (JSON null) for a float that is not finite."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _emit(header: Sequence[str], columns: Sequence, fmt: str, out: Optional[str]):
+    """Write columns, one sequence of cells per header name and all of one
+    length, as CSV or as a JSON list of row objects. A (numeric) numpy
+    array column is written as its tolist(), whose cells share one type,
+    so only the other columns are read cell by cell for their formats.
+    CSV cells are never quoted: every string written is a fixed
+    identifier. JSON writes a float that is not finite as null."""
+    typed = [isinstance(col, np.ndarray) for col in columns]
+    cols = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in columns]
+    n_rows = len(cols[0])
     if fmt == "csv":
-        parts = [",".join(header) + "\n"]
-        # Each run of rows with the same cell types is one % operation.
-        types = [tuple(map(type, row)) for row in rows]
-        start = 0
-        for key, run in itertools.groupby(types):
-            stop = start + len(list(run))
-            cells = tuple(itertools.chain.from_iterable(rows[start:stop]))
-            parts.append(_row_template(key) * (stop - start) % cells)
-            start = stop
-        text = "".join(parts)
+        # One % operation on every cell, interleaved row by row.
+        width = len(cols)
+        cols, formats = zip(*map(_column_format, cols, typed))
+        flat = [None] * (n_rows * width)
+        for j, cells in enumerate(cols):
+            flat[j::width] = cells
+        text = ",".join(header) + "\n" + (",".join(formats) + "\n") * n_rows % tuple(flat)
     else:
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        rows = [dict(zip(header, map(_json_cell, row))) for row in zip(*cols)]
+        text = json.dumps(rows, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _columns(rows: List[tuple], width: int) -> List[tuple]:
+    """The columns of rows that each hold width cells."""
+    return list(zip(*rows)) if rows else [()] * width
 
 
 def _load_json_file(path: str) -> dict:
@@ -126,17 +154,22 @@ def _parse_floats(text: str) -> List[float]:
 
 def cmd_levels(args) -> None:
     scenario, profiles = _load_scenario(args.scenario)
-    rows = []
-    for i in range(scenario.n_users):
-        spectrum = enumerate_interference_spectrum(scenario, profiles, i)
-        rows += zip(
-            [i] * spectrum.n_levels,
-            range(spectrum.n_levels),
-            spectrum.probabilities.tolist(),
-            spectrum.c_values.tolist(),
-            spectrum.variances.tolist(),
-        )
-    _emit(["receiver", "level", "probability", "c", "sigma2"], rows, args.format, args.out)
+    spectra = [
+        enumerate_interference_spectrum(scenario, profiles, i) for i in range(scenario.n_users)
+    ]
+    sizes = [spectrum.n_levels for spectrum in spectra]
+    _emit(
+        ["receiver", "level", "probability", "c", "sigma2"],
+        [
+            np.repeat(np.arange(len(sizes)), sizes),
+            np.concatenate([np.arange(size) for size in sizes]),
+            np.concatenate([spectrum.probabilities for spectrum in spectra]),
+            np.concatenate([spectrum.c_values for spectrum in spectra]),
+            np.concatenate([spectrum.variances for spectrum in spectra]),
+        ],
+        args.format,
+        args.out,
+    )
 
 
 def _nan_unless_applicable(call, missing=math.nan):
@@ -158,18 +191,31 @@ def cmd_bounds(args) -> None:
         if args.users
         else list(range(scenario.n_users))
     )
+    # the scenario rescaled to each SNR at fixed noise power
+    scaled = [
+        dataclasses.replace(scenario, total_power=gamma * scenario.noise_power)
+        for gamma in gammas
+    ]
     rows = []
     for user in users:
         slope = bd.multiplexing_gain(scenario, profiles, user)
-        for gamma in gammas:
-            scen_g = dataclasses.replace(
-                scenario, total_power=gamma * scenario.noise_power
+        # Both bounds read the user's spectrum exactly when its hop count
+        # is a fixed v >= 1 (the lower bound's hypothesis, which the upper
+        # bound's implies): only then is the gamma-free law built.
+        law = interference_law(scenario, profiles, user) if profiles[user].fixed_v else None
+        for gamma, scen_g in zip(gammas, scaled):
+            spectrum = (
+                law.spectrum(scen_g.noise_power, scen_g.total_power) if law else None
             )
             r_ub = _nan_unless_applicable(
-                lambda: bd.upper_bound_rate(scen_g, profiles, user).value_bits
+                lambda: bd.upper_bound_rate(
+                    scen_g, profiles, user, spectrum=spectrum
+                ).value_bits
             )
             r_lb = _nan_unless_applicable(
-                lambda: bd.lower_bound_rate(scen_g, profiles, user).value_bits
+                lambda: bd.lower_bound_rate(
+                    scen_g, profiles, user, spectrum=spectrum
+                ).value_bits
             )
             mi, se = math.nan, math.nan
             if args.mc_samples > 0:
@@ -181,12 +227,8 @@ def cmd_bounds(args) -> None:
                     (math.nan, math.nan),
                 )
             rows.append((user, gamma, r_ub, r_lb, mi, se, slope))
-    _emit(
-        ["user", "gamma", "r_ub", "r_lb", "mi_mc", "mi_se", "slope"],
-        rows,
-        args.format,
-        args.out,
-    )
+    header = ["user", "gamma", "r_ub", "r_lb", "mi_mc", "mi_se", "slope"]
+    _emit(header, _columns(rows, len(header)), args.format, args.out)
 
 
 def cmd_simulate(args) -> None:
@@ -220,7 +262,8 @@ def cmd_simulate(args) -> None:
         for level, cells in enumerate(zip(stats.level_c[i].tolist(), stats.level_freq[i].tolist(),
                                           stats.level_se[i].tolist()))
     ]
-    _emit(["user", "stat", "level", "c", "value", "se"], rows, args.format, args.out)
+    header = ["user", "stat", "level", "c", "value", "se"]
+    _emit(header, _columns(rows, len(header)), args.format, args.out)
 
 
 def cmd_measures(args) -> None:
@@ -229,12 +272,8 @@ def cmd_measures(args) -> None:
     )
     rows = [(m.scheme, m.measure, m.value, m.value / args.u, m.param, m.param_value)
             for m in measures]
-    _emit(
-        ["scheme", "measure", "value", "value_per_u", "param", "param_value"],
-        rows,
-        args.format,
-        args.out,
-    )
+    header = ["scheme", "measure", "value", "value_per_u", "param", "param_value"]
+    _emit(header, _columns(rows, len(header)), args.format, args.out)
 
 
 def cmd_sweep(args) -> None:
@@ -266,28 +305,24 @@ def cmd_sweep(args) -> None:
                 ms.eta4_fd(pmf, fd_cfg),
             )
         )
-    _emit(
-        [
-            "u",
-            "lam",
-            "n_des",
-            "eta1_fh",
-            "eta1_fh_per_u",
-            "v_star",
-            "eta2_fh",
-            "eta2_fh_per_u",
-            "v_dagger",
-            "omega_dagger",
-            "eta2_fd",
-            "eta2_fd_per_u",
-            "eta_afh_1",
-            "eta_afh_2",
-            "eta4_fd",
-        ],
-        rows,
-        args.format,
-        args.out,
-    )
+    header = [
+        "u",
+        "lam",
+        "n_des",
+        "eta1_fh",
+        "eta1_fh_per_u",
+        "v_star",
+        "eta2_fh",
+        "eta2_fh_per_u",
+        "v_dagger",
+        "omega_dagger",
+        "eta2_fd",
+        "eta2_fd_per_u",
+        "eta_afh_1",
+        "eta_afh_2",
+        "eta4_fd",
+    ]
+    _emit(header, _columns(rows, len(header)), args.format, args.out)
 
 
 def cmd_compare(args) -> None:
@@ -313,20 +348,16 @@ def cmd_compare(args) -> None:
                 ("condition", name, None, None, None, chk.condition_holds,
                  chk.inequality_verified)
             )
-    _emit(
-        [
-            "kind",
-            "measure",
-            "fh",
-            "fd",
-            "winner",
-            "condition_holds",
-            "inequality_verified",
-        ],
-        rows,
-        args.format,
-        args.out,
-    )
+    header = [
+        "kind",
+        "measure",
+        "fh",
+        "fd",
+        "winner",
+        "condition_holds",
+        "inequality_verified",
+    ]
+    _emit(header, _columns(rows, len(header)), args.format, args.out)
 
 
 def _int_at_least(minimum: int):

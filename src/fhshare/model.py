@@ -272,20 +272,53 @@ def _add_interferer(c: np.ndarray, p: np.ndarray, c_k: np.ndarray, p_k: np.ndarr
     return keys[first[by_appearance]], sums[by_appearance]
 
 
-def enumerate_interference_spectrum(
+@dataclass(frozen=True, eq=False)
+class InterferenceLaw:
+    """Law of the interference increment c (the sum of the interferers'
+    increments) on one sub-band at one receiver, before any power enters:
+    read-only arrays c_values, strictly increasing, and probabilities, all
+    above 0. It depends on the gains and hop counts only, so one law serves
+    every noise and transmit power; spectrum() merges it into the
+    InterferenceSpectrum at one of them.
+    """
+
+    receiver: int
+    probabilities: np.ndarray
+    c_values: np.ndarray
+
+    def spectrum(self, noise_power: float, total_power: float) -> InterferenceSpectrum:
+        """The mixture at noise power sigma^2 and transmit power P.
+
+        Merges levels whose variances sigma^2 + c * P agree within
+        mixture.MERGE_REL_TOL (relative). Merged levels keep the
+        probability-weighted mean increment, which preserves the mixture's
+        first two moments. The interference-free level (c = 0) is never
+        merged with a hit level, so a0 stays the probability that no
+        interferer lands on the sub-band.
+        """
+        c, p = self.c_values, self.probabilities
+        free = int(c[0] == 0.0)
+        c_hit, p_hit = merge_levels(c[free:], p[free:], noise_power, total_power, MERGE_REL_TOL)
+        c = np.concatenate((c[:free], c_hit))
+        p = np.concatenate((p[:free], p_hit))
+        return InterferenceSpectrum(
+            receiver=self.receiver,
+            noise_power=noise_power,
+            total_power=total_power,
+            probabilities=p,
+            c_values=c,
+            variances=noise_power + c * total_power,
+        )
+
+
+def interference_law(
     scenario: NetworkScenario,
     profiles: Sequence[HoppingProfile],
     receiver: int,
-) -> InterferenceSpectrum:
-    """Enumerate the exact interference-plus-noise mixture at one receiver.
-
-    Convolves the independent per-interferer increment laws, then merges
-    levels whose variances agree within mixture.MERGE_REL_TOL (relative). Merged
-    levels keep the probability-weighted mean increment, which preserves
-    the mixture's first two moments. The interference-free level (c = 0)
-    is never merged with a hit level, so a0 stays the probability that no
-    interferer lands on the sub-band. A round whose grid of sums exceeds
-    MAX_ROUND_CELLS is a ValueError, raised before the grid is built.
+) -> InterferenceLaw:
+    """Convolve the independent per-interferer increment laws at one
+    receiver. A round whose grid of sums exceeds MAX_ROUND_CELLS is a
+    ValueError, raised before the grid is built.
     """
     check_user(scenario, profiles, receiver)
     u = scenario.n_subbands
@@ -304,25 +337,23 @@ def enumerate_interference_spectrum(
             )
         c, p = _add_interferer(c, p, c_k, p_k)
 
-    sigma2 = scenario.noise_power
-    power = scenario.total_power
     order = np.argsort(c)  # the keys are distinct
     c, p = c[order], p[order]
     keep = p > 0.0
     c, p = c[keep], p[keep]
-    free = int(c[0] == 0.0)  # the interference-free level is never merged
-    # Merge near-equal variances; probability-weighted mean keeps moments.
-    c_hit, p_hit = merge_levels(c[free:], p[free:], sigma2, power, MERGE_REL_TOL)
-    c = np.concatenate((c[:free], c_hit))
-    p = np.concatenate((p[:free], p_hit))
-    return InterferenceSpectrum(
-        receiver=receiver,
-        noise_power=sigma2,
-        total_power=power,
-        probabilities=p,
-        c_values=c,
-        variances=sigma2 + c * power,
-    )
+    c.flags.writeable = p.flags.writeable = False
+    return InterferenceLaw(receiver=receiver, probabilities=p, c_values=c)
+
+
+def enumerate_interference_spectrum(
+    scenario: NetworkScenario,
+    profiles: Sequence[HoppingProfile],
+    receiver: int,
+) -> InterferenceSpectrum:
+    """The exact interference-plus-noise mixture at one receiver:
+    interference_law at the scenario's noise and transmit power."""
+    law = interference_law(scenario, profiles, receiver)
+    return law.spectrum(scenario.noise_power, scenario.total_power)
 
 
 def scenario_to_json(

@@ -516,3 +516,46 @@ def test_placement_budget_stops_early_on_a_huge_band():
     for fn in (upper_bound_rate, mc_1000):
         with pytest.raises(bounds.NotApplicable, match="enumeration budget"):
             fn(scen, profs, 0)
+
+
+@pytest.mark.parametrize("fn", [upper_bound_rate, lower_bound_rate], ids=["upper", "lower"])
+def test_bounds_take_the_users_spectrum_only(fn):
+    profs = [HoppingProfile.fixed(v) for v in (1, 2, 1)]
+    spectrum = model.enumerate_interference_spectrum(THREE_USERS, profs, 0)
+    assert fn(THREE_USERS, profs, 0, spectrum=spectrum) == fn(THREE_USERS, profs, 0)
+    wrong = [
+        model.enumerate_interference_spectrum(THREE_USERS, profs, 1),
+        model.interference_law(THREE_USERS, profs, 0).spectrum(2.0, 20.0),
+        model.interference_law(THREE_USERS, profs, 0).spectrum(1.0, 10.0),
+    ]
+    for other in wrong:
+        with pytest.raises(ValueError, match="is not user 0's") as info:
+            fn(THREE_USERS, profs, 0, spectrum=other)
+        assert not isinstance(info.value, bounds.NotApplicable)
+
+
+def test_slopes_agree_when_a_squared_gain_underflows():
+    # 1e-170 squared is 0.0, so the spectrum pools the interferer into
+    # the free level; multiplexing_gain counts its hop as no hop, and the
+    # two slopes meet at 0.5 where the upper bound's used to read 0.25.
+    scen = scenario(2, 2, [[1.0, 1e-170], [1e-170, 1.0]], 1e300)
+    profs = [HoppingProfile.fixed(1)] * 2
+    ub = upper_bound_rate(scen, profs, 0)
+    lb = lower_bound_rate(scen, profs, 0)
+    assert ub.slope_bits_per_log2snr == lb.slope_bits_per_log2snr == 0.5
+    assert multiplexing_gain(scen, profs, 0) == 0.5
+    assert ub.value_bits == pytest.approx(lb.value_bits, rel=1e-12)
+
+
+def test_multiplexing_gain_drops_only_the_hops_whose_increment_underflows():
+    # |g|^2 is two of the smallest subnormals: |g|^2 / v is above 0 for
+    # v <= 3 and 0.0 for v = 5, so only the pmf's v = 5 hops leave the
+    # user's band free, as in the spectrum's a0.
+    g = math.sqrt(2.0**-1073)
+    assert g * g / 3 > 0.0 and g * g / 5 == 0.0
+    scen = scenario(2, 5, [[1.0, g], [g, 1.0]], 10.0)
+    profs = [HoppingProfile.fixed(1), HoppingProfile.from_pmf([0.0, 0.3, 0.0, 0.0, 0.0, 0.7])]
+    a0 = model.enumerate_interference_spectrum(scen, profs, 0).a0
+    assert a0 == pytest.approx(1.0 - 0.3 / 5, rel=1e-15)
+    assert multiplexing_gain(scen, profs, 0) == pytest.approx(0.5 * a0, rel=1e-15)
+    assert lower_bound_rate(scen, profs, 0).slope_bits_per_log2snr == 0.5 * a0

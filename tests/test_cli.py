@@ -95,7 +95,8 @@ def _reference_fmt(x) -> str:
 
 def reference_emit(header, rows, fmt, out):
     """The writer before the template one: csv.writer over per-cell
-    strings, and json.dumps of one dict per row."""
+    strings, and json.dumps of one dict per row with every float that is
+    not finite as null."""
     rows = [dict(zip(header, row)) for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
@@ -105,6 +106,11 @@ def reference_emit(header, rows, fmt, out):
             writer.writerow([_reference_fmt(row.get(col)) for col in header])
         text = buf.getvalue()
     else:
+        rows = [
+            {k: None if isinstance(x, float) and not math.isfinite(x) else x
+             for k, x in row.items()}
+            for row in rows
+        ]
         text = json.dumps(rows, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -113,7 +119,17 @@ def reference_emit(header, rows, fmt, out):
         sys.stdout.write(text)
 
 
+def reference_emit_columns(header, columns, fmt, out):
+    """reference_emit behind the CLI writer's interface: one sequence per
+    column, a numpy array written as its tolist()."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    reference_emit(header, list(zip(*columns)), fmt, out)
+
+
 def emitted(emit, header, rows, fmt):
+    """emit's output for rows; the CLI writer takes them as columns."""
+    if emit is _emit:
+        rows = [list(col) for col in zip(*rows)] if rows else [[] for _ in header]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         emit(header, rows, fmt, None)
@@ -186,7 +202,7 @@ def test_emit_matches_reference_for_every_subcommand(
     argv = [a.format(**files) for a in SUBCOMMANDS[name]] + ["--format", fmt]
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == "" and out
-    monkeypatch.setattr(fhshare.cli, "_emit", reference_emit)
+    monkeypatch.setattr(fhshare.cli, "_emit", reference_emit_columns)
     assert run_cli(argv, capsys) == (0, out, "")
 
 
@@ -943,3 +959,142 @@ def test_default_n_des_serves_one_user_below_one_sub_band(tmp_path, capsys):
         assert code == 0
         fd = [r for r in parse_csv(out) if r["scheme"] == "fd"]
         assert fd and all(r["param_value"] == "1" for r in fd)
+
+
+BOUNDS_HEADER = ["user", "gamma", "r_ub", "r_lb", "mi_mc", "mi_se", "slope"]
+
+
+def library_bounds_rows(doc, gammas):
+    """The bounds table by one library call per cell, each enumerating its
+    own spectrum, with NotApplicable as nan."""
+    scen, profs = scenario_from_json(doc)
+
+    def value(fn, scen_g, user):
+        try:
+            return fn(scen_g, profs, user).value_bits
+        except fhshare.NotApplicable:
+            return math.nan
+
+    rows = []
+    for user in range(scen.n_users):
+        slope = fhshare.multiplexing_gain(scen, profs, user)
+        for gamma in gammas:
+            scen_g = NetworkScenario(
+                scen.n_users, scen.n_subbands, scen.gains, gamma * scen.noise_power,
+                scen.noise_power,
+            )
+            rows.append((user, gamma, value(upper_bound_rate, scen_g, user),
+                         value(lower_bound_rate, scen_g, user), math.nan, math.nan, slope))
+    return rows
+
+
+BOUNDS_DOCS = {
+    # every hop count fixed, user 1 silent
+    "fixed": {
+        "u": 4, "users": [{"v": 1}, {"v": 0}, {"v": 2}, {"v": 1}],
+        "gains": [[1.0, 0.9, 0.8, 0.3], [0.7, 1.0, 0.6, 0.3], [0.5, 0.4, 1.0, 0.3],
+                  [1.0, 1.0, 1.0 + 1e-9, 1.2]],
+        "P": 10.0, "sigma2": 2.0,
+    },
+    # user 1 on a pmf (no upper bound anywhere, no lower bound for it), user 3 silent
+    "mixed": {
+        "u": 3, "users": [{"v": 1}, {"pmf": [0.2, 0.3, 0.5, 0.0]}, {"v": 3}, {"v": 0}],
+        "gains": [[1.0, 0.5, 0.5, 0.5], [0.5, 1.0, 0.25, 0.0], [1.0, 1.0, 2.0, 1.0],
+                  [0.1, 0.2, 0.3, 1.0]],
+        "P": 1.0, "sigma2": 0.5,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_DOCS))
+def test_bounds_table_is_the_per_cell_library_calls_byte_for_byte(name, tmp_path, capsys):
+    doc = BOUNDS_DOCS[name]
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    rows = library_bounds_rows(doc, [1e-2, 10.0, 1e7])
+    # JSON writes every float in full, so equal text means equal bits
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(
+            ["bounds", "--scenario", str(path), "--gammas", "0.01,10,1e7", "--format", fmt],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert out == emitted(reference_emit, BOUNDS_HEADER, rows, fmt)
+    assert any(math.isnan(row[2]) for row in rows) == (name == "mixed")
+    assert any(row[3] == 0.0 for row in rows)  # a silent user
+
+
+
+def test_bounds_builds_one_law_per_user_that_reads_one(tmp_path, capsys, monkeypatch):
+    # users 0 and 2 hop on a fixed v >= 1: one law each, merged at every
+    # gamma; the pmf and silent users never convolve; no bound enumerates
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(BOUNDS_DOCS["mixed"]))
+    built = []
+    law = fhshare.cli.interference_law
+    monkeypatch.setattr(fhshare.cli, "interference_law",
+                        lambda scen, profs, user: built.append(user) or law(scen, profs, user))
+
+    def not_called(*args):
+        raise AssertionError("a bound enumerated its own spectrum")
+
+    monkeypatch.setattr(fhshare.bounds, "enumerate_interference_spectrum", not_called)
+    code, _, err = run_cli(["bounds", "--scenario", str(path), "--gammas", "1,10,100"], capsys)
+    assert code == 0 and err == ""
+    assert built == [0, 2]
+
+
+def test_bounds_never_convolves_for_a_user_no_bound_reads(tmp_path, capsys, monkeypatch):
+    # Every spectrum here needs a round of 8 x 2 cells, over a budget of 8:
+    # user 0's pmf and user 1's v = 0 leave no bound to read it, so their
+    # cells are nan or 0 and the command succeeds, as before the law was
+    # built once per user.
+    n = 5
+    doc = {
+        "u": 4,
+        "users": [{"pmf": [0.5, 0.5, 0.0, 0.0, 0.0]}, {"v": 0}] + [{"v": 1}] * (n - 2),
+        "gains": [[1.0 + 0.1 * (i + k) for i in range(n)] for k in range(n)],
+        "P": 10.0, "sigma2": 1.0,
+    }
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(fhshare.model, "MAX_ROUND_CELLS", 8)
+    code, _, err = run_cli(["levels", "--scenario", str(path)], capsys)
+    assert code == 1 and "enumeration budget" in json.loads(err)["message"]
+    code, out, err = run_cli(
+        ["bounds", "--scenario", str(path), "--users", "0,1", "--gammas", "10,100"], capsys
+    )
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert [(r["r_ub"], r["r_lb"]) for r in rows] == [("nan", "nan")] * 2 + [("nan", "0")] * 2
+
+
+def test_json_writes_non_finite_cells_as_null(scen_file, capsys):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out, err = run_cli(
+        ["bounds", "--scenario", scen_file, "--gammas", "100", "--format", "json"], capsys
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out, parse_constant=reject)
+    assert [r["r_ub"] for r in rows] == [None] * 3
+    assert rows[2]["r_lb"] is None and rows[0]["mi_mc"] is None
+    assert math.isfinite(rows[0]["r_lb"])
+    # CSV keeps printing nan
+    code, out, _ = run_cli(["bounds", "--scenario", scen_file, "--gammas", "100"], capsys)
+    assert parse_csv(out)[0]["r_ub"] == "nan"
+
+
+def test_slope_cell_counts_an_underflowing_square_as_no_hop(tmp_path, capsys):
+    doc = {"u": 2, "users": [{"v": 1}, {"v": 1}], "gains": [[1.0, 1e-170], [1e-170, 1.0]],
+           "P": 1.0, "sigma2": 1.0}
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["bounds", "--scenario", str(path), "--gammas", "1e300", "--users", "0"], capsys
+    )
+    assert code == 0 and err == ""
+    (row,) = parse_csv(out)
+    assert row["slope"] == "0.5"
+    assert float(row["r_ub"]) == pytest.approx(float(row["r_lb"]), rel=1e-11)

@@ -4,6 +4,7 @@ The oracle tallies the variance increment on sub-band 0 of a receiver over
 every joint interferer placement (each v-subset equally likely), which is
 the exact law the fast convolution must reproduce.
 """
+import dataclasses
 import itertools
 import json
 import math
@@ -16,7 +17,7 @@ from scipy.stats import binom
 
 from fhshare import model
 from fhshare.gains import per_user_gains
-from fhshare.mixture import entropy_upper_bound
+from fhshare.mixture import MERGE_REL_TOL, entropy_upper_bound, merge_levels
 from fhshare.model import (
     HoppingProfile,
     NetworkScenario,
@@ -515,3 +516,98 @@ def test_mean_hop_count_capped_at_largest_count():
     scen = unit_scenario(2, 2)
     spec = enumerate_interference_spectrum(scen, [HoppingProfile.fixed(1), prof], 0)
     assert spec.a0 == 0.0 and (spec.probabilities > 0).all()
+
+
+def one_step_enumeration(scenario, profiles, receiver):
+    """enumerate_interference_spectrum as it was before its power-free law
+    was split out: convolution, sort and merge in one body."""
+    model.check_user(scenario, profiles, receiver)
+    u = scenario.n_subbands
+    model.check_profiles(profiles, u)
+    gains = scenario.gains[:, receiver].tolist()
+    c, p = np.zeros(1), np.ones(1)
+    for k in range(scenario.n_users):
+        if k == receiver:
+            continue
+        c_k, p_k = model._interferer_outcomes(profiles[k], gains[k], u)
+        c, p = model._add_interferer(c, p, c_k, p_k)
+    sigma2 = scenario.noise_power
+    power = scenario.total_power
+    order = np.argsort(c)
+    c, p = c[order], p[order]
+    keep = p > 0.0
+    c, p = c[keep], p[keep]
+    free = int(c[0] == 0.0)
+    c_hit, p_hit = merge_levels(c[free:], p[free:], sigma2, power, MERGE_REL_TOL)
+    c = np.concatenate((c[:free], c_hit))
+    p = np.concatenate((p[:free], p_hit))
+    return model.InterferenceSpectrum(
+        receiver=receiver,
+        noise_power=sigma2,
+        total_power=power,
+        probabilities=p,
+        c_values=c,
+        variances=sigma2 + c * power,
+    )
+
+
+@st.composite
+def law_scenarios(draw):
+    """Pmf and fixed users with zero, equal and nearly equal gains (whose
+    levels merge at some powers and not at others), and a few powers."""
+    n = draw(st.integers(1, 6))
+    u = draw(st.integers(1, 5))
+    gain = st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.0 + 1e-6, 1.0 + 1e-9, 1.0 - 3e-10])
+    gains = [[draw(gain) for _ in range(n)] for _ in range(n)]
+    profiles = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            profiles.append(HoppingProfile.fixed(draw(st.integers(0, u))))
+        else:
+            w = draw(
+                st.lists(st.integers(0, 3), min_size=u + 1, max_size=u + 1).filter(sum)
+            )
+            profiles.append(HoppingProfile.from_pmf([x / sum(w) for x in w]))
+    scen = NetworkScenario(
+        n_users=n,
+        n_subbands=u,
+        gains=np.array(gains),
+        total_power=1.0,
+        noise_power=draw(st.floats(1e-2, 10.0)),
+    )
+    powers = draw(st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=4))
+    return scen, profiles, draw(st.integers(0, n - 1)), powers
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_scenarios())
+def test_law_spectra_are_the_one_step_enumeration_bit_for_bit(case):
+    scen, profs, receiver, powers = case
+    law = model.interference_law(scen, profs, receiver)
+    assert np.all(np.diff(law.c_values) > 0) and np.all(law.probabilities > 0)
+    assert not (law.c_values.flags.writeable or law.probabilities.flags.writeable)
+    for power in powers:
+        scen_p = dataclasses.replace(scen, total_power=power)
+        got = law.spectrum(scen_p.noise_power, scen_p.total_power)
+        want = one_step_enumeration(scen_p, profs, receiver)
+        assert (got.receiver, got.noise_power, got.total_power) == (
+            want.receiver, want.noise_power, want.total_power
+        )
+        for name in ("probabilities", "c_values", "variances"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        enumerated = enumerate_interference_spectrum(scen_p, profs, receiver)
+        assert enumerated.c_values.tobytes() == want.c_values.tobytes()
+        assert enumerated.probabilities.tobytes() == want.probabilities.tobytes()
+
+
+def test_near_equal_gains_merge_at_low_power_only():
+    # Increments 1 and (1 + 1e-9)^2 give variances 1 + P and about
+    # 1 + P (1 + 2e-9): within 1e-9 of the lower one at P = 1e-3, not at
+    # P = 1e3. The law keeps both; each spectrum merges them or not.
+    gains = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0 + 1e-9, 1.0, 1.0]])
+    scen = NetworkScenario(3, 2, gains, 1.0, 1.0)
+    profs = [HoppingProfile.fixed(1)] * 3
+    law = model.interference_law(scen, profs, 0)
+    assert law.c_values.size == 4
+    assert law.spectrum(1.0, 1e-3).n_levels == 3
+    assert law.spectrum(1.0, 1e3).n_levels == 4
