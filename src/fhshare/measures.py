@@ -435,43 +435,6 @@ def eta2_sufficient_condition(
     return ConditionCheck(condition_holds=cond, inequality_verified=verified)
 
 
-# Reference ten-user count distribution used in the comparison suite.
-TEN_USER_MIX = UserCountPmf.finite(
-    (0.0, 0.22, 0.24, 0.24, 0.24, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01)
-)
-
-# A quoted companion value for TEN_USER_MIX puts FD's eta2 at u/16, which
-# the direct formula does not reproduce: n_des = n_max = 10 gives u/20.
-# u/16 equals u/(2*8), the n_des = 8 value with the 2% overflow mass
-# ignored. Both numbers are reported side by side rather than silently
-# picking one.
-REPORTED_TEN_USER_ETA2_FD_PER_U = 1.0 / 16.0
-
-
-@dataclass(frozen=True)
-class ReferenceValueCheck:
-    computed: float
-    reported: float
-    matches: bool
-    note: str
-
-
-def ten_user_fd_eta2_check(u: float) -> ReferenceValueCheck:
-    """eta2 of FD for TEN_USER_MIX: direct formula vs the quoted value."""
-    computed = eta2_fd(TEN_USER_MIX, FdConfig(n_des=10), u)
-    reported = REPORTED_TEN_USER_ETA2_FD_PER_U * u
-    matches = math.isclose(computed, reported, rel_tol=1e-9)
-    note = (
-        "direct formula with n_des = 10; the quoted u/16 equals u/(2*8), "
-        "the n_des = 8 value with the 2% overflow mass ignored"
-        if not matches
-        else "values agree"
-    )
-    return ReferenceValueCheck(
-        computed=computed, reported=reported, matches=matches, note=note
-    )
-
-
 class Measure(NamedTuple):
     """One measure of one scheme, with the tuning parameter that achieved
     it (param and param_value are None where nothing is tuned)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -91,10 +91,9 @@ def gaussian_entropy(variance: float) -> float:
 class GaussianMixtureDiag:
     """Zero-mean vector Gaussian mixture with diagonal covariances.
 
-    variances has shape (n_components, dim) and may contain zeros: such a
-    coordinate is an exact point mass at 0 for that component, and the
-    density is taken with respect to Lebesgue measure on the non-degenerate
-    coordinates.
+    variances has shape (n_components, dim) and holds positive, finite
+    values only. Weights are nonnegative and sum to 1; components of
+    weight 0 are dropped.
     """
 
     weights: np.ndarray
@@ -107,12 +106,12 @@ class GaussianMixtureDiag:
             raise ValueError("variances must be 2-D (components x dim)")
         if w.ndim != 1 or w.shape[0] != v.shape[0]:
             raise ValueError("one weight per component required")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(w >= 0):  # NaN fails too
+            raise ValueError("weights must be nonnegative, not NaN")
         if abs(w.sum() - 1.0) > PROB_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
-        if np.any(v < 0):
-            raise ValueError("variances must be nonnegative")
+        if not (np.isfinite(v).all() and (v > 0).all()):
+            raise ValueError("variances must be positive and finite")
         keep = w > 0
         w, v = w[keep], v[keep]
         if w.size == 0:
@@ -136,14 +135,12 @@ class GaussianMixtureDiag:
 
 
 class GaussianMixture1D(GaussianMixtureDiag):
-    """Finite zero-mean scalar Gaussian mixture: one coordinate, strictly
-    positive variances, built from (weight, variance) pairs."""
+    """Finite zero-mean scalar Gaussian mixture: one coordinate, built
+    from (weight, variance) pairs."""
 
     def __init__(self, components):
         pairs = np.array(components, dtype=float).reshape(len(components), 2)
         super().__init__(weights=pairs[:, 0], variances=pairs[:, 1:])
-        if np.any(self.variances <= 0):
-            raise ValueError("variances must be positive")
 
     @classmethod
     def of(cls, *components: Tuple[float, float]) -> "GaussianMixture1D":
@@ -159,20 +156,16 @@ class GaussianMixture1D(GaussianMixtureDiag):
 
 
 def _log_mixture_rows(
-    x: np.ndarray,
-    log_coef: np.ndarray,
-    inv_2var: np.ndarray,
-    dead: Optional[np.ndarray] = None,
+    x: np.ndarray, log_coef: np.ndarray, inv_2var: np.ndarray
 ) -> np.ndarray:
     """log sum_l exp(log_coef[l] - sum_j inv_2var[l, j] x[i, j]^2) per row i.
 
-    x is (n, dim), log_coef (k,), inv_2var (k, dim). Where dead[l, j] is
-    1.0 (else 0.0), component l is a point mass at 0 on coordinate j and
-    adds nothing to rows with x[i, j] != 0 (inv_2var[l, j] must then be 0).
-    Rows go through in chunks of about _BLOCK_DOUBLES (rows x components)
-    doubles; each chunk's log-sum-exp runs in place (subtract the row
-    maximum, raise to _LOG_TERM_FLOOR, exp, sum). A row to which no
-    component contributes gives -inf, without a floating-point warning.
+    x is (n, dim), log_coef (k,), inv_2var (k, dim) and positive. Rows go
+    through in chunks of about _BLOCK_DOUBLES (rows x components) doubles;
+    each chunk's log-sum-exp runs in place (subtract the row maximum,
+    raise to _LOG_TERM_FLOOR, exp, sum). A row to which no component
+    contributes (one with an infinite coordinate) gives -inf, without a
+    floating-point warning.
 
     The floor changes no bit of the result. A term it raises changed from
     exp(t) with t < -700 to exp(-700), by less than 1e-304, and the row
@@ -197,8 +190,6 @@ def _log_mixture_rows(
         xs = x[s:stop]
         block = (xs * xs) @ inv_2var.T
         np.subtract(log_coef, block, out=block)
-        if dead is not None:
-            block[((xs != 0.0).astype(float) @ dead.T) > 0.0] = -np.inf
         top = block.max(axis=1)
         empty = top == -np.inf
         top[empty] = 0.0
@@ -212,28 +203,16 @@ def _log_mixture_rows(
 
 
 def _density_coefficients(m: GaussianMixtureDiag):
-    """(log_coef, inv_2var, dead) of m for _log_mixture_rows; dead is None
-    when every variance is positive.
-
-    Components with zero-variance coordinates live on a subspace: they
-    contribute only where x is exactly 0 on those coordinates, with the
-    density taken over their live coordinates.
-    """
+    """(log_coef, inv_2var) of m for _log_mixture_rows."""
     var = m.variances
-    live = var > 0.0
-    safe = np.where(live, var, 1.0)
-    logdet = -0.5 * (live.sum(axis=1) * _LN_2PI + np.log(safe).sum(axis=1))
-    return (
-        np.log(m.weights) + logdet,
-        np.where(live, 0.5 / safe, 0.0),
-        None if live.all() else (~live).astype(float),
-    )
+    logdet = -0.5 * (m.dim * _LN_2PI + np.log(var).sum(axis=1))
+    return np.log(m.weights) + logdet, 0.5 / var
 
 
 def _log_density_rows(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
     """Natural-log densities for rows of x, shape (n, dim) -> (n,)."""
-    log_coef, inv_2var, dead = _density_coefficients(m)
-    return _log_mixture_rows(np.asarray(x, dtype=float), log_coef, inv_2var, dead)
+    log_coef, inv_2var = _density_coefficients(m)
+    return _log_mixture_rows(np.asarray(x, dtype=float), log_coef, inv_2var)
 
 
 def log_density(m: GaussianMixtureDiag, x: Sequence[float]) -> float:
@@ -265,7 +244,7 @@ def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
     if tol <= 0:
         raise ValueError("tol must be positive")
     sig = np.sqrt(m.variances[:, 0])
-    log_coef, inv_2var, _ = _density_coefficients(m)
+    log_coef, inv_2var = _density_coefficients(m)
     # Window: the normal quantile on the widest component keeps tail mass
     # << tol/10.
     z = float(-ndtri(min(tol, 1e-3) / 40.0)) + 4.0
@@ -327,8 +306,7 @@ def entropy_mc(
     Returns (estimate, standard_error). Samples are drawn in fixed-size
     partitions whose generators are keyed by (seed, stream, partition), so
     the result depends only on (n_samples, seed, stream), never on the
-    worker count. Zero-variance coordinates are sampled exactly at 0 and
-    handled by the density's support rule.
+    worker count.
     """
     if n_samples < MC_MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MC_MIN_SAMPLES}")

@@ -101,8 +101,8 @@ class HoppingProfile:
             w = tuple(float(x) for x in self.pmf)
             if len(w) < 1:
                 raise ValueError("pmf must be nonempty")
-            if any(x < 0 for x in w):
-                raise ValueError("pmf entries must be nonnegative")
+            if not all(x >= 0 for x in w):
+                raise ValueError("pmf entries must be nonnegative, not NaN")
             if abs(sum(w) - 1.0) > PROB_TOL:
                 raise ValueError("pmf must sum to 1 within 1e-12")
             object.__setattr__(self, "pmf", w)

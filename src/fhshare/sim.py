@@ -1,17 +1,18 @@
 """Slot-level simulation of the hopping network.
 
 Every user redraws its sub-band subset each slot; the simulator tallies,
-per user, the number of interference-free sub-bands and the empirical
-frequency of each interference level on the sub-bands the user occupies.
-Those tallies are the ground truth the closed forms are checked against.
+per user, the empirical frequency of each interference level on the
+sub-bands the user occupies, and the number of its free sub-bands: those
+on the c = 0 level, where no interferer adds a nonzero increment (an
+interferer whose gain to the user is zero leaves the band free). Those
+tallies are the ground truth the closed forms are checked against.
 
-A block of slots is simulated for all users at once. The per-sub-band
-occupancy count marks the interference-free sub-bands (count 1); one
-matrix product of the squared cross gains (zero diagonal) with every
-user's per-hop power gives each receiver's interference increment on
-every sub-band; and the level tally is sparse: the distinct
-(slot, level) pairs a receiver hits, with their hit counts, summed per
-level with bincount.
+A block of slots is simulated for all users at once. One matrix product
+of the squared cross gains (zero diagonal) with every user's per-hop
+power gives each receiver's interference increment on every sub-band;
+the level tally is sparse: the distinct (slot, level) pairs a receiver
+hits, with their hit counts, summed per level with bincount. The free
+count of a slot is its hit count on the c = 0 level.
 
 Sampling is reproducible: slots are processed in fixed-size blocks and
 each (user, block) pair owns a generator seeded from (master_seed, user,
@@ -37,7 +38,7 @@ from .model import (
 
 SLOT_BLOCK = 1 << 14
 # Most (user, slot, sub-band) cells of one block. A cell of a run's block
-# peaks at about 19 bytes (occupancy, per-hop power, increment), so a
+# peaks at about 17 bytes (occupancy, per-hop power, increment), so a
 # block stays near 300 MB.
 MAX_BLOCK_CELLS = 1 << 24
 
@@ -64,7 +65,9 @@ class SimStats:
     """Aggregates over all simulated slots.
 
     free_mean/free_se: per-user mean and standard error of the count of
-    the user's own sub-bands with no interference in a slot.
+    the user's own sub-bands in a slot that are free: on the c = 0 level,
+    where no interferer adds a nonzero increment (0 when the user's
+    spectrum has no such level).
     level_c/level_freq/level_se: per-user arrays aligned with the user's
     enumerated interference levels; frequencies are per-slot fractions of
     the user's occupied sub-bands, averaged over slots where the user
@@ -103,14 +106,6 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
         rng = generator(cfg.master_seed, (k, block))
         occ[k], counts[k] = sample_occupancy(cfg.profiles[k], u, rng, size)
 
-    # A sub-band is free for its user exactly when nobody else is on it,
-    # i.e. when its occupancy count is 1 (counted in the smallest unsigned
-    # type that holds n, the free bands in one that holds u: no overflow).
-    load = occ.sum(axis=0, dtype=np.min_scalar_type(n))
-    free = (occ & (load == 1)).sum(axis=2, dtype=np.min_scalar_type(u)).astype(float)
-    free_sum = free.sum(axis=1)
-    free_sq = (free * free).sum(axis=1)
-
     # Every receiver's increment on every (slot, sub-band) in one product:
     # c[i] = sum_k g_ki^2 occ_k / v_k, the zero diagonal dropping the self term.
     g2 = np.square(scenario.gains)
@@ -120,6 +115,10 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
 
     # Sparse level tally: one (slot, level, hits) triple per level a slot
     # hits, in slot order, so each level's sums run over slots in order.
+    # A slot's free count is its hits on the c = 0 level; the counts are
+    # integers, so their sums are exact.
+    free_sum = np.zeros(n)
+    free_sq = np.zeros(n)
     freq_sum, freq_sq = [], []
     for i in range(n):
         n_lvl = len(level_c[i])
@@ -130,6 +129,10 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
         hit_lvl = keys % n_lvl
         freq_sum.append(np.bincount(hit_lvl, weights=frac, minlength=n_lvl))
         freq_sq.append(np.bincount(hit_lvl, weights=frac * frac, minlength=n_lvl))
+        if level_c[i][0] == 0.0:
+            free = hits[hit_lvl == 0]
+            free_sum[i] = free.sum()
+            free_sq[i] = (free * free).sum()
     freq_slots = (counts > 0).sum(axis=1)
     return free_sum, free_sq, freq_sum, freq_sq, freq_slots
 

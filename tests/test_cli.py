@@ -29,6 +29,11 @@ from fhshare.model import (
 from fhshare.sim import read_sample_dump
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 @pytest.fixture
 def scen_file(tmp_path):
     doc = {
@@ -210,7 +215,7 @@ def test_levels_matches_library(scen_file, capsys):
     code, out, err = run_cli(["levels", "--scenario", scen_file], capsys)
     assert code == 0 and err == ""
     rows = parse_csv(out)
-    scen, profs = scenario_from_json(json.loads(open(scen_file).read()))
+    scen, profs = scenario_from_json(read_json(scen_file))
     want = enumerate_interference_spectrum(scen, profs, 0)
     got0 = [r for r in rows if r["receiver"] == "0"]
     assert len(got0) == want.n_levels
@@ -264,7 +269,7 @@ def test_bounds_gamma_rescaling(scen_fixed_file, capsys):
     assert code == 0, err
     rows = parse_csv(out)
     assert [r["gamma"] for r in rows] == ["100", "10000"]
-    doc = json.loads(open(scen_fixed_file).read())
+    doc = read_json(scen_fixed_file)
     for row in rows:
         gamma = float(row["gamma"])
         scen = NetworkScenario(

@@ -185,3 +185,24 @@ def test_every_subcommand_exits_cleanly_on_malformed_input(sub):
             assert set(json.loads(err)) == {"error", "message"}
 
     check()
+
+
+@pytest.mark.parametrize("sub", ["levels", "bounds", "simulate"])
+def test_nan_pmf_weight_is_one_json_error(sub, tmp_path):
+    # json accepts the NaN token; the profile must refuse the weight
+    doc = {
+        "u": 1,
+        "users": [{"v": 1}, {"pmf": [NAN, 1.0]}],
+        "gains": [[1.0, 0.5], [0.5, 1.0]],
+        "P": 10.0,
+        "sigma2": 1.0,
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [sub, "--scenario", str(path)]
+    if sub == "simulate":
+        argv += ["--slots", "20", "--seed", "1"]
+    code, out, err = run_main(argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert set(json.loads(err)) == {"error", "message"}

@@ -102,29 +102,6 @@ def test_log_density_extreme_scale_stability():
     assert math.isfinite(log_density(m, [0.0]))
 
 
-def test_degenerate_support_rules():
-    # A zero-variance coordinate confines that component to x = 0 there.
-    m = GaussianMixtureDiag(weights=np.array([1.0]), variances=np.array([[0.0, 1.0]]))
-    assert log_density(m, [0.0, 0.7]) == pytest.approx(
-        float(norm.logpdf(0.7)), rel=1e-13
-    )
-    assert log_density(m, [1e-9, 0.7]) == -math.inf
-
-    mixed = GaussianMixtureDiag(
-        weights=np.array([0.4, 0.6]), variances=np.array([[0.0, 1.0], [1.0, 1.0]])
-    )
-    on = log_density(mixed, [0.0, 0.0])
-    expected_on = math.log(
-        0.4 * math.exp(float(norm.logpdf(0.0)))
-        + 0.6 * math.exp(2 * float(norm.logpdf(0.0)))
-    )
-    assert on == pytest.approx(expected_on, rel=1e-13)
-    off = log_density(mixed, [0.5, 0.0])
-    assert off == pytest.approx(
-        math.log(0.6) + float(norm.logpdf(0.5)) + float(norm.logpdf(0.0)), rel=1e-13
-    )
-
-
 def test_quadrature_matches_closed_form_gaussian():
     for var in (0.25, 1.0, 7.5, 1e4):
         m = GaussianMixture1D.of((1.0, var))
@@ -192,68 +169,37 @@ def test_quadrature_within_entropy_bounds(comps):
     assert lower - tol <= h <= upper + tol
 
 
-def _log_density_rows_loop(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
-    """Reference: one component at a time, each confined to the points that
-    are 0 on its zero-variance coordinates."""
-    cols = np.full((x.shape[0], m.n_components), -np.inf)
-    for l, (w, v) in enumerate(zip(m.weights, m.variances)):
-        live = v > 0.0
-        ok = np.all(x[:, ~live] == 0.0, axis=1)
-        q = 0.5 * np.sum(x[np.ix_(ok, live)] ** 2 / v[live], axis=1)
-        logdet = -0.5 * (int(live.sum()) * math.log(2 * math.pi) + np.log(v[live]).sum())
-        cols[ok, l] = math.log(w) + logdet - q
-    with np.errstate(invalid="ignore"):
-        return logsumexp(cols, axis=1)
-
-
 def test_log_density_rows_degenerate_branch_and_empty_rows():
-    rng = np.random.default_rng(8)
-    var = rng.exponential(2.0, size=(6, 3))
-    var[rng.random((6, 3)) < 0.4] = 0.0
-    var[0] = 0.0  # a point mass at the origin
-    m = GaussianMixtureDiag(weights=rng.dirichlet(np.ones(6)), variances=var)
-    x = rng.normal(size=(400, 3))
-    x[rng.random((400, 3)) < 0.5] = 0.0
-    got = _log_density_rows(m, x)
-    want = _log_density_rows_loop(m, x)
-    assert np.array_equal(np.isneginf(got), np.isneginf(want))
-    finite = np.isfinite(want)
-    assert finite.sum() > 100 and np.isneginf(want).sum() > 10
-    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
-
-    # rows no component reaches give -inf, without warnings
-    only_axis = GaussianMixtureDiag(
-        weights=np.array([0.5, 0.5]), variances=np.array([[0.0, 1.0], [0.0, 4.0]])
-    )
+    # rows no component reaches (an infinite coordinate) give -inf,
+    # without warnings
     full = GaussianMixtureDiag(
         weights=np.array([0.5, 0.5]), variances=np.array([[1.0, 1.0], [4.0, 4.0]])
     )
     with np.errstate(all="raise"):
-        out = _log_density_rows(only_axis, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert out[0] == -math.inf and math.isfinite(out[1])
         out = _log_density_rows(full, np.array([[math.inf, 0.0], [0.0, 1.0]]))
-        assert out[0] == -math.inf and math.isfinite(out[1])
+    assert out[0] == -math.inf and math.isfinite(out[1])
 
 
-@pytest.mark.parametrize("dead", [False, True], ids=["live", "dead"])
+@pytest.mark.parametrize("rows", ["live", "unreached"])
 @pytest.mark.parametrize("n_rows", [1, 2, 401, 1000])
-def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, dead, n_rows):
+def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, rows, n_rows):
     # With 37 components, blocks of 7 and 111 doubles make chunks of 2 and
     # 3 rows, so 401 and 1000 rows end in a lone row; 1 << 16 or 1 << 20
-    # doubles hold every row in one chunk.
+    # doubles hold every row in one chunk. An infinite coordinate puts a
+    # row out of every component's reach (-inf).
     rng = np.random.default_rng(9)
     var = rng.exponential(2.0, size=(37, 5)) + 0.1
-    if dead:
-        var[rng.random(var.shape) < 0.3] = 0.0
     m = GaussianMixtureDiag(weights=rng.dirichlet(np.ones(37)), variances=var)
     x = rng.normal(size=(n_rows, 5)) * 3.0
-    if dead:
-        x[rng.random(x.shape) < 0.4] = 0.0
+    if rows == "unreached":
+        x[rng.random(x.shape) < 0.1] = math.inf
+        x[-1, 0] = -math.inf
     outs = []
     for block in (1, 7, 111, 1 << 16, 1 << 20):
         monkeypatch.setattr(mixture, "_BLOCK_DOUBLES", block)
         outs.append(_log_density_rows(m, x).tobytes())
     assert outs[1:] == outs[:-1]
+    assert np.isneginf(np.frombuffer(outs[0])).any() == (rows == "unreached")
     # the scalar kernel of entropy_quadrature too
     xq = rng.normal(size=(n_rows, 1)) * 2.0
     outs = []
@@ -263,7 +209,7 @@ def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, dead, n_r
     assert outs[1:] == outs[:-1]
 
 
-def reference_log_mixture_rows(x, log_coef, inv_2var, dead=None):
+def reference_log_mixture_rows(x, log_coef, inv_2var):
     """The log-density kernel without the term floor: exp runs on every
     term, subnormal and zero results included."""
     n = x.shape[0]
@@ -276,8 +222,6 @@ def reference_log_mixture_rows(x, log_coef, inv_2var, dead=None):
         xs = x[s:stop]
         block = (xs * xs) @ inv_2var.T
         np.subtract(log_coef, block, out=block)
-        if dead is not None:
-            block[((xs != 0.0).astype(float) @ dead.T) > 0.0] = -np.inf
         top = block.max(axis=1)
         top[top == -np.inf] = 0.0
         block -= top[:, None]
@@ -290,12 +234,9 @@ def reference_log_mixture_rows(x, log_coef, inv_2var, dead=None):
 
 
 def _kernel_args(var, weights):
-    """(log_coef, inv_2var, dead) as _log_density_rows builds them."""
-    live = var > 0.0
-    safe = np.where(live, var, 1.0)
-    logdet = -0.5 * (live.sum(axis=1) * math.log(2 * math.pi) + np.log(safe).sum(axis=1))
-    dead = None if live.all() else (~live).astype(float)
-    return np.log(weights) + logdet, np.where(live, 0.5 / safe, 0.0), dead
+    """(log_coef, inv_2var) as _log_density_rows builds them."""
+    logdet = -0.5 * (var.shape[1] * math.log(2 * math.pi) + np.log(var).sum(axis=1))
+    return np.log(weights) + logdet, 0.5 / var
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,32 +245,32 @@ def _kernel_args(var, weights):
     k=st.integers(1, 400),
     dim=st.integers(1, 8),
     n_rows=st.integers(1, 300),
-    p_dead=st.sampled_from([0.0, 0.2, 0.6]),
+    unreached=st.booleans(),
 )
-@example(seed=0, k=1, dim=1, n_rows=1, p_dead=0.0)
-@example(seed=1, k=1, dim=3, n_rows=50, p_dead=0.6)
-@example(seed=2, k=400, dim=1, n_rows=1, p_dead=0.0)
-def test_log_term_floor_changes_no_bit(seed, k, dim, n_rows, p_dead):
+@example(seed=0, k=1, dim=1, n_rows=1, unreached=False)
+@example(seed=1, k=1, dim=3, n_rows=50, unreached=True)
+@example(seed=2, k=400, dim=1, n_rows=1, unreached=False)
+@example(seed=3, k=2, dim=2, n_rows=1, unreached=True)
+def test_log_term_floor_changes_no_bit(seed, k, dim, n_rows, unreached):
     # Variances e^-25..e^25 put many terms below the row maximum by
     # 708-745 (subnormal exp) and by more (exp is 0); the floor must keep
-    # every output byte and every -inf of a row no component reaches.
+    # every output byte and, without a floating-point warning, every -inf
+    # of a row no component reaches (one with an infinite coordinate).
     rng = np.random.default_rng(seed)
     var = np.exp(rng.uniform(-25.0, 25.0, size=(k, dim)))
-    var[rng.random((k, dim)) < p_dead] = 0.0
-    if p_dead > 0.5:
-        var[:, 0] = 0.0  # rows nonzero on coordinate 0 are reached by none
     weights = rng.dirichlet(np.ones(k))
     idx = rng.integers(0, k, size=n_rows)
     x = rng.standard_normal((n_rows, dim)) * np.sqrt(var[idx])
-    x[rng.random((n_rows, dim)) < p_dead] = 0.0
     x[rng.random(n_rows) < 0.2] *= np.exp(rng.uniform(0.0, 12.0))
-    if p_dead > 0.0:
-        x[rng.random(n_rows) < 0.3, 0] = 1.0
-    log_coef, inv_2var, dead = _kernel_args(var, weights)
-    want = reference_log_mixture_rows(x, log_coef, inv_2var, dead)
+    if unreached:
+        x[rng.random(n_rows) < 0.3, rng.integers(dim)] = math.inf
+        x[0, -1] = -math.inf
+    log_coef, inv_2var = _kernel_args(var, weights)
+    want = reference_log_mixture_rows(x, log_coef, inv_2var)
     with np.errstate(all="raise"):
-        got = mixture._log_mixture_rows(x, log_coef, inv_2var, dead)
+        got = mixture._log_mixture_rows(x, log_coef, inv_2var)
     assert got.tobytes() == want.tobytes()
+    assert np.isneginf(got).any() == unreached
 
 
 def test_entropy_mc_agrees_with_quadrature():
@@ -516,6 +457,25 @@ def test_mixture_validation():
         GaussianMixtureDiag(weights=np.array([1.0]), variances=np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "weights, variances",
+    [
+        ((0.5, 0.5), (1.0, 0.0)),
+        ((0.5, 0.5), (1.0, -2.0)),
+        ((0.5, 0.5), (1.0, math.nan)),
+        ((0.5, 0.5), (1.0, math.inf)),
+        ((0.5, math.nan, 0.5), (1.0, 2.0, 3.0)),
+    ],
+    ids=["zero_var", "negative_var", "nan_var", "inf_var", "nan_weight"],
+)
+def test_mixtures_refuse_non_positive_or_non_finite_parts(weights, variances):
+    # a NaN weight passes both "< 0" and the sum test and used to be dropped
+    with pytest.raises(ValueError):
+        GaussianMixtureDiag(weights=np.array(weights), variances=np.array(variances)[:, None])
+    with pytest.raises(ValueError):
+        GaussianMixture1D(list(zip(weights, variances)))
+
+
 @st.composite
 def scalar_mixtures(draw):
     """(weights, variances) of a scalar mixture: 1-8 components, variances
@@ -552,11 +512,10 @@ def test_quadrature_coefficients_match_the_scalar_formula(case):
         math.log(2.0 * math.pi) + np.log(m.variances[:, 0])
     )
     want_inv_2var = (0.5 / m.variances[:, 0])[:, None]
-    log_coef, inv_2var, dead = mixture._density_coefficients(m)
+    log_coef, inv_2var = mixture._density_coefficients(m)
     assert log_coef.tobytes() == want_log_coef.tobytes()
     assert inv_2var.shape == want_inv_2var.shape
     assert inv_2var.tobytes() == want_inv_2var.tobytes()
-    assert dead is None
 
 
 @settings(max_examples=25, deadline=None)

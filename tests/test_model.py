@@ -302,6 +302,10 @@ def test_profile_validation():
         HoppingProfile.from_pmf((0.5, 0.4))
     with pytest.raises(ValueError):
         HoppingProfile(fixed_v=1, pmf=(0.5, 0.5))
+    # NaN passes both a "< 0" test and the sum test
+    for pmf in ((math.nan, 1.0), (0.5, math.nan, 0.5)):
+        with pytest.raises(ValueError, match="not NaN"):
+            HoppingProfile.from_pmf(pmf)
     prof = HoppingProfile.from_pmf((0.25, 0.5, 0.25))
     assert prof.mean_v() == pytest.approx(1.0)
     assert prof.max_v() == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhshare import sim
+from fhshare.bounds import multiplexing_gain
 from fhshare.mixture import GaussianMixtureDiag, entropy_mc
 from fhshare.model import (
     HoppingProfile,
@@ -232,16 +233,15 @@ def reference_run_block(cfg, level_c, block, size):
     freq_slots = np.zeros(n, dtype=np.int64)
 
     for i in range(n):
-        others = np.zeros((size, u), dtype=bool)
         c_real = np.zeros((size, u))
         for k in range(n):
             if k == i:
                 continue
-            others |= occ[k]
             amp = float(scenario.gains[k, i]) ** 2 / np.maximum(counts[k], 1)
             amp = np.where(counts[k] > 0, amp, 0.0)
             c_real += occ[k] * amp[:, None]
-        free = (occ[i] & ~others).sum(axis=1).astype(float)
+        # free: occupied, and no interferer adds a nonzero increment
+        free = (occ[i] & (c_real == 0.0)).sum(axis=1).astype(float)
         free_sum[i] = free.sum()
         free_sq[i] = (free * free).sum()
 
@@ -280,13 +280,9 @@ def spectrum_levels(scen, profs):
 
 
 @st.composite
-def block_cases(draw):
-    n = draw(st.integers(1, 6))
-    u = draw(st.integers(1, 6))
-    gain = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
-    gains = np.array(
-        [[draw(gain) for _ in range(n)] for _ in range(n)], dtype=float
-    )
+def profile_lists(draw, n, u):
+    """n hopping profiles on u sub-bands, each a fixed count 0..u or a pmf
+    with small integer weights."""
     profiles = []
     for _ in range(n):
         if draw(st.booleans()):
@@ -298,13 +294,26 @@ def block_cases(draw):
                 )
             )
             profiles.append(HoppingProfile.from_pmf([x / sum(w) for x in w]))
+    return tuple(profiles)
+
+
+@st.composite
+def block_cases(draw):
+    n = draw(st.integers(1, 6))
+    u = draw(st.integers(1, 6))
+    # a zero gain leaves the bands it would hit free; no gain underflows
+    gain = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    gains = np.array(
+        [[draw(gain) for _ in range(n)] for _ in range(n)], dtype=float
+    )
+    profiles = draw(profile_lists(n, u))
     scen = NetworkScenario(
         n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
     )
     size = draw(st.integers(1, 300))
     block = draw(st.integers(0, 3))
     seed = draw(st.integers(0, 2**64))
-    return scen, tuple(profiles), size, block, seed
+    return scen, profiles, size, block, seed
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,8 +360,8 @@ def test_block_equals_per_receiver_loop_edge_cases(name):
 
 def test_block_occupancy_count_holds_many_users():
     # 256 users on both sub-bands plus one that hops onto some: a sub-band
-    # carries 256 or 257 users, which an 8-bit count would wrap to 0 or 1
-    # and so report as free.
+    # carries 256 or 257 users, so no band is free and every increment
+    # lands on one of the hand-built levels.
     n, u = 257, 2
     profs = (HoppingProfile.fixed(2),) * (n - 1) + (
         HoppingProfile.from_pmf((0.3, 0.3, 0.4)),
@@ -404,35 +413,26 @@ def bernstein_halfwidth(m, var, span, alpha):
 
 
 @st.composite
-def frequency_cases(draw):
+def frequency_cases(draw, kinds=("equal", "zero_cross", "some_zero", "unequal")):
     """Small scenarios with fixed and pmf users, with equal gains (levels
-    merge), zero cross gains, or unequal gains."""
+    merge), zero cross gains, some zero gains, or unequal nonzero gains."""
     n = draw(st.integers(1, 4))
     u = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["equal", "zero_cross", "unequal"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "equal":
         gains = np.ones((n, n))
     elif kind == "zero_cross":
         gains = np.eye(n)
     else:
-        gains = np.array(
-            [[draw(st.floats(0.2, 2.0)) for _ in range(n)] for _ in range(n)]
-        )
-    profiles = []
-    for _ in range(n):
-        if draw(st.booleans()):
-            profiles.append(HoppingProfile.fixed(draw(st.integers(0, u))))
-        else:
-            w = draw(
-                st.lists(st.integers(0, 3), min_size=u + 1, max_size=u + 1).filter(
-                    lambda x: sum(x) > 0
-                )
-            )
-            profiles.append(HoppingProfile.from_pmf([x / sum(w) for x in w]))
+        gain = st.floats(0.2, 2.0)
+        if kind == "some_zero":
+            gain = st.one_of(st.just(0.0), gain)
+        gains = np.array([[draw(gain) for _ in range(n)] for _ in range(n)])
+    profiles = draw(profile_lists(n, u))
     scen = NetworkScenario(
         n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
     )
-    return scen, tuple(profiles), draw(st.integers(0, 2**32))
+    return scen, profiles, draw(st.integers(0, 2**32))
 
 
 FREQUENCY_EXAMPLES = 40
@@ -445,7 +445,9 @@ def test_level_frequencies_match_enumerated_probabilities(case):
     # Each active slot's fraction of the user's sub-bands at level l lies
     # in [0, 1] with mean a_l, so its variance is at most a_l (1 - a_l);
     # Bernstein's bound at alpha split over every level of every example
-    # holds even for levels too rare to be seen.
+    # holds even for levels too rare to be seen. A fixed-v user's free
+    # count is its hits on the c = 0 level, so it is v times that level's
+    # frequency, and 0 when no slot leaves a band free.
     scen, profs, seed = case
     cfg = SimConfig(scenario=scen, profiles=profs, n_slots=4000, master_seed=seed)
     stats = run(cfg)
@@ -456,6 +458,13 @@ def test_level_frequencies_match_enumerated_probabilities(case):
     alpha = FREQUENCY_ALPHA / (FREQUENCY_EXAMPLES * n_checks)
     for i, spec in enumerate(spectra):
         np.testing.assert_array_equal(stats.level_c[i], spec.c_values)
+        if spec.c_values[0] != 0.0 or profs[i].fixed_v == 0:
+            assert stats.free_mean[i] == 0.0
+        elif profs[i].is_fixed:
+            v = profs[i].fixed_v
+            assert stats.free_mean[i] == pytest.approx(
+                v * stats.level_freq[i][0], rel=1e-12
+            )
         m = int(stats.level_slots[i])
         if m == 0:  # the user never hops: nothing to average
             assert np.isnan(stats.level_freq[i]).all()
@@ -465,6 +474,43 @@ def test_level_frequencies_match_enumerated_probabilities(case):
         for l, (a, f) in enumerate(zip(spec.probabilities, freq)):
             tol = bernstein_halfwidth(m, a * (1.0 - a), 1.0, alpha)
             assert abs(f - a) <= tol, (i, l, f, a, tol)
+
+
+def test_free_count_follows_zero_gains():
+    # User 0 does not reach user 1 and user 1 does not reach user 2: the
+    # bands they would hit stay free, as in the spectrum and the slope.
+    gains = np.array([[1.0, 0.0, 0.5], [0.7, 1.0, 0.0], [0.3, 0.9, 1.0]])
+    scen = NetworkScenario(
+        n_users=3, n_subbands=5, gains=gains, total_power=10.0, noise_power=1.0
+    )
+    profs = (HoppingProfile.fixed(2), HoppingProfile.fixed(2), HoppingProfile.fixed(3))
+    stats = run(SimConfig(scen, profs, 50000, 5))
+    for i in range(3):
+        want = 2.0 * multiplexing_gain(scen, profs, i)
+        assert stats.free_se[i] > 0
+        assert abs(stats.free_mean[i] - want) <= 4 * stats.free_se[i], (i, want)
+    # 2 (1 - 2/5)(1 - 3/5), 2 (1 - 3/5) and 3 (1 - 2/5)
+    want = [2.0 * multiplexing_gain(scen, profs, i) for i in range(3)]
+    np.testing.assert_allclose(want, [0.48, 0.8, 1.8], rtol=1e-12)
+
+
+PMF_FREE_EXAMPLES = 10
+
+
+@settings(max_examples=PMF_FREE_EXAMPLES, deadline=None, derandomize=True)
+@given(frequency_cases(kinds=("equal", "unequal")))
+def test_free_mean_matches_mean_hops_times_leave_one_out_product(case):
+    # With every gain nonzero a band is free when nobody else is on it:
+    # E[free_i] = vbar_i prod_{k != i} (1 - vbar_k / u), pmf users too.
+    scen, profs, seed = case
+    stats = run(SimConfig(scen, profs, 20000, seed))
+    u = scen.n_subbands
+    vbar = [p.mean_v() for p in profs]
+    for i in range(scen.n_users):
+        others = [1.0 - vbar[k] / u for k in range(scen.n_users) if k != i]
+        want = vbar[i] * math.prod(others)
+        tol = 4 * stats.free_se[i] + 1e-12
+        assert abs(stats.free_mean[i] - want) <= tol, (i, stats.free_mean[i], want)
 
 
 def test_blocks_over_the_cell_budget_fail_before_sampling(monkeypatch):
