@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, pdtrik
 
+from ._special import lgam
 from .gains import maximize_on_interval, smg_fair, v_opt
 from .mixture import PROB_TOL
 
@@ -30,6 +30,21 @@ _POISSON_TAIL = 1e-12
 # Largest user count a law may carry: a measure curve is one
 # (4097 x n_top) matrix, 268 MB at this cap (Poisson lambda up to ~7500).
 MAX_USER_COUNT = 1 << 13
+
+# lgam(n + 1) for n = 0, 1, ...; grown by _log_factorials, never shrunk.
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def _log_factorials(n_top: int) -> np.ndarray:
+    """log n! for n = 0..n_top, from a table kept for the process."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if n_top >= table.size:
+        more = [lgam(n + 1.0) for n in range(table.size, n_top + 1)]
+        table = np.concatenate([table, more])
+        table.flags.writeable = False
+        _LOG_FACTORIALS = table
+    return table[: n_top + 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,31 +84,31 @@ class UserCountPmf:
         if not (lam > 0 and math.isfinite(lam)):
             raise ValueError("lambda must be positive and finite")
         n_top = truncation_n
-        if n_top is None:
-            # pdtrik inverts the cdf on a continuous n, close to the first n
-            # with tail pdtrc(n) = P{N > n} strictly below 1e-12; step from
-            # there to that n exactly.
-            start = float(pdtrik(1.0 - _POISSON_TAIL, lam))
-            if not start <= MAX_USER_COUNT:  # nan and inf too
-                raise ValueError(f"lambda={lam} is too large to truncate at n <= {MAX_USER_COUNT}")
-            n_top = math.ceil(start)
-            while n_top > 0 and pdtrc(n_top - 1, lam) < _POISSON_TAIL:
-                n_top -= 1
-            while pdtrc(n_top, lam) >= _POISSON_TAIL:
-                n_top += 1
-            n_top = max(n_top, 1)
-        else:
+        if n_top is not None:
             integral = isinstance(n_top, numbers.Real) and float(n_top).is_integer()
             if isinstance(n_top, bool) or not integral or not 0 <= n_top <= MAX_USER_COUNT:
                 raise ValueError(
                     f"truncation_n must be an integer in 0..{MAX_USER_COUNT}, got {n_top!r}"
                 )
             n_top = int(n_top)
-            if pdtrc(n_top, lam) >= _POISSON_TAIL:
-                raise ValueError(f"truncation_n={n_top} leaves tail mass >= 1e-12")
-        n = np.arange(n_top + 1)
-        logs = -lam + n * math.log(lam) - gammaln(n + 1)
-        return cls(weights=np.exp(logs), poisson_lambda=float(lam))
+        # P{N > n} < 1e-12 needs n > lambda, so no larger lambda fits the cap:
+        # refusing it here bounds the scan below by about 12k terms.
+        if lam > MAX_USER_COUNT:
+            raise ValueError(f"lambda={lam} is too large to truncate at n <= {MAX_USER_COUNT}")
+        # P{N > lambda + 40 sqrt(lambda) + 60} < 1e-160 for every lambda, so a
+        # tail summed up to there is P{N > n} as far as the 1e-12 cut sees.
+        scan = max(math.ceil(lam + 40.0 * math.sqrt(lam) + 60.0), n_top or 0)
+        n = np.arange(scan + 1)
+        weights = np.exp(-lam + n * math.log(lam) - _log_factorials(scan))
+        # tail[n] = P{N > n}, summed from the far end so small terms add first
+        tail = np.append(np.cumsum(weights[:0:-1])[::-1], 0.0)
+        if n_top is None:
+            n_top = 1 + int(np.argmax(tail[1:] < _POISSON_TAIL))
+            if n_top > MAX_USER_COUNT:
+                raise ValueError(f"lambda={lam} is too large to truncate at n <= {MAX_USER_COUNT}")
+        elif tail[n_top] >= _POISSON_TAIL:
+            raise ValueError(f"truncation_n={n_top} leaves tail mass >= 1e-12")
+        return cls(weights=weights[: n_top + 1], poisson_lambda=float(lam))
 
     @property
     def is_finite(self) -> bool:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._blocks import generator, map_blocks
+from ._special import ndtri
 
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
@@ -247,7 +247,7 @@ def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
     log_coef, inv_2var = _density_coefficients(m)
     # Window: the normal quantile on the widest component keeps tail mass
     # << tol/10.
-    z = float(-ndtri(min(tol, 1e-3) / 40.0)) + 4.0
+    z = -ndtri(min(tol, 1e-3) / 40.0) + 4.0
     span = z * float(sig.max())
 
     # Seed break points on each component's own scale so narrow spikes

@@ -755,12 +755,18 @@ def test_pmf_dump_user_rejected_before_simulating(
     assert not dump.exists()
 
 
-def test_import_skips_scipy_stats_and_integrate():
+def test_runtime_path_loads_no_scipy():
+    # a lazy import would move scipy's import time into the first quadrature
+    # or Poisson law, so the probe runs one of each and a CLI command too
     src = os.path.dirname(os.path.dirname(fhshare.__file__))
     probe = (
-        "import sys, fhshare, fhshare.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))"
+        "import sys, fhshare.cli\n"
+        "from fhshare.measures import UserCountPmf\n"
+        "from fhshare.mixture import GaussianMixture1D, entropy_quadrature\n"
+        "entropy_quadrature(GaussianMixture1D.of((0.5, 1.0), (0.5, 4.0)))\n"
+        "UserCountPmf.poisson(400.0)\n"
+        "assert fhshare.cli.main(['sweep', '--u', '7', '--lambdas', '2:4:1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -769,7 +775,16 @@ def test_import_skips_scipy_stats_and_integrate():
         check=True,
         text=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.startswith("u,lam,")
+    assert done.stderr.strip() == "[]"
+
+
+def test_sweep_refuses_a_lambda_past_the_user_cap(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["sweep", "--u", "16", "--lambdas", "1e9"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert "too large to truncate" in json.loads(err)["message"]
 
 
 def test_compare_skips_conditions_with_mass_at_zero(tmp_path, capsys):
