@@ -23,6 +23,7 @@ from .model import (
     NetworkScenario,
     check_profiles,
     check_user,
+    check_user_index,
     enumerate_interference_spectrum,
 )
 
@@ -60,29 +61,26 @@ def _interference_realizations(
     per-sub-band received power). Enumerates every joint choice of
     sub-band subsets, deduplicating by the per-coordinate occupancy
     pattern. Returns (weights, power_matrix) with power_matrix of shape
-    (n_realizations, n_coords).
+    (n_realizations, n_coords), its rows in increasing pattern order.
 
     Only interferers on 1..u-1 sub-bands take a bit of the int64 pattern
     (63 of them make 2^63 placements, past any budget); one on 0 or u
-    sub-bands occupies every coordinate alike in every placement.
+    sub-bands occupies every coordinate alike in every placement. With
+    n_coords == u no two placements share a pattern, and each weight is
+    the running quotient 1 / C_1 / C_2 / ... of the subset counts.
     """
     constant = np.array([v_k >= u for v_k in hop_counts], dtype=np.int64)
     hopping = [t for t, v_k in enumerate(hop_counts) if 0 < v_k < u]
     patterns = np.zeros((1, n_coords), dtype=np.int64)
     weights = np.array([1.0])
     for bit, t in enumerate(hopping):
-        subsets = list(itertools.combinations(range(u), hop_counts[t]))
-        occ = np.zeros((len(subsets), n_coords), dtype=np.int64)
-        for s_idx, subset in enumerate(subsets):
-            for j in subset:
-                if j < n_coords:
-                    occ[s_idx, j] = 1
-        merged = (patterns[:, None, :] + (occ[None, :, :] << bit)).reshape(-1, n_coords)
-        w_new = np.repeat(weights, len(subsets)) / len(subsets)
-        patterns, inverse = np.unique(merged, axis=0, return_inverse=True)
-        weights = np.bincount(
-            inverse.reshape(-1), weights=w_new, minlength=patterns.shape[0]
-        )
+        subsets = np.array(list(itertools.combinations(range(u), hop_counts[t])))
+        occ = np.zeros((len(subsets), u), dtype=np.int64)
+        np.put_along_axis(occ, subsets, 1, axis=1)
+        patterns = (patterns[:, None, :] + (occ[None, :, :n_coords] << bit)).reshape(-1, n_coords)
+        weights = np.repeat(weights, len(subsets)) / len(subsets)
+    patterns, inverse = np.unique(patterns, axis=0, return_inverse=True)
+    weights = np.bincount(inverse.reshape(-1), weights=weights, minlength=patterns.shape[0])
     bits = np.broadcast_to(constant, patterns.shape + constant.shape).copy()
     bits[:, :, hopping] = (patterns[:, :, None] >> np.arange(len(hopping))) & 1
     power = bits @ np.asarray(amps, dtype=float)
@@ -260,6 +258,7 @@ def regulated_rate(
     Worst-case form of the entropy-power bound for the symmetric policy:
     only the interferer count and the user's incoming gains enter.
     """
+    check_user_index(scenario, user)
     if n_active < 1:
         raise ValueError("n_active must be >= 1")
     u = scenario.n_subbands

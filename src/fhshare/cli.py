@@ -112,10 +112,6 @@ def _load_json_file(path: str) -> dict:
         _fail("input", f"invalid JSON in {path}: {exc}")
 
 
-def _load_scenario(path: str):
-    return scenario_from_json(_load_json_file(path))
-
-
 def _load_pmf(path: str) -> ms.UserCountPmf:
     doc = _load_json_file(path)
     if not isinstance(doc, dict):
@@ -153,7 +149,7 @@ def _parse_floats(text: str) -> List[float]:
 
 
 def cmd_levels(args) -> None:
-    scenario, profiles = _load_scenario(args.scenario)
+    scenario, profiles = scenario_from_json(_load_json_file(args.scenario))
     spectra = [
         enumerate_interference_spectrum(scenario, profiles, i) for i in range(scenario.n_users)
     ]
@@ -182,7 +178,7 @@ def _nan_unless_applicable(call, missing=math.nan):
 
 
 def cmd_bounds(args) -> None:
-    scenario, profiles = _load_scenario(args.scenario)
+    scenario, profiles = scenario_from_json(_load_json_file(args.scenario))
     gammas = args.gammas
     if args.mc_samples > 0 and args.seed is None:
         _fail("usage", "--seed is required when --mc-samples > 0", code=2)
@@ -232,7 +228,7 @@ def cmd_bounds(args) -> None:
 
 
 def cmd_simulate(args) -> None:
-    scenario, profiles = _load_scenario(args.scenario)
+    scenario, profiles = scenario_from_json(_load_json_file(args.scenario))
     if args.dump:
         if not profiles[check_user(scenario, profiles, args.dump_user)].is_fixed:
             raise ValueError(f"--dump-user {args.dump_user} has a pmf, not a fixed v")
@@ -443,12 +439,15 @@ def _build_parser() -> _Parser:
     common(p, threads=True)
     p.set_defaults(func=cmd_simulate)
 
+    def load_law(p):
+        p.add_argument("--pmf", required=True)
+        p.add_argument("--u", type=_positive_finite, required=True)
+        p.add_argument("--n-des", type=int, default=None)
+        p.add_argument("--epsilon", type=float, default=None)
+        common(p)
+
     p = sub.add_parser("measures", help="eta measures for FH/FD/AFH")
-    p.add_argument("--pmf", required=True)
-    p.add_argument("--u", type=_positive_finite, required=True)
-    p.add_argument("--n-des", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    common(p)
+    load_law(p)
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("sweep", help="Poisson load sweep of the measures")
@@ -458,11 +457,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare", help="FH vs FD winners and conditions")
-    p.add_argument("--pmf", required=True)
-    p.add_argument("--u", type=_positive_finite, required=True)
-    p.add_argument("--n-des", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    common(p)
+    load_law(p)
     p.set_defaults(func=cmd_compare)
     return parser
 

@@ -25,14 +25,12 @@ BRACKET_REL_TOL = 1e-9
 
 
 def _leave_one_out_products(factors: np.ndarray) -> np.ndarray:
-    """prod_{k != i} factors[k] for every i, tolerant of zero factors."""
-    n = factors.size
-    prefix = np.ones(n + 1)
-    suffix = np.ones(n + 1)
-    for i in range(n):
-        prefix[i + 1] = prefix[i] * factors[i]
-        suffix[n - 1 - i] = suffix[n - i] * factors[n - 1 - i]
-    return prefix[:n] * suffix[1:]
+    """prod_{k != i} factors[k] for every i, tolerant of zero factors: the
+    product of the prefix before i and the suffix after it, each
+    accumulated in sequence."""
+    prefix = np.concatenate(([1.0], np.cumprod(factors[:-1])))
+    suffix = np.concatenate((np.cumprod(factors[:0:-1])[::-1], [1.0]))
+    return prefix * suffix
 
 
 def per_user_gains(vbar, u: float) -> np.ndarray:

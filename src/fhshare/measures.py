@@ -403,6 +403,15 @@ def _condition_n_max(pmf: UserCountPmf, n_max: Optional[int]) -> int:
     return n_max
 
 
+def _checked(measure: str, cond: bool, fh: float, fd: float) -> ConditionCheck:
+    """The check of a mean-load condition against the direct comparison
+    fd < fh; AssertionError where the condition holds and it fails."""
+    verified = fd < fh
+    if cond and not verified:
+        raise AssertionError(f"mean-load condition held but the {measure} comparison failed")
+    return ConditionCheck(condition_holds=cond, inequality_verified=verified)
+
+
 def eta1_sufficient_condition(
     pmf: UserCountPmf, n_max: Optional[int] = None
 ) -> ConditionCheck:
@@ -416,13 +425,7 @@ def eta1_sufficient_condition(
     n_max = _condition_n_max(pmf, n_max)
     cond = pmf.mean() < 0.5 * math.log((math.e**2 - 1.0) * n_max)
     fh, _ = eta1_fh(pmf, 1.0)
-    fd = eta1_fd(pmf, FdConfig(n_des=n_max), 1.0)
-    verified = fd < fh
-    if cond and not verified:
-        raise AssertionError(
-            "mean-load condition held but the eta1 comparison failed"
-        )
-    return ConditionCheck(condition_holds=cond, inequality_verified=verified)
+    return _checked("eta1", cond, fh, eta1_fd(pmf, FdConfig(n_des=n_max), 1.0))
 
 
 def eta2_sufficient_condition(
@@ -441,13 +444,7 @@ def eta2_sufficient_condition(
     lhs = (1.0 / mean_n) * (1.0 - 1.0 / mean_n) ** (mean_n - 1.0)
     cond = lhs > 1.0 / n_max
     fh, _ = eta2_fh(pmf, 1.0)
-    fd = eta2_fd(pmf, FdConfig(n_des=n_max), 1.0)
-    verified = fd < fh
-    if cond and not verified:
-        raise AssertionError(
-            "mean-load condition held but the eta2 comparison failed"
-        )
-    return ConditionCheck(condition_holds=cond, inequality_verified=verified)
+    return _checked("eta2", cond, fh, eta2_fd(pmf, FdConfig(n_des=n_max), 1.0))
 
 
 class Measure(NamedTuple):

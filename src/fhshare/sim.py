@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -166,18 +166,10 @@ def run(cfg: SimConfig, threads: int = 1) -> SimStats:
 
     parts = map_blocks(partial(_run_block, cfg, level_c), cfg.n_slots, SLOT_BLOCK, threads)
 
-    free_sum = np.zeros(n)
-    free_sq = np.zeros(n)
-    freq_sum = [np.zeros(len(level_c[i])) for i in range(n)]
-    freq_sq = [np.zeros(len(level_c[i])) for i in range(n)]
-    freq_slots = np.zeros(n, dtype=np.int64)
-    for fs, f2, qs, q2, qn in parts:
-        free_sum += fs
-        free_sq += f2
-        for i in range(n):
-            freq_sum[i] += qs[i]
-            freq_sq[i] += q2[i]
-        freq_slots += qn
+    # the blocks' tallies summed in block order, the level tallies user by user
+    fs, f2, qs, q2, qn = zip(*parts)
+    free_sum, free_sq, freq_slots = (reduce(np.add, col) for col in (fs, f2, qn))
+    freq_sum, freq_sq = ([reduce(np.add, user) for user in zip(*col)] for col in (qs, q2))
 
     free_mean, free_se = _mean_se(free_sum, free_sq, cfg.n_slots)
     freq_mean = []

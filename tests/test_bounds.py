@@ -1,9 +1,10 @@
 """Rate bounds: hand-computed values, structural identities, MC sandwich."""
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhshare import bounds, model
@@ -270,6 +271,15 @@ def test_regulated_corners():
         regulated_rate(scen, 0, 2, 5.0)
 
 
+@pytest.mark.parametrize("user", [-1, 3], ids=["neg", "N"])
+def test_regulated_rate_rejects_a_user_index_out_of_range(user):
+    # -1 used to count user 2's own direct gain as interference (0.3279
+    # bits where user 2 gets 0.4158) and 3 raised IndexError
+    assert regulated_rate(THREE_USERS, 2, 2, 2.0) == pytest.approx(0.4158, abs=1e-4)
+    with pytest.raises(ValueError, match=f"user index {user} out of range 0..2"):
+        regulated_rate(THREE_USERS, user, 2, 2.0)
+
+
 def test_zero_hop_user():
     scen = unit(2, 2, 100.0)
     profs = [HoppingProfile.fixed(0), HoppingProfile.fixed(1)]
@@ -392,6 +402,75 @@ def test_upper_bound_is_the_placement_average(case):
     value, residual = reference_upper_bound(scen, counts, user)
     assert ub.value_bits == pytest.approx(value, rel=1e-12, abs=0.0)
     assert ub.residual_bits == pytest.approx(residual, rel=1e-12, abs=0.0)
+
+
+def reference_realizations(u, hop_counts, amps, n_coords):
+    """_interference_realizations with a per-subset loop for each
+    interferer's occupancy and the patterns deduplicated every round."""
+    constant = np.array([v_k >= u for v_k in hop_counts], dtype=np.int64)
+    hopping = [t for t, v_k in enumerate(hop_counts) if 0 < v_k < u]
+    patterns = np.zeros((1, n_coords), dtype=np.int64)
+    weights = np.array([1.0])
+    for bit, t in enumerate(hopping):
+        subsets = list(itertools.combinations(range(u), hop_counts[t]))
+        occ = np.zeros((len(subsets), n_coords), dtype=np.int64)
+        for s_idx, subset in enumerate(subsets):
+            for j in subset:
+                if j < n_coords:
+                    occ[s_idx, j] = 1
+        merged = (patterns[:, None, :] + (occ[None, :, :] << bit)).reshape(-1, n_coords)
+        w_new = np.repeat(weights, len(subsets)) / len(subsets)
+        patterns, inverse = np.unique(merged, axis=0, return_inverse=True)
+        weights = np.bincount(
+            inverse.reshape(-1), weights=w_new, minlength=patterns.shape[0]
+        )
+    bits = np.broadcast_to(constant, patterns.shape + constant.shape).copy()
+    bits[:, :, hopping] = (patterns[:, :, None] >> np.arange(len(hopping))) & 1
+    power = bits @ np.asarray(amps, dtype=float)
+    return weights, power
+
+
+@st.composite
+def placement_laws(draw):
+    """(u, hop counts 0..u, per-sub-band powers) of 0-4 interferers whose
+    joint placements number at most 5000."""
+    u = draw(st.integers(1, 6))
+    counts = draw(
+        st.lists(st.integers(0, u), max_size=4).filter(
+            lambda cs: math.prod(math.comb(u, v) for v in cs) <= 5000
+        )
+    )
+    amps = draw(st.lists(st.floats(0.0, 1e3), min_size=len(counts), max_size=len(counts)))
+    return u, counts, np.array(amps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(placement_laws())
+@example((8, [2, 3], np.array([50.0, 30.0])))
+@example((3, [], np.array([])))
+@example((2, [2, 0, 1], np.array([1.0, 2.0, 3.0])))
+def test_placement_law_on_every_sub_band_keeps_every_bit(case):
+    # n_coords == u: each pattern holds every interferer's whole subset, so
+    # no two placements merge and the rows, their order and the weights
+    # are the same bits
+    u, counts, amps = case
+    w, d = bounds._interference_realizations(u, counts, amps, u)
+    w_ref, d_ref = reference_realizations(u, counts, amps, u)
+    assert w.tobytes() == w_ref.tobytes()
+    assert d.shape == d_ref.shape and d.tobytes() == d_ref.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(placement_laws(), st.data())
+def test_placement_law_on_fewer_sub_bands_merges_the_same_rows(case, data):
+    # n_coords < u: placements that agree on the first n_coords sub-bands
+    # merge, their weights summed in another order
+    u, counts, amps = case
+    n_coords = data.draw(st.integers(1, u))
+    w, d = bounds._interference_realizations(u, counts, amps, n_coords)
+    w_ref, d_ref = reference_realizations(u, counts, amps, n_coords)
+    assert d.shape == d_ref.shape and d.tobytes() == d_ref.tobytes()
+    np.testing.assert_array_max_ulp(w, w_ref, maxulp=8)
 
 
 def test_more_than_64_interferers():

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fhshare.gains import (
+    _leave_one_out_products,
     integer_hop_mixture,
     maximize_on_interval,
     per_user_gains,
@@ -35,6 +38,36 @@ def test_per_user_gains_with_zero_factor():
         per_user_gains([3.0], 2.0)
     with pytest.raises(ValueError):
         per_user_gains([-0.5], 2.0)
+
+
+def reference_leave_one_out_products(factors):
+    """_leave_one_out_products as an index loop over prefix and suffix."""
+    n = factors.size
+    prefix = np.ones(n + 1)
+    suffix = np.ones(n + 1)
+    for i in range(n):
+        prefix[i + 1] = prefix[i] * factors[i]
+        suffix[n - 1 - i] = suffix[n - i] * factors[n - 1 - i]
+    return prefix[:n] * suffix[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.floats(1e-300, 1e-150)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example([0.3])
+@example([0.0])
+@example([0.0, 0.5, 0.0, 0.25])
+def test_leave_one_out_products_keep_every_bit(factors):
+    # zero factors, n = 1 and products that underflow included
+    arr = np.array(factors)
+    got = _leave_one_out_products(arr)
+    assert got.dtype == np.float64 and got.shape == arr.shape
+    assert got.tobytes() == reference_leave_one_out_products(arr).tobytes()
 
 
 def test_smg_sum_consistency_randomized():

@@ -149,14 +149,40 @@ def test_quadrature_panel_budget_raises_promptly():
         entropy_quadrature(m, tol=0.0)
 
 
+def pairwise_entropy_bits(weights, variances, distance):
+    """Kolchinsky-Tracey pairwise estimate of a mixture's entropy in bits,
+    sum_i w_i (h_i - log2 sum_j w_j exp(-D(p_i || p_j))) with h_i the
+    components' entropies (Entropy 19(7):361, 2017). The Bhattacharyya
+    distance makes it a lower bound, the KL divergence an upper bound."""
+    w = np.asarray(weights, dtype=float)
+    var = np.asarray(variances, dtype=float)
+    d = distance(var[:, None], var[None, :])
+    h = 0.5 * np.log2(2.0 * math.pi * math.e * var)
+    return float(w @ (h - np.log2(np.exp(-d) @ w)))
+
+
+def bhattacharyya(a, b):
+    """Bhattacharyya distance of N(0, a) and N(0, b), in nats."""
+    return 0.5 * np.log((a + b) / (2.0 * np.sqrt(a * b)))
+
+
+def kl_divergence(a, b):
+    """KL divergence of N(0, a) from N(0, b), in nats."""
+    return 0.5 * (a / b - 1.0 - np.log(a / b))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
         st.tuples(st.floats(0.01, 1.0), st.floats(-6.0, 6.0)), min_size=1, max_size=6
     )
 )
+@example([(0.3, 1.1)])
+@example([(0.5, 0.0), (0.5, 0.0)])
+@example([(0.5, -6.0), (0.5, 6.0)])
 def test_quadrature_within_entropy_bounds(comps):
-    # sum_l w_l h(sigma_l^2) <= h <= min(h_Gauss(total variance), closed-form bound)
+    # sum_l w_l h(sigma_l^2) <= h <= min(h_Gauss(total variance), closed-form bound),
+    # and H_BD <= h <= H_KL, both pairwise bounds exact for one Gaussian
     total = sum(a for a, _ in comps)
     w = [a / total for a, _ in comps]
     w[-1] = 1.0 - sum(w[:-1])
@@ -167,6 +193,9 @@ def test_quadrature_within_entropy_bounds(comps):
     lower = sum(wi * gaussian_entropy(vi) for wi, vi in zip(w, var))
     upper = min(gaussian_entropy(m.variance()), entropy_upper_bound(m))
     assert lower - tol <= h <= upper + tol
+    pairwise = [pairwise_entropy_bits(m.weights, m.variances[:, 0], distance)
+                for distance in (bhattacharyya, kl_divergence)]
+    assert pairwise[0] - tol <= h <= pairwise[1] + tol
 
 
 def test_log_density_rows_degenerate_branch_and_empty_rows():
