@@ -273,10 +273,9 @@ def cmd_measures(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    lams = _parse_floats(args.lambdas)
     u = args.u
     rows = []
-    for lam in lams:
+    for lam in args.lambdas:
         pmf = ms.UserCountPmf.poisson(lam)
         fd_cfg = ms.FdConfig.default_for(pmf, u)
         e1, v_star = ms.eta1_fh(pmf, u)
@@ -335,11 +334,12 @@ def cmd_compare(args) -> None:
         rows.append(("measure", m.measure, fh_val, fd_val, winner, None, None))
     # the mean-load conditions assume a finite load with no mass at N = 0
     if pmf.is_finite and pmf.weights[0] == 0.0:
+        curves = ms.FhCurves(pmf, 1.0)
         for name, checker in (
             ("eta1_condition", ms.eta1_sufficient_condition),
             ("eta2_condition", ms.eta2_sufficient_condition),
         ):
-            chk = checker(pmf)
+            chk = checker(pmf, curves=curves)
             rows.append(
                 ("condition", name, None, None, None, chk.condition_holds,
                  chk.inequality_verified)
@@ -394,14 +394,16 @@ def _positive_finite(text: str) -> float:
 _positive_finite.__name__ = "float"
 
 
-def _snr_grid(text: str) -> List[float]:
+def _positive_grid(text: str) -> List[float]:
+    """argparse type for a nonempty grid of positive finite values (SNRs,
+    lambdas), as a comma list or start:stop:step."""
     try:
-        gammas = _parse_floats(text)
+        grid = _parse_floats(text)
     except ValueError as exc:  # argparse would print only "invalid value"
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not gammas or not all(math.isfinite(g) and g > 0 for g in gammas):
-        raise argparse.ArgumentTypeError(f"need positive finite SNRs, got {text!r}")
-    return gammas
+    if not grid or not all(math.isfinite(x) and x > 0 for x in grid):
+        raise argparse.ArgumentTypeError(f"need positive finite values, got {text!r}")
+    return grid
 
 
 @functools.cache
@@ -422,7 +424,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="rate bounds over an SNR grid")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--gammas", type=_snr_grid, default="1e2,1e3,1e4,1e5,1e6,1e7,1e8")
+    p.add_argument("--gammas", type=_positive_grid, default="1e2,1e3,1e4,1e5,1e6,1e7,1e8")
     p.add_argument("--users", default=None, help="comma list (default: all)")
     p.add_argument("--mc-samples", type=_mc_samples, default=0)
     p.add_argument("--seed", type=int, default=None)
@@ -452,7 +454,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="Poisson load sweep of the measures")
     p.add_argument("--u", type=_positive_finite, required=True)
-    p.add_argument("--lambdas", required=True, help="comma list or start:stop:step")
+    p.add_argument("--lambdas", type=_positive_grid, required=True,
+                   help="comma list or start:stop:step")
     common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -12,6 +12,11 @@ when the number of active pairs N is random with a known pmf:
 FD splits the band into n_des equal slices and turns away users beyond
 n_des; FH with v < u always serves everyone. All measures scale linearly
 in the band size u and are reported in absolute terms.
+
+FH's eta1 and eta2 maximize curves over a grid of hop counts; both are
+products with one matrix of powers (1 - v/u)^k per law and u (FhCurves),
+built once for the two, and the cells of that matrix that underflow to
+0.0 are never computed.
 """
 from __future__ import annotations
 
@@ -27,9 +32,13 @@ from .gains import maximize_on_interval, smg_fair, v_opt
 from .mixture import PROB_TOL
 
 _POISSON_TAIL = 1e-12
-# Largest user count a law may carry: a measure curve is one
-# (4097 x n_top) matrix, 268 MB at this cap (Poisson lambda up to ~7500).
+# Largest user count a law may carry: a measure curve is one (4097 x n_top)
+# matrix, 268 MB at this cap (Poisson lambda up to ~7500), and building it
+# takes a bool mask over the rows that underflow, at most 31 MB more.
 MAX_USER_COUNT = 1 << 13
+# ln 2^-1075, half the smallest subnormal double: pow rounds every power
+# below it to 0.0, so a row b**k reaches 0.0 near k = _LOG_UNDERFLOW / ln b.
+_LOG_UNDERFLOW = math.log(np.finfo(float).smallest_subnormal) - math.log(2.0)
 
 # lgam(n + 1) for n = 0, 1, ...; grown by _log_factorials, never shrunk.
 _LOG_FACTORIALS = np.zeros(1)
@@ -155,32 +164,121 @@ class FdConfig:
         return cls(n_des=max(n_des, 1))
 
 
-def _fh_curve(
-    pmf: UserCountPmf, u: float, per_user: bool
-) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> (v/2) sum_{n >= 1} w_n (1 - v/u)^(n-1), vectorized over v.
+def _first_zero_powers(base: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
+    """For each b in base, 0 <= b < 1, the first k at which np.power(b, k)
+    is 0.0, or n where there is none below n. first holds estimates of it
+    in 0..n, which the same np.power steps in place until they are exact.
+    b**0 is 1.0, so the answer is at least 1."""
+    while True:
+        short = (first < n) & (np.power(base, first) != 0.0)
+        if not short.any():
+            break
+        first[short] += 1
+    while True:
+        long = np.power(base, first - 1) == 0.0
+        if not long.any():
+            return first
+        first[long] -= 1
 
-    w_n = n q_n gives E{SMG(v, N)} (eta1); with per_user, w_n = q_n gives
-    E{SMG(v, N)/N}, the eta2 objective for v < u. The weights are built
-    once and the curve is one (grid x n_top) matrix product, rather than
-    an expect() per abscissa.
+
+def _grid_powers(base: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """base[:, None] ** k for k = arange(n), bit for bit, without computing
+    the cells that underflow.
+
+    For 0 <= b < 1, b**k falls with k, so from the first k at which
+    np.power gives 0.0 every cell of the row is 0.0; those cells take
+    pow's slow path, and here they are left as the zeros they start as.
+    Rows that reach that edge below n (estimated from ln b, then found
+    exactly) are computed under a mask; every other row, and every matrix
+    whose smallest positive base stays above the edge, is computed in
+    full.
     """
-    w = pmf.weights[1:]
-    if not per_user:
-        w = np.arange(1, pmf.weights.size) * w
-    k = np.arange(w.size)
+    n = k.size
+    positive = base[base > 0.0]
+    if not positive.size or (n - 1) * math.log(positive.min()) > _LOG_UNDERFLOW:
+        return base[:, None] ** k
+    rows = np.flatnonzero((base >= 0.0) & (base < 1.0))
+    with np.errstate(divide="ignore"):
+        guess = np.ceil(_LOG_UNDERFLOW / np.log(base[rows]))
+    reach = guess < n
+    rows = rows[reach]
+    if not rows.size:
+        return base[:, None] ** k
+    first = _first_zero_powers(base[rows], guess[reach].astype(np.int64), n)
+    lo, hi = rows[0], rows[-1] + 1
+    stop = np.full(hi - lo, n)
+    stop[rows - lo] = first
+    out = np.zeros((base.size, n))
+    np.power(base[:lo, None], k, out=out[:lo])
+    np.power(base[hi:, None], k, out=out[hi:])
+    np.power(base[lo:hi, None], k, out=out[lo:hi], where=k < stop[:, None])
+    return out
 
-    def f(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return 0.5 * v * ((1.0 - v / u)[:, None] ** k @ w)
 
-    return f
+class FhCurves:
+    """The FH objectives of one load law at one band size u, as functions
+    of the hop count v, vectorized over v:
+
+      eta1  E{SMG(v, N)} = (v/2) sum_{n >= 1} n q_n (1 - v/u)^(n-1),
+      eta2  E{SMG(v, N)/N} = (v/2) sum_{n >= 1} q_n (1 - v/u)^(n-1), the
+            eta2 objective for v < u.
+
+    Each curve is one (abscissae x n_top) matrix of powers (1 - v/u)^k
+    times a weight vector. A call on more than one abscissa builds that
+    matrix with _grid_powers and keeps it for the next such call on the
+    same abscissae, so maximizing both curves over [0, u] builds the grid
+    matrix once; a call on one abscissa computes its row directly.
+    """
+
+    def __init__(self, pmf: UserCountPmf, u: float):
+        self.pmf = pmf
+        self.u = u
+        q = pmf.weights[1:]
+        self._k = np.arange(q.size)
+        self._weights = (np.arange(1, pmf.weights.size) * q, q)
+        self._grid: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _powers(self, v: np.ndarray) -> np.ndarray:
+        if v.size < 2:
+            return (1.0 - v / self.u)[:, None] ** self._k
+        if self._grid is None or not np.array_equal(self._grid[0], v):
+            self._grid = (v.copy(), _grid_powers(1.0 - v / self.u, self._k))
+        return self._grid[1]
+
+    def curve(self, per_user: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """The eta2 objective with per_user, else the eta1 one."""
+        w = self._weights[per_user]
+
+        def f(v: np.ndarray) -> np.ndarray:
+            v = np.asarray(v, dtype=float)
+            return 0.5 * v * (self._powers(v) @ w)
+
+        return f
+
+    def eta1(self) -> Tuple[float, float]:
+        """Best expected SMG and its hop count: (value, v_star)."""
+        v_star, value = maximize_on_interval(self.curve(False), 0.0, self.u)
+        return value, v_star
+
+    def eta2(self) -> Tuple[float, float]:
+        """Best expected worst-user gain with everyone served and its hop
+        count: (value, v_dagger).
+
+        The objective is continuous on [0, u); the boundary point v = u is
+        scored separately under the service rule (only N = 1 counts
+        there) and compared against the interior optimum.
+        """
+        u = self.u
+        v_dag, value = maximize_on_interval(self.curve(True), 0.0, u)
+        boundary = 0.5 * u * self.pmf.weights[1]
+        if boundary > value:
+            return boundary, u
+        return value, v_dag
 
 
 def eta1_fh(pmf: UserCountPmf, u: float) -> Tuple[float, float]:
     """Best expected SMG of FH and its hop count: (value, v_star)."""
-    v_star, value = maximize_on_interval(_fh_curve(pmf, u, False), 0.0, u)
-    return value, v_star
+    return FhCurves(pmf, u).eta1()
 
 
 def eta1_fd(pmf: UserCountPmf, fd: FdConfig, u: float) -> float:
@@ -194,17 +292,9 @@ def eta1_fd(pmf: UserCountPmf, fd: FdConfig, u: float) -> float:
 
 
 def eta2_fh(pmf: UserCountPmf, u: float) -> Tuple[float, float]:
-    """Best expected worst-user gain of FH with everyone served.
-
-    The objective is continuous on [0, u); the boundary point v = u is
-    scored separately under the service rule (only N = 1 counts there)
-    and compared against the interior optimum.
-    """
-    v_dag, value = maximize_on_interval(_fh_curve(pmf, u, True), 0.0, u)
-    boundary = 0.5 * u * pmf.weights[1]
-    if boundary > value:
-        return boundary, u
-    return value, v_dag
+    """Best expected worst-user gain of FH with everyone served and its
+    hop count: (value, v_dagger); see FhCurves.eta2."""
+    return FhCurves(pmf, u).eta2()
 
 
 def eta2_fd(pmf: UserCountPmf, fd: FdConfig, u: float) -> float:
@@ -356,8 +446,8 @@ def epsilon_backoff_region(
     if fd is None:
         fd = FdConfig.default_for(pmf, u)
     v = u - epsilon
-    fh1 = float(_fh_curve(pmf, u, False)(np.array([v]))[0])
-    fh2 = float(_fh_curve(pmf, u, True)(np.array([v]))[0])
+    curves = FhCurves(pmf, u)
+    fh1, fh2 = (float(curves.curve(per_user)(np.array([v]))[0]) for per_user in (False, True))
     fd1 = eta1_fd(pmf, fd, u)
     fd2 = eta2_fd(pmf, fd, u)
 
@@ -412,28 +502,40 @@ def _checked(measure: str, cond: bool, fh: float, fd: float) -> ConditionCheck:
     return ConditionCheck(condition_holds=cond, inequality_verified=verified)
 
 
+def _unit_curves(pmf: UserCountPmf, curves: Optional[FhCurves]) -> FhCurves:
+    """The FH curves of pmf at u = 1, where the conditions compare: curves,
+    which a caller passes to share one grid between both conditions, or
+    new ones."""
+    if curves is None:
+        return FhCurves(pmf, 1.0)
+    if curves.pmf is not pmf or curves.u != 1.0:
+        raise ValueError("curves must be the FhCurves of this pmf at u = 1")
+    return curves
+
+
 def eta1_sufficient_condition(
-    pmf: UserCountPmf, n_max: Optional[int] = None
+    pmf: UserCountPmf, n_max: Optional[int] = None, curves: Optional[FhCurves] = None
 ) -> ConditionCheck:
     """Mean-load test guaranteeing FH beats FD on eta1.
 
     If E{N} < (1/2) ln((e^2 - 1) n_max) then eta1_fh > eta1_fd. The
     direct comparison is evaluated alongside; a condition that holds
     while the comparison fails would contradict the guarantee, so that
-    combination raises.
+    combination raises. curves, if given, is FhCurves(pmf, 1.0).
     """
     n_max = _condition_n_max(pmf, n_max)
     cond = pmf.mean() < 0.5 * math.log((math.e**2 - 1.0) * n_max)
-    fh, _ = eta1_fh(pmf, 1.0)
+    fh, _ = _unit_curves(pmf, curves).eta1()
     return _checked("eta1", cond, fh, eta1_fd(pmf, FdConfig(n_des=n_max), 1.0))
 
 
 def eta2_sufficient_condition(
-    pmf: UserCountPmf, n_max: Optional[int] = None
+    pmf: UserCountPmf, n_max: Optional[int] = None, curves: Optional[FhCurves] = None
 ) -> ConditionCheck:
     """Mean-load test guaranteeing FH beats FD on eta2.
 
     If (1/E{N})(1 - 1/E{N})^(E{N}-1) > 1/n_max then eta2_fh > eta2_fd.
+    curves, if given, is FhCurves(pmf, 1.0).
     """
     n_max = _condition_n_max(pmf, n_max)
     mean_n = pmf.mean()
@@ -443,7 +545,7 @@ def eta2_sufficient_condition(
     mean_n = max(mean_n, 1.0)
     lhs = (1.0 / mean_n) * (1.0 - 1.0 / mean_n) ** (mean_n - 1.0)
     cond = lhs > 1.0 / n_max
-    fh, _ = eta2_fh(pmf, 1.0)
+    fh, _ = _unit_curves(pmf, curves).eta2()
     return _checked("eta2", cond, fh, eta2_fd(pmf, FdConfig(n_des=n_max), 1.0))
 
 
@@ -481,8 +583,9 @@ def build_measure_reports(
     fd_cfg = FdConfig(n_des=n_des) if n_des is not None else FdConfig.default_for(pmf, u)
     n_max = pmf.n_max
 
-    e1_fh, v_star = eta1_fh(pmf, u)
-    e2_fh, v_dag = eta2_fh(pmf, u)
+    curves = FhCurves(pmf, u)
+    e1_fh, v_star = curves.eta1()
+    e2_fh, v_dag = curves.eta2()
     eta4_v = v_star if v_star < u else u - epsilon
     # eta3 is the worst case at n_max users, so it needs an n_max
     e3_fh, e3_fd = (eta3_fh(n_max, u), eta3_fd(n_max, u)) if n_max else (None, None)

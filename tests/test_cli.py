@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from fhshare.bounds import lower_bound_rate, upper_bound_rate
 import fhshare
 import fhshare.cli
+import fhshare.measures
 import fhshare.sim
 from fhshare.cli import _emit, _parse_floats, main
+from fhshare.gains import GRID_POINTS
 from fhshare.model import (
     HoppingProfile,
     NetworkScenario,
@@ -730,6 +732,17 @@ def test_bounds_accepts_pmf_weights_summing_just_over_one(tmp_path, capsys):
     assert float(rows[0]["r_lb"]) > 0.0 and rows[1]["r_lb"] == "nan"
 
 
+@pytest.mark.parametrize("lambdas", ["", "4:1:1"])
+def test_sweep_refuses_an_empty_lambda_grid(capsys, lambdas):
+    # an empty grid used to print only the header and exit 0
+    code, out, err = run_cli(["sweep", "--u", "7", "--lambdas", lambdas], capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "usage",
+        "message": f"argument --lambdas: need positive finite values, got {lambdas!r}",
+    }
+
+
 @pytest.mark.parametrize("gammas", ["nan", "inf", "0", "-5"])
 def test_bounds_rejects_bad_gammas(scen_fixed_file, capsys, gammas):
     argv = ["bounds", "--scenario", scen_fixed_file, "--gammas", gammas]
@@ -787,6 +800,25 @@ def test_sweep_refuses_a_lambda_past_the_user_cap(capsys):
     assert "too large to truncate" in json.loads(err)["message"]
 
 
+def test_one_grid_matrix_per_law_and_band(monkeypatch, pmf_finite_file, capsys):
+    # eta1 and eta2 share one grid matrix: one for measures at u, and one
+    # more for compare's two mean-load conditions at u = 1
+    built = []
+    grid_powers = fhshare.measures._grid_powers
+
+    def counting(base, k):
+        built.append(base.size)
+        return grid_powers(base, k)
+
+    monkeypatch.setattr(fhshare.measures, "_grid_powers", counting)
+    assert run_cli(["measures", "--pmf", pmf_finite_file, "--u", "8"], capsys)[0] == 0
+    assert built == [GRID_POINTS]
+    built.clear()
+    code, out, _ = run_cli(["compare", "--pmf", pmf_finite_file, "--u", "8"], capsys)
+    assert code == 0 and [r["kind"] for r in parse_csv(out)].count("condition") == 2
+    assert built == [GRID_POINTS, GRID_POINTS]
+
+
 def test_compare_skips_conditions_with_mass_at_zero(tmp_path, capsys):
     path = tmp_path / "idle.json"
     path.write_text(json.dumps({"type": "finite", "q": [0.5, 0.25, 0.25]}))
@@ -804,7 +836,7 @@ def test_compare_skips_conditions_with_mass_at_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv,code",
-    [(["sweep", "--u", "16", "--lambdas", "1:1e6:1"], 1),
+    [(["sweep", "--u", "16", "--lambdas", "1:1e6:1"], 2),
      (["bounds", "--scenario", "unread.json", "--gammas", "1:1e6:1"], 2)],
     ids=["sweep", "bounds"],
 )

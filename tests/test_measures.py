@@ -17,10 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from fhshare.gains import GRID_POINTS
 from fhshare.measures import (
+    _LOG_UNDERFLOW,
     MAX_USER_COUNT,
     FdConfig,
+    FhCurves,
     UserCountPmf,
+    _grid_powers,
     build_measure_reports,
     epsilon_backoff_region,
     eta1_afh,
@@ -130,6 +134,62 @@ def test_fh_measures_match_deep_poisson_truncation():
         value_deep, v_deep = measure(deep, u)
         assert value == pytest.approx(value_deep, rel=1e-11)
         assert v == pytest.approx(v_deep, abs=1e-9 * u)
+
+
+def bits(a):
+    """a's cells as int64, so that equality compares sign bits too."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@st.composite
+def cut_cases(draw):
+    """Bases 1 - v/u from the measure grid of a Poisson law, in random
+    order: the base-1 row (v = 0), the base-0 row (v = u), random rows,
+    the grid rows where (n - 1) ln b crosses the underflow edge, and
+    bases a few ulps from the edge at some column k. n is the law's
+    n_top or an explicit truncation up to 8000."""
+    u = draw(st.floats(1e-3, 1e3), label="u")
+    lam = draw(st.floats(0.01, 1000.0), label="lambda")
+    n = UserCountPmf.poisson(lam).n_top
+    truncation = draw(st.none() | st.integers(n, 8000), label="truncation")
+    if truncation is not None:
+        n = UserCountPmf.poisson(lam, truncation_n=truncation).n_top
+    grid = 1.0 - np.linspace(0.0, u, GRID_POINTS) / u
+    picks = [0, GRID_POINTS - 1]
+    picks += draw(st.lists(st.integers(0, GRID_POINTS - 1), max_size=30), label="rows")
+    with np.errstate(divide="ignore"):
+        edge = int(np.searchsorted(-(n - 1) * np.log(grid), -_LOG_UNDERFLOW))
+    picks += [i for i in range(edge - 2, edge + 3) if 0 <= i < GRID_POINTS]
+    bases = list(grid[picks])
+    for k in draw(st.lists(st.integers(1, n - 1), max_size=4), label="edge columns"):
+        b = math.exp(_LOG_UNDERFLOW / k)
+        bases += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0),
+                  math.nextafter(math.nextafter(b, 1.0), 1.0)]
+    order = draw(st.permutations(range(len(bases))), label="order")
+    return np.array(bases)[order], n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cut_cases())
+def test_grid_powers_cut_is_bit_identical(case):
+    base, n = case
+    k = np.arange(n)
+    assert bits(_grid_powers(base, k)).tolist() == bits(base[:, None] ** k).tolist()
+
+
+@pytest.mark.parametrize("lam, u", [(50.0, 3.0), (400.0, 16.0), (1000.0, 64.0)])
+def test_fh_curves_match_the_full_grid_bit_for_bit(lam, u):
+    # the whole grid of a law with no cut (lambda = 50), the sweep_400
+    # matrix, and a wide one; the curves are the matrix times the weights
+    pmf = UserCountPmf.poisson(lam)
+    v = np.linspace(0.0, u, GRID_POINTS)
+    k = np.arange(pmf.n_top)
+    full = (1.0 - v / u)[:, None] ** k
+    assert np.array_equal(bits(_grid_powers(1.0 - v / u, k)), bits(full))
+    q = pmf.weights[1:]
+    curves = FhCurves(pmf, u)
+    for per_user, w in ((False, np.arange(1, pmf.weights.size) * q), (True, q)):
+        assert np.array_equal(bits(curves.curve(per_user)(v)), bits(0.5 * v * (full @ w)))
 
 
 def test_eta1_two_point_edge_optimum():
@@ -467,6 +527,16 @@ def test_sufficient_conditions():
     assert isinstance(c_pois.condition_holds, bool)
     with pytest.raises(ValueError):
         eta2_sufficient_condition(UserCountPmf.finite((0.5, 0.5)))
+
+
+def test_sufficient_conditions_share_unit_curves():
+    light = two_point(0.9)
+    curves = FhCurves(light, 1.0)
+    assert eta1_sufficient_condition(light, curves=curves) == eta1_sufficient_condition(light)
+    assert eta2_sufficient_condition(light, curves=curves) == eta2_sufficient_condition(light)
+    for wrong in (FhCurves(light, 2.0), FhCurves(two_point(0.9), 1.0)):
+        with pytest.raises(ValueError, match="u = 1"):
+            eta1_sufficient_condition(light, curves=wrong)
 
 
 def test_sufficient_conditions_reject_mass_at_zero():
