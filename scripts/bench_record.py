@@ -16,15 +16,22 @@ jobs attempted and failed and whether every run's outputs were correct.
 With two sides, each end-to-end metric also gets the number of seeds on
 which the second side was better (ties count for neither), the ratio of
 the medians, and the first side's quartile distance as a share of its
-median. Run from the root of a checkout.
+median. Per side it also records the state of src/fhshare's bytecode
+cache before the first run and after the last (see pycache_state), and
+whether PYTHONDONTWRITEBYTECODE is set; when the two sides differ in
+these, it prints a warning, since a side that compiles on every import
+reads a higher setup_s, and one that reads stale cache files first a
+higher peak_rss_mb. Run from the root of a checkout.
 """
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import statistics
+import struct
 import subprocess
 import sys
 import time
@@ -40,6 +47,30 @@ def parse_seeds(text):
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
+
+
+def pycache_state(path):
+    """"current" when every module of path's src/fhshare has a cached
+    bytecode file whose header (magic number, timestamp mode, source mtime
+    and size) lets this interpreter load it without compiling the source,
+    "missing" when no module has a cached file, and "stale" otherwise."""
+    src = os.path.join(path, "src", "fhshare")
+    found = set()
+    for name in os.listdir(src):
+        if not name.endswith(".py"):
+            continue
+        source = os.path.join(src, name)
+        st = os.stat(source)
+        want = importlib.util.MAGIC_NUMBER + struct.pack(
+            "<III", 0, int(st.st_mtime) & 0xFFFFFFFF, st.st_size & 0xFFFFFFFF)
+        try:
+            with open(importlib.util.cache_from_source(source), "rb") as fh:
+                found.add(fh.read(len(want)) == want)
+        except FileNotFoundError:
+            found.add(None)
+    if found == {True}:
+        return "current"
+    return "missing" if found == {None} else "stale"
 
 
 def bench_run(path, workload, seed, seconds, trace):
@@ -106,6 +137,10 @@ def main():
     record = {"host": {"cpus": os.cpu_count(), "platform": platform.platform(),
                        "python": platform.python_version()},
               "run_seconds": spec["run_seconds"], "seeds": a.seeds, "sides": labels,
+              "bytecode": {label: {"pycache_at_start": pycache_state(path),
+                                   "dont_write_bytecode":
+                                       bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+                           for label, path in sides.items()},
               "workloads": {}}
     for w in workloads:
         runs = {label: [] for label in labels}
@@ -131,6 +166,12 @@ def main():
                 "seconds": time.perf_counter() - start, "exit": proc.returncode,
                 "summary": proc.stdout.strip().splitlines()[-1]}
             print(f"{label} tier-1: {record['tier1_wall_s'][label]}", flush=True)
+    for label, path in sides.items():
+        record["bytecode"][label]["pycache_at_end"] = pycache_state(path)
+    states = [record["bytecode"][label] for label in labels]
+    if any(state != states[0] for state in states):
+        print(f"warning: the sides' bytecode caches differ, so setup_s may differ "
+              f"without a code change: {record['bytecode']}", file=sys.stderr, flush=True)
     with open(a.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -141,7 +141,10 @@ def _parse_floats(text: str) -> List[float]:
             raise ValueError("step must be positive")
         # index the grid instead of summing steps, so roundoff cannot
         # drop the endpoint
-        count = math.floor((stop - start) / step + 1e-9) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ValueError("the grid's point count (stop - start) / step overflows")
+        count = math.floor(span + 1e-9) + 1
         if count > MAX_GRID_POINTS:
             raise ValueError(f"a grid holds at most {MAX_GRID_POINTS} values, got {count}")
         return [round(start + k * step, 12) for k in range(count)]

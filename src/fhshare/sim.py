@@ -7,10 +7,11 @@ on the c = 0 level, where no interferer adds a nonzero increment (an
 interferer whose gain to the user is zero leaves the band free). Those
 tallies are the ground truth the closed forms are checked against.
 
-A block of slots is simulated for all users at once. One matrix product
-of the squared cross gains (zero diagonal) with every user's per-hop
-power gives each receiver's interference increment on every sub-band;
-the level tally is sparse: the distinct (slot, level) pairs a receiver
+A block of slots is sampled for all users at once, into one boolean
+(user, slot, sub-band) occupancy array; no float array over all its cells
+is made. A receiver's interference increment is summed on its own cells
+only: g_ki^2 / v_k over the interferers k on the cell, in index order.
+The level tally is sparse: the distinct (slot, level) pairs a receiver
 hits, with their hit counts, summed per level with bincount. The free
 count of a slot is its hit count on the c = 0 level.
 
@@ -37,9 +38,11 @@ from .model import (
 )
 
 SLOT_BLOCK = 1 << 14
-# Most (user, slot, sub-band) cells of one block. A cell of a run's block
-# peaks at about 17 bytes (occupancy, per-hop power, increment), so a
-# block stays near 300 MB.
+# Most (user, slot, sub-band) cells of one block. A block holds one byte
+# of occupancy per cell; the sampler's and one receiver's temporaries come
+# on top. Traced peaks per cell at 16 sub-bands: 4-5 bytes for 6-8 users
+# hopping on 1-3 sub-bands (the benchmark's blocks), 12.4 for 8 users on
+# every sub-band, 67 for one user on every sub-band.
 MAX_BLOCK_CELLS = 1 << 24
 
 _DUMP_HEADER = struct.Struct("<QQ")
@@ -106,12 +109,9 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
         rng = generator(cfg.master_seed, (k, block))
         occ[k], counts[k] = sample_occupancy(cfg.profiles[k], u, rng, size)
 
-    # Every receiver's increment on every (slot, sub-band) in one product:
-    # c[i] = sum_k g_ki^2 occ_k / v_k, the zero diagonal dropping the self term.
     g2 = np.square(scenario.gains)
     np.fill_diagonal(g2, 0.0)
-    per_hop = occ * (1.0 / np.maximum(counts, 1))[:, :, None]
-    c_real = g2.T @ per_hop.reshape(n, size * u)
+    hop_counts = np.maximum(counts, 1)
 
     # Sparse level tally: one (slot, level, hits) triple per level a slot
     # hits, in slot order, so each level's sums run over slots in order.
@@ -123,8 +123,15 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
     for i in range(n):
         n_lvl = len(level_c[i])
         flat = np.flatnonzero(occ[i])
-        lvl = _match_levels(level_c[i], c_real[i, flat])
-        keys, hits = np.unique((flat // u) * n_lvl + lvl, return_counts=True)
+        slot = flat // u
+        c_real = np.zeros(flat.size)
+        # the zero diagonal drops the self term; a zero gain adds nothing
+        for k in np.flatnonzero(g2[:, i]):
+            hit = np.take(g2[k, i] / hop_counts[k], slot)
+            hit *= np.take(occ[k], flat)
+            c_real += hit
+        lvl = _match_levels(level_c[i], c_real)
+        keys, hits = np.unique(slot * n_lvl + lvl, return_counts=True)
         frac = hits / counts[i, keys // n_lvl]
         hit_lvl = keys % n_lvl
         freq_sum.append(np.bincount(hit_lvl, weights=frac, minlength=n_lvl))

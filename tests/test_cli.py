@@ -685,11 +685,16 @@ def test_u_must_be_positive_and_finite(pmf_finite_file, capsys, sub, u):
     assert_usage_error(*run_cli([sub, "--u", u] + args, capsys), "--u")
 
 
-def test_overflow_is_a_json_error(capsys):
+def test_overflow_is_a_json_error(scen_fixed_file, capsys):
     # the grid's point count (stop - start) / step overflows to inf
-    code, out, err = run_cli(["sweep", "--u", "7", "--lambdas", "0:1e300:1e-10"], capsys)
-    assert code == 1 and out == "" and err.count("\n") == 1
-    assert json.loads(err)["error"] == "OverflowError"
+    for argv in (
+        ["sweep", "--u", "7", "--lambdas", "0:1e300:1e-10"],
+        ["bounds", "--scenario", scen_fixed_file, "--gammas", "0:1e300:1e-10"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        msg = json.loads(err)
+        assert msg["error"] == "usage" and "overflows" in msg["message"], argv
 
 
 @pytest.mark.parametrize("sub", ["measures", "compare"])

@@ -1,5 +1,6 @@
 """Slot-level simulator against the exact spectra and closed-form moments."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,32 @@ def test_block_occupancy_count_holds_many_users():
     got = assert_block_matches_reference(cfg, level_c, 0, 6)
     np.testing.assert_array_equal(got[0], np.zeros(n))
     assert got[4][0] == 6
+
+
+def test_block_peak_memory_per_cell():
+    # one full block of the benchmark's largest shape: 8 users on 16
+    # sub-bands hopping on 1-3 of them, two by a pmf. A float array over
+    # every (user, slot, sub-band) cell alone would take 8 bytes a cell.
+    n, u = 8, 16
+    pmf = [0.0] * (u + 1)
+    pmf[1], pmf[3] = 0.6, 0.4
+    profs = tuple(
+        HoppingProfile.from_pmf(pmf) if k % 4 == 1 else HoppingProfile.fixed(1 + k % 3)
+        for k in range(n)
+    )
+    gains = np.random.default_rng(8).uniform(0.1, 1.5, (n, n))
+    scen = NetworkScenario(
+        n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
+    )
+    cfg = SimConfig(scenario=scen, profiles=profs, n_slots=SLOT_BLOCK, master_seed=1941)
+    level_c = spectrum_levels(scen, profs)
+    tracemalloc.start()
+    try:
+        _run_block(cfg, level_c, 0, SLOT_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n * SLOT_BLOCK * u, peak / (n * SLOT_BLOCK * u)
 
 
 def test_three_block_run_is_thread_invariant():
