@@ -23,7 +23,6 @@ from .model import (
     NetworkScenario,
     check_profiles,
     check_user,
-    check_user_index,
     enumerate_interference_spectrum,
 )
 
@@ -247,38 +246,6 @@ def lower_bound_rate(
         shrink * h2_own / (v * (c_max + 1.0 / gamma) ** (1.0 - a0)) + gamma ** (-a0)
     )
     return RateBound(value, slope, residual)
-
-
-def regulated_rate(
-    scenario: NetworkScenario, user: int, n_active: int, v_star: float
-) -> float:
-    """Distribution-free guaranteed rate when n_active users all follow a
-    common hop count v_star.
-
-    Worst-case form of the entropy-power bound for the symmetric policy:
-    only the interferer count and the user's incoming gains enter.
-    """
-    check_user_index(scenario, user)
-    if n_active < 1:
-        raise ValueError("n_active must be >= 1")
-    u = scenario.n_subbands
-    if not 0.0 < v_star <= u:
-        raise ValueError("v_star must lie in (0, u]")
-    gamma = scenario.snr()
-    h2_own = float(scenario.gains[user, user]) ** 2
-    h2_in = sum(
-        float(scenario.gains[j, user]) ** 2
-        for j in range(scenario.n_users)
-        if j != user
-    )
-    ratio = v_star / u
-    m = n_active - 1
-    # spread = 2^(-2H) for H = m binary-entropy bits; 0^0 = 1 covers the
-    # v_star = u and n_active = 1 corners.
-    spread = ratio ** (2.0 * m * ratio) * (1.0 - ratio) ** (2.0 * m * (1.0 - ratio))
-    a0_sym = (1.0 - ratio) ** m
-    denom = v_star * (1.0 + h2_in * gamma / v_star) ** (1.0 - a0_sym)
-    return 0.5 * v_star * math.log2(spread * h2_own * gamma / denom + 1.0)
 
 
 def mc_mutual_information(

@@ -335,18 +335,11 @@ def cmd_compare(args) -> None:
         fh_val, fd_val = m.value, fd[m.measure]
         winner = "fh" if fh_val > fd_val else ("fd" if fd_val > fh_val else "tie")
         rows.append(("measure", m.measure, fh_val, fd_val, winner, None, None))
-    # the mean-load conditions assume a finite load with no mass at N = 0
-    if pmf.is_finite and pmf.weights[0] == 0.0:
-        curves = ms.FhCurves(pmf, 1.0)
-        for name, checker in (
-            ("eta1_condition", ms.eta1_sufficient_condition),
-            ("eta2_condition", ms.eta2_sufficient_condition),
-        ):
-            chk = checker(pmf, curves=curves)
-            rows.append(
-                ("condition", name, None, None, None, chk.condition_holds,
-                 chk.inequality_verified)
-            )
+    for name, chk in ms.mean_load_conditions(pmf).items():
+        rows.append(
+            ("condition", f"{name}_condition", None, None, None, chk.condition_holds,
+             chk.inequality_verified)
+        )
     header = [
         "kind",
         "measure",

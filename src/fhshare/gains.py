@@ -43,11 +43,6 @@ def per_user_gains(vbar, u: float) -> np.ndarray:
     return 0.5 * arr * _leave_one_out_products(1.0 - arr / u)
 
 
-def smg(vbar, u: float) -> float:
-    """Sum multiplexing gain sum_i (vbar_i/2) prod_{k != i}(1 - vbar_k/u)."""
-    return float(per_user_gains(vbar, u).sum())
-
-
 def smg_fair(v: float, n: int, u: float) -> float:
     """SMG when all n users share the hop count v: (n/2) v (1-v/u)^(n-1)."""
     if n < 1:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -481,18 +481,6 @@ class ConditionCheck:
     inequality_verified: bool
 
 
-def _condition_n_max(pmf: UserCountPmf, n_max: Optional[int]) -> int:
-    """n_max for the mean-load conditions, whose hypothesis excludes
-    finite loads with mass at N = 0."""
-    if pmf.is_finite and pmf.weights[0] > 0.0:
-        raise ValueError("the mean-load conditions need a finite load with q[0] = 0")
-    if n_max is None:
-        n_max = pmf.n_max
-    if n_max is None:
-        raise ValueError("n_max required for a Poisson user count")
-    return n_max
-
-
 def _checked(measure: str, cond: bool, fh: float, fd: float) -> ConditionCheck:
     """The check of a mean-load condition against the direct comparison
     fd < fh; AssertionError where the condition holds and it fails."""
@@ -502,51 +490,32 @@ def _checked(measure: str, cond: bool, fh: float, fd: float) -> ConditionCheck:
     return ConditionCheck(condition_holds=cond, inequality_verified=verified)
 
 
-def _unit_curves(pmf: UserCountPmf, curves: Optional[FhCurves]) -> FhCurves:
-    """The FH curves of pmf at u = 1, where the conditions compare: curves,
-    which a caller passes to share one grid between both conditions, or
-    new ones."""
-    if curves is None:
-        return FhCurves(pmf, 1.0)
-    if curves.pmf is not pmf or curves.u != 1.0:
-        raise ValueError("curves must be the FhCurves of this pmf at u = 1")
-    return curves
+def mean_load_conditions(pmf: UserCountPmf) -> Dict[str, ConditionCheck]:
+    """The mean-load tests guaranteeing that FH beats FD, keyed by measure,
+    each with the direct comparison at u = 1 and n_des = n_max:
 
+      eta1  E{N} < (1/2) ln((e^2 - 1) n_max)  gives  eta1_fh > eta1_fd,
+      eta2  (1/E{N})(1 - 1/E{N})^(E{N}-1) > 1/n_max  gives  eta2_fh > eta2_fd.
 
-def eta1_sufficient_condition(
-    pmf: UserCountPmf, n_max: Optional[int] = None, curves: Optional[FhCurves] = None
-) -> ConditionCheck:
-    """Mean-load test guaranteeing FH beats FD on eta1.
-
-    If E{N} < (1/2) ln((e^2 - 1) n_max) then eta1_fh > eta1_fd. The
-    direct comparison is evaluated alongside; a condition that holds
-    while the comparison fails would contradict the guarantee, so that
-    combination raises. curves, if given, is FhCurves(pmf, 1.0).
+    Their hypothesis is a finite load with no mass at N = 0; any other law
+    (Poisson, or q[0] > 0) gets no checks. A condition that holds while its
+    comparison fails would contradict the guarantee, so that combination
+    raises. Both comparisons maximize over one FhCurves grid.
     """
-    n_max = _condition_n_max(pmf, n_max)
-    cond = pmf.mean() < 0.5 * math.log((math.e**2 - 1.0) * n_max)
-    fh, _ = _unit_curves(pmf, curves).eta1()
-    return _checked("eta1", cond, fh, eta1_fd(pmf, FdConfig(n_des=n_max), 1.0))
-
-
-def eta2_sufficient_condition(
-    pmf: UserCountPmf, n_max: Optional[int] = None, curves: Optional[FhCurves] = None
-) -> ConditionCheck:
-    """Mean-load test guaranteeing FH beats FD on eta2.
-
-    If (1/E{N})(1 - 1/E{N})^(E{N}-1) > 1/n_max then eta2_fh > eta2_fd.
-    curves, if given, is FhCurves(pmf, 1.0).
-    """
-    n_max = _condition_n_max(pmf, n_max)
+    if not pmf.is_finite or pmf.weights[0] > 0.0:
+        return {}
+    n_max = pmf.n_max
+    fd = FdConfig(n_des=n_max)
+    curves = FhCurves(pmf, 1.0)
     mean_n = pmf.mean()
-    # loads with no mass at zero have E{N} >= 1 exactly; allow roundoff
-    if mean_n < 1.0 - 1e-9:
-        raise ValueError("E{N} must be at least 1")
+    cond = mean_n < 0.5 * math.log((math.e**2 - 1.0) * n_max)
+    fh, _ = curves.eta1()
+    eta1 = _checked("eta1", cond, fh, eta1_fd(pmf, fd, 1.0))
+    # no mass at zero makes E{N} >= 1 but for roundoff
     mean_n = max(mean_n, 1.0)
-    lhs = (1.0 / mean_n) * (1.0 - 1.0 / mean_n) ** (mean_n - 1.0)
-    cond = lhs > 1.0 / n_max
-    fh, _ = _unit_curves(pmf, curves).eta2()
-    return _checked("eta2", cond, fh, eta2_fd(pmf, FdConfig(n_des=n_max), 1.0))
+    cond = (1.0 / mean_n) * (1.0 - 1.0 / mean_n) ** (mean_n - 1.0) > 1.0 / n_max
+    fh, _ = curves.eta2()
+    return {"eta1": eta1, "eta2": _checked("eta2", cond, fh, eta2_fd(pmf, fd, 1.0))}
 
 
 class Measure(NamedTuple):

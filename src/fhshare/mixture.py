@@ -1,9 +1,9 @@
 """Zero-mean Gaussian mixtures: densities, entropies, and entropy bounds.
 
 Everything that reports an entropy does so in bits (log base 2); raw log
-densities are natural logs. Every mixture log-density, pointwise, Monte
-Carlo or quadrature node, goes through one row-wise log-sum-exp kernel that
-works on bounded chunks in place. The kernel raises every term below the
+densities are natural logs. Every mixture log-density, at a Monte Carlo
+sample or a quadrature node, goes through one row-wise log-sum-exp kernel
+that works on bounded chunks in place. The kernel raises every term below the
 row maximum by more than 700 to exactly that floor before exponentiating,
 which keeps exp off its slow path for subnormal and zero results and
 changes no bit of any density (see _log_mixture_rows).
@@ -213,14 +213,6 @@ def _log_density_rows(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
     """Natural-log densities for rows of x, shape (n, dim) -> (n,)."""
     log_coef, inv_2var = _density_coefficients(m)
     return _log_mixture_rows(np.asarray(x, dtype=float), log_coef, inv_2var)
-
-
-def log_density(m: GaussianMixtureDiag, x: Sequence[float]) -> float:
-    """Natural-log mixture density at one point x (length = dim)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != m.dim:
-        raise ValueError(f"x has length {x.shape[0]}, mixture dim is {m.dim}")
-    return float(_log_density_rows(m, x[None, :])[0])
 
 
 def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:

@@ -210,23 +210,18 @@ def check_profiles(profiles: Sequence[HoppingProfile], u: int) -> None:
             raise ValueError(f"profile {k} pmf length != u+1")
 
 
-def check_user_index(scenario: NetworkScenario, user: int) -> int:
-    """user, once it is an index 0..N-1 (a negative index would count the
-    user as its own interferer); ValueError otherwise."""
-    n = scenario.n_users
-    if not 0 <= user < n:
-        raise ValueError(f"user index {user} out of range 0..{n - 1}")
-    return user
-
-
 def check_user(
     scenario: NetworkScenario, profiles: Sequence[HoppingProfile], user: int
 ) -> int:
-    """user, once there is one profile per user and check_user_index
-    passes; ValueError otherwise."""
-    if len(profiles) != scenario.n_users:
+    """user, once there is one profile per user and it is an index 0..N-1
+    (a negative index would count the user as its own interferer);
+    ValueError otherwise."""
+    n = scenario.n_users
+    if len(profiles) != n:
         raise ValueError("one profile per user required")
-    return check_user_index(scenario, user)
+    if not 0 <= user < n:
+        raise ValueError(f"user index {user} out of range 0..{n - 1}")
+    return user
 
 
 def _interferer_outcomes(profile: HoppingProfile, gain: float, u: int):

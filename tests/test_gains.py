@@ -12,7 +12,6 @@ from fhshare.gains import (
     maximize_on_interval,
     per_user_gains,
     sample_occupancy,
-    smg,
     smg_fair,
     two_generator_profile,
     v_opt,
@@ -25,8 +24,8 @@ def test_per_user_gains_hand_values():
     np.testing.assert_allclose(g, [0.25, 0.25])
     g3 = per_user_gains([1.0, 1.0, 1.0], 4.0)
     np.testing.assert_allclose(g3, [0.5 * (0.75) ** 2] * 3)
-    assert smg([1.0, 1.0, 1.0], 4.0) == pytest.approx(3 * 0.28125)
-    assert smg((1.0, 1.0), 2.0) == pytest.approx(0.5)
+    assert per_user_gains([1.0, 1.0, 1.0], 4.0).sum() == pytest.approx(3 * 0.28125)
+    assert per_user_gains((1.0, 1.0), 2.0).sum() == pytest.approx(0.5)
 
 
 def test_per_user_gains_with_zero_factor():
@@ -71,12 +70,17 @@ def test_leave_one_out_products_keep_every_bit(factors):
 
 
 def test_smg_sum_consistency_randomized():
+    # the summed gains against sum_i (vbar_i/2) prod_{k != i}(1 - vbar_k/u)
     rng = np.random.default_rng(8)
     for _ in range(50):
         n = int(rng.integers(1, 7))
         u = float(rng.uniform(1.0, 20.0))
         vbar = rng.uniform(0.0, u, size=n)
-        assert smg(vbar, u) == pytest.approx(per_user_gains(vbar, u).sum(), rel=1e-12)
+        direct = sum(
+            0.5 * vbar[i] * math.prod(1.0 - vbar[k] / u for k in range(n) if k != i)
+            for i in range(n)
+        )
+        assert per_user_gains(vbar, u).sum() == pytest.approx(direct, rel=1e-12)
 
 
 def test_smg_affine_in_each_coordinate():
@@ -89,7 +93,7 @@ def test_smg_affine_in_each_coordinate():
         for shift in (-d, 0.0, d):
             w = vbar.copy()
             w[i] = np.clip(w[i] + shift, 0.0, u)
-            vals.append(smg(w, u))
+            vals.append(per_user_gains(w, u).sum())
         if 0.0 + d <= vbar[i] <= u - d:
             assert vals[0] + vals[2] - 2 * vals[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -98,7 +102,8 @@ def test_smg_scale_invariance():
     vbar = np.array([1.0, 2.5, 0.5])
     u = 8.0
     s = 3.0
-    assert smg(vbar * s, u * s) == pytest.approx(s * smg(vbar, u), rel=1e-12)
+    scaled = per_user_gains(vbar * s, u * s).sum()
+    assert scaled == pytest.approx(s * per_user_gains(vbar, u).sum(), rel=1e-12)
 
 
 def test_smg_fair_and_optimum():

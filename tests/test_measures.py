@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from fhshare.gains import GRID_POINTS
+from fhshare import measures
+from fhshare.gains import GRID_POINTS, two_generator_profile
 from fhshare.measures import (
     _LOG_UNDERFLOW,
     MAX_USER_COUNT,
@@ -30,17 +31,18 @@ from fhshare.measures import (
     eta1_afh,
     eta1_fd,
     eta1_fh,
-    eta1_sufficient_condition,
     eta2_afh,
     eta2_fd,
     eta2_fh,
     eta2_fh_poisson_closed,
-    eta2_sufficient_condition,
     eta3_fd,
     eta3_fh,
     eta4_fd,
     eta4_fh,
+    mean_load_conditions,
 )
+from fhshare.model import NetworkScenario
+from fhshare.sim import SimConfig, run
 
 # Reference ten-user count law of the comparison suite.
 TEN_USER_MIX = UserCountPmf.finite(
@@ -511,40 +513,58 @@ def test_direct_comparison_flips(u, d):
 def test_sufficient_conditions():
     # Light two-point load: both conditions hold and both comparisons win.
     light = two_point(0.9)
-    c1 = eta1_sufficient_condition(light)
-    assert c1.condition_holds and c1.inequality_verified
-    c2 = eta2_sufficient_condition(light)
-    assert c2.condition_holds and c2.inequality_verified
+    checks = mean_load_conditions(light)
+    assert list(checks) == ["eta1", "eta2"]
+    for c in checks.values():
+        assert c.condition_holds and c.inequality_verified
 
     # Degenerate single-user law: condition fails, comparison ties.
-    lone = UserCountPmf.finite((0.0, 1.0))
-    c = eta1_sufficient_condition(lone)
+    c = mean_load_conditions(UserCountPmf.finite((0.0, 1.0)))["eta1"]
     assert not c.condition_holds and not c.inequality_verified
 
-    with pytest.raises(ValueError):
-        eta1_sufficient_condition(UserCountPmf.poisson(3.0))
-    c_pois = eta1_sufficient_condition(UserCountPmf.poisson(3.0), n_max=40)
-    assert isinstance(c_pois.condition_holds, bool)
-    with pytest.raises(ValueError):
-        eta2_sufficient_condition(UserCountPmf.finite((0.5, 0.5)))
+    # laws outside the hypothesis get no checks
+    assert mean_load_conditions(UserCountPmf.poisson(3.0)) == {}
+    assert mean_load_conditions(UserCountPmf.finite((0.5, 0.5))) == {}
 
 
-def test_sufficient_conditions_share_unit_curves():
-    light = two_point(0.9)
-    curves = FhCurves(light, 1.0)
-    assert eta1_sufficient_condition(light, curves=curves) == eta1_sufficient_condition(light)
-    assert eta2_sufficient_condition(light, curves=curves) == eta2_sufficient_condition(light)
-    for wrong in (FhCurves(light, 2.0), FhCurves(two_point(0.9), 1.0)):
-        with pytest.raises(ValueError, match="u = 1"):
-            eta1_sufficient_condition(light, curves=wrong)
+def test_sufficient_conditions_share_unit_curves(monkeypatch):
+    # both conditions compare on one FhCurves grid at u = 1, and each
+    # check is the condition's formula beside the direct comparison
+    built = []
+    grid_powers = measures._grid_powers
+
+    def counting(base, k):
+        built.append(base.size)
+        return grid_powers(base, k)
+
+    monkeypatch.setattr(measures, "_grid_powers", counting)
+    q1 = 0.7
+    light = two_point(q1)
+    checks = mean_load_conditions(light)
+    assert built == [GRID_POINTS]
+    mean_n = 2.0 - q1
+    fd = FdConfig(n_des=2)
+    assert checks["eta1"].condition_holds == (mean_n < 0.5 * math.log(2.0 * (math.e**2 - 1.0)))
+    assert checks["eta1"].inequality_verified == (eta1_fh(light, 1.0)[0] > eta1_fd(light, fd, 1.0))
+    lhs = (1.0 / mean_n) * (1.0 - 1.0 / mean_n) ** (mean_n - 1.0)
+    assert checks["eta2"].condition_holds == (lhs > 0.5)
+    assert checks["eta2"].inequality_verified == (eta2_fh(light, 1.0)[0] > eta2_fd(light, fd, 1.0))
 
 
 def test_sufficient_conditions_reject_mass_at_zero():
     # mass at N = 0 is outside both conditions' hypothesis
-    idle = UserCountPmf.finite((0.5, 0.25, 0.25))
-    for checker in (eta1_sufficient_condition, eta2_sufficient_condition):
-        with pytest.raises(ValueError, match="q\\[0\\] = 0"):
-            checker(idle)
+    assert mean_load_conditions(UserCountPmf.finite((0.5, 0.25, 0.25))) == {}
+
+
+def test_mean_load_conditions_skip_poisson_laws():
+    # Poisson(0.8) meets the eta1 mean-load test at n_max = 2, yet FD with
+    # two slices beats FH there: the test says nothing outside its
+    # hypothesis, so no check is made at all
+    lam = 0.8
+    pmf = UserCountPmf.poisson(lam)
+    assert mean_load_conditions(pmf) == {}
+    assert lam < 0.5 * math.log((math.e**2 - 1.0) * 2)
+    assert eta1_fh(pmf, 1.0)[0] < eta1_fd(pmf, FdConfig(n_des=2), 1.0)
 
 
 def test_sufficient_conditions_never_contradicted_randomized():
@@ -554,10 +574,7 @@ def test_sufficient_conditions_never_contradicted_randomized():
         w = rng.random(n_max + 1)
         w[0] = 0.0
         w /= w.sum()
-        pmf = UserCountPmf.finite(w)
-        eta1_sufficient_condition(pmf)
-        if pmf.mean() >= 1.0:
-            eta2_sufficient_condition(pmf)
+        assert list(mean_load_conditions(UserCountPmf.finite(w))) == ["eta1", "eta2"]
 
 
 def test_eta2_condition_boundary_two_point():
@@ -578,8 +595,8 @@ def test_eta2_condition_boundary_two_point():
             lo = mid
     q1_star = 0.5 * (lo + hi)
     assert 0.6 < q1_star < 0.75
-    above = eta2_sufficient_condition(two_point(q1_star + 1e-3))
-    below = eta2_sufficient_condition(two_point(q1_star - 1e-3))
+    above = mean_load_conditions(two_point(q1_star + 1e-3))["eta2"]
+    below = mean_load_conditions(two_point(q1_star - 1e-3))["eta2"]
     assert above.condition_holds and above.inequality_verified
     assert not below.condition_holds
     assert below.inequality_verified  # still true just below the threshold
@@ -650,3 +667,30 @@ def test_build_measure_reports_finite():
     assert by_key["fd", "eta3"].value == pytest.approx(u / 4)
     assert by_key["fd", "eta3"][3:] == ("n_des", 2)
     assert by_key["afh", "eta3"].value == by_key["fh", "eta3"].value
+
+
+@pytest.mark.parametrize("per_user", [False, True], ids=["eta1", "eta2"])
+@pytest.mark.parametrize(
+    "q", [(0, 0.2, 0.3, 0.3, 0.2), (0, 0.1, 0.1, 0.2, 0.2, 0.2, 0.2)], ids=["four", "six"]
+)
+def test_fh_measures_match_the_simulator(q, per_user):
+    # n users on the two-generator profile of the optimal hop count, with
+    # unit gains: a user's gain is half its mean count of free sub-bands,
+    # so eta1 = sum_n q_n (1/2) sum_i free_mean_i and eta2 weighs by q_n/n.
+    # The SE of each sum is at most the sum of the users' SEs.
+    u = 8
+    pmf = UserCountPmf.finite(q)
+    curves = FhCurves(pmf, float(u))
+    value, v = curves.eta2() if per_user else curves.eta1()
+    profile = two_generator_profile(v, u)
+    simulated = se = 0.0
+    for n in map(int, np.flatnonzero(pmf.weights)):
+        scen = NetworkScenario(
+            n_users=n, n_subbands=u, gains=np.ones((n, n)), total_power=1.0, noise_power=1.0
+        )
+        stats = run(SimConfig(scen, [profile] * n, n_slots=40000, master_seed=n))
+        weight = pmf.weights[n] / (n if per_user else 1)
+        simulated += weight * 0.5 * stats.free_mean.sum()
+        se += weight * 0.5 * stats.free_se.sum()
+    assert 0.0 < se < 0.01
+    assert abs(value - simulated) <= 4 * se

@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from fhshare import mixture
+from fhshare.bounds import lower_bound_rate, mc_mutual_information, upper_bound_rate
 from fhshare.mixture import (
     GaussianMixture1D,
     GaussianMixtureDiag,
@@ -19,9 +20,9 @@ from fhshare.mixture import (
     entropy_quadrature,
     entropy_upper_bound,
     gaussian_entropy,
-    log_density,
     merge_levels,
 )
+from fhshare.model import HoppingProfile, NetworkScenario
 
 LN2 = math.log(2.0)
 
@@ -71,13 +72,15 @@ def test_gaussian_entropy_closed_form():
 
 def test_log_density_hand_values():
     m = GaussianMixture1D.of((1.0, 1.0))
-    assert log_density(m, [0.0]) == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-14)
+    assert _log_density_rows(m, [[0.0]])[0] == pytest.approx(
+        -0.5 * math.log(2 * math.pi), rel=1e-14
+    )
 
     m2 = GaussianMixture1D.of((0.5, 1.0), (0.5, 4.0))
     f = 0.5 * math.exp(-0.5) / math.sqrt(2 * math.pi) + 0.5 * math.exp(
         -1.0 / 8.0
     ) / math.sqrt(8 * math.pi)
-    assert log_density(m2, [1.0]) == pytest.approx(math.log(f), rel=1e-14)
+    assert _log_density_rows(m2, [[1.0]])[0] == pytest.approx(math.log(f), rel=1e-14)
 
 
 def test_log_density_diag_matches_norm():
@@ -90,16 +93,16 @@ def test_log_density_diag_matches_norm():
         for w, v in zip(weights, variances)
     ]
     expected = math.log(sum(math.exp(c) for c in comps))
-    assert log_density(m, x) == pytest.approx(expected, rel=1e-13)
+    assert _log_density_rows(m, x[None, :])[0] == pytest.approx(expected, rel=1e-13)
 
 
 def test_log_density_extreme_scale_stability():
     m = GaussianMixture1D.of((0.5, 1.0), (0.5, 1e8))
-    far = log_density(m, [1e5])
+    far = _log_density_rows(m, [[1e5]])[0]
     expected = math.log(0.5) + float(norm.logpdf(1e5, scale=1e4))
     assert math.isfinite(far)
     assert far == pytest.approx(expected, rel=1e-10)
-    assert math.isfinite(log_density(m, [0.0]))
+    assert math.isfinite(_log_density_rows(m, [[0.0]])[0])
 
 
 def test_quadrature_matches_closed_form_gaussian():
@@ -149,16 +152,22 @@ def test_quadrature_panel_budget_raises_promptly():
         entropy_quadrature(m, tol=0.0)
 
 
-def pairwise_entropy_bits(weights, variances, distance):
+def pairwise_entropy_bits(m, distance):
     """Kolchinsky-Tracey pairwise estimate of a mixture's entropy in bits,
     sum_i w_i (h_i - log2 sum_j w_j exp(-D(p_i || p_j))) with h_i the
     components' entropies (Entropy 19(7):361, 2017). The Bhattacharyya
-    distance makes it a lower bound, the KL divergence an upper bound."""
-    w = np.asarray(weights, dtype=float)
-    var = np.asarray(variances, dtype=float)
-    d = distance(var[:, None], var[None, :])
-    h = 0.5 * np.log2(2.0 * math.pi * math.e * var)
+    distance makes it a lower bound, the KL divergence an upper bound. The
+    components of a diagonal mixture are independent across coordinates,
+    so both h_i and D sum over coordinates."""
+    w, var = m.weights, m.variances
+    d = distance(var[:, None, :], var[None, :, :]).sum(axis=2)
+    h = 0.5 * np.log2(2.0 * math.pi * math.e * var).sum(axis=1)
     return float(w @ (h - np.log2(np.exp(-d) @ w)))
+
+
+def pairwise_bounds(m):
+    """(H_BD, H_KL) of mixture m, in bits."""
+    return tuple(pairwise_entropy_bits(m, d) for d in (bhattacharyya, kl_divergence))
 
 
 def bhattacharyya(a, b):
@@ -193,9 +202,55 @@ def test_quadrature_within_entropy_bounds(comps):
     lower = sum(wi * gaussian_entropy(vi) for wi, vi in zip(w, var))
     upper = min(gaussian_entropy(m.variance()), entropy_upper_bound(m))
     assert lower - tol <= h <= upper + tol
-    pairwise = [pairwise_entropy_bits(m.weights, m.variances[:, 0], distance)
-                for distance in (bhattacharyya, kl_divergence)]
-    assert pairwise[0] - tol <= h <= pairwise[1] + tol
+    h_bd, h_kl = pairwise_bounds(m)
+    assert h_bd - tol <= h <= h_kl + tol
+
+
+@pytest.mark.parametrize("k, dim", [(1, 3), (5, 1), (40, 2), (100, 4)])
+def test_entropy_mc_within_pairwise_bounds(k, dim):
+    # H_BD <= h <= H_KL for diagonal mixtures too, both exact for k = 1
+    rng = np.random.default_rng(k * 10 + dim)
+    m = GaussianMixtureDiag(
+        weights=rng.dirichlet(np.ones(k)), variances=np.exp(rng.uniform(-4.0, 4.0, (k, dim)))
+    )
+    h, se = entropy_mc(m, 20000, seed=k)
+    h_bd, h_kl = pairwise_bounds(m)
+    assert h_bd - 4 * se <= h <= h_kl + 4 * se
+
+
+SANDWICH_SCENARIOS = {
+    "u6_v12": (6, (1, 2), [[1.0, 0.8], [0.6, 1.0]]),
+    "u4_v112": (4, (1, 1, 2), [[1.0, 0.9, 0.5], [0.7, 1.0, 0.4], [1.3, 0.6, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e5])
+@pytest.mark.parametrize("case", sorted(SANDWICH_SCENARIOS))
+def test_mc_mutual_information_within_pairwise_bounds(monkeypatch, case, gamma):
+    # I = h(Y) - h(Z) lies in [H_BD(Y) - H_KL(Z), H_KL(Y) - H_BD(Z)] and in
+    # [LB, UB]; at 1e5 the pairwise lower end beats LB
+    u, counts, gains = SANDWICH_SCENARIOS[case]
+    scen = NetworkScenario(
+        n_users=len(counts), n_subbands=u, gains=np.array(gains),
+        total_power=gamma, noise_power=1.0,
+    )
+    profs = [HoppingProfile.fixed(v) for v in counts]
+    built = []
+    estimate = mixture.entropy_mc
+
+    def recording(m, *args, **kwargs):
+        built.append(m)
+        return estimate(m, *args, **kwargs)
+
+    monkeypatch.setattr(mixture, "entropy_mc", recording)
+    mi, se = mc_mutual_information(scen, profs, 0, 20000, seed=3)
+    (y_bd, y_kl), (z_bd, z_kl) = map(pairwise_bounds, built)
+    assert built[0].weights.size <= 100
+    lb = lower_bound_rate(scen, profs, 0).value_bits
+    assert gamma < 1e5 or y_bd - z_kl > lb
+    lo = max(lb, y_bd - z_kl)
+    hi = min(upper_bound_rate(scen, profs, 0).value_bits, y_kl - z_bd)
+    assert lo - 4 * se <= mi <= hi + 4 * se
 
 
 def test_log_density_rows_degenerate_branch_and_empty_rows():
