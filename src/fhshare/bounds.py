@@ -66,20 +66,23 @@ def _interference_realizations(
     (63 of them make 2^63 placements, past any budget); one on 0 or u
     sub-bands occupies every coordinate alike in every placement. With
     n_coords == u no two placements share a pattern, and each weight is
-    the running quotient 1 / C_1 / C_2 / ... of the subset counts.
+    the running quotient 1 / C_1 / C_2 / ... of the subset counts; with
+    fewer coordinates it is that quotient times the pattern's placement
+    count.
     """
     constant = np.array([v_k >= u for v_k in hop_counts], dtype=np.int64)
     hopping = [t for t, v_k in enumerate(hop_counts) if 0 < v_k < u]
     patterns = np.zeros((1, n_coords), dtype=np.int64)
-    weights = np.array([1.0])
+    weight = 1.0
     for bit, t in enumerate(hopping):
         subsets = np.array(list(itertools.combinations(range(u), hop_counts[t])))
         occ = np.zeros((len(subsets), u), dtype=np.int64)
         np.put_along_axis(occ, subsets, 1, axis=1)
         patterns = (patterns[:, None, :] + (occ[None, :, :n_coords] << bit)).reshape(-1, n_coords)
-        weights = np.repeat(weights, len(subsets)) / len(subsets)
+        weight /= len(subsets)
     patterns, inverse = np.unique(patterns, axis=0, return_inverse=True)
-    weights = np.bincount(inverse.reshape(-1), weights=weights, minlength=patterns.shape[0])
+    # every placement has the same weight, so a pattern's is its count times it
+    weights = np.bincount(inverse.reshape(-1), minlength=patterns.shape[0]) * weight
     bits = np.broadcast_to(constant, patterns.shape + constant.shape).copy()
     bits[:, :, hopping] = (patterns[:, :, None] >> np.arange(len(hopping))) & 1
     power = bits @ np.asarray(amps, dtype=float)

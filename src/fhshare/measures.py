@@ -291,12 +291,6 @@ def eta1_fd(pmf: UserCountPmf, fd: FdConfig, u: float) -> float:
     return pmf.expect(f)
 
 
-def eta2_fh(pmf: UserCountPmf, u: float) -> Tuple[float, float]:
-    """Best expected worst-user gain of FH with everyone served and its
-    hop count: (value, v_dagger); see FhCurves.eta2."""
-    return FhCurves(pmf, u).eta2()
-
-
 def eta2_fd(pmf: UserCountPmf, fd: FdConfig, u: float) -> float:
     """Expected worst-user gain of FD: (u / 2 n_des) P{1 <= N <= n_des}."""
     n_des = fd.n_des
@@ -433,18 +427,16 @@ class BackoffComparison:
     q2_bound: Optional[float] = None
 
 
-def epsilon_backoff_region(
-    pmf: UserCountPmf, u: float, epsilon: float, fd: Optional[FdConfig] = None
-) -> BackoffComparison:
-    """Score FH at v = u - epsilon against FD on eta1 and eta2.
+def epsilon_backoff_region(pmf: UserCountPmf, u: float, epsilon: float) -> BackoffComparison:
+    """Score FH at v = u - epsilon against FD at FdConfig.default_for(pmf, u)
+    on eta1 and eta2.
 
     Backing off keeps every user served (v < u) while giving up order
     epsilon of gain; this reports whether FH still wins both measures.
     """
     if not 0.0 < epsilon < 0.5 * u:
         raise ValueError("epsilon must lie in (0, u/2)")
-    if fd is None:
-        fd = FdConfig.default_for(pmf, u)
+    fd = FdConfig.default_for(pmf, u)
     v = u - epsilon
     curves = FhCurves(pmf, u)
     fh1, fh2 = (float(curves.curve(per_user)(np.array([v]))[0]) for per_user in (False, True))

@@ -10,12 +10,13 @@ changes no bit of any density (see _log_mixture_rows).
 
 Scalar mixtures get a deterministic quadrature entropy: composite
 Gauss-Kronrod (G7/K15) panels on half of a symmetric window, refined by
-bisection until the panels' |K15 - G7| error estimates sum to at most tol/8,
-so the doubled integral is certified to within tol/4 of the windowed value
-(the window's tail mass is far below that). Vector mixtures with diagonal
-covariances get a Monte Carlo plug-in estimate that is reproducible for a
-fixed seed and independent of how its sample partitions are scheduled
-across workers.
+bisection until the panels' |K15 - G7| error estimates sum to at most
+1.25e-7, so the doubled integral is certified to within 2.5e-7 bits of the
+windowed value. The window spans 9.4513 standard deviations of the widest
+component, so the mixture mass outside it is at most 2 Phi(-9.4513) =
+3.3e-21. Vector mixtures with diagonal covariances get a Monte Carlo
+plug-in estimate that is reproducible for a fixed seed and independent of
+how its sample partitions are scheduled across workers.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ._blocks import generator, map_blocks
-from ._special import ndtri
 
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
@@ -53,6 +53,13 @@ _BLOCK_DOUBLES = 1 << 16
 # of an argument in [-745, -708] is subnormal and takes a slow path that
 # costs over 100x an in-range exp (below -745 it is 0, still about 20x).
 _LOG_TERM_FLOOR = -700.0
+
+# entropy_quadrature's tolerance, and the half-width of its window in
+# standard deviations of the widest component: 4 plus the upper standard
+# normal quantile of _QUAD_TOL / 40, written out so that no quantile is
+# computed at run time.
+_QUAD_TOL = 1e-6
+_QUAD_WINDOW_Z = 9.451310437845478
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), half of it from the
 # outer node in to 0: Kronrod nodes and weights, and 7-point Gauss weights
@@ -165,7 +172,8 @@ def _log_mixture_rows(
     each chunk's log-sum-exp runs in place (subtract the row maximum,
     raise to _LOG_TERM_FLOOR, exp, sum). A row to which no component
     contributes (one with an infinite coordinate) gives -inf, without a
-    floating-point warning.
+    floating-point warning. A finite coordinate whose square overflows
+    raises ValueError.
 
     The floor changes no bit of the result. A term it raises changed from
     exp(t) with t < -700 to exp(-700), by less than 1e-304, and the row
@@ -188,7 +196,11 @@ def _log_mixture_rows(
         starts.pop()  # a lone last row joins the chunk before it
     for s, stop in zip(starts, starts[1:] + [n]):
         xs = x[s:stop]
-        block = (xs * xs) @ inv_2var.T
+        with np.errstate(over="ignore"):
+            sq = xs * xs
+        if np.isinf(sq).any() and (np.isinf(sq) & np.isfinite(xs)).any():
+            raise ValueError("mixture log-density: the square of a point overflows")
+        block = sq @ inv_2var.T
         np.subtract(log_coef, block, out=block)
         top = block.max(axis=1)
         empty = top == -np.inf
@@ -215,32 +227,30 @@ def _log_density_rows(m: GaussianMixtureDiag, x: np.ndarray) -> np.ndarray:
     return _log_mixture_rows(np.asarray(x, dtype=float), log_coef, inv_2var)
 
 
-def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
+def entropy_quadrature(m: GaussianMixture1D) -> float:
     """Differential entropy of a scalar mixture in bits, by adaptive
     Gauss-Kronrod quadrature of -p log2 p.
 
-    The integration window [-span, span] is wide enough that the neglected
-    tail mass is below tol/10. The integrand is even, so [0, span] is
-    integrated and doubled. It starts as panels cut at break points seeded
-    on the components' own scales; each round evaluates the 15 Kronrod
-    nodes of every open panel in one pass and takes |K15 - G7| as the
-    panel's error. Once the errors of all panels sum to at most tol/8 the
-    K15 sums are returned, doubled, so the value is within tol/4 of the
-    windowed integral. Otherwise each open panel whose error fits its share
-    of tol/8 (in proportion to its width) is accepted and every other one
-    is bisected. RuntimeError is raised when [-span, span] would need more
-    than max(200, 20 + 10 * (number of +-break points)) panels.
+    The integration window [-span, span] is 9.4513 standard deviations of
+    the widest component on each side, so the mixture mass outside it is
+    at most 2 Phi(-9.4513) = 3.3e-21. The integrand is even, so [0, span]
+    is integrated and doubled. It starts as panels cut at break points
+    seeded on the components' own scales; each round evaluates the 15
+    Kronrod nodes of every open panel in one pass and takes |K15 - G7| as
+    the panel's error. Once the errors of all panels sum to at most
+    1.25e-7 the K15 sums are returned, doubled, so the value is within
+    2.5e-7 bits of the windowed integral. Otherwise each open panel whose
+    error fits its share of 1.25e-7 (in proportion to its width) is
+    accepted and every other one is bisected. RuntimeError is raised when
+    [-span, span] would need more than max(200, 20 + 10 * (number of
+    +-break points)) panels, and ValueError when the window is so wide
+    that the square of a node overflows.
     """
     if not isinstance(m, GaussianMixture1D):
         raise TypeError("entropy_quadrature takes a 1-D mixture")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     sig = np.sqrt(m.variances[:, 0])
     log_coef, inv_2var = _density_coefficients(m)
-    # Window: the normal quantile on the widest component keeps tail mass
-    # << tol/10.
-    z = -ndtri(min(tol, 1e-3) / 40.0) + 4.0
-    span = z * float(sig.max())
+    span = _QUAD_WINDOW_Z * float(sig.max())
 
     # Seed break points on each component's own scale so narrow spikes
     # are not stepped over; 8 per smallest sigma, coarser for the rest.
@@ -257,7 +267,7 @@ def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
 
     edges = np.array([0.0] + cuts + [span])
     lo, hi = edges[:-1], edges[1:]
-    budget = tol / 8.0
+    budget = _QUAD_TOL / 8.0
     value = 0.0
     err_done = 0.0
     n_done = 0
@@ -280,7 +290,7 @@ def entropy_quadrature(m: GaussianMixture1D, tol: float = 1e-6) -> float:
         if 2 * (n_done + 2 * lo.size) > limit:
             raise RuntimeError(
                 "entropy quadrature did not converge: estimated error "
-                f"{2.0 * total_err:g} > tol/4 = {tol / 4.0:g} within {limit} panels"
+                f"{2.0 * total_err:g} > tol/4 = {_QUAD_TOL / 4.0:g} within {limit} panels"
             )
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])

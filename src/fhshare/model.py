@@ -13,10 +13,9 @@ that mixture exactly.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -387,11 +386,9 @@ def _number(x, name: str, integral: bool = False) -> float:
     return float(x)
 
 
-def scenario_from_json(doc: Union[dict, str]):
-    """Inverse of scenario_to_json. Accepts a dict or a JSON string; u and
-    v must be integral numbers, and no number may be a string or a bool."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def scenario_from_json(doc: dict):
+    """Inverse of scenario_to_json, on the parsed document; u and v must be
+    integral numbers, and no number may be a string or a bool."""
     if not isinstance(doc, dict):
         raise ValueError("scenario document must be a JSON object")
     try:

@@ -22,11 +22,11 @@ from fhshare.bounds import (
 from fhshare.cli import main
 from fhshare.measures import (
     FdConfig,
+    FhCurves,
     UserCountPmf,
     eta1_fd,
     eta1_fh,
     eta2_fd,
-    eta2_fh,
     eta2_fh_poisson_closed,
     eta3_fd,
     eta3_fh,
@@ -88,7 +88,7 @@ def test_acceptance_02_ten_user_mix():
     mix = UserCountPmf.finite(
         (0.0, 0.22, 0.24, 0.24, 0.24, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01)
     )
-    value, v_dag = eta2_fh(mix, u)
+    value, v_dag = FhCurves(mix, u).eta2()
     # the quoted FD value is u/16; the direct formula (n_des = 10) gives u/20
     computed = eta2_fd(mix, FdConfig(n_des=10), u)
     reported = u / 16.0
@@ -150,7 +150,7 @@ def test_acceptance_04_two_point_flip_thresholds():
 
     def d2(q1):
         pmf = UserCountPmf.finite((0.0, q1, 1.0 - q1))
-        return eta2_fh(pmf, 1.0)[0] - eta2_fd(pmf, fd, 1.0)
+        return FhCurves(pmf, 1.0).eta2()[0] - eta2_fd(pmf, fd, 1.0)
 
     r1 = _flip_point(d1, 0.05, 0.95)
     r2 = _flip_point(d2, 0.05, 0.95)

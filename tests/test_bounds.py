@@ -483,6 +483,16 @@ def test_placement_law_on_fewer_sub_bands_merges_the_same_rows(case, data):
     np.testing.assert_array_max_ulp(w, w_ref, maxulp=8)
 
 
+@pytest.mark.parametrize("u, counts", [(6, [2, 2]), (6, [2, 3, 4]), (6, [3, 4, 4])])
+def test_placement_law_on_one_sub_band_merges_many_placements_accurately(u, counts):
+    # up to 4500 placements merge into a few rows; their equal weights added
+    # one by one drifted 21 to 174 ulp from the reference
+    w, d = bounds._interference_realizations(u, counts, np.ones(len(counts)), 1)
+    w_ref, d_ref = reference_realizations(u, counts, np.ones(len(counts)), 1)
+    assert d.tobytes() == d_ref.tobytes()
+    np.testing.assert_array_max_ulp(w, w_ref, maxulp=8)
+
+
 def test_more_than_64_interferers():
     # users 0-65 hop on both of u = 2 sub-bands, user 66 on one of them; at
     # user 0 the 65 always-on interferers add 65 * 10 * 0.01 / 2 = 3.25 to

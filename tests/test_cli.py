@@ -351,6 +351,30 @@ def test_simulate_over_the_cell_budget_is_a_json_error(tmp_path, capsys):
     assert msg["error"] == "ValueError" and "budget" in msg["message"]
 
 
+def test_bounds_mc_square_overflow_is_a_json_error(tmp_path, capsys):
+    # at gamma = 1e307 a Monte Carlo sample's square overflows a double
+    path = tmp_path / "two_users.json"
+    path.write_text(json.dumps(
+        {"u": 2, "users": [{"v": 1}, {"v": 1}], "gains": [[1.0, 1.0], [1.0, 1.0]],
+         "P": 1.0, "sigma2": 1.0}
+    ))
+    argv = ["bounds", "--scenario", str(path), "--mc-samples", "2000", "--seed", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv + ["--gammas", "1e307"], capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        msg = json.loads(err)
+        assert msg["error"] == "ValueError" and "overflows" in msg["message"]
+        code, out, err = run_cli(argv + ["--gammas", "1e306"], capsys)
+    assert [str(w.message) for w in caught] == []
+    assert code == 0 and err == ""
+    assert out == (
+        "user,gamma,r_ub,r_lb,mi_mc,mi_se,slope\n"
+        "0,1e+306,254.377499259,253.127499259,254.633394475,5.67809028653,0.25\n"
+        "1,1e+306,254.377499259,253.127499259,254.633394475,5.67809028653,0.25\n"
+    )
+
+
 def test_bounds_mc_needs_seed(scen_file, capsys):
     code, out, err = run_cli(
         ["bounds", "--scenario", scen_file, "--mc-samples", "1000"], capsys

@@ -33,7 +33,6 @@ from fhshare.measures import (
     eta1_fh,
     eta2_afh,
     eta2_fd,
-    eta2_fh,
     eta2_fh_poisson_closed,
     eta3_fd,
     eta3_fh,
@@ -131,9 +130,9 @@ def test_fh_measures_match_deep_poisson_truncation():
     lam, u = 400.0, 16.0
     cut, deep = UserCountPmf.poisson(lam), UserCountPmf.poisson(lam, truncation_n=8000)
     assert cut.n_top < 1000
-    for measure in (eta1_fh, eta2_fh):
-        value, v = measure(cut, u)
-        value_deep, v_deep = measure(deep, u)
+    for measure in (FhCurves.eta1, FhCurves.eta2):
+        value, v = measure(FhCurves(cut, u))
+        value_deep, v_deep = measure(FhCurves(deep, u))
         assert value == pytest.approx(value_deep, rel=1e-11)
         assert v == pytest.approx(v_deep, abs=1e-9 * u)
 
@@ -251,16 +250,16 @@ def test_eta1_fd():
 def test_eta2_two_point_interior_optimum():
     # q = (0, 0.3, 0.7): v_dagger = u (q1 + q2)/(2 q2) = 5u/7, value u/(8 q2).
     u = 14.0
-    value, v_dag = eta2_fh(two_point(0.3), u)
+    value, v_dag = FhCurves(two_point(0.3), u).eta2()
     assert v_dag == pytest.approx(5.0 * u / 7.0, abs=1e-6 * u)
     assert value == pytest.approx(u / 5.6, abs=1e-9 * u)
 
 
 def test_eta2_two_point_edge():
     u = 8.0
-    value, v_dag = eta2_fh(two_point(0.8), u)
+    value, v_dag = FhCurves(two_point(0.8), u).eta2()
     assert value == pytest.approx(0.4 * u, rel=1e-9)
-    value1, v1 = eta2_fh(UserCountPmf.finite((0.0, 1.0)), u)
+    value1, v1 = FhCurves(UserCountPmf.finite((0.0, 1.0)), u).eta2()
     assert value1 == pytest.approx(0.5 * u) and v1 == u
 
 
@@ -276,7 +275,7 @@ def test_eta2_poisson_closed_vs_numeric():
     u = 9.0
     for lam in (0.5, 1.5, 2.0, 2.5, 4.0, 7.0, 12.0, 20.0):
         closed, omega = eta2_fh_poisson_closed(lam, u)
-        numeric, v_dag = eta2_fh(UserCountPmf.poisson(lam), u)
+        numeric, v_dag = FhCurves(UserCountPmf.poisson(lam), u).eta2()
         assert numeric == pytest.approx(closed, abs=1e-6 * u)
         if lam > 2.0:
             assert v_dag == pytest.approx(u * (1 - omega), abs=1e-4 * u)
@@ -298,7 +297,7 @@ def test_eta2_poisson_closed_form_matches_numeric_optimum(lam, u):
     # just above lambda = 2 the optimum sits at a small omega, where the
     # root's sign test must be resolved, not rounding noise
     closed, _ = eta2_fh_poisson_closed(lam, u)
-    numeric, _ = eta2_fh(UserCountPmf.poisson(lam), u)
+    numeric, _ = FhCurves(UserCountPmf.poisson(lam), u).eta2()
     assert abs(closed - numeric) <= 1e-9 * u
 
 
@@ -309,7 +308,7 @@ def test_eta2_poisson_closed_form_past_expm1_overflow(lam):
     u = 4.0
     closed, omega = eta2_fh_poisson_closed(lam, u)
     assert lam * omega > 709.8
-    numeric, _ = eta2_fh(UserCountPmf.poisson(lam), u)
+    numeric, _ = FhCurves(UserCountPmf.poisson(lam), u).eta2()
     assert closed == pytest.approx(numeric, rel=1e-9)
 
 
@@ -325,7 +324,7 @@ def test_eta1_poisson_closed_vs_numeric_curve():
 
 def test_ten_user_mix_reference():
     u = 16.0
-    value, v_dag = eta2_fh(TEN_USER_MIX, u)
+    value, v_dag = FhCurves(TEN_USER_MIX, u).eta2()
     assert v_dag == pytest.approx(0.72 * u, abs=0.005 * u)
     assert value == pytest.approx(0.1121 * u, abs=0.0005 * u)
 
@@ -506,8 +505,8 @@ def test_direct_comparison_flips(u, d):
     assert eta1_fh(two_point(hi), u)[0] > eta1_fd(two_point(hi), fd, u)
     assert eta1_fh(two_point(lo), u)[0] < eta1_fd(two_point(lo), fd, u)
     hi2, lo2 = 0.5 + d, 0.5 - d
-    assert eta2_fh(two_point(hi2), u)[0] > eta2_fd(two_point(hi2), fd, u)
-    assert eta2_fh(two_point(lo2), u)[0] < eta2_fd(two_point(lo2), fd, u)
+    assert FhCurves(two_point(hi2), u).eta2()[0] > eta2_fd(two_point(hi2), fd, u)
+    assert FhCurves(two_point(lo2), u).eta2()[0] < eta2_fd(two_point(lo2), fd, u)
 
 
 def test_sufficient_conditions():
@@ -548,7 +547,7 @@ def test_sufficient_conditions_share_unit_curves(monkeypatch):
     assert checks["eta1"].inequality_verified == (eta1_fh(light, 1.0)[0] > eta1_fd(light, fd, 1.0))
     lhs = (1.0 / mean_n) * (1.0 - 1.0 / mean_n) ** (mean_n - 1.0)
     assert checks["eta2"].condition_holds == (lhs > 0.5)
-    assert checks["eta2"].inequality_verified == (eta2_fh(light, 1.0)[0] > eta2_fd(light, fd, 1.0))
+    assert checks["eta2"].inequality_verified == (FhCurves(light, 1.0).eta2()[0] > eta2_fd(light, fd, 1.0))
 
 
 def test_sufficient_conditions_reject_mass_at_zero():
@@ -628,7 +627,7 @@ def test_measure_dominance():
         w /= w.sum()
         pmf = UserCountPmf.finite(w)
         e1, _ = eta1_fh(pmf, u)
-        e2, _ = eta2_fh(pmf, u)
+        e2, _ = FhCurves(pmf, u).eta2()
         assert e1 >= e2 - 1e-12
         assert eta1_afh(pmf, u) >= e1 - 1e-9
         assert eta2_afh(pmf, u) >= e2 - 1e-9

@@ -1,13 +1,14 @@
 """Mixture densities and entropies against closed forms and a Riemann oracle."""
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 from scipy.stats import norm
 
 from fhshare import mixture
@@ -142,14 +143,29 @@ def test_quadrature_matches_scipy_quad_reference():
         assert entropy_quadrature(m) == pytest.approx(quad_entropy_bits(m), abs=1e-9)
 
 
+def test_quadrature_window_is_the_normal_quantile_it_replaces():
+    z = -float(ndtri(mixture._QUAD_TOL / 40.0)) + 4.0
+    assert z.hex() == mixture._QUAD_WINDOW_Z.hex()
+
+
 def test_quadrature_panel_budget_raises_promptly():
-    m = GaussianMixture1D.of((0.5, 1.0), (0.5, 1e4))
+    m = GaussianMixture1D.of(*((1.0 / 16.0, v) for v in np.geomspace(1.0, 1e20, 16).tolist()))
     t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="did not converge"):
-        entropy_quadrature(m, tol=1e-300)
+    with pytest.raises(RuntimeError, match=r"did not converge: .* > tol/4 = 2\.5e-07 within"):
+        entropy_quadrature(m)
     assert time.perf_counter() - t0 < 5.0
-    with pytest.raises(ValueError):
-        entropy_quadrature(m, tol=0.0)
+
+
+def test_square_overflow_raises_without_a_warning():
+    wide = GaussianMixture1D.of((0.5, 1.0), (0.5, 1e307))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="overflows"):
+            entropy_quadrature(wide)
+        with pytest.raises(ValueError, match="overflows"):
+            _log_density_rows(wide, np.array([[1e155]]))
+        assert _log_density_rows(wide, np.array([[np.inf]]))[0] == -np.inf
+    assert [str(w.message) for w in caught] == []
 
 
 def pairwise_entropy_bits(m, distance):
@@ -198,7 +214,7 @@ def test_quadrature_within_entropy_bounds(comps):
     var = [math.exp(b) for _, b in comps]
     m = GaussianMixture1D.of(*zip(w, var))
     tol = 1e-6
-    h = entropy_quadrature(m, tol=tol)
+    h = entropy_quadrature(m)
     lower = sum(wi * gaussian_entropy(vi) for wi, vi in zip(w, var))
     upper = min(gaussian_entropy(m.variance()), entropy_upper_bound(m))
     assert lower - tol <= h <= upper + tol
