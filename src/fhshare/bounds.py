@@ -21,7 +21,6 @@ from .model import (
     HoppingProfile,
     InterferenceSpectrum,
     NetworkScenario,
-    check_profiles,
     check_user,
     enumerate_interference_spectrum,
 )
@@ -97,14 +96,13 @@ def _fixed_counts(
 ) -> List[int]:
     """Every user's hop count, once every hop count is fixed and, unless
     the user's is 0, the joint placements (the product of the
-    interferers' C(u, v_k)) number at most budget; else NotApplicable. A
-    hop count above u is a ValueError."""
+    interferers' C(u, v_k)) number at most budget; else NotApplicable.
+    check_user's ValueError comes first."""
     check_user(scenario, profiles, user)
     for k, p in enumerate(profiles):
         if not p.is_fixed:
             raise NotApplicable(f"the bound requires fixed hop counts (user {k} has a pmf)")
     u = scenario.n_subbands
-    check_profiles(profiles, u)
     counts = [p.fixed_v for p in profiles]
     if counts[user] == 0:
         return counts
@@ -129,8 +127,7 @@ def _occupying_mean_v(profile: HoppingProfile, h2: float) -> float:
     v_max = profile.max_v()
     if v_max == 0 or h2 / v_max != 0.0:  # then h2 / v != 0.0 for every v <= v_max
         return profile.mean_v()
-    hops = [(profile.fixed_v, 1.0)] if profile.is_fixed else enumerate(profile.pmf)
-    return float(sum(w * v for v, w in hops if v >= 1 and h2 / v != 0.0))
+    return float(sum(w * v for v, w in profile.hops if v >= 1 and h2 / v != 0.0))
 
 
 def multiplexing_gain(

@@ -235,6 +235,7 @@ def cmd_simulate(args) -> None:
     if args.dump:
         if not profiles[check_user(scenario, profiles, args.dump_user)].is_fixed:
             raise ValueError(f"--dump-user {args.dump_user} has a pmf, not a fixed v")
+        sm.check_dump_cells(args.dump_samples, scenario.n_subbands)
     cfg = sm.SimConfig(
         scenario=scenario,
         profiles=tuple(profiles),
@@ -352,17 +353,15 @@ def cmd_compare(args) -> None:
     _emit(header, _columns(rows, len(header)), args.format, args.out)
 
 
-def _int_at_least(minimum: int):
-    """argparse type for an int of at least minimum."""
+def _positive_int(text: str) -> int:
+    """argparse type for an int of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
-    def parse(text: str) -> int:
-        n = int(text)
-        if n < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
-        return n
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
+_positive_int.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 def _mc_samples(text: str) -> int:
@@ -411,7 +410,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if threads:
-            p.add_argument("--threads", type=_int_at_least(1), default=1)
+            p.add_argument("--threads", type=_positive_int, default=1)
 
     p = sub.add_parser("levels", help="enumerate interference spectra")
     p.add_argument("--scenario", required=True)
@@ -429,11 +428,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="slot-level simulation")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--slots", type=_int_at_least(1), required=True)
+    p.add_argument("--slots", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dump", default=None, help="binary sample dump path")
     p.add_argument("--dump-user", type=int, default=0)
-    p.add_argument("--dump-samples", type=_int_at_least(1), default=10000)
+    p.add_argument("--dump-samples", type=_positive_int, default=10000)
     common(p, threads=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -95,13 +95,13 @@ def sample_occupancy(
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
+    why = profile.misfit(u)
+    if why is not None:
+        raise ValueError(f"the profile {why}")
     if profile.is_fixed:
-        if profile.fixed_v > u:
-            raise ValueError("fixed_v exceeds u")
         counts = np.full(n_slots, profile.fixed_v, dtype=np.int64)
     else:
-        w = profile.pmf_for(u)
-        counts = rng.choice(u + 1, size=n_slots, p=w).astype(np.int64)
+        counts = rng.choice(u + 1, size=n_slots, p=np.array(profile.pmf)).astype(np.int64)
     scores = rng.random((n_slots, u))
     # the sub-bands holding the v smallest scores: those at or below the
     # row's v-th smallest score

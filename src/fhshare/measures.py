@@ -29,7 +29,7 @@ import numpy as np
 
 from ._special import lgam
 from .gains import maximize_on_interval, smg_fair, v_opt
-from .mixture import PROB_TOL
+from .mixture import PROB_TOL, check_probabilities
 
 _POISSON_TAIL = 1e-12
 # Largest user count a law may carry: a measure curve is one (4097 x n_top)
@@ -74,10 +74,7 @@ class UserCountPmf:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or not 2 <= w.size <= MAX_USER_COUNT + 1:
             raise ValueError(f"weights must cover n = 0, 1 and stop by n = {MAX_USER_COUNT}")
-        # a weight above 1 fails the sum check anyway; testing it first
-        # keeps the sum from overflowing (q = [1e308, 1e308])
-        if not np.all((w >= 0) & (w <= 1.0 + PROB_TOL)):
-            raise ValueError("weights must be probabilities in [0, 1], not NaN")
+        check_probabilities(w, "weights")
         if self.poisson_lambda is None and abs(w.sum() - 1.0) > PROB_TOL:
             raise ValueError("finite pmf must sum to 1 within 1e-12")
         w.flags.writeable = False

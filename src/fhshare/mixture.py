@@ -87,6 +87,15 @@ _GK_WK = np.concatenate([_WK, _WK[-2::-1]])
 _GK_WG = np.concatenate([_WG, _WG[-2::-1]])
 
 
+def check_probabilities(weights, name: str) -> None:
+    """ValueError unless every weight lies in [0, 1 + PROB_TOL] (NaN fails).
+    A weight above 1 fails a law's sum check anyway; testing each one first
+    keeps that sum from overflowing ([1e308, 1e308])."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all((w >= 0) & (w <= 1.0 + PROB_TOL)):
+        raise ValueError(f"{name} must be probabilities in [0, 1], not NaN")
+
+
 def gaussian_entropy(variance: float) -> float:
     """Differential entropy of N(0, variance), in bits."""
     if variance <= 0:
@@ -113,8 +122,7 @@ class GaussianMixtureDiag:
             raise ValueError("variances must be 2-D (components x dim)")
         if w.ndim != 1 or w.shape[0] != v.shape[0]:
             raise ValueError("one weight per component required")
-        if not np.all(w >= 0):  # NaN fails too
-            raise ValueError("weights must be nonnegative, not NaN")
+        check_probabilities(w, "weights")
         if abs(w.sum() - 1.0) > PROB_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
         if not (np.isfinite(v).all() and (v > 0).all()):

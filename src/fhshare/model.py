@@ -19,7 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mixture import MERGE_REL_TOL, PROB_TOL, GaussianMixture1D, discrete_entropy, merge_levels
+from .mixture import (
+    MERGE_REL_TOL,
+    PROB_TOL,
+    GaussianMixture1D,
+    check_probabilities,
+    discrete_entropy,
+    merge_levels,
+)
 
 # Cells in one convolution round's grid. With fixed hop counts a round has
 # at most as many cells as there are joint placements, so this admits every
@@ -79,12 +86,14 @@ class HoppingProfile:
 
     Either a fixed count v, or a pmf over counts 0..u where pmf[v] is the
     probability of hopping onto v sub-bands in a slot. The chosen subset
-    itself is always uniform over the v-subsets.
+    itself is always uniform over the v-subsets. hops holds the law's
+    (v, weight) pairs of positive weight in increasing v, ((v, 1.0),) for
+    a fixed v; every reader of the law reads it there.
     """
 
     fixed_v: Optional[int] = None
     pmf: Optional[tuple] = None
-    _max_v: int = field(init=False, repr=False, compare=False)
+    hops: tuple = field(init=False, repr=False, compare=False)
     _mean_v: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -94,22 +103,20 @@ class HoppingProfile:
             if int(self.fixed_v) != self.fixed_v or self.fixed_v < 0:
                 raise ValueError("fixed_v must be a nonnegative integer")
             object.__setattr__(self, "fixed_v", int(self.fixed_v))
-            object.__setattr__(self, "_max_v", self.fixed_v)
-            object.__setattr__(self, "_mean_v", float(self.fixed_v))
+            hops = ((self.fixed_v, 1.0),)
         else:
             w = tuple(float(x) for x in self.pmf)
             if len(w) < 1:
                 raise ValueError("pmf must be nonempty")
-            if not all(x >= 0 for x in w):
-                raise ValueError("pmf entries must be nonnegative, not NaN")
+            check_probabilities(w, "pmf entries")
             if abs(sum(w) - 1.0) > PROB_TOL:
                 raise ValueError("pmf must sum to 1 within 1e-12")
             object.__setattr__(self, "pmf", w)
-            v_max = max(v for v, x in enumerate(w) if x > 0)
-            # Weights may sum to a little over 1; the mean stays in the support.
-            mean = min(float(sum(v * x for v, x in enumerate(w))), float(v_max))
-            object.__setattr__(self, "_max_v", v_max)
-            object.__setattr__(self, "_mean_v", mean)
+            hops = tuple((v, x) for v, x in enumerate(w) if x > 0)
+        object.__setattr__(self, "hops", hops)
+        # Weights may sum to a little over 1; the mean stays in the support.
+        mean = min(float(sum(v * x for v, x in hops)), float(self.max_v()))
+        object.__setattr__(self, "_mean_v", mean)
 
     @classmethod
     def fixed(cls, v: int) -> "HoppingProfile":
@@ -129,19 +136,16 @@ class HoppingProfile:
 
     def max_v(self) -> int:
         """Largest count that can occur."""
-        return self._max_v
+        return self.hops[-1][0]
 
-    def pmf_for(self, u: int) -> np.ndarray:
-        """Canonical length-(u+1) weight vector over counts 0..u."""
-        if self.is_fixed:
-            if self.fixed_v > u:
-                raise ValueError(f"fixed_v={self.fixed_v} exceeds u={u}")
-            w = np.zeros(u + 1)
-            w[self.fixed_v] = 1.0
-            return w
-        if len(self.pmf) != u + 1:
-            raise ValueError(f"pmf length {len(self.pmf)} != u+1 = {u + 1}")
-        return np.asarray(self.pmf, dtype=float)
+    def misfit(self, u: int) -> Optional[str]:
+        """The rule the profile breaks on u sub-bands, or None when it fits:
+        it may use at most u of them, and a pmf covers exactly 0..u."""
+        if self.max_v() > u:
+            return f"uses more than u={u} sub-bands"
+        if self.pmf is not None and len(self.pmf) != u + 1:
+            return f"pmf length {len(self.pmf)} != u+1 = {u + 1}"
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,23 +205,25 @@ class InterferenceSpectrum:
         return GaussianMixture1D(np.column_stack((self.probabilities, self.variances)))
 
 
-def check_profiles(profiles: Sequence[HoppingProfile], u: int) -> None:
+def check_profiles(scenario: NetworkScenario, profiles: Sequence[HoppingProfile]) -> None:
+    """ValueError unless there is one profile per user and each fits the
+    scenario's u sub-bands (HoppingProfile.misfit)."""
+    if len(profiles) != scenario.n_users:
+        raise ValueError("one profile per user required")
     for k, p in enumerate(profiles):
-        if p.max_v() > u:
-            raise ValueError(f"profile {k} uses more than u={u} sub-bands")
-        if not p.is_fixed and len(p.pmf) != u + 1:
-            raise ValueError(f"profile {k} pmf length != u+1")
+        why = p.misfit(scenario.n_subbands)
+        if why is not None:
+            raise ValueError(f"profile {k} {why}")
 
 
 def check_user(
     scenario: NetworkScenario, profiles: Sequence[HoppingProfile], user: int
 ) -> int:
-    """user, once there is one profile per user and it is an index 0..N-1
-    (a negative index would count the user as its own interferer);
-    ValueError otherwise."""
+    """user, once the profiles pass check_profiles and it is an index
+    0..N-1 (a negative index would count the user as its own
+    interferer); ValueError otherwise."""
+    check_profiles(scenario, profiles)
     n = scenario.n_users
-    if len(profiles) != n:
-        raise ValueError("one profile per user required")
     if not 0 <= user < n:
         raise ValueError(f"user index {user} out of range 0..{n - 1}")
     return user
@@ -229,14 +235,12 @@ def _interferer_outcomes(profile: HoppingProfile, gain: float, u: int):
     Returns arrays (c, p) of the outcomes with nonzero probability: c is
     |h|^2 / v when the interferer lands on the band while hopping over v
     sub-bands, and 0 otherwise. A user that never transmits contributes
-    the single outcome (0, 1). The profile must have passed
-    check_profiles for this u.
+    the single outcome (0, 1). The profile must fit u (check_profiles).
     """
     h2 = gain * gain
     c, p = [0.0], [1.0 - profile.mean_v() / u]
-    hops = [(profile.fixed_v, 1.0)] if profile.is_fixed else enumerate(profile.pmf)
-    for v, w in hops:
-        if v >= 1 and w > 0:
+    for v, w in profile.hops:
+        if v >= 1:
             q = w * v / u
             if q > 0.0:  # not an underflow
                 c.append(h2 / v)
@@ -321,8 +325,6 @@ def interference_law(
     """
     check_user(scenario, profiles, receiver)
     u = scenario.n_subbands
-    check_profiles(profiles, u)
-
     gains = scenario.gains[:, receiver].tolist()
     c, p = np.zeros(1), np.ones(1)
     for k in range(scenario.n_users):
@@ -420,5 +422,5 @@ def scenario_from_json(doc: dict):
         total_power=power,
         noise_power=sigma2,
     )
-    check_profiles(profiles, u)
+    check_profiles(scenario, profiles)
     return scenario, profiles

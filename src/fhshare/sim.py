@@ -33,6 +33,7 @@ from .gains import sample_occupancy
 from .model import (
     HoppingProfile,
     NetworkScenario,
+    check_profiles,
     check_user,
     enumerate_interference_spectrum,
 )
@@ -42,7 +43,8 @@ SLOT_BLOCK = 1 << 14
 # of occupancy per cell; the sampler's and one receiver's temporaries come
 # on top. Traced peaks per cell at 16 sub-bands: 4-5 bytes for 6-8 users
 # hopping on 1-3 sub-bands (the benchmark's blocks), 12.4 for 8 users on
-# every sub-band, 67 for one user on every sub-band.
+# every sub-band, 67 for one user on every sub-band. It also caps the
+# (sample, sub-band) cells of a sample dump (check_dump_cells).
 MAX_BLOCK_CELLS = 1 << 24
 
 _DUMP_HEADER = struct.Struct("<QQ")
@@ -57,8 +59,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "profiles", tuple(self.profiles))
-        if len(self.profiles) != self.scenario.n_users:
-            raise ValueError("one profile per user required")
+        check_profiles(self.scenario, self.profiles)
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
 
@@ -155,6 +156,19 @@ def _check_block_cells(n: int, n_slots: int, u: int) -> None:
         )
 
 
+def check_dump_cells(n_samples: int, u: int) -> None:
+    """ValueError when a dump of n_samples rows of u sub-bands exceeds
+    MAX_BLOCK_CELLS (sample, sub-band) cells. sample_received keeps every
+    block's y and z and then concatenates each: traced peaks of 32.0-33.4
+    bytes per cell for 2-7 users at 16 and 64 sub-bands, so about 0.56 GB
+    at the cap."""
+    if n_samples * u > MAX_BLOCK_CELLS:
+        raise ValueError(
+            f"a dump of {n_samples} samples x {u} sub-bands exceeds the "
+            f"dump budget of {MAX_BLOCK_CELLS} cells"
+        )
+
+
 def _mean_se(total, total_sq, m):
     """Sample mean and its standard error from m draws' sum and sum of squares."""
     mean = total / m
@@ -212,8 +226,10 @@ def sample_received(
 
     The user transmits on its first v sub-bands; interferers hop. Returns
     (y, z), both (n_samples, u): z is interference plus noise, y adds the
-    user's own signal. Rows are independent slots.
+    user's own signal. Rows are independent slots. More samples than
+    check_dump_cells admits are a ValueError, raised before any is drawn.
     """
+    check_dump_cells(n_samples, scenario.n_subbands)
     if not profiles[check_user(scenario, profiles, user)].is_fixed:
         raise ValueError("sample_received requires a fixed hop count for the user")
     if n_samples < 1:

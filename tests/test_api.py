@@ -1,6 +1,7 @@
 """The package exports and the README's library example stay in step, and
 every export has a caller or a written reason to stay."""
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -85,6 +86,42 @@ def test_every_export_has_a_caller_or_a_reason():
     # a kept name that gains a caller or leaves the exports drops out of KEPT
     assert sorted(set(KEPT) & referenced) == []
     assert sorted(set(KEPT) - set(fhshare.__all__)) == []
+
+
+# Public methods, properties and classmethods of exported classes whose
+# name no attribute read in src/fhshare or perfbench/ uses, each with the
+# reason it stays.
+KEPT_METHODS = {
+    "GaussianMixture1D.of": "the README's constructor",
+    "GaussianMixture1D.variance": "feeds the gaussian_entropy max-entropy bound "
+                                  "that the entropy tests compare with",
+}
+
+
+def read_attributes() -> set:
+    """Every attribute name read in the package's modules (bar
+    __init__.py) and in the benchmark."""
+    return {node.attr for tree in package_trees() + benchmark_trees()
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def exported_methods() -> list:
+    """Class.name of every public function, property, classmethod and
+    staticmethod that an exported class defines itself."""
+    kinds = (property, classmethod, staticmethod)
+    return [f"{cls.__name__}.{name}"
+            for cls in (getattr(fhshare, n) for n in fhshare.__all__) if inspect.isclass(cls)
+            for name, value in vars(cls).items()
+            if not name.startswith("_") and (isinstance(value, kinds) or inspect.isfunction(value))]
+
+
+def test_every_exported_method_is_read_or_has_a_reason():
+    read = read_attributes()
+    methods = exported_methods()
+    unread = sorted(m for m in methods if m.rsplit(".", 1)[1] not in read)
+    assert [m for m in unread if m not in KEPT_METHODS] == []
+    # a kept method that gains a reader or disappears drops out of the dict
+    assert sorted(set(KEPT_METHODS) - set(unread)) == []
 
 
 # Defaulted parameters of functions in src/fhshare that no call in

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fhshare import bounds, model
+from fhshare import bounds, model, sim
 from fhshare.bounds import (
     lower_bound_rate,
     mc_mutual_information,
@@ -593,6 +593,40 @@ def test_not_applicable_marks_each_bound_hypothesis(monkeypatch):
     # a hop count above u is an input error, not a failed hypothesis
     with pytest.raises(ValueError, match="more than u=2") as info:
         upper_bound_rate(unit(2, 2, 10.0), [HoppingProfile.fixed(1), HoppingProfile.fixed(3)], 0)
+    assert not isinstance(info.value, bounds.NotApplicable)
+
+
+MISFITS = {
+    # user 0 hops on v sub-bands of u = 4 beside these profiles
+    "v_above_u": [HoppingProfile.fixed(9)],
+    "pmf_length": [HoppingProfile.from_pmf([0.0, 1.0])],
+    "one_too_few": [],
+}
+
+ENTRY_POINTS = {
+    "spectrum": (1, model.enumerate_interference_spectrum),
+    "law": (1, model.interference_law),
+    "slope": (1, multiplexing_gain),
+    "upper": (1, upper_bound_rate),
+    "lower_v0": (0, lower_bound_rate),
+    "lower_v1": (1, lower_bound_rate),
+    "mc": (1, mc_1000),
+    "samples": (1, lambda scen, profs, user: sim.sample_received(scen, profs, user, 100, 1)),
+    "sim_config": (1, lambda scen, profs, user: sim.SimConfig(scen, profs, 10, 1)),
+}
+
+
+@pytest.mark.parametrize("misfit", MISFITS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refuses_profiles_that_do_not_fit(entry, misfit):
+    # One gate, model.check_profiles, before any NotApplicable. Without it
+    # multiplexing_gain gave 0.375 for the short pmf, lower_bound_rate 0
+    # bits for a v = 0 user beside v = 9, and the upper bound and Monte
+    # Carlo called the short pmf a failed hypothesis.
+    v, fn = ENTRY_POINTS[entry]
+    profs = [HoppingProfile.fixed(v)] + MISFITS[misfit]
+    with pytest.raises(ValueError) as info:
+        fn(unit(2, 4, 10.0), profs, 0)
     assert not isinstance(info.value, bounds.NotApplicable)
 
 

@@ -691,6 +691,16 @@ def test_threads_below_one_is_usage_error(scen_file, capsys, argv):
     assert msg["error"] == "usage" and "--threads" in msg["message"]
 
 
+@pytest.mark.parametrize("flag", ["--threads", "--slots", "--dump-samples"])
+def test_counts_below_one_name_the_rule(scen_fixed_file, capsys, flag):
+    argv = ["simulate", "--scenario", scen_fixed_file, "--slots", "10", "--seed", "1"]
+    for value, text in (("0", "must be at least 1, got 0"), ("x", "invalid int value: 'x'")):
+        code, out, err = run_cli(argv + [flag, value], capsys)
+        assert code == 2 and out == ""
+        msg = json.loads(err)
+        assert msg["error"] == "usage" and f"{flag}: {text}" in msg["message"]
+
+
 @pytest.mark.parametrize("sub", ["levels", "measures", "sweep", "compare"])
 def test_threads_only_on_sampling_subcommands(scen_file, pmf_finite_file, capsys, sub):
     args = {
@@ -794,6 +804,25 @@ def test_pmf_dump_user_rejected_before_simulating(
     assert code == 1 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "ValueError" and "--dump-user 2" in msg["message"]
+    assert not dump.exists()
+
+
+def test_dump_over_the_budget_is_refused_before_simulating(
+    scen_fixed_file, tmp_path, capsys, monkeypatch
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("sim.run was entered")
+
+    monkeypatch.setattr(fhshare.sim, "run", no_run)
+    # 1000 samples x 4 sub-bands is one cell over the budget
+    monkeypatch.setattr(fhshare.sim, "MAX_BLOCK_CELLS", 3999)
+    dump = tmp_path / "y.bin"
+    argv = ["simulate", "--scenario", scen_fixed_file, "--slots", "300000", "--seed", "1",
+            "--dump", str(dump), "--dump-samples", "1000"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ValueError" and "dump budget of 3999 cells" in msg["message"]
     assert not dump.exists()
 
 

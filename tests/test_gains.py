@@ -185,7 +185,7 @@ def test_sample_occupancy_keeps_the_v_smallest_scores(profile):
     occ, counts = sample_occupancy(profile, u, np.random.default_rng(21), n_slots)
     rng = np.random.default_rng(21)
     if not profile.is_fixed:
-        want_counts = rng.choice(u + 1, size=n_slots, p=profile.pmf_for(u))
+        want_counts = rng.choice(u + 1, size=n_slots, p=np.array(profile.pmf))
         np.testing.assert_array_equal(counts, want_counts)
     else:
         np.testing.assert_array_equal(counts, np.full(n_slots, profile.fixed_v))
@@ -220,7 +220,7 @@ def test_sample_occupancy_ties_follow_the_argsort_order(u, levels):
         occ, counts = sample_occupancy(profile, u, QuantizedScores(5, levels), n_slots)
         stub = QuantizedScores(5, levels)
         if not profile.is_fixed:
-            stub.choice(u + 1, size=n_slots, p=profile.pmf_for(u))
+            stub.choice(u + 1, size=n_slots, p=np.array(profile.pmf))
         scores = stub.random((n_slots, u))
         ranks = np.argsort(np.argsort(scores, axis=1), axis=1)
         np.testing.assert_array_equal(occ, ranks < counts[:, None])

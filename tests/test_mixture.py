@@ -23,6 +23,7 @@ from fhshare.mixture import (
     gaussian_entropy,
     merge_levels,
 )
+from fhshare.measures import UserCountPmf
 from fhshare.model import HoppingProfile, NetworkScenario
 
 LN2 = math.log(2.0)
@@ -165,6 +166,23 @@ def test_square_overflow_raises_without_a_warning():
         with pytest.raises(ValueError, match="overflows"):
             _log_density_rows(wide, np.array([[1e155]]))
         assert _log_density_rows(wide, np.array([[np.inf]]))[0] == -np.inf
+    assert [str(w.message) for w in caught] == []
+
+
+def test_huge_weights_raise_without_a_warning():
+    # each weight is checked before the sum, which would overflow
+    huge = [1e308, 1e308]
+    constructors = [
+        lambda: GaussianMixtureDiag(weights=huge, variances=[[1.0], [2.0]]),
+        lambda: GaussianMixture1D.of((huge[0], 1.0), (huge[1], 2.0)),
+        lambda: HoppingProfile.from_pmf(huge),
+        lambda: UserCountPmf.finite(huge),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for make in constructors:
+            with pytest.raises(ValueError, match=r"probabilities in \[0, 1\], not NaN"):
+                make()
     assert [str(w.message) for w in caught] == []
 
 

@@ -309,11 +309,12 @@ def test_profile_validation():
     prof = HoppingProfile.from_pmf((0.25, 0.5, 0.25))
     assert prof.mean_v() == pytest.approx(1.0)
     assert prof.max_v() == 2
-    with pytest.raises(ValueError):
-        prof.pmf_for(5)
-    np.testing.assert_allclose(
-        HoppingProfile.fixed(2).pmf_for(3), [0.0, 0.0, 1.0, 0.0]
-    )
+    assert prof.hops == ((0, 0.25), (1, 0.5), (2, 0.25))
+    assert HoppingProfile.from_pmf((0.5, 0.0, 0.5)).hops == ((0, 0.5), (2, 0.5))
+    assert HoppingProfile.fixed(2).hops == ((2, 1.0),)
+    assert prof.misfit(2) is None and prof.misfit(1) == "uses more than u=1 sub-bands"
+    assert prof.misfit(5) == "pmf length 3 != u+1 = 6"
+    assert HoppingProfile.fixed(2).misfit(3) is None
 
 
 def test_spectrum_entropy_and_mixture():
@@ -434,7 +435,9 @@ def reference_spectrum(scenario, profiles, receiver, rel_tol=1e-9):
         g = float(scenario.gains[k, receiver])
         h2 = g * g
         outcomes = [(0.0, 1.0 - profiles[k].mean_v() / u)]
-        for v, w in enumerate(profiles[k].pmf_for(u).tolist()):
+        p_k = profiles[k]
+        weights = np.eye(u + 1)[p_k.fixed_v] if p_k.is_fixed else np.array(p_k.pmf)
+        for v, w in enumerate(weights.tolist()):
             if v >= 1 and w > 0:
                 outcomes.append((h2 / v, w * v / u))
         new = {}
@@ -527,7 +530,6 @@ def one_step_enumeration(scenario, profiles, receiver):
     was split out: convolution, sort and merge in one body."""
     model.check_user(scenario, profiles, receiver)
     u = scenario.n_subbands
-    model.check_profiles(profiles, u)
     gains = scenario.gains[:, receiver].tolist()
     c, p = np.zeros(1), np.ones(1)
     for k in range(scenario.n_users):

@@ -203,7 +203,7 @@ def reference_occupancy(profile, u, rng, size):
     if profile.is_fixed:
         counts = np.full(size, profile.fixed_v, dtype=np.int64)
     else:
-        counts = rng.choice(u + 1, size=size, p=profile.pmf_for(u)).astype(np.int64)
+        counts = rng.choice(u + 1, size=size, p=np.array(profile.pmf)).astype(np.int64)
     order = np.argsort(rng.random((size, u)), axis=1)
     occ = np.empty((size, u), dtype=bool)
     np.put_along_axis(occ, order, np.arange(u) < counts[:, None], axis=1)
@@ -402,6 +402,35 @@ def test_block_peak_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * n * SLOT_BLOCK * u, peak / (n * SLOT_BLOCK * u)
+
+
+def test_dump_peak_memory_per_cell():
+    # sample_received keeps every block's y and z, then concatenates each:
+    # 32 bytes per (sample, sub-band) cell, which check_dump_cells caps
+    n, u, n_samples = 3, 16, 1 << 15
+    scen = unit(n, u)
+    profs = (HoppingProfile.fixed(2),) * n
+    tracemalloc.start()
+    try:
+        sample_received(scen, profs, 0, n_samples, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * n_samples * u, peak / (n_samples * u)
+
+
+def test_dump_budget_counts_samples_and_subbands(monkeypatch):
+    profs = (HoppingProfile.fixed(1),)
+    monkeypatch.setattr(sim, "MAX_BLOCK_CELLS", 30 * 4)
+    sample_received(unit(1, 4), profs, 0, 30, seed=1)
+    with pytest.raises(ValueError, match="dump budget of 120 cells"):
+        sample_received(unit(1, 4), profs, 0, 31, seed=1)
+    # every sample counts, not one block's: one sub-band, one block's
+    # cells admitted and one sample more refused
+    monkeypatch.setattr(sim, "MAX_BLOCK_CELLS", SLOT_BLOCK)
+    sample_received(unit(1, 1), profs, 0, SLOT_BLOCK, seed=1)
+    with pytest.raises(ValueError, match=f"dump budget of {SLOT_BLOCK} cells"):
+        sample_received(unit(1, 1), profs, 0, SLOT_BLOCK + 1, seed=1)
 
 
 def test_three_block_run_is_thread_invariant():
