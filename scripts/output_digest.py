@@ -10,14 +10,16 @@ perfbench/child.run_job. It prints one line per job,
 `workload seed job sha256` (child.digest of the job's outputs), or FAILED
 in place of the digest when the job did not succeed. Equal lines from
 two checkouts mean byte-identical outputs. With --against FILE, a list
-saved from another checkout, it prints only the lines that differ from
-FILE (as a unified diff) and the FAILED ones, and exits 1 if there is
-any. Seeds take the form of scripts/bench_record.py's --seeds (1-3,57).
+saved from another checkout, it matches lines by (workload, seed, job),
+so the order of FILE's lines and any jobs of FILE this run leaves out do
+not matter. It prints FILE's line and this checkout's for each job whose
+digest differs (`- ` and `+ `), each job FILE lacks (`+ `) and each
+FAILED line, and exits 1 if there is any. Seeds take the form of
+scripts/bench_record.py's --seeds (1-3,57).
 """
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import sys
 import tempfile
@@ -63,16 +65,23 @@ def main():
                     print(line, flush=True)
     if a.against:
         with open(a.against) as fh:
-            saved = fh.read().splitlines()
-        diff = list(difflib.unified_diff(saved, lines, a.against, "this checkout",
-                                         n=0, lineterm=""))
-        changed = [d for d in diff[2:] if d[:1] in "+-"]
+            saved = {line.rsplit(" ", 1)[0]: line for line in fh.read().splitlines()}
+        changed = missing = 0
+        report = []
+        for line in lines:
+            old = saved.get(line.rsplit(" ", 1)[0])
+            if old is None:
+                missing += 1
+                report.append(f"+ {line}")
+            elif old != line:
+                changed += 1
+                report += [f"- {old}", f"+ {line}"]
         failed = [line for line in lines if line.endswith(" FAILED")]
-        for line in diff + failed:
+        for line in report + failed:
             print(line)
-        print(f"{len(lines)} lines; {len(changed)} lines differ from {a.against}; "
-              f"{len(failed)} FAILED")
-        sys.exit(1 if diff or failed else 0)
+        print(f"{len(lines)} lines; {changed} lines differ from {a.against}; "
+              f"{missing} jobs missing from it; {len(failed)} FAILED")
+        sys.exit(1 if report or failed else 0)
 
 
 if __name__ == "__main__":

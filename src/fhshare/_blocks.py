@@ -1,4 +1,5 @@
-"""Seeded fixed-size blocks, mapped in order on one or more threads.
+"""Seeded fixed-size blocks, mapped in order on one or more threads, and
+the working-set size the kernels walk their arrays in.
 
 Randomized kernels split their work into blocks of a fixed size and give
 each block generators of its own, keyed by (seed, spawn key). The block
@@ -15,6 +16,12 @@ import numpy as np
 T = TypeVar("T")
 
 _ENTROPY_MASK = (1 << 128) - 1
+
+# Size of the working set a kernel walks a large array in: 512 KiB of
+# doubles, so each pass over it runs from L2 cache, and the temporaries
+# of a pass stay that size whatever the array's. Kernels read it from
+# this module at call time, so a test that shrinks it here reaches all.
+BLOCK_DOUBLES = 1 << 16
 
 
 def generator(seed: int, key: Tuple[int, ...]) -> np.random.Generator:
@@ -39,3 +46,11 @@ def map_blocks(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda a: fn(*a), blocks))
     return [fn(*a) for a in blocks]
+
+
+def row_ranges(n_rows: int, width: int) -> List[Tuple[int, int]]:
+    """(start, stop) of consecutive row ranges covering n_rows rows of
+    `width` cells each, every range but the last BLOCK_DOUBLES // width
+    rows (at least one)."""
+    step = max(1, BLOCK_DOUBLES // max(width, 1))
+    return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]

@@ -14,6 +14,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from ._blocks import row_ranges
 from .model import HoppingProfile
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -91,7 +92,10 @@ def sample_occupancy(
     """Vectorized occupancy draws for one user.
 
     Returns (occupancy, counts): a boolean (n_slots, u) matrix whose rows
-    are uniformly random v-subsets, and the per-slot hop counts v.
+    are uniformly random v-subsets, and the per-slot hop counts v. The
+    scores that pick the subsets are drawn and ranked in row ranges of
+    about _blocks.BLOCK_DOUBLES cells; draws in sequence give the same
+    stream as one draw of every row, so the ranges change no bit.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
@@ -102,14 +106,21 @@ def sample_occupancy(
         counts = np.full(n_slots, profile.fixed_v, dtype=np.int64)
     else:
         counts = rng.choice(u + 1, size=n_slots, p=np.array(profile.pmf)).astype(np.int64)
-    scores = rng.random((n_slots, u))
-    # the sub-bands holding the v smallest scores: those at or below the
-    # row's v-th smallest score
+    occupancy = np.empty((n_slots, u), dtype=bool)
+    for start, stop in row_ranges(n_slots, u):
+        _mark_smallest(rng.random((stop - start, u)), counts[start:stop], occupancy[start:stop])
+    return occupancy, counts
+
+
+def _mark_smallest(scores: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+    """Set out[r] to the sub-bands holding row r's counts[r] smallest
+    scores: those at or below the row's counts[r]-th smallest score."""
+    u = scores.shape[1]
     ranked = np.sort(scores, axis=1)
-    rows = np.arange(n_slots)
+    rows = np.arange(scores.shape[0])
     threshold = ranked[rows, np.maximum(counts - 1, 0)]
-    occupancy = scores <= threshold[:, None]
-    occupancy[counts == 0] = False
+    np.less_equal(scores, threshold[:, None], out=out)
+    out[counts == 0] = False
     # A row marks more than v sub-bands exactly when its (v+1)-th smallest
     # score equals the v-th; such rows take the first v sub-bands of the
     # argsort order instead.
@@ -120,8 +131,7 @@ def sample_occupancy(
         order = np.argsort(scores[tied], axis=1)
         redo = np.empty((tied.size, u), dtype=bool)
         np.put_along_axis(redo, order, np.arange(u) < counts[tied, None], axis=1)
-        occupancy[tied] = redo
-    return occupancy, counts
+        out[tied] = redo
 
 
 def maximize_on_interval(

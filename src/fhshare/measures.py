@@ -15,8 +15,8 @@ in the band size u and are reported in absolute terms.
 
 FH's eta1 and eta2 maximize curves over a grid of hop counts; both are
 products with one matrix of powers (1 - v/u)^k per law and u (FhCurves),
-built once for the two, and the cells of that matrix that underflow to
-0.0 are never computed.
+built once for the two in row blocks that are never all held at once,
+and the cells of that matrix that underflow to 0.0 are never computed.
 """
 from __future__ import annotations
 
@@ -27,14 +27,16 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from . import _blocks
 from ._special import lgam
 from .gains import maximize_on_interval, smg_fair, v_opt
 from .mixture import PROB_TOL, check_probabilities
 
 _POISSON_TAIL = 1e-12
-# Largest user count a law may carry: a measure curve is one (4097 x n_top)
-# matrix, 268 MB at this cap (Poisson lambda up to ~7500), and building it
-# takes a bool mask over the rows that underflow, at most 31 MB more.
+# Largest user count a law may carry (Poisson lambda up to ~7500). The
+# measure curves walk their (4097 x n_top) grid in row blocks of about
+# 512 KiB, so maximizing both traces a peak of about 1.4 MB at any n_top
+# up to this cap; the cap bounds their time, about 0.3 s at n_top = 8000.
 MAX_USER_COUNT = 1 << 13
 # ln 2^-1075, half the smallest subnormal double: pow rounds every power
 # below it to 0.0, so a row b**k reaches 0.0 near k = _LOG_UNDERFLOW / ln b.
@@ -220,11 +222,21 @@ class FhCurves:
       eta2  E{SMG(v, N)/N} = (v/2) sum_{n >= 1} q_n (1 - v/u)^(n-1), the
             eta2 objective for v < u.
 
-    Each curve is one (abscissae x n_top) matrix of powers (1 - v/u)^k
+    Each curve is an (abscissae x n_top) matrix of powers (1 - v/u)^k
     times a weight vector. A call on more than one abscissa builds that
-    matrix with _grid_powers and keeps it for the next such call on the
-    same abscissae, so maximizing both curves over [0, u] builds the grid
-    matrix once; a call on one abscissa computes its row directly.
+    matrix with _grid_powers in row blocks of about _blocks.BLOCK_DOUBLES
+    cells, takes both curves' products block by block and keeps the two
+    curve vectors for the next such call on the same abscissae, so
+    maximizing both curves over [0, u] builds the grid once and never
+    holds it whole; a call on one abscissa computes its row directly.
+
+    A block's rows are a multiple of 8, at least 8. numpy's matrix-vector
+    product (OpenBLAS gemv) sums rows in groups of 4 and rows left over
+    another way, which can differ in the last bit. On the maximizer's grid
+    of 8j + 1 abscissae every row but the last is in a group of 4, in the
+    whole matrix (one half of it per BLAS thread) as in the blocks, and
+    the last row, v = u, is (1, 0, 0, ...) and exact either way; so the
+    curve values are the whole matrix's, bit for bit.
     """
 
     def __init__(self, pmf: UserCountPmf, u: float):
@@ -235,11 +247,18 @@ class FhCurves:
         self._weights = (np.arange(1, pmf.weights.size) * q, q)
         self._grid: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    def _powers(self, v: np.ndarray) -> np.ndarray:
-        if v.size < 2:
-            return (1.0 - v / self.u)[:, None] ** self._k
+    def _grid_curves(self, v: np.ndarray) -> np.ndarray:
+        """(powers @ w for both weight vectors), a (2, v.size) array."""
         if self._grid is None or not np.array_equal(self._grid[0], v):
-            self._grid = (v.copy(), _grid_powers(1.0 - v / self.u, self._k))
+            base = 1.0 - v / self.u
+            rows = max(8, _blocks.BLOCK_DOUBLES // self._k.size // 8 * 8)
+            out = np.empty((2, v.size))
+            for start in range(0, v.size, rows):
+                stop = start + rows
+                block = _grid_powers(base[start:stop], self._k)
+                for out_row, w in zip(out, self._weights):
+                    out_row[start:stop] = block @ w
+            self._grid = (v.copy(), out)
         return self._grid[1]
 
     def curve(self, per_user: bool) -> Callable[[np.ndarray], np.ndarray]:
@@ -248,7 +267,9 @@ class FhCurves:
 
         def f(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=float)
-            return 0.5 * v * (self._powers(v) @ w)
+            if v.size < 2:
+                return 0.5 * v * ((1.0 - v / self.u)[:, None] ** self._k @ w)
+            return 0.5 * v * self._grid_curves(v)[int(per_user)]
 
         return f
 

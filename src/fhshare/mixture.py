@@ -26,6 +26,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from . import _blocks
 from ._blocks import generator, map_blocks
 
 _LN2 = math.log(2.0)
@@ -43,11 +44,6 @@ MC_PARTITION = 1 << 16
 
 # Fewest samples entropy_mc accepts.
 MC_MIN_SAMPLES = 100
-
-# Size of the (rows x components) blocks the log-density kernel works on:
-# 512 KiB, so each of its passes over a block runs from L2 cache. With two
-# or more components no row's value depends on it (see _log_mixture_rows).
-_BLOCK_DOUBLES = 1 << 16
 
 # Floor for the log-sum-exp terms once the row maximum is subtracted. exp
 # of an argument in [-745, -708] is subnormal and takes a slow path that
@@ -176,9 +172,9 @@ def _log_mixture_rows(
     """log sum_l exp(log_coef[l] - sum_j inv_2var[l, j] x[i, j]^2) per row i.
 
     x is (n, dim), log_coef (k,), inv_2var (k, dim) and positive. Rows go
-    through in chunks of about _BLOCK_DOUBLES (rows x components) doubles;
-    each chunk's log-sum-exp runs in place (subtract the row maximum,
-    raise to _LOG_TERM_FLOOR, exp, sum). A row to which no component
+    through in chunks of about _blocks.BLOCK_DOUBLES (rows x components)
+    doubles; each chunk's log-sum-exp runs in place (subtract the row
+    maximum, raise to _LOG_TERM_FLOOR, exp, sum). A row to which no component
     contributes (one with an infinite coordinate) gives -inf, without a
     floating-point warning. A finite coordinate whose square overflows
     raises ValueError.
@@ -198,7 +194,7 @@ def _log_mixture_rows(
     """
     n = x.shape[0]
     out = np.empty(n)
-    step = max(2, _BLOCK_DOUBLES // max(log_coef.shape[0], 1))
+    step = max(2, _blocks.BLOCK_DOUBLES // max(log_coef.shape[0], 1))
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()  # a lone last row joins the chunk before it

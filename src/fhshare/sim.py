@@ -13,7 +13,9 @@ is made. A receiver's interference increment is summed on its own cells
 only: g_ki^2 / v_k over the interferers k on the cell, in index order.
 The level tally is sparse: the distinct (slot, level) pairs a receiver
 hits, with their hit counts, summed per level with bincount. The free
-count of a slot is its hit count on the c = 0 level.
+count of a slot is its hit count on the c = 0 level. A receiver's cells
+go through in slot ranges, so its temporaries stay the size of one range
+whatever the block.
 
 Sampling is reproducible: slots are processed in fixed-size blocks and
 each (user, block) pair owns a generator seeded from (master_seed, user,
@@ -28,7 +30,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ._blocks import generator, map_blocks
+from ._blocks import generator, map_blocks, row_ranges
 from .gains import sample_occupancy
 from .model import (
     HoppingProfile,
@@ -40,11 +42,13 @@ from .model import (
 
 SLOT_BLOCK = 1 << 14
 # Most (user, slot, sub-band) cells of one block. A block holds one byte
-# of occupancy per cell; the sampler's and one receiver's temporaries come
-# on top. Traced peaks per cell at 16 sub-bands: 4-5 bytes for 6-8 users
-# hopping on 1-3 sub-bands (the benchmark's blocks), 12.4 for 8 users on
-# every sub-band, 67 for one user on every sub-band. It also caps the
-# (sample, sub-band) cells of a sample dump (check_dump_cells).
+# of occupancy per cell, and one user's while it is drawn; the sampler and
+# each receiver's tally walk slot ranges of _blocks.BLOCK_DOUBLES cells,
+# whose temporaries add about 6 MB whatever the block. Traced peaks of a
+# full block at this cap: 2.1 bytes per cell for one user on 1024
+# sub-bands, 1.6 for two on 512, 1.5 for 8 on 128, all on every sub-band,
+# so at most about 36 MB. It also caps the (sample, sub-band) cells of a
+# sample dump (check_dump_cells).
 MAX_BLOCK_CELLS = 1 << 24
 
 _DUMP_HEADER = struct.Struct("<QQ")
@@ -116,23 +120,31 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
 
     # Sparse level tally: one (slot, level, hits) triple per level a slot
     # hits, in slot order, so each level's sums run over slots in order.
-    # A slot's free count is its hits on the c = 0 level; the counts are
-    # integers, so their sums are exact.
+    # A receiver's cells go through in slot ranges of about BLOCK_DOUBLES
+    # cells; the keys slot * n_lvl + level are slot-major, so the ranges'
+    # distinct keys, joined in range order, are the block's. A slot's free
+    # count is its hits on the c = 0 level; the counts are integers, so
+    # their sums are exact.
     free_sum = np.zeros(n)
     free_sq = np.zeros(n)
     freq_sum, freq_sq = [], []
+    ranges = row_ranges(size, u)
     for i in range(n):
         n_lvl = len(level_c[i])
-        flat = np.flatnonzero(occ[i])
-        slot = flat // u
-        c_real = np.zeros(flat.size)
         # the zero diagonal drops the self term; a zero gain adds nothing
-        for k in np.flatnonzero(g2[:, i]):
-            hit = np.take(g2[k, i] / hop_counts[k], slot)
-            hit *= np.take(occ[k], flat)
-            c_real += hit
-        lvl = _match_levels(level_c[i], c_real)
-        keys, hits = np.unique(slot * n_lvl + lvl, return_counts=True)
+        interferers = np.flatnonzero(g2[:, i])
+        parts = []
+        for start, stop in ranges:
+            flat = np.flatnonzero(occ[i, start:stop])
+            slot = flat // u
+            c_real = np.zeros(flat.size)
+            for k in interferers:
+                hit = np.take(g2[k, i] / hop_counts[k, start:stop], slot)
+                hit *= np.take(occ[k, start:stop], flat)
+                c_real += hit
+            lvl = _match_levels(level_c[i], c_real)
+            parts.append(np.unique((slot + start) * n_lvl + lvl, return_counts=True))
+        keys, hits = (np.concatenate(col) for col in zip(*parts))
         frac = hits / counts[i, keys // n_lvl]
         hit_lvl = keys % n_lvl
         freq_sum.append(np.bincount(hit_lvl, weights=frac, minlength=n_lvl))
@@ -158,10 +170,10 @@ def _check_block_cells(n: int, n_slots: int, u: int) -> None:
 
 def check_dump_cells(n_samples: int, u: int) -> None:
     """ValueError when a dump of n_samples rows of u sub-bands exceeds
-    MAX_BLOCK_CELLS (sample, sub-band) cells. sample_received keeps every
-    block's y and z and then concatenates each: traced peaks of 32.0-33.4
-    bytes per cell for 2-7 users at 16 and 64 sub-bands, so about 0.56 GB
-    at the cap."""
+    MAX_BLOCK_CELLS (sample, sub-band) cells. sample_received fills one y
+    and one z, 16 bytes per cell, and a block's draws add 2-4 MB: traced
+    peaks of 17.3 bytes per cell for 3 users at 16 sub-bands and 2^17
+    samples, 18.0 for 7 at 64 and 2^15, so about 0.27 GB at the cap."""
     if n_samples * u > MAX_BLOCK_CELLS:
         raise ValueError(
             f"a dump of {n_samples} samples x {u} sub-bands exceeds the "
@@ -235,35 +247,41 @@ def sample_received(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     n, u = scenario.n_users, scenario.n_subbands
-    _check_block_cells(n, n_samples, u)
     v = profiles[user].fixed_v
     power = scenario.total_power
     sigma = float(np.sqrt(scenario.noise_power))
+    y = np.empty((n_samples, u))
+    z = np.empty((n_samples, u))
 
+    # Each block fills its own rows of y and z; normals are drawn in row
+    # ranges of about BLOCK_DOUBLES cells, which give the same stream as
+    # one draw of the block's rows.
     def one(block, size):
         rng = generator(seed, (block,))
-        z = rng.standard_normal((size, u))
-        z *= sigma
+        rows = slice(block * SLOT_BLOCK, block * SLOT_BLOCK + size)
+        zb = z[rows]
+        rng.standard_normal(out=zb)
+        zb *= sigma
         for k in range(n):
             if k == user:
                 continue
             occ, counts = sample_occupancy(profiles[k], u, rng, size)
             std = np.where(counts > 0, np.sqrt(power / np.maximum(counts, 1)), 0.0)
-            # occ * (g * (normal * std)), formed in place
-            x = rng.standard_normal((size, u))
-            x *= std[:, None]
-            x *= float(scenario.gains[k, user])
-            x *= occ
-            z += x
-        y = z.copy()
+            for start, stop in row_ranges(size, u):
+                # occ * (g * (normal * std)), formed in place
+                x = rng.standard_normal((stop - start, u))
+                x *= std[start:stop, None]
+                x *= float(scenario.gains[k, user])
+                x *= occ[start:stop]
+                zb[start:stop] += x
+        yb = y[rows]
+        yb[:] = zb
         if v > 0:
-            own = rng.standard_normal((size, v)) * np.sqrt(power / v)
-            y[:, :v] += float(scenario.gains[user, user]) * own
-        return y, z
+            for start, stop in row_ranges(size, v):
+                own = rng.standard_normal((stop - start, v)) * np.sqrt(power / v)
+                yb[start:stop, :v] += float(scenario.gains[user, user]) * own
 
-    parts = map_blocks(one, n_samples, SLOT_BLOCK, threads)
-    y = np.concatenate([p[0] for p in parts], axis=0)
-    z = np.concatenate([p[1] for p in parts], axis=0)
+    map_blocks(one, n_samples, SLOT_BLOCK, threads)
     return y, z
 
 
@@ -275,7 +293,7 @@ def write_sample_dump(path, samples: np.ndarray) -> None:
         raise ValueError("samples must be 2-D (n_samples, u)")
     with open(path, "wb") as fh:
         fh.write(_DUMP_HEADER.pack(arr.shape[1], arr.shape[0]))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(arr.data)
 
 
 def read_sample_dump(path) -> np.ndarray:

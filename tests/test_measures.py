@@ -10,6 +10,7 @@ Two-point user-count laws q = (0, q1, q2) admit exact optima by hand:
 Those expressions anchor the optimizer tests below.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from fhshare import measures
+from fhshare import _blocks, measures
 from fhshare.gains import GRID_POINTS, two_generator_profile
 from fhshare.measures import (
     _LOG_UNDERFLOW,
@@ -191,6 +192,68 @@ def test_fh_curves_match_the_full_grid_bit_for_bit(lam, u):
     curves = FhCurves(pmf, u)
     for per_user, w in ((False, np.arange(1, pmf.weights.size) * q), (True, q)):
         assert np.array_equal(bits(curves.curve(per_user)(v)), bits(0.5 * v * (full @ w)))
+
+
+@st.composite
+def blocked_curve_cases(draw):
+    """A law (finite, or Poisson truncated anywhere up to MAX_USER_COUNT),
+    a band size, a grid and a block size in cells, from below 8 rows to
+    many rows of the law. Grids hold 8j + 1 abscissae from 0 to u, the
+    shape of the maximizer's 4097 (which a law gets when the reference's
+    whole matrix fits 16 MB): on other sizes OpenBLAS's split of the
+    whole matrix across two threads can leave rows out of its groups of
+    4, which moves the reference itself."""
+    if draw(st.booleans(), label="finite"):
+        q = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40), label="q"))
+        q[-1] += 0.5
+        pmf = UserCountPmf.finite(q / q.sum())
+    else:
+        lam = draw(st.floats(0.1, 2000.0), label="lambda")
+        n_top = UserCountPmf.poisson(lam).n_top
+        if draw(st.booleans(), label="truncated further out"):
+            n_top = draw(st.integers(n_top, MAX_USER_COUNT), label="n_top")
+        pmf = UserCountPmf.poisson(lam, n_top)
+    u = draw(st.sampled_from([1.0, 3.0, 16.0, 64.0]), label="u")
+    most = max(1, min((GRID_POINTS - 1) // 8, (1 << 18) // pmf.n_top))
+    j = draw(st.one_of(st.just(most), st.integers(1, most)), label="grid / 8")
+    cells = draw(st.integers(1, 48 * pmf.n_top), label="block cells")
+    return pmf, u, np.linspace(0.0, u, 8 * j + 1), cells
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(blocked_curve_cases())
+@example((UserCountPmf.poisson(400.0), 16.0, np.linspace(0.0, 16.0, GRID_POINTS), 1 << 16))
+@example((UserCountPmf.poisson(400.0, MAX_USER_COUNT), 16.0, np.linspace(0.0, 16.0, 33), 1))
+def test_blocked_curves_equal_the_whole_grid_product(case):
+    # the curves built in row blocks of any size, the last one short or
+    # not, are the whole grid matrix times the weights, bit for bit
+    pmf, u, v, cells = case
+    q = pmf.weights[1:]
+    full = _grid_powers(1.0 - v / u, np.arange(pmf.n_top))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
+        curves = FhCurves(pmf, u)
+        for per_user, w in ((False, np.arange(1, pmf.weights.size) * q), (True, q)):
+            assert bits(curves.curve(per_user)(v)).tolist() == bits(0.5 * v * (full @ w)).tolist()
+
+
+def test_fh_curves_peak_memory_does_not_grow_with_the_law():
+    # maximizing both curves holds one row block of the grid, never the
+    # whole (4097 x n_top) matrix: 131 MB at n_top = 4000
+    peaks = []
+    for n_top in (1000, 4000):
+        pmf = UserCountPmf.poisson(400.0, truncation_n=n_top)
+        tracemalloc.start()
+        try:
+            curves = FhCurves(pmf, 16.0)
+            curves.eta1()
+            curves.eta2()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a few vectors of n_top values and a 512 KiB block with its temporaries
+    assert peaks[1] - peaks[0] <= 64 * (4000 - 1000), peaks
+    assert peaks[1] <= 32 * _blocks.BLOCK_DOUBLES, peaks
 
 
 def test_eta1_two_point_edge_optimum():
@@ -548,6 +611,25 @@ def test_sufficient_conditions_share_unit_curves(monkeypatch):
     lhs = (1.0 / mean_n) * (1.0 - 1.0 / mean_n) ** (mean_n - 1.0)
     assert checks["eta2"].condition_holds == (lhs > 0.5)
     assert checks["eta2"].inequality_verified == (FhCurves(light, 1.0).eta2()[0] > eta2_fd(light, fd, 1.0))
+
+
+def test_a_wide_law_builds_each_grid_row_once(monkeypatch):
+    # the sweep_400 law is too wide for one block: both curves come from
+    # one pass over the grid, in blocks of the same multiple of 8 rows
+    built = []
+    grid_powers = measures._grid_powers
+
+    def counting(base, k):
+        built.append(base.size)
+        return grid_powers(base, k)
+
+    monkeypatch.setattr(measures, "_grid_powers", counting)
+    curves = FhCurves(UserCountPmf.poisson(400.0), 16.0)
+    curves.eta1()
+    curves.eta2()
+    assert sum(built) == GRID_POINTS
+    assert len(built) > 1 and built[0] % 8 == 0
+    assert built[:-1] == [built[0]] * (len(built) - 1)
 
 
 def test_sufficient_conditions_reject_mass_at_zero():

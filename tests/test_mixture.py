@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import logsumexp, ndtri
 from scipy.stats import norm
 
-from fhshare import mixture
+from fhshare import _blocks, mixture
 from fhshare.bounds import lower_bound_rate, mc_mutual_information, upper_bound_rate
 from fhshare.mixture import (
     GaussianMixture1D,
@@ -314,7 +314,7 @@ def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, rows, n_r
         x[-1, 0] = -math.inf
     outs = []
     for block in (1, 7, 111, 1 << 16, 1 << 20):
-        monkeypatch.setattr(mixture, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(_blocks, "BLOCK_DOUBLES", block)
         outs.append(_log_density_rows(m, x).tobytes())
     assert outs[1:] == outs[:-1]
     assert np.isneginf(np.frombuffer(outs[0])).any() == (rows == "unreached")
@@ -322,7 +322,7 @@ def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, rows, n_r
     xq = rng.normal(size=(n_rows, 1)) * 2.0
     outs = []
     for block in (1, 7, 111, 1 << 16, 1 << 20):
-        monkeypatch.setattr(mixture, "_BLOCK_DOUBLES", block)
+        monkeypatch.setattr(_blocks, "BLOCK_DOUBLES", block)
         outs.append(mixture._log_mixture_rows(xq, m.weights, var[:, :1] + 0.5).tobytes())
     assert outs[1:] == outs[:-1]
 
@@ -332,7 +332,7 @@ def reference_log_mixture_rows(x, log_coef, inv_2var):
     term, subnormal and zero results included."""
     n = x.shape[0]
     out = np.empty(n)
-    step = max(2, mixture._BLOCK_DOUBLES // max(log_coef.shape[0], 1))
+    step = max(2, _blocks.BLOCK_DOUBLES // max(log_coef.shape[0], 1))
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()

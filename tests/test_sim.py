@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhshare import sim
+from fhshare import _blocks, sim
 from fhshare.bounds import multiplexing_gain
 from fhshare.mixture import GaussianMixtureDiag, entropy_mc
 from fhshare.model import (
@@ -379,35 +379,41 @@ def test_block_occupancy_count_holds_many_users():
 
 
 def test_block_peak_memory_per_cell():
-    # one full block of the benchmark's largest shape: 8 users on 16
-    # sub-bands hopping on 1-3 of them, two by a pmf. A float array over
-    # every (user, slot, sub-band) cell alone would take 8 bytes a cell.
-    n, u = 8, 16
-    pmf = [0.0] * (u + 1)
+    # one full block of the benchmark's largest shape, and one user on
+    # every sub-band, the most cells one receiver tallies. The block holds
+    # a byte of occupancy per cell and one user's copy while it is drawn;
+    # the sampler and the tally walk slot ranges of BLOCK_DOUBLES cells,
+    # whose temporaries stay under 128 bytes a cell of one range. A float
+    # array over every cell alone would take 8 bytes a cell.
+    pmf = [0.0] * 17
     pmf[1], pmf[3] = 0.6, 0.4
-    profs = tuple(
+    hopping_on_1_to_3 = tuple(
         HoppingProfile.from_pmf(pmf) if k % 4 == 1 else HoppingProfile.fixed(1 + k % 3)
-        for k in range(n)
+        for k in range(8)
     )
-    gains = np.random.default_rng(8).uniform(0.1, 1.5, (n, n))
-    scen = NetworkScenario(
-        n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
-    )
-    cfg = SimConfig(scenario=scen, profiles=profs, n_slots=SLOT_BLOCK, master_seed=1941)
-    level_c = spectrum_levels(scen, profs)
-    tracemalloc.start()
-    try:
-        _run_block(cfg, level_c, 0, SLOT_BLOCK)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * n * SLOT_BLOCK * u, peak / (n * SLOT_BLOCK * u)
+    for n, u, profs in ((8, 16, hopping_on_1_to_3), (1, 64, (HoppingProfile.fixed(64),))):
+        gains = np.random.default_rng(8).uniform(0.1, 1.5, (n, n))
+        scen = NetworkScenario(
+            n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
+        )
+        cfg = SimConfig(scenario=scen, profiles=profs, n_slots=SLOT_BLOCK, master_seed=1941)
+        level_c = spectrum_levels(scen, profs)
+        tracemalloc.start()
+        try:
+            _run_block(cfg, level_c, 0, SLOT_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = n * SLOT_BLOCK * u
+        assert peak <= 2 * cells + 128 * _blocks.BLOCK_DOUBLES, (n, u, peak / cells)
 
 
 def test_dump_peak_memory_per_cell():
-    # sample_received keeps every block's y and z, then concatenates each:
-    # 32 bytes per (sample, sub-band) cell, which check_dump_cells caps
-    n, u, n_samples = 3, 16, 1 << 15
+    # sample_received fills one y and one z, 16 bytes per (sample,
+    # sub-band) cell, which check_dump_cells caps; a block's occupancy,
+    # per-slot arrays and row-range draws come on top, under 16 bytes a
+    # cell of one block
+    n, u, n_samples = 3, 16, 1 << 16
     scen = unit(n, u)
     profs = (HoppingProfile.fixed(2),) * n
     tracemalloc.start()
@@ -416,7 +422,33 @@ def test_dump_peak_memory_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 36 * n_samples * u, peak / (n_samples * u)
+    assert peak <= 16 * n_samples * u + 16 * SLOT_BLOCK * u, peak / (n_samples * u)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 4 * 37])
+def test_range_size_does_not_change_bits(monkeypatch, cells):
+    # ranges from one row to 37 rows, the last of 301 short, give the
+    # draws, the tally and the dump of one range over every row
+    scen = NetworkScenario(
+        n_users=3, n_subbands=4, gains=np.random.default_rng(4).uniform(0.2, 1.2, (3, 3)),
+        total_power=10.0, noise_power=1.0,
+    )
+    profs = (
+        HoppingProfile.fixed(1),
+        HoppingProfile.fixed(4),
+        HoppingProfile.from_pmf((0.25, 0.25, 0.25, 0.0, 0.25)),
+    )
+    cfg = SimConfig(scenario=scen, profiles=profs, n_slots=301, master_seed=8)
+
+    def outputs():
+        stats = run(cfg)
+        y, z = sample_received(scen, profs, 0, 301, seed=8)
+        return [a.tobytes() for a in (stats.free_mean, stats.free_se, *stats.level_freq,
+                                      *stats.level_se, y, z)]
+
+    want = outputs()
+    monkeypatch.setattr(_blocks, "BLOCK_DOUBLES", cells)
+    assert outputs() == want
 
 
 def test_dump_budget_counts_samples_and_subbands(monkeypatch):
@@ -591,9 +623,22 @@ def test_cell_budget_counts_users_block_slots_and_subbands(monkeypatch):
     profs = (HoppingProfile.fixed(1),) * 2
     monkeypatch.setattr(sim, "MAX_BLOCK_CELLS", 2 * 20 * 4)
     run(SimConfig(scen, profs, 20, 1))
-    sample_received(scen, profs, 0, 20, seed=1)
     monkeypatch.setattr(sim, "MAX_BLOCK_CELLS", 2 * 20 * 4 - 1)
     with pytest.raises(ValueError, match="budget"):
         run(SimConfig(scen, profs, 20, 1))
-    with pytest.raises(ValueError, match="budget"):
-        sample_received(scen, profs, 0, 20, seed=1)
+
+
+def test_dumps_answer_to_the_dump_budget_only(monkeypatch):
+    # sample_received holds no (user, slot, sub-band) array, so a dump the
+    # dump budget admits is served even where its users x samples x
+    # sub-bands exceed the block budget, and it is the same draw
+    n, u, n_samples = 5, 4, SLOT_BLOCK + 100
+    scen, profs = unit(n, u), (HoppingProfile.fixed(1),) * n
+    want = sample_received(scen, profs, 0, n_samples, seed=6)
+    monkeypatch.setattr(sim, "MAX_BLOCK_CELLS", n_samples * u)
+    assert n * min(n_samples, SLOT_BLOCK) * u > sim.MAX_BLOCK_CELLS
+    with pytest.raises(ValueError, match="simulation budget"):
+        run(SimConfig(scen, profs, n_samples, 1))
+    got = sample_received(scen, profs, 0, n_samples, seed=6)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
