@@ -155,12 +155,12 @@ def _check_spectrum(
     """ValueError unless spectrum is None or the user's at the scenario's
     noise and transmit power."""
     if spectrum is not None and (
-        spectrum.receiver != user
+        spectrum.law.receiver != user
         or spectrum.noise_power != scenario.noise_power
         or spectrum.total_power != scenario.total_power
     ):
         raise ValueError(
-            f"the spectrum of receiver {spectrum.receiver} at sigma2 = "
+            f"the spectrum of receiver {spectrum.law.receiver} at sigma2 = "
             f"{spectrum.noise_power!r}, P = {spectrum.total_power!r} is not user "
             f"{user}'s at sigma2 = {scenario.noise_power!r}, P = {scenario.total_power!r}"
         )

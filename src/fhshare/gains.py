@@ -87,18 +87,17 @@ def two_generator_profile(v_real: float, u: int) -> HoppingProfile:
 
 
 def sample_occupancy(
-    profile: HoppingProfile, u: int, rng: np.random.Generator, n_slots: int
-) -> Tuple[np.ndarray, np.ndarray]:
+    profile: HoppingProfile, rng: np.random.Generator, out: np.ndarray
+) -> np.ndarray:
     """Vectorized occupancy draws for one user.
 
-    Returns (occupancy, counts): a boolean (n_slots, u) matrix whose rows
-    are uniformly random v-subsets, and the per-slot hop counts v. The
-    scores that pick the subsets are drawn and ranked in row ranges of
-    about _blocks.BLOCK_DOUBLES cells; draws in sequence give the same
-    stream as one draw of every row, so the ranges change no bit.
+    Fills the boolean (n_slots, u) array out with rows that are uniformly
+    random v-subsets and returns the per-slot hop counts v. The scores
+    that pick the subsets are drawn and ranked in row ranges of about
+    _blocks.BLOCK_DOUBLES cells; draws in sequence give the same stream as
+    one draw of every row, so the ranges change no bit.
     """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
+    n_slots, u = out.shape
     why = profile.misfit(u)
     if why is not None:
         raise ValueError(f"the profile {why}")
@@ -106,10 +105,9 @@ def sample_occupancy(
         counts = np.full(n_slots, profile.fixed_v, dtype=np.int64)
     else:
         counts = rng.choice(u + 1, size=n_slots, p=np.array(profile.pmf)).astype(np.int64)
-    occupancy = np.empty((n_slots, u), dtype=bool)
     for start, stop in row_ranges(n_slots, u):
-        _mark_smallest(rng.random((stop - start, u)), counts[start:stop], occupancy[start:stop])
-    return occupancy, counts
+        _mark_smallest(rng.random((stop - start, u)), counts[start:stop], out[start:stop])
+    return counts
 
 
 def _mark_smallest(scores: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:

@@ -344,7 +344,7 @@ def merge_levels(
     base: float,
     scale: float,
     rel_tol: float,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge adjacent levels whose variances agree within rel_tol.
 
     c holds ascending level parameters and p their probabilities; level l
@@ -352,7 +352,8 @@ def merge_levels(
     the one before it when its variance exceeds that level's by at most
     rel_tol times the latter; the merged level keeps the probability-
     weighted mean parameter and the summed probability, so the first two
-    moments are preserved. Returns the merged (c, p) arrays.
+    moments are preserved. Returns the merged (c, p) arrays and, for each
+    input level, the index of the merged level it joined.
 
     The walk only has work to do near ties. While the level before is
     alone in its group, the join test is the array test `tie` below, so
@@ -365,7 +366,8 @@ def merge_levels(
     var = base + c * scale
     tie = var[1:] - var[:-1] <= rel_tol * var[:-1]  # level l + 1 joins a lone level l
     if not tie.any():
-        return c, p
+        return c, p, np.arange(c.size)
+    first = np.ones(c.size, dtype=bool)  # input level l opens a merged level
     c_list, p_list, var_list = c.tolist(), p.tolist(), var.tolist()
     out_c, out_p = [], []
     done = 0
@@ -384,11 +386,12 @@ def merge_levels(
             c_rep = (c_rep * p_rep + c_new * p_new) / (p_rep + p_new)
             p_rep = p_rep + p_new
             done += 1
+        first[t + 1:done] = False
         out_c.append(c_rep)
         out_p.append(p_rep)
     out_c += c_list[done:]
     out_p += p_list[done:]
-    return np.array(out_c), np.array(out_p)
+    return np.array(out_c), np.array(out_p), first.cumsum() - 1
 
 
 def discrete_entropy(p: np.ndarray) -> float:
@@ -412,7 +415,7 @@ def entropy_upper_bound(m: GaussianMixture1D) -> float:
     var = m.variances[:, 0]
     order = np.argsort(var)
     # H counts distinct levels only: merge variances within MERGE_REL_TOL.
-    v, a = merge_levels(var[order], m.weights[order], 0.0, 1.0, MERGE_REL_TOL)
+    v, a, _ = merge_levels(var[order], m.weights[order], 0.0, 1.0, MERGE_REL_TOL)
     return (
         0.5 * (1.0 - a[0]) * math.log2(v[-1] / v[0])
         + 0.5 * math.log2(2.0 * math.pi * math.e * v[0])

@@ -159,15 +159,18 @@ class InterferenceSpectrum:
     dropped, so the c = 0 level is present exactly when some slot leaves
     the sub-band interference-free. Variances are nondecreasing: a hit
     level whose c * P is below the rounding of sigma^2 has variance
-    sigma^2 but stays a level of its own.
+    sigma^2 but stays a level of its own. law is the InterferenceLaw at
+    receiver law.receiver that the levels were merged from, and the
+    read-only level_of[j] is the level that law.c_values[j] joined.
     """
 
-    receiver: int
     noise_power: float
     total_power: float
     probabilities: np.ndarray
     c_values: np.ndarray
     variances: np.ndarray
+    law: InterferenceLaw
+    level_of: np.ndarray
 
     def __post_init__(self):
         for name in ("probabilities", "c_values", "variances"):
@@ -301,16 +304,21 @@ class InterferenceLaw:
         """
         c, p = self.c_values, self.probabilities
         free = int(c[0] == 0.0)
-        c_hit, p_hit = merge_levels(c[free:], p[free:], noise_power, total_power, MERGE_REL_TOL)
+        c_hit, p_hit, group = merge_levels(
+            c[free:], p[free:], noise_power, total_power, MERGE_REL_TOL
+        )
         c = np.concatenate((c[:free], c_hit))
         p = np.concatenate((p[:free], p_hit))
+        level_of = np.concatenate((np.zeros(free, dtype=group.dtype), group + free))
+        level_of.flags.writeable = False
         return InterferenceSpectrum(
-            receiver=self.receiver,
             noise_power=noise_power,
             total_power=total_power,
             probabilities=p,
             c_values=c,
             variances=noise_power + c * total_power,
+            law=self,
+            level_of=level_of,
         )
 
 

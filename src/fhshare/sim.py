@@ -3,19 +3,21 @@
 Every user redraws its sub-band subset each slot; the simulator tallies,
 per user, the empirical frequency of each interference level on the
 sub-bands the user occupies, and the number of its free sub-bands: those
-on the c = 0 level, where no interferer adds a nonzero increment (an
-interferer whose gain to the user is zero leaves the band free). Those
-tallies are the ground truth the closed forms are checked against.
+where no interferer adds a nonzero increment (an interferer whose gain to
+the user is zero leaves the band free). Those tallies are the ground truth
+the closed forms are checked against.
 
 A block of slots is sampled for all users at once, into one boolean
 (user, slot, sub-band) occupancy array; no float array over all its cells
-is made. A receiver's interference increment is summed on its own cells
-only: g_ki^2 / v_k over the interferers k on the cell, in index order.
-The level tally is sparse: the distinct (slot, level) pairs a receiver
-hits, with their hit counts, summed per level with bincount. The free
-count of a slot is its hit count on the c = 0 level. A receiver's cells
-go through in slot ranges, so its temporaries stay the size of one range
-whatever the block.
+is made. A receiver's interference increment is summed on its own cells,
+in slot ranges: g_ki^2 / v_k over the interferers k on the cell, in index
+order, from 0.0. model._add_interferer forms the receiver's law keys by
+the same additions in the same order (an interferer off the cell or of
+zero gain adds 0.0, which changes no bit), so each increment is a law key
+bit for bit; its level is the one that key joined
+(InterferenceSpectrum.level_of), and any other increment is a
+RuntimeError. The c = 0 key is never merged, so a slot's free count is
+its hits on that level.
 
 Sampling is reproducible: slots are processed in fixed-size blocks and
 each (user, block) pair owns a generator seeded from (master_seed, user,
@@ -42,13 +44,13 @@ from .model import (
 
 SLOT_BLOCK = 1 << 14
 # Most (user, slot, sub-band) cells of one block. A block holds one byte
-# of occupancy per cell, and one user's while it is drawn; the sampler and
-# each receiver's tally walk slot ranges of _blocks.BLOCK_DOUBLES cells,
-# whose temporaries add about 6 MB whatever the block. Traced peaks of a
-# full block at this cap: 2.1 bytes per cell for one user on 1024
-# sub-bands, 1.6 for two on 512, 1.5 for 8 on 128, all on every sub-band,
-# so at most about 36 MB. It also caps the (sample, sub-band) cells of a
-# sample dump (check_dump_cells).
+# of occupancy per cell, each user's drawn in place; the sampler and each
+# receiver's tally walk slot ranges of _blocks.BLOCK_DOUBLES cells, whose
+# temporaries add about 5 MB whatever the block. Traced peaks of a full
+# block at this cap: 1.3 bytes per cell for one user on 1024 sub-bands,
+# 1.3 for two on 512, 1.4 for 8 on 128, all on every sub-band, so at most
+# about 24 MB. It also caps the (sample, sub-band) cells of a sample dump
+# (check_dump_cells).
 MAX_BLOCK_CELLS = 1 << 24
 
 _DUMP_HEADER = struct.Struct("<QQ")
@@ -91,28 +93,14 @@ class SimStats:
     level_slots: np.ndarray
 
 
-def _match_levels(c_sorted: np.ndarray, realized: np.ndarray) -> np.ndarray:
-    """Indices of realized increments within the enumerated level grid."""
-    idx = np.searchsorted(c_sorted, realized)
-    idx = np.clip(idx, 0, len(c_sorted) - 1)
-    left = np.clip(idx - 1, 0, len(c_sorted) - 1)
-    use_left = np.abs(realized - c_sorted[left]) < np.abs(realized - c_sorted[idx])
-    idx = np.where(use_left, left, idx)
-    err = np.abs(realized - c_sorted[idx])
-    tol = 1e-6 * np.maximum(np.abs(c_sorted[idx]), 1.0) + 1e-12
-    if np.any(err > tol):
-        raise RuntimeError("simulated interference level not in the enumerated grid")
-    return idx
-
-
-def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: int):
+def _run_block(cfg: SimConfig, levels: Sequence[tuple], block: int, size: int):
     scenario = cfg.scenario
     n, u = scenario.n_users, scenario.n_subbands
     occ = np.empty((n, size, u), dtype=bool)
     counts = np.empty((n, size), dtype=np.int64)
     for k in range(n):
         rng = generator(cfg.master_seed, (k, block))
-        occ[k], counts[k] = sample_occupancy(cfg.profiles[k], u, rng, size)
+        counts[k] = sample_occupancy(cfg.profiles[k], rng, occ[k])
 
     g2 = np.square(scenario.gains)
     np.fill_diagonal(g2, 0.0)
@@ -122,15 +110,15 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
     # hits, in slot order, so each level's sums run over slots in order.
     # A receiver's cells go through in slot ranges of about BLOCK_DOUBLES
     # cells; the keys slot * n_lvl + level are slot-major, so the ranges'
-    # distinct keys, joined in range order, are the block's. A slot's free
-    # count is its hits on the c = 0 level; the counts are integers, so
-    # their sums are exact.
+    # distinct keys, joined in range order, are the block's. The hit
+    # counts are integers, so the free counts' sums are exact.
     free_sum = np.zeros(n)
     free_sq = np.zeros(n)
     freq_sum, freq_sq = [], []
     ranges = row_ranges(size, u)
     for i in range(n):
-        n_lvl = len(level_c[i])
+        law_c, level_of = levels[i]  # the law's sorted keys, and each one's level
+        n_lvl = int(level_of[-1]) + 1
         # the zero diagonal drops the self term; a zero gain adds nothing
         interferers = np.flatnonzero(g2[:, i])
         parts = []
@@ -142,14 +130,16 @@ def _run_block(cfg: SimConfig, level_c: Sequence[np.ndarray], block: int, size: 
                 hit = np.take(g2[k, i] / hop_counts[k, start:stop], slot)
                 hit *= np.take(occ[k, start:stop], flat)
                 c_real += hit
-            lvl = _match_levels(level_c[i], c_real)
-            parts.append(np.unique((slot + start) * n_lvl + lvl, return_counts=True))
+            idx = np.minimum(np.searchsorted(law_c, c_real), law_c.size - 1)
+            if not np.array_equal(law_c[idx], c_real):
+                raise RuntimeError("a simulated interference increment is not a key of the law")
+            parts.append(np.unique((slot + start) * n_lvl + level_of[idx], return_counts=True))
         keys, hits = (np.concatenate(col) for col in zip(*parts))
         frac = hits / counts[i, keys // n_lvl]
         hit_lvl = keys % n_lvl
         freq_sum.append(np.bincount(hit_lvl, weights=frac, minlength=n_lvl))
         freq_sq.append(np.bincount(hit_lvl, weights=frac * frac, minlength=n_lvl))
-        if level_c[i][0] == 0.0:
+        if law_c[0] == 0.0:
             free = hits[hit_lvl == 0]
             free_sum[i] = free.sum()
             free_sq[i] = (free * free).sum()
@@ -195,9 +185,9 @@ def run(cfg: SimConfig, threads: int = 1) -> SimStats:
     spectra = [
         enumerate_interference_spectrum(cfg.scenario, cfg.profiles, i) for i in range(n)
     ]
-    level_c = [s.c_values for s in spectra]
+    levels = [(s.law.c_values, s.level_of) for s in spectra]
 
-    parts = map_blocks(partial(_run_block, cfg, level_c), cfg.n_slots, SLOT_BLOCK, threads)
+    parts = map_blocks(partial(_run_block, cfg, levels), cfg.n_slots, SLOT_BLOCK, threads)
 
     # the blocks' tallies summed in block order, the level tallies user by user
     fs, f2, qs, q2, qn = zip(*parts)
@@ -211,7 +201,7 @@ def run(cfg: SimConfig, threads: int = 1) -> SimStats:
         if freq_slots[i] > 0:
             mean, se = _mean_se(freq_sum[i], freq_sq[i], freq_slots[i])
         else:
-            mean, se = np.full((2, len(level_c[i])), np.nan)
+            mean, se = np.full((2, spectra[i].n_levels), np.nan)
         freq_mean.append(mean)
         freq_se.append(se)
 
@@ -219,7 +209,7 @@ def run(cfg: SimConfig, threads: int = 1) -> SimStats:
         n_slots=cfg.n_slots,
         free_mean=free_mean,
         free_se=free_se,
-        level_c=tuple(level_c),
+        level_c=tuple(s.c_values for s in spectra),
         level_freq=tuple(freq_mean),
         level_se=tuple(freq_se),
         level_slots=freq_slots,
@@ -262,10 +252,11 @@ def sample_received(
         zb = z[rows]
         rng.standard_normal(out=zb)
         zb *= sigma
+        occ = np.empty((size, u), dtype=bool)
         for k in range(n):
             if k == user:
                 continue
-            occ, counts = sample_occupancy(profiles[k], u, rng, size)
+            counts = sample_occupancy(profiles[k], rng, occ)
             std = np.where(counts > 0, np.sqrt(power / np.maximum(counts, 1)), 0.0)
             for start, stop in row_ranges(size, u):
                 # occ * (g * (normal * std)), formed in place

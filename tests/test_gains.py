@@ -141,10 +141,16 @@ def test_two_generator_profile():
     assert prof_int.pmf[2] == 1.0
 
 
+def draw_occupancy(profile, u, rng, n_slots):
+    """(occupancy, counts) of sample_occupancy into a fresh (n_slots, u) array."""
+    occ = np.empty((n_slots, u), dtype=bool)
+    return occ, sample_occupancy(profile, rng, occ)
+
+
 def test_sample_occupancy_fixed():
     rng = np.random.default_rng(13)
     u, n_slots, v = 5, 20000, 2
-    occ, counts = sample_occupancy(HoppingProfile.fixed(v), u, rng, n_slots)
+    occ, counts = draw_occupancy(HoppingProfile.fixed(v), u, rng, n_slots)
     assert occ.shape == (n_slots, u)
     assert np.all(counts == v)
     assert np.all(occ.sum(axis=1) == v)
@@ -157,7 +163,7 @@ def test_sample_occupancy_pmf():
     rng = np.random.default_rng(14)
     u, n_slots = 3, 30000
     w = (0.2, 0.3, 0.0, 0.5)
-    occ, counts = sample_occupancy(HoppingProfile.from_pmf(w), u, rng, n_slots)
+    occ, counts = draw_occupancy(HoppingProfile.from_pmf(w), u, rng, n_slots)
     assert np.all(occ.sum(axis=1) == counts)
     for v, wv in enumerate(w):
         frac = (counts == v).mean()
@@ -182,7 +188,7 @@ def test_sample_occupancy_pmf():
 def test_sample_occupancy_keeps_the_v_smallest_scores(profile):
     # same stream, same subset: the sub-bands whose scores rank below v
     u, n_slots = 4, 5000
-    occ, counts = sample_occupancy(profile, u, np.random.default_rng(21), n_slots)
+    occ, counts = draw_occupancy(profile, u, np.random.default_rng(21), n_slots)
     rng = np.random.default_rng(21)
     if not profile.is_fixed:
         want_counts = rng.choice(u + 1, size=n_slots, p=np.array(profile.pmf))
@@ -217,7 +223,7 @@ def test_sample_occupancy_ties_follow_the_argsort_order(u, levels):
         HoppingProfile.fixed(u // 2),
         HoppingProfile.from_pmf(pmf / pmf.sum()),
     ):
-        occ, counts = sample_occupancy(profile, u, QuantizedScores(5, levels), n_slots)
+        occ, counts = draw_occupancy(profile, u, QuantizedScores(5, levels), n_slots)
         stub = QuantizedScores(5, levels)
         if not profile.is_fixed:
             stub.choice(u + 1, size=n_slots, p=np.array(profile.pmf))

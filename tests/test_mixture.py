@@ -451,8 +451,9 @@ def test_upper_bound_dominates_randomized():
 
 def reference_spectrum_merge(entries, sigma2, power, merge_rel_tol):
     """The merge loop of enumerate_interference_spectrum before merge_levels;
-    entries are (c, p) pairs in ascending c."""
-    merged = []
+    entries are (c, p) pairs in ascending c. Returns the merged pairs and,
+    per entry, the index of the merged pair it joined."""
+    merged, group = [], []
     for c, p in entries:
         if merged:
             c_rep, p_rep = merged[-1]
@@ -460,15 +461,18 @@ def reference_spectrum_merge(entries, sigma2, power, merge_rel_tol):
             v_new = sigma2 + c * power
             if v_new - v_rep <= merge_rel_tol * v_rep:
                 merged[-1] = ((c_rep * p_rep + c * p) / (p_rep + p), p_rep + p)
+                group.append(len(merged) - 1)
                 continue
         merged.append((c, p))
-    return merged
+        group.append(len(merged) - 1)
+    return merged, group
 
 
 def reference_bound_merge(w, var):
     """The merge loop of entropy_upper_bound before merge_levels; w and var
-    are numpy arrays sorted by variance."""
-    mw, mv = [w[0]], [var[0]]
+    are numpy arrays sorted by variance. Also returns, per level, the index
+    of the merged level it joined."""
+    mw, mv, group = [w[0]], [var[0]], [0]
     for i in range(1, len(w)):
         if var[i] - mv[-1] <= 1e-9 * mv[-1]:
             tot = mw[-1] + w[i]
@@ -477,7 +481,8 @@ def reference_bound_merge(w, var):
         else:
             mw.append(w[i])
             mv.append(var[i])
-    return np.array(mw), np.array(mv)
+        group.append(len(mw) - 1)
+    return np.array(mw), np.array(mv), np.array(group)
 
 
 @st.composite
@@ -506,18 +511,24 @@ def ascending_levels(draw):
 
 
 def assert_matches_spectrum_loop(c, p, base, scale, rel_tol):
-    got_c, got_p = merge_levels(c, p, base, scale, rel_tol)
-    want = reference_spectrum_merge(list(zip(c.tolist(), p.tolist())), base, scale, rel_tol)
+    got_c, got_p, got_group = merge_levels(c, p, base, scale, rel_tol)
+    want, want_group = reference_spectrum_merge(
+        list(zip(c.tolist(), p.tolist())), base, scale, rel_tol
+    )
     np.testing.assert_array_equal(got_c, [x for x, _ in want])
     np.testing.assert_array_equal(got_p, [y for _, y in want])
+    assert got_group.dtype.kind == "i"
+    np.testing.assert_array_equal(got_group, want_group)
     return got_c
 
 
 def assert_matches_bound_loop(w, var):
-    got_v, got_w = merge_levels(var, w, 0.0, 1.0, 1e-9)
-    want_w, want_v = reference_bound_merge(w, var)
+    got_v, got_w, got_group = merge_levels(var, w, 0.0, 1.0, 1e-9)
+    want_w, want_v, want_group = reference_bound_merge(w, var)
     np.testing.assert_array_equal(got_v, want_v)
     np.testing.assert_array_equal(got_w, want_w)
+    assert got_group.dtype.kind == "i"
+    np.testing.assert_array_equal(got_group, want_group)
     return got_v
 
 

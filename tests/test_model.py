@@ -543,17 +543,19 @@ def one_step_enumeration(scenario, profiles, receiver):
     c, p = c[order], p[order]
     keep = p > 0.0
     c, p = c[keep], p[keep]
+    law = model.InterferenceLaw(receiver=receiver, probabilities=p, c_values=c)
     free = int(c[0] == 0.0)
-    c_hit, p_hit = merge_levels(c[free:], p[free:], sigma2, power, MERGE_REL_TOL)
+    c_hit, p_hit, group = merge_levels(c[free:], p[free:], sigma2, power, MERGE_REL_TOL)
     c = np.concatenate((c[:free], c_hit))
     p = np.concatenate((p[:free], p_hit))
     return model.InterferenceSpectrum(
-        receiver=receiver,
         noise_power=sigma2,
         total_power=power,
         probabilities=p,
         c_values=c,
         variances=sigma2 + c * power,
+        law=law,
+        level_of=np.r_[:free, group + free],
     )
 
 
@@ -596,11 +598,15 @@ def test_law_spectra_are_the_one_step_enumeration_bit_for_bit(case):
         scen_p = dataclasses.replace(scen, total_power=power)
         got = law.spectrum(scen_p.noise_power, scen_p.total_power)
         want = one_step_enumeration(scen_p, profs, receiver)
-        assert (got.receiver, got.noise_power, got.total_power) == (
-            want.receiver, want.noise_power, want.total_power
+        assert (got.law.receiver, got.noise_power, got.total_power) == (
+            want.law.receiver, want.noise_power, want.total_power
         )
-        for name in ("probabilities", "c_values", "variances"):
+        for name in ("probabilities", "c_values", "variances", "level_of"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        # each level pools the law's keys that joined it, summed in order
+        assert got.law is law and not got.level_of.flags.writeable
+        pooled = np.bincount(got.level_of, weights=law.probabilities)
+        assert pooled.tobytes() == got.probabilities.tobytes()
         enumerated = enumerate_interference_spectrum(scen_p, profs, receiver)
         assert enumerated.c_values.tobytes() == want.c_values.tobytes()
         assert enumerated.probabilities.tobytes() == want.probabilities.tobytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fhshare import _blocks, sim
 from fhshare.bounds import multiplexing_gain
-from fhshare.mixture import GaussianMixtureDiag, entropy_mc
+from fhshare.mixture import MERGE_REL_TOL, GaussianMixtureDiag, entropy_mc
 from fhshare.model import (
     HoppingProfile,
     NetworkScenario,
@@ -18,7 +18,6 @@ from fhshare.model import (
 from fhshare.sim import (
     SLOT_BLOCK,
     SimConfig,
-    _match_levels,
     _run_block,
     read_sample_dump,
     run,
@@ -210,27 +209,68 @@ def reference_occupancy(profile, u, rng, size):
     return occ, counts
 
 
-def reference_run_block(cfg, level_c, block, size):
-    """The simulator block as a loop over receivers and interferers."""
-    scenario = cfg.scenario
-    n, u = scenario.n_users, scenario.n_subbands
-    occ = []
-    counts = []
-    for k in range(n):
+def reference_levels(scenario, profiles, receiver):
+    """({law key: level}, level count) at one receiver: the keys are the
+    sums of the interferers' increments, by a dict convolution in index
+    order; the levels come from the spectrum's merge loop over the keys in
+    ascending order, the c = 0 key kept apart."""
+    u = scenario.n_subbands
+    sigma2, power = scenario.noise_power, scenario.total_power
+    dist = {0.0: 1.0}
+    for k, prof in enumerate(profiles):
+        if k == receiver:
+            continue
+        g = float(scenario.gains[k, receiver])
+        outcomes = [(0.0, 1.0 - prof.mean_v() / u)]
+        outcomes += [(g * g / v, w * v / u) for v, w in prof.hops if v >= 1]
+        new = {}
+        for c_prev, p_prev in dist.items():
+            for c_k, p_k in outcomes:
+                if p_k > 0.0:
+                    new[c_prev + c_k] = new.get(c_prev + c_k, 0.0) + p_prev * p_k
+        dist = new
+    level, rep, n_lvl = {}, None, 0
+    for c in sorted(key for key, p in dist.items() if p > 0.0):
+        p = dist[c]
+        if rep is not None and rep[0] > 0.0:
+            v_rep = sigma2 + rep[0] * power
+            if sigma2 + c * power - v_rep <= MERGE_REL_TOL * v_rep:
+                rep = ((rep[0] * rep[1] + c * p) / (rep[1] + p), rep[1] + p)
+                level[c] = n_lvl - 1
+                continue
+        rep = (c, p)
+        level[c] = n_lvl
+        n_lvl += 1
+    return level, n_lvl
+
+
+def reference_block_occupancy(cfg, block, size):
+    """Every user's (occupancy, counts) in one block, each drawn from the
+    generator the simulator seeds for (user, block)."""
+    draws = []
+    for k, profile in enumerate(cfg.profiles):
         rng = np.random.default_rng(
             np.random.SeedSequence(
                 entropy=int(cfg.master_seed) & ((1 << 128) - 1),
                 spawn_key=(k, block),
             )
         )
-        o, c = reference_occupancy(cfg.profiles[k], u, rng, size)
-        occ.append(o)
-        counts.append(c)
+        draws.append(reference_occupancy(profile, cfg.scenario.n_subbands, rng, size))
+    return draws
+
+
+def reference_run_block(cfg, block, size):
+    """The simulator block as a loop over receivers and interferers; a
+    hit's level is looked up by its increment in reference_levels."""
+    scenario = cfg.scenario
+    n, u = scenario.n_users, scenario.n_subbands
+    occ, counts = zip(*reference_block_occupancy(cfg, block, size))
+    levels = [reference_levels(scenario, cfg.profiles, i) for i in range(n)]
 
     free_sum = np.zeros(n)
     free_sq = np.zeros(n)
-    freq_sum = [np.zeros(len(level_c[i])) for i in range(n)]
-    freq_sq = [np.zeros(len(level_c[i])) for i in range(n)]
+    freq_sum = [np.zeros(levels[i][1]) for i in range(n)]
+    freq_sq = [np.zeros(levels[i][1]) for i in range(n)]
     freq_slots = np.zeros(n, dtype=np.int64)
 
     for i in range(n):
@@ -238,7 +278,8 @@ def reference_run_block(cfg, level_c, block, size):
         for k in range(n):
             if k == i:
                 continue
-            amp = float(scenario.gains[k, i]) ** 2 / np.maximum(counts[k], 1)
+            g = float(scenario.gains[k, i])
+            amp = g * g / np.maximum(counts[k], 1)
             amp = np.where(counts[k] > 0, amp, 0.0)
             c_real += occ[k] * amp[:, None]
         # free: occupied, and no interferer adds a nonzero increment
@@ -248,8 +289,8 @@ def reference_run_block(cfg, level_c, block, size):
 
         rows, cols = np.nonzero(occ[i])
         if rows.size:
-            lvl = _match_levels(level_c[i], c_real[rows, cols])
-            per_slot = np.zeros((size, len(level_c[i])))
+            lvl = [levels[i][0][c] for c in c_real[rows, cols].tolist()]
+            per_slot = np.zeros((size, levels[i][1]))
             np.add.at(per_slot, (rows, lvl), 1.0)
             active = counts[i] > 0
             frac = per_slot[active] / counts[i][active, None]
@@ -259,9 +300,9 @@ def reference_run_block(cfg, level_c, block, size):
     return free_sum, free_sq, freq_sum, freq_sq, freq_slots
 
 
-def assert_block_matches_reference(cfg, level_c, block, size):
-    got = _run_block(cfg, level_c, block, size)
-    want = reference_run_block(cfg, level_c, block, size)
+def assert_block_matches_reference(cfg, levels, block, size):
+    got = _run_block(cfg, levels, block, size)
+    want = reference_run_block(cfg, block, size)
     for a, b in zip(got[:2], want[:2]):
         np.testing.assert_array_equal(a, b)
     for part in (2, 3):
@@ -274,10 +315,9 @@ def assert_block_matches_reference(cfg, level_c, block, size):
 
 
 def spectrum_levels(scen, profs):
-    return [
-        enumerate_interference_spectrum(scen, profs, i).c_values
-        for i in range(scen.n_users)
-    ]
+    """Each receiver's law keys and the level each key joined."""
+    spectra = [enumerate_interference_spectrum(scen, profs, i) for i in range(scen.n_users)]
+    return [(s.law.c_values, s.level_of) for s in spectra]
 
 
 @st.composite
@@ -371,20 +411,49 @@ def test_block_occupancy_count_holds_many_users():
         n_users=n, n_subbands=u, gains=np.ones((n, n)), total_power=1.0, noise_power=1.0
     )
     # 255 other hoppers at 1/2 each, plus 0, 1/2 or 1 from the pmf user
-    level_c = [np.array([127.5, 128.0, 128.5])] * (n - 1) + [np.array([128.0])]
+    levels = [(np.array([127.5, 128.0, 128.5]), np.arange(3))] * (n - 1)
+    levels.append((np.array([128.0]), np.arange(1)))
     cfg = SimConfig(scenario=scen, profiles=profs, n_slots=6, master_seed=5)
-    got = assert_block_matches_reference(cfg, level_c, 0, 6)
+    got = assert_block_matches_reference(cfg, levels, 0, 6)
     np.testing.assert_array_equal(got[0], np.zeros(n))
     assert got[4][0] == 6
+
+
+def test_block_reads_levels_across_adjacent_merged_groups():
+    # Into user 0: increments 1 (user 1), 1 + 1.98e-9 (user 2, on a sub-band
+    # in 1% of slots) and 1 + 2.1e-9 (user 3). At sigma^2 = P = 1 the first
+    # two merge (a variance gap of 1.98e-9 against 2e-9) and the third stays
+    # apart, about 2.08e-9 above the merged level. So a hit of user 2 alone
+    # lies 0.12e-9 below the next level, yet belongs to the merged one.
+    gains = np.ones((4, 4))
+    gains[1:, 0] = 1.0, math.sqrt(1.0 + 1.98e-9), math.sqrt(1.0 + 2.1e-9)
+    profs = (
+        HoppingProfile.fixed(1),
+        HoppingProfile.fixed(1),
+        HoppingProfile.from_pmf((0.98, 0.02, 0.0)),
+        HoppingProfile.fixed(1),
+    )
+    scen = NetworkScenario(n_users=4, n_subbands=2, gains=gains, total_power=1.0, noise_power=1.0)
+    levels = spectrum_levels(scen, profs)
+    law_c, level_of = levels[0]
+    alone = [float(x * x) for x in gains[1:, 0]]
+    assert [level_of[law_c.tolist().index(c)] for c in alone] == [1, 1, 2]
+    cfg = SimConfig(scenario=scen, profiles=profs, n_slots=4000, master_seed=26)
+    assert_block_matches_reference(cfg, levels, 0, 4000)
+    # the block has such hits: user 2 alone on user 0's band
+    occ = [o for o, _ in reference_block_occupancy(cfg, 0, 4000)]
+    assert (occ[0] & occ[2] & ~occ[1] & ~occ[3]).sum() > 0
 
 
 def test_block_peak_memory_per_cell():
     # one full block of the benchmark's largest shape, and one user on
     # every sub-band, the most cells one receiver tallies. The block holds
-    # a byte of occupancy per cell and one user's copy while it is drawn;
-    # the sampler and the tally walk slot ranges of BLOCK_DOUBLES cells,
-    # whose temporaries stay under 128 bytes a cell of one range. A float
-    # array over every cell alone would take 8 bytes a cell.
+    # a byte of occupancy per cell, each user's drawn in place, and 16
+    # bytes of hop counts per (user, slot); the sampler and the tally walk
+    # slot ranges of BLOCK_DOUBLES cells, whose temporaries stay under 72
+    # bytes a cell of one range. A float array over every cell alone would
+    # take 8 bytes a cell; drawing a user's occupancy apart and copying it
+    # in would add 1 MB for the user on 64 sub-bands, past the bound.
     pmf = [0.0] * 17
     pmf[1], pmf[3] = 0.6, 0.4
     hopping_on_1_to_3 = tuple(
@@ -397,15 +466,16 @@ def test_block_peak_memory_per_cell():
             n_users=n, n_subbands=u, gains=gains, total_power=10.0, noise_power=1.0
         )
         cfg = SimConfig(scenario=scen, profiles=profs, n_slots=SLOT_BLOCK, master_seed=1941)
-        level_c = spectrum_levels(scen, profs)
+        levels = spectrum_levels(scen, profs)
         tracemalloc.start()
         try:
-            _run_block(cfg, level_c, 0, SLOT_BLOCK)
+            _run_block(cfg, levels, 0, SLOT_BLOCK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         cells = n * SLOT_BLOCK * u
-        assert peak <= 2 * cells + 128 * _blocks.BLOCK_DOUBLES, (n, u, peak / cells)
+        bound = cells + 16 * n * SLOT_BLOCK + 72 * _blocks.BLOCK_DOUBLES
+        assert peak <= bound, (n, u, peak / cells)
 
 
 def test_dump_peak_memory_per_cell():
@@ -500,10 +570,20 @@ def bernstein_halfwidth(m, var, span, alpha):
     return (a + math.sqrt(a * a + 2.0 * m * var * lg)) / m
 
 
+NEAR_TIE_GAINS = [math.sqrt(1.0 + d * 1e-9) for d in (0.0, 0.98, 1.98, 2.1)]
+
+
 @st.composite
-def frequency_cases(draw, kinds=("equal", "zero_cross", "some_zero", "unequal")):
+def frequency_cases(
+    draw,
+    kinds=("equal", "zero_cross", "some_zero", "unequal", "sub_rounding", "near_tie"),
+):
     """Small scenarios with fixed and pmf users, with equal gains (levels
-    merge), zero cross gains, some zero gains, or unequal nonzero gains."""
+    merge), zero cross gains, some zero gains, unequal nonzero gains, gains
+    near 1e-10 (every c P is below the rounding of sigma^2, so all hit
+    levels merge into one), or gains whose increments lie a few 1e-9 apart
+    (some merge, and a hit may sit nearer the next merged level than its
+    own)."""
     n = draw(st.integers(1, 4))
     u = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(kinds))
@@ -512,9 +592,12 @@ def frequency_cases(draw, kinds=("equal", "zero_cross", "some_zero", "unequal"))
     elif kind == "zero_cross":
         gains = np.eye(n)
     else:
-        gain = st.floats(0.2, 2.0)
-        if kind == "some_zero":
-            gain = st.one_of(st.just(0.0), gain)
+        gain = {
+            "some_zero": st.one_of(st.just(0.0), st.floats(0.2, 2.0)),
+            "unequal": st.floats(0.2, 2.0),
+            "sub_rounding": st.floats(1e-10, 3e-10),
+            "near_tie": st.sampled_from(NEAR_TIE_GAINS),
+        }[kind]
         gains = np.array([[draw(gain) for _ in range(n)] for _ in range(n)])
     profiles = draw(profile_lists(n, u))
     scen = NetworkScenario(
@@ -582,11 +665,26 @@ def test_free_count_follows_zero_gains():
     np.testing.assert_allclose(want, [0.48, 0.8, 1.8], rtol=1e-12)
 
 
+def test_sub_rounding_hits_are_not_free():
+    # Cross gains 1e-10 and 2e-10 into user 0 give hit increments 1e-20,
+    # 4e-20 and 5e-20, whose c P lie below the rounding of sigma^2: they
+    # merge into one level, and a hit at 1e-20 lies nearer c = 0 than that
+    # level's 3.3e-20. A band is still free only when nobody else is on it.
+    gains = np.ones((3, 3))
+    gains[1:, 0] = 1e-10, 2e-10
+    scen = NetworkScenario(n_users=3, n_subbands=2, gains=gains, total_power=1.0, noise_power=1.0)
+    profs = (HoppingProfile.fixed(1),) * 3
+    assert enumerate_interference_spectrum(scen, profs, 0).probabilities.tolist() == [0.25, 0.75]
+    stats = run(SimConfig(scen, profs, 20000, 26))
+    assert abs(stats.free_mean[0] - 0.25) <= 4 * stats.free_se[0]
+    assert abs(stats.level_freq[0][0] - 0.25) <= 4 * stats.level_se[0][0]
+
+
 PMF_FREE_EXAMPLES = 10
 
 
 @settings(max_examples=PMF_FREE_EXAMPLES, deadline=None, derandomize=True)
-@given(frequency_cases(kinds=("equal", "unequal")))
+@given(frequency_cases(kinds=("equal", "unequal", "sub_rounding", "near_tie")))
 def test_free_mean_matches_mean_hops_times_leave_one_out_product(case):
     # With every gain nonzero a band is free when nobody else is on it:
     # E[free_i] = vbar_i prod_{k != i} (1 - vbar_k / u), pmf users too.
