@@ -5,6 +5,12 @@ Randomized kernels split their work into blocks of a fixed size and give
 each block generators of its own, keyed by (seed, spawn key). The block
 layout and the keys depend only on the work size, never on the worker
 count, so results are byte-identical for any number of threads.
+
+Kernels walk large arrays in row_ranges of about BLOCK_DOUBLES cells. A
+kernel that multiplies each range by a matrix asks for a row multiple, so
+that no row's value depends on its range: BLAS sums a one-row product by
+gemv, not gemm (the mixture kernel: multiple=2), and gemv sums rows in
+groups of 4 and the rest another way (the FH grid: multiple=8).
 """
 from __future__ import annotations
 
@@ -48,9 +54,13 @@ def map_blocks(
     return [fn(*a) for a in blocks]
 
 
-def row_ranges(n_rows: int, width: int) -> List[Tuple[int, int]]:
+def row_ranges(n_rows: int, width: int, multiple: int = 1) -> List[Tuple[int, int]]:
     """(start, stop) of consecutive row ranges covering n_rows rows of
-    `width` cells each, every range but the last BLOCK_DOUBLES // width
-    rows (at least one)."""
-    step = max(1, BLOCK_DOUBLES // max(width, 1))
-    return [(s, min(s + step, n_rows)) for s in range(0, n_rows, step)]
+    `width` cells each: BLOCK_DOUBLES // width rows, rounded down to a
+    multiple of `multiple` and at least that, but a last range shorter
+    than `multiple` joins the one before it."""
+    step = max(multiple, BLOCK_DOUBLES // max(width, 1) // multiple * multiple)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] < multiple:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_rows]))

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from . import _blocks
+from ._blocks import row_ranges
 from ._special import lgam
 from .gains import maximize_on_interval, smg_fair, v_opt
 from .mixture import PROB_TOL, check_probabilities
@@ -224,19 +224,16 @@ class FhCurves:
 
     Each curve is an (abscissae x n_top) matrix of powers (1 - v/u)^k
     times a weight vector. A call on more than one abscissa builds that
-    matrix with _grid_powers in row blocks of about _blocks.BLOCK_DOUBLES
-    cells, takes both curves' products block by block and keeps the two
-    curve vectors for the next such call on the same abscissae, so
-    maximizing both curves over [0, u] builds the grid once and never
-    holds it whole; a call on one abscissa computes its row directly.
+    matrix with _grid_powers in _blocks.row_ranges of 8j rows, takes both
+    curves' products block by block and keeps the two curve vectors for
+    the next such call on the same abscissae, so maximizing both curves
+    over [0, u] builds the grid once and never holds it whole; a call on
+    one abscissa computes its row directly.
 
-    A block's rows are a multiple of 8, at least 8. numpy's matrix-vector
-    product (OpenBLAS gemv) sums rows in groups of 4 and rows left over
-    another way, which can differ in the last bit. On the maximizer's grid
-    of 8j + 1 abscissae every row but the last is in a group of 4, in the
-    whole matrix (one half of it per BLAS thread) as in the blocks, and
-    the last row, v = u, is (1, 0, 0, ...) and exact either way; so the
-    curve values are the whole matrix's, bit for bit.
+    On the maximizer's grid of 8j + 1 abscissae every row but the last is
+    in one of gemv's groups of 4, in the whole matrix as in the blocks
+    (see _blocks), and the last row, v = u, is (1, 0, 0, ...) and exact
+    either way; so the curve values are the whole matrix's, bit for bit.
     """
 
     def __init__(self, pmf: UserCountPmf, u: float):
@@ -251,10 +248,8 @@ class FhCurves:
         """(powers @ w for both weight vectors), a (2, v.size) array."""
         if self._grid is None or not np.array_equal(self._grid[0], v):
             base = 1.0 - v / self.u
-            rows = max(8, _blocks.BLOCK_DOUBLES // self._k.size // 8 * 8)
             out = np.empty((2, v.size))
-            for start in range(0, v.size, rows):
-                stop = start + rows
+            for start, stop in row_ranges(v.size, self._k.size, multiple=8):
                 block = _grid_powers(base[start:stop], self._k)
                 for out_row, w in zip(out, self._weights):
                     out_row[start:stop] = block @ w

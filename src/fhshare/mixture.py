@@ -26,8 +26,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import _blocks
-from ._blocks import generator, map_blocks
+from ._blocks import generator, map_blocks, row_ranges
 
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
@@ -172,12 +171,13 @@ def _log_mixture_rows(
     """log sum_l exp(log_coef[l] - sum_j inv_2var[l, j] x[i, j]^2) per row i.
 
     x is (n, dim), log_coef (k,), inv_2var (k, dim) and positive. Rows go
-    through in chunks of about _blocks.BLOCK_DOUBLES (rows x components)
-    doubles; each chunk's log-sum-exp runs in place (subtract the row
-    maximum, raise to _LOG_TERM_FLOOR, exp, sum). A row to which no component
-    contributes (one with an infinite coordinate) gives -inf, without a
-    floating-point warning. A finite coordinate whose square overflows
-    raises ValueError.
+    through in _blocks.row_ranges of (rows x components) doubles, 2 rows
+    or more each, so that with two or more components no row's value
+    depends on the chunking. Each chunk's log-sum-exp runs in place
+    (subtract the row maximum, raise to _LOG_TERM_FLOOR, exp, sum). A row
+    to which no component contributes (one with an infinite coordinate)
+    gives -inf, without a floating-point warning. A finite coordinate
+    whose square overflows raises ValueError.
 
     The floor changes no bit of the result. A term it raises changed from
     exp(t) with t < -700 to exp(-700), by less than 1e-304, and the row
@@ -186,25 +186,16 @@ def _log_mixture_rows(
     the bytes against the unfloored kernel). In exchange
     exp never sees an argument whose result is subnormal or 0, where
     numpy's vectorized exp leaves its fast path for the whole vector.
-
-    A chunk holds two rows or more (unless n is 1): numpy hands a one-row
-    product to BLAS gemv, whose sums can differ from gemm's in the last
-    bit, so with two or more components every row's value is the same
-    for any chunk size.
     """
-    n = x.shape[0]
-    out = np.empty(n)
-    step = max(2, _blocks.BLOCK_DOUBLES // max(log_coef.shape[0], 1))
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()  # a lone last row joins the chunk before it
-    for s, stop in zip(starts, starts[1:] + [n]):
+    out = np.empty(x.shape[0])
+    for s, stop in row_ranges(x.shape[0], log_coef.shape[0], multiple=2):
         xs = x[s:stop]
         with np.errstate(over="ignore"):
             sq = xs * xs
         if np.isinf(sq).any() and (np.isinf(sq) & np.isfinite(xs)).any():
             raise ValueError("mixture log-density: the square of a point overflows")
-        block = sq @ inv_2var.T
+        with np.errstate(over="ignore"):  # an overflowing term is a zero density
+            block = sq @ inv_2var.T
         np.subtract(log_coef, block, out=block)
         top = block.max(axis=1)
         empty = top == -np.inf
@@ -249,6 +240,14 @@ def entropy_quadrature(m: GaussianMixture1D) -> float:
     [-span, span] would need more than max(200, 20 + 10 * (number of
     +-break points)) panels, and ValueError when the window is so wide
     that the square of a node overflows.
+
+    The value is certified against closed forms, each O(K) (Huber et al.,
+    "On entropy approximation for Gaussian mixture random vectors", MFI
+    2008): L = sum_i a_i h(sigma_i^2) <= h, since conditioning on the
+    component cannot raise the entropy, and h <= min(h(sum_i a_i
+    sigma_i^2), L + H(a)), the entropy of a Gaussian of the same variance
+    and the entropy of the pair (Y, component). A value outside them by
+    more than 1e-6 bits is a RuntimeError, not a result.
     """
     if not isinstance(m, GaussianMixture1D):
         raise TypeError("entropy_quadrature takes a 1-D mixture")
@@ -285,7 +284,8 @@ def entropy_quadrature(m: GaussianMixture1D) -> float:
         err = np.abs(half * (f @ (_GK_WK - _GK_WG)))
         total_err = err_done + float(err.sum())
         if total_err <= budget:
-            return 2.0 * (value + float(k15.sum()))
+            h = 2.0 * (value + float(k15.sum()))
+            break
         ok = err <= budget * (hi - lo) / span
         value += float(k15[ok].sum())
         err_done += float(err[ok].sum())
@@ -298,6 +298,16 @@ def entropy_quadrature(m: GaussianMixture1D) -> float:
             )
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    # Panels can pass the error test while missing whole components, so
+    # the value must also lie within the closed-form bounds.
+    lower = float(m.weights @ np.log2(2.0 * math.pi * math.e * m.variances[:, 0])) / 2.0
+    upper = min(gaussian_entropy(m.variance()), lower + discrete_entropy(m.weights))
+    if not lower - _QUAD_TOL <= h <= upper + _QUAD_TOL:
+        raise RuntimeError(
+            f"entropy quadrature is not certified: {h:.6g} bits lies outside "
+            f"[{lower:.6g}, {upper:.6g}] by more than tol = {_QUAD_TOL:g}"
+        )
+    return h
 
 
 def entropy_mc(
@@ -352,8 +362,10 @@ def merge_levels(
     the one before it when its variance exceeds that level's by at most
     rel_tol times the latter; the merged level keeps the probability-
     weighted mean parameter and the summed probability, so the first two
-    moments are preserved. Returns the merged (c, p) arrays and, for each
-    input level, the index of the merged level it joined.
+    moments are preserved. No level joins a first level at c = 0. Returns
+    the merged (c, p) arrays, the inputs themselves when no level joins
+    another, and, for each input level, the index of the merged level it
+    joined.
 
     The walk only has work to do near ties. While the level before is
     alone in its group, the join test is the array test `tie` below, so
@@ -361,10 +373,11 @@ def merge_levels(
     runs level by level until a level does not join; that level is alone
     in its group again.
     """
-    c = np.array(c, dtype=float)
-    p = np.array(p, dtype=float)
+    c = np.asarray(c, dtype=float)
+    p = np.asarray(p, dtype=float)
     var = base + c * scale
     tie = var[1:] - var[:-1] <= rel_tol * var[:-1]  # level l + 1 joins a lone level l
+    tie[:1] &= c[:1] != 0.0
     if not tie.any():
         return c, p, np.arange(c.size)
     first = np.ones(c.size, dtype=bool)  # input level l opens a merged level
@@ -416,8 +429,11 @@ def entropy_upper_bound(m: GaussianMixture1D) -> float:
     order = np.argsort(var)
     # H counts distinct levels only: merge variances within MERGE_REL_TOL.
     v, a, _ = merge_levels(var[order], m.weights[order], 0.0, 1.0, MERGE_REL_TOL)
+    top, low = float(v[-1]), float(v[0])
+    spread = top / low  # inf, without a warning, where the quotient overflows
+    log_spread = math.log2(spread) if spread < math.inf else math.log2(top) - math.log2(low)
     return (
-        0.5 * (1.0 - a[0]) * math.log2(v[-1] / v[0])
+        0.5 * (1.0 - a[0]) * log_spread
         + 0.5 * math.log2(2.0 * math.pi * math.e * v[0])
         + discrete_entropy(a)
     )

@@ -161,7 +161,8 @@ class InterferenceSpectrum:
     level whose c * P is below the rounding of sigma^2 has variance
     sigma^2 but stays a level of its own. law is the InterferenceLaw at
     receiver law.receiver that the levels were merged from, and the
-    read-only level_of[j] is the level that law.c_values[j] joined.
+    read-only level_of[j] is the level that law.c_values[j] joined. A
+    read-only float array passed in is kept, not copied.
     """
 
     noise_power: float
@@ -174,9 +175,11 @@ class InterferenceSpectrum:
 
     def __post_init__(self):
         for name in ("probabilities", "c_values", "variances"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            if not isinstance(arr, np.ndarray) or arr.dtype != float or arr.flags.writeable:
+                arr = np.array(arr, dtype=float)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
         p, c, var = self.probabilities, self.c_values, self.variances
         if p.size == 0:
             raise ValueError("spectrum needs at least one level")
@@ -298,25 +301,23 @@ class InterferenceLaw:
         Merges levels whose variances sigma^2 + c * P agree within
         mixture.MERGE_REL_TOL (relative). Merged levels keep the
         probability-weighted mean increment, which preserves the mixture's
-        first two moments. The interference-free level (c = 0) is never
-        merged with a hit level, so a0 stays the probability that no
-        interferer lands on the sub-band.
+        first two moments. merge_levels keeps the interference-free level
+        (c = 0) apart, so a0 stays the probability that no interferer
+        lands on the sub-band; where no levels merge, the spectrum holds
+        the law's own c_values and probabilities.
         """
-        c, p = self.c_values, self.probabilities
-        free = int(c[0] == 0.0)
-        c_hit, p_hit, group = merge_levels(
-            c[free:], p[free:], noise_power, total_power, MERGE_REL_TOL
+        c, p, level_of = merge_levels(
+            self.c_values, self.probabilities, noise_power, total_power, MERGE_REL_TOL
         )
-        c = np.concatenate((c[:free], c_hit))
-        p = np.concatenate((p[:free], p_hit))
-        level_of = np.concatenate((np.zeros(free, dtype=group.dtype), group + free))
-        level_of.flags.writeable = False
+        variances = noise_power + c * total_power
+        for arr in (c, p, variances, level_of):
+            arr.flags.writeable = False
         return InterferenceSpectrum(
             noise_power=noise_power,
             total_power=total_power,
             probabilities=p,
             c_values=c,
-            variances=noise_power + c * total_power,
+            variances=variances,
             law=self,
             level_of=level_of,
         )

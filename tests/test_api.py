@@ -14,7 +14,6 @@ README = ROOT / "README.md"
 # the reason it stays public.
 KEPT = {
     "epsilon_backoff_region": "the paper's FH-at-v = u - epsilon comparison with FD",
-    "gaussian_entropy": "the closed form the entropy tests compare with",
     "scenario_to_json": "writes the --scenario format",
     "read_sample_dump": "reads the --dump format",
     "two_generator_profile": "realizes a fractional hop count; the measures-simulator test",
@@ -93,8 +92,6 @@ def test_every_export_has_a_caller_or_a_reason():
 # reason it stays.
 KEPT_METHODS = {
     "GaussianMixture1D.of": "the README's constructor",
-    "GaussianMixture1D.variance": "feeds the gaussian_entropy max-entropy bound "
-                                  "that the entropy tests compare with",
 }
 
 

@@ -186,6 +186,87 @@ def test_huge_weights_raise_without_a_warning():
     assert [str(w.message) for w in caught] == []
 
 
+def equal_weights(variances):
+    """The equal-weight scalar mixture of the given variances."""
+    return GaussianMixture1D.of(*((1.0 / len(variances), v) for v in variances))
+
+
+def entropy_sandwich(m):
+    """Bounds on a scalar mixture's entropy in bits: sum_i a_i h(var_i)
+    below, and above the least of h(total variance) and that sum plus the
+    entropy of the weights."""
+    w, var = m.weights.tolist(), m.variances[:, 0].tolist()
+    lower = sum(wi * gaussian_entropy(vi) for wi, vi in zip(w, var))
+    h_weights = -sum(wi * math.log2(wi) for wi in w)
+    return lower, min(gaussian_entropy(m.variance()), lower + h_weights)
+
+
+@pytest.mark.parametrize("top, k, silent", [(1e300, 20, 115.60), (1e150, 16, 89.00), (1e300, 40, 35.94)])
+def test_quadrature_outside_its_sandwich_raises(top, k, silent):
+    # Panels over scales that no break point was seeded on pass the error
+    # test while missing whole components; these mixtures gave `silent`
+    # bits, far below the lower end, with no error.
+    m = equal_weights(np.geomspace(1.0, top, k).tolist())
+    assert silent < entropy_sandwich(m)[0] - 30.0
+    with pytest.raises(RuntimeError, match=r"not certified: .* outside \[.*\] by more than tol = 1e-06"):
+        entropy_quadrature(m)
+
+
+def test_quadrature_inside_its_sandwich_is_returned():
+    m = equal_weights(np.geomspace(1.0, 1e300, 13).tolist())
+    lower, upper = entropy_sandwich(m)
+    h = entropy_quadrature(m)
+    assert h == pytest.approx(254.89214241982268, abs=1e-6)
+    assert lower <= h <= upper
+
+
+def test_extreme_scales_emit_no_overflow_warning():
+    # Variances 1e-200 .. 1e200: the narrow components' density terms
+    # overflow at the wide ones' nodes, and the upper bound's variance
+    # ratio is 1e400.
+    m = equal_weights(np.geomspace(1e-200, 1e200, 40).tolist())
+    lower, upper = entropy_sandwich(m)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            h = entropy_quadrature(m)
+        except RuntimeError:
+            pass
+        else:
+            assert lower - 1e-6 <= h <= upper + 1e-6
+        h_ub = entropy_upper_bound(m)
+    assert [str(w.message) for w in caught] == []
+    want = (
+        0.5 * (1.0 - 1.0 / 40.0) * 400.0 * math.log2(10.0)
+        + 0.5 * math.log2(2.0 * math.pi * math.e * 1e-200)
+        + math.log2(40.0)
+    )
+    assert math.isfinite(h_ub) and h_ub == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 40),
+    low=st.floats(-200.0, 0.0),
+    d=st.floats(0.0, 300.0),
+    weights=st.one_of(st.none(), st.lists(st.floats(0.01, 1.0), min_size=40, max_size=40)),
+)
+@example(k=20, low=0.0, d=300.0, weights=None)
+@example(k=40, low=-200.0, d=300.0, weights=None)
+def test_quadrature_lies_inside_its_sandwich_or_raises(k, low, d, weights):
+    # k variances spaced evenly in log scale over d decades from 10^low,
+    # equal or random weights
+    var = np.geomspace(10.0**low, 10.0 ** (low + d), k)
+    w = np.full(k, 1.0 / k) if weights is None else np.array(weights[:k]) / sum(weights[:k])
+    m = GaussianMixture1D.of(*zip(w.tolist(), var.tolist()))
+    lower, upper = entropy_sandwich(m)
+    try:
+        h = entropy_quadrature(m)
+    except RuntimeError:
+        return
+    assert lower - 1e-6 <= h <= upper + 1e-6
+
+
 def pairwise_entropy_bits(m, distance):
     """Kolchinsky-Tracey pairwise estimate of a mixture's entropy in bits,
     sum_i w_i (h_i - log2 sum_j w_j exp(-D(p_i || p_j))) with h_i the
@@ -301,10 +382,11 @@ def test_log_density_rows_degenerate_branch_and_empty_rows():
 @pytest.mark.parametrize("rows", ["live", "unreached"])
 @pytest.mark.parametrize("n_rows", [1, 2, 401, 1000])
 def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, rows, n_rows):
-    # With 37 components, blocks of 7 and 111 doubles make chunks of 2 and
-    # 3 rows, so 401 and 1000 rows end in a lone row; 1 << 16 or 1 << 20
-    # doubles hold every row in one chunk. An infinite coordinate puts a
-    # row out of every component's reach (-inf).
+    # With 37 components, blocks of 7 and 111 doubles make chunks of 2
+    # rows and 185 of 4, so 401 rows end in a lone row that joins the
+    # chunk before it; 1 << 16 or 1 << 20 doubles hold every row in one
+    # chunk. An infinite coordinate puts a row out of every component's
+    # reach (-inf).
     rng = np.random.default_rng(9)
     var = rng.exponential(2.0, size=(37, 5)) + 0.1
     m = GaussianMixtureDiag(weights=rng.dirichlet(np.ones(37)), variances=var)
@@ -313,7 +395,7 @@ def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, rows, n_r
         x[rng.random(x.shape) < 0.1] = math.inf
         x[-1, 0] = -math.inf
     outs = []
-    for block in (1, 7, 111, 1 << 16, 1 << 20):
+    for block in (1, 7, 111, 185, 1 << 16, 1 << 20):
         monkeypatch.setattr(_blocks, "BLOCK_DOUBLES", block)
         outs.append(_log_density_rows(m, x).tobytes())
     assert outs[1:] == outs[:-1]
@@ -321,7 +403,7 @@ def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, rows, n_r
     # the scalar kernel of entropy_quadrature too
     xq = rng.normal(size=(n_rows, 1)) * 2.0
     outs = []
-    for block in (1, 7, 111, 1 << 16, 1 << 20):
+    for block in (1, 7, 111, 185, 1 << 16, 1 << 20):
         monkeypatch.setattr(_blocks, "BLOCK_DOUBLES", block)
         outs.append(mixture._log_mixture_rows(xq, m.weights, var[:, :1] + 0.5).tobytes())
     assert outs[1:] == outs[:-1]
@@ -330,13 +412,8 @@ def test_log_mixture_rows_chunk_size_does_not_change_bits(monkeypatch, rows, n_r
 def reference_log_mixture_rows(x, log_coef, inv_2var):
     """The log-density kernel without the term floor: exp runs on every
     term, subnormal and zero results included."""
-    n = x.shape[0]
-    out = np.empty(n)
-    step = max(2, _blocks.BLOCK_DOUBLES // max(log_coef.shape[0], 1))
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    for s, stop in zip(starts, starts[1:] + [n]):
+    out = np.empty(x.shape[0])
+    for s, stop in _blocks.row_ranges(x.shape[0], log_coef.shape[0], multiple=2):
         xs = x[s:stop]
         block = (xs * xs) @ inv_2var.T
         np.subtract(log_coef, block, out=block)
@@ -451,11 +528,13 @@ def test_upper_bound_dominates_randomized():
 
 def reference_spectrum_merge(entries, sigma2, power, merge_rel_tol):
     """The merge loop of enumerate_interference_spectrum before merge_levels;
-    entries are (c, p) pairs in ascending c. Returns the merged pairs and,
-    per entry, the index of the merged pair it joined."""
+    entries are (c, p) pairs in ascending c. A first entry at c = 0 (the
+    interference-free level) takes no other entry. Returns the merged
+    pairs and, per entry, the index of the merged pair it joined."""
     merged, group = [], []
+    free = bool(entries) and entries[0][0] == 0.0
     for c, p in entries:
-        if merged:
+        if merged and not (free and len(merged) == 1):
             c_rep, p_rep = merged[-1]
             v_rep = sigma2 + c_rep * power
             v_new = sigma2 + c * power
@@ -486,15 +565,16 @@ def reference_bound_merge(w, var):
 
 
 @st.composite
-def ascending_levels(draw):
+def ascending_levels(draw, positive=False):
     """Ascending parameters c (ties allowed) with probabilities, for variance
     base + c * scale; many gaps sit right at the merge threshold, and with
-    dyadic values those are exact ties."""
+    dyadic values those are exact ties. With positive, base + c is
+    positive too."""
     if draw(st.booleans()):
         base = draw(st.sampled_from([0.0, 0.5, 1.0]))
         scale = draw(st.sampled_from([0.25, 1.0, 2.0]))
         rel_tol = draw(st.sampled_from([2.0**-10, 2.0**-3]))
-        c = [float(draw(st.integers(0, 8)))]
+        c = [float(draw(st.integers(int(positive and base == 0.0), 8)))]
         prob = st.sampled_from([0.125, 0.25, 0.5, 1.0])
     else:
         base = draw(st.floats(1e-3, 1e3))
@@ -534,14 +614,19 @@ def assert_matches_bound_loop(w, var):
 
 @settings(max_examples=200, deadline=None)
 @given(ascending_levels())
+@example((np.array([0.0, 1e-12, 2e-12]), np.array([0.25, 0.25, 0.5]), 1.0, 1.0, 1e-9))
+@example((np.array([0.0, 0.0]), np.array([0.5, 0.5]), 0.0, 1.0, 2.0**-10))
 def test_merge_levels_matches_spectrum_loop(case):
     assert_matches_spectrum_loop(*case)
 
 
 @settings(max_examples=200, deadline=None)
-@given(ascending_levels())
+@given(ascending_levels(positive=True))
 def test_merge_levels_matches_bound_loop(case):
+    # a mixture's variances are positive (GaussianMixtureDiag rejects any
+    # other), so c = 0 never reaches the upper bound's merge
     var, w, base, _, _ = case
+    assert var[0] + base > 0.0
     assert_matches_bound_loop(w, var + base)
 
 

@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,6 +515,63 @@ def test_free_level_is_never_merged():
     spec1 = enumerate_interference_spectrum(tiny, profs, 1)
     assert spec1.variances.tolist() == [1.0, 1.0]
     assert spec1.a0 == 0.75
+
+
+def test_free_level_stays_apart_where_sigma2_absorbs_the_hits():
+    # Cross gains of 1e-10 give hit increments of 1e-20 and 2e-20, whose
+    # c * P vanishes in the rounding of sigma^2 = 1: every variance is 1.
+    # The hit levels merge with each other, never with c = 0.
+    gains = np.full((3, 3), 1e-10) + np.eye(3)
+    scen = NetworkScenario(n_users=3, n_subbands=2, gains=gains, total_power=1.0, noise_power=1.0)
+    law = model.interference_law(scen, [HoppingProfile.fixed(1)] * 3, 0)
+    assert law.c_values.size == 3
+    spec = law.spectrum(1.0, 1.0)
+    assert spec.variances.tolist() == [1.0, 1.0]
+    assert spec.c_values[0] == 0.0 and spec.a0 == 0.25
+    assert spec.probabilities.tolist() == [0.25, 0.75]
+    assert spec.level_of.tolist() == [0, 1, 1]
+
+
+def test_spectrum_shares_the_law_arrays_unless_levels_merge():
+    # increments 1 and (1 + 1e-9)^2 merge at P = 1e-3 only
+    gains = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0 + 1e-9, 1.0, 1.0]])
+    law = model.interference_law(
+        NetworkScenario(3, 2, gains, 1.0, 1.0), [HoppingProfile.fixed(1)] * 3, 0
+    )
+    apart = law.spectrum(1.0, 1e3)
+    assert apart.c_values is law.c_values and apart.probabilities is law.probabilities
+    merged = law.spectrum(1.0, 1e-3)
+    assert merged.n_levels < law.c_values.size
+    for name in ("c_values", "probabilities"):
+        arr = getattr(merged, name)
+        assert not np.shares_memory(arr, getattr(law, name))
+        assert arr.dtype == float and not arr.flags.writeable
+    # a writeable array passed in is copied, so the caller cannot change it
+    p = np.array([0.5, 0.5])
+    spec = model.InterferenceSpectrum(
+        1.0, 1.0, p, np.array([0.0, 1.0]), np.array([1.0, 2.0]), law, np.zeros(4, dtype=int)
+    )
+    p[0] = 0.0
+    assert spec.probabilities.tolist() == [0.5, 0.5]
+
+
+def test_retained_spectrum_takes_32_bytes_per_law_key():
+    # A spectrum keeps its law (c and p), its variances and level_of, 8
+    # bytes each per key where no levels merge; copies of c and p would
+    # make it 48.
+    n = 17
+    gains = np.exp(np.random.default_rng(5).normal(size=(n, n)))
+    scen = NetworkScenario(n_users=n, n_subbands=2, gains=gains, total_power=1.0, noise_power=1.0)
+    profs = [HoppingProfile.fixed(1)] * n
+    tracemalloc.start()
+    try:
+        spec = enumerate_interference_spectrum(scen, profs, 0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    keys = spec.law.c_values.size
+    assert keys == spec.n_levels == 1 << 16
+    assert retained <= 36 * keys, retained / keys
 
 
 def test_mean_hop_count_capped_at_largest_count():
