@@ -6,11 +6,15 @@ each block generators of its own, keyed by (seed, spawn key). The block
 layout and the keys depend only on the work size, never on the worker
 count, so results are byte-identical for any number of threads.
 
-Kernels walk large arrays in row_ranges of about BLOCK_DOUBLES cells. A
-kernel that multiplies each range by a matrix asks for a row multiple, so
-that no row's value depends on its range: BLAS sums a one-row product by
-gemv, not gemm (the mixture kernel: multiple=2), and gemv sums rows in
-groups of 4 and the rest another way (the FH grid: multiple=8).
+Kernels walk large arrays in row_ranges of about BLOCK_DOUBLES cells.
+The ranges depend only on the row count, the width and BLOCK_DOUBLES,
+never on the thread count, so a kernel's bytes hold for any of them;
+BLOCK_DOUBLES itself is part of that byte contract. A kernel that
+multiplies each range by a matrix asks for a row multiple. The FH grid's
+multiple=8 makes every value independent of its range: gemv sums rows in
+groups of 4 and the rest another way. The mixture kernel's multiple=2
+keeps a lone row off gemv, but gemm can still move a row's last bit with
+its range's row count (seen at 1350 components, at several dims up to 12).
 """
 from __future__ import annotations
 

@@ -33,6 +33,10 @@ from .model import (
 # Most points of a start:stop:step grid of SNRs or lambdas: sweep spends
 # about 2 ms per lambda, so its longest grid runs in about 30 s.
 MAX_GRID_POINTS = 1 << 14
+# Lambdas whose FH curves sweep takes from one measures.GridWalk: on the
+# maximizer's 4097 abscissae their curves hold 8 x 2 x 4097 doubles, about
+# 512 KiB, dropped with the batch, so sweep's memory stays flat in its grid.
+SWEEP_BATCH = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,34 +280,41 @@ def cmd_measures(args) -> None:
     _emit(header, _columns(rows, len(header)), args.format, args.out)
 
 
+def _sweep_row(u: float, lam: float, curves: ms.FhCurves) -> tuple:
+    """The sweep row of the Poisson(lam) law of curves."""
+    pmf = curves.pmf
+    fd_cfg = ms.FdConfig.default_for(pmf, u)
+    e1, v_star = curves.eta1()
+    e2, omega = ms.eta2_fh_poisson_closed(lam, u)
+    e2_fd = ms.eta2_fd(pmf, fd_cfg, u)
+    return (
+        u,
+        lam,
+        fd_cfg.n_des,
+        e1,
+        e1 / u,
+        v_star,
+        e2,
+        e2 / u,
+        u * (1.0 - omega),
+        omega,
+        e2_fd,
+        e2_fd / u,
+        ms.eta1_afh(pmf, u),
+        ms.eta2_afh(pmf, u),
+        ms.eta4_fd(pmf, fd_cfg),
+    )
+
+
 def cmd_sweep(args) -> None:
     u = args.u
     rows = []
-    for lam in args.lambdas:
-        pmf = ms.UserCountPmf.poisson(lam)
-        fd_cfg = ms.FdConfig.default_for(pmf, u)
-        e1, v_star = ms.eta1_fh(pmf, u)
-        e2, omega = ms.eta2_fh_poisson_closed(lam, u)
-        e2_fd = ms.eta2_fd(pmf, fd_cfg, u)
-        rows.append(
-            (
-                u,
-                lam,
-                fd_cfg.n_des,
-                e1,
-                e1 / u,
-                v_star,
-                e2,
-                e2 / u,
-                u * (1.0 - omega),
-                omega,
-                e2_fd,
-                e2_fd / u,
-                ms.eta1_afh(pmf, u),
-                ms.eta2_afh(pmf, u),
-                ms.eta4_fd(pmf, fd_cfg),
-            )
-        )
+    for first in range(0, len(args.lambdas), SWEEP_BATCH):
+        lambdas = args.lambdas[first : first + SWEEP_BATCH]
+        # the batch's first curve call walks the grid for all its laws
+        walk = ms.GridWalk()
+        batch = [ms.FhCurves(ms.UserCountPmf.poisson(lam), u, walk) for lam in lambdas]
+        rows += [_sweep_row(u, lam, curves) for lam, curves in zip(lambdas, batch)]
     header = [
         "u",
         "lam",
@@ -327,7 +338,11 @@ def cmd_sweep(args) -> None:
 def cmd_compare(args) -> None:
     pmf = _load_pmf(args.pmf)
     u = args.u
-    measures = ms.build_measure_reports(pmf, u, n_des=args.n_des, epsilon=args.epsilon)
+    # FH's grid at u and the conditions' at u = 1, walked once where they agree
+    walk = ms.GridWalk()
+    measures = ms.build_measure_reports(
+        pmf, u, n_des=args.n_des, epsilon=args.epsilon, walk=walk
+    )
     fd = {m.measure: m.value for m in measures if m.scheme == "fd"}
     rows = []
     for m in measures:
@@ -336,7 +351,7 @@ def cmd_compare(args) -> None:
         fh_val, fd_val = m.value, fd[m.measure]
         winner = "fh" if fh_val > fd_val else ("fd" if fd_val > fh_val else "tie")
         rows.append(("measure", m.measure, fh_val, fd_val, winner, None, None))
-    for name, chk in ms.mean_load_conditions(pmf).items():
+    for name, chk in ms.mean_load_conditions(pmf, walk).items():
         rows.append(
             ("condition", f"{name}_condition", None, None, None, chk.condition_holds,
              chk.inequality_verified)

@@ -154,7 +154,7 @@ def maximize_on_interval(
     best_x, best_f = float(xs[i]), float(fx[i])
 
     def f_scalar(x: float) -> float:
-        return float(np.asarray(f(np.array([x])), dtype=float)[0])
+        return float(f(np.array([x]))[0])
 
     a = float(xs[i - 1]) if i > 0 else float(xs[0])
     b = float(xs[i + 1]) if i + 1 < xs.size else float(xs[-1])

@@ -14,9 +14,10 @@ n_des; FH with v < u always serves everyone. All measures scale linearly
 in the band size u and are reported in absolute terms.
 
 FH's eta1 and eta2 maximize curves over a grid of hop counts; both are
-products with one matrix of powers (1 - v/u)^k per law and u (FhCurves),
-built once for the two in row blocks that are never all held at once,
-and the cells of that matrix that underflow to 0.0 are never computed.
+products with one matrix of powers (1 - v/u)^k (FhCurves). A GridWalk
+builds that matrix once per vector 1 - v/u for every law registered on
+it, in row blocks that are never all held at once, and the cells that
+underflow to 0.0 are never computed.
 """
 from __future__ import annotations
 
@@ -214,6 +215,70 @@ def _grid_powers(base: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
+class GridWalk:
+    """The FH grid curves of the load laws registered on it, each power
+    grid walked once for all of them.
+
+    A law's curves on abscissae v are the matrix of powers (1 - v/u)^k,
+    k = 0..n_top - 1, times its two weight vectors, so they depend on u
+    only through the base vector 1 - v/u. The first products() call on a
+    base vector walks it once: _grid_powers builds the matrix of the widest
+    law registered so far in _blocks.row_ranges of 8j rows, and every
+    registered law reads block[:, :n_top] @ w off each block. The curves
+    are kept under the vector's bytes, so a later call on an equal vector
+    walks nothing. On the maximizer's grid, linspace(0, u, 4097), 1 - v/u
+    is exactly 1 - i/4096 for every integer u, so one law's curves at u
+    and at u = 1 share a walk; at other u the two vectors can differ and
+    each gets a walk of its own.
+
+    A GridWalk keeps two curve vectors per law and base vector until it
+    is dropped, so whoever builds one bounds the laws it registers: the
+    CLI builds one per command, and sweep one per batch of lambdas.
+    Nothing is shared between GridWalks.
+
+    On the maximizer's grid of 8j + 1 abscissae every row but the last is
+    in one of gemv's groups of 4, in the whole matrix as in the blocks
+    (see _blocks), and the last row, v = u, is (1, 0, 0, ...) and exact
+    either way. gemv reads a law's columns through the block's row
+    stride, and a narrower law's columns hold the same powers as its own
+    matrix, so every law's curves are its whole matrix's, bit for bit.
+    """
+
+    def __init__(self):
+        self._weights: Dict[UserCountPmf, Tuple[np.ndarray, np.ndarray]] = {}
+        self._curves: Dict[bytes, Dict[UserCountPmf, np.ndarray]] = {}
+
+    def register(self, pmf: UserCountPmf) -> Tuple[np.ndarray, np.ndarray]:
+        """The law's weight vectors (n q_n, q_n) for n >= 1; from the next
+        walk on, its curves are taken with every other law's."""
+        if pmf not in self._weights:
+            q = pmf.weights[1:]
+            self._weights[pmf] = (np.arange(1, pmf.weights.size) * q, q)
+        return self._weights[pmf]
+
+    def products(self, pmf: UserCountPmf, base: np.ndarray) -> np.ndarray:
+        """(powers @ w for both of a registered law's weight vectors), a
+        (2, base.size) array; the powers are base[:, None] ** k."""
+        walked = self._curves.setdefault(base.tobytes(), {})
+        if pmf not in walked:
+            walked.update(self._walk(base, [law for law in self._weights if law not in walked]))
+        return walked[pmf]
+
+    def _walk(
+        self, base: np.ndarray, laws: List[UserCountPmf]
+    ) -> Dict[UserCountPmf, np.ndarray]:
+        """The products of laws on base, from one pass over its grid."""
+        k = np.arange(max(law.n_top for law in laws))
+        out = {law: np.empty((2, base.size)) for law in laws}
+        for start, stop in row_ranges(base.size, k.size, multiple=8):
+            block = _grid_powers(base[start:stop], k)
+            for law in laws:
+                columns = block[:, : law.n_top]
+                for out_row, w in zip(out[law], self._weights[law]):
+                    out_row[start:stop] = columns @ w
+        return out
+
+
 class FhCurves:
     """The FH objectives of one load law at one band size u, as functions
     of the hop count v, vectorized over v:
@@ -222,49 +287,30 @@ class FhCurves:
       eta2  E{SMG(v, N)/N} = (v/2) sum_{n >= 1} q_n (1 - v/u)^(n-1), the
             eta2 objective for v < u.
 
-    Each curve is an (abscissae x n_top) matrix of powers (1 - v/u)^k
-    times a weight vector. A call on more than one abscissa builds that
-    matrix with _grid_powers in _blocks.row_ranges of 8j rows, takes both
-    curves' products block by block and keeps the two curve vectors for
-    the next such call on the same abscissae, so maximizing both curves
-    over [0, u] builds the grid once and never holds it whole; a call on
-    one abscissa computes its row directly.
-
-    On the maximizer's grid of 8j + 1 abscissae every row but the last is
-    in one of gemv's groups of 4, in the whole matrix as in the blocks
-    (see _blocks), and the last row, v = u, is (1, 0, 0, ...) and exact
-    either way; so the curve values are the whole matrix's, bit for bit.
+    A call on more than one abscissa reads both curves' products from a
+    GridWalk, so maximizing both over [0, u] walks the grid once and never
+    holds it whole; laws built on one shared GridWalk share its walks. A
+    call on one abscissa x computes its row directly, on Python floats.
     """
 
-    def __init__(self, pmf: UserCountPmf, u: float):
+    def __init__(self, pmf: UserCountPmf, u: float, walk: Optional[GridWalk] = None):
         self.pmf = pmf
         self.u = u
-        q = pmf.weights[1:]
-        self._k = np.arange(q.size)
-        self._weights = (np.arange(1, pmf.weights.size) * q, q)
-        self._grid: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def _grid_curves(self, v: np.ndarray) -> np.ndarray:
-        """(powers @ w for both weight vectors), a (2, v.size) array."""
-        if self._grid is None or not np.array_equal(self._grid[0], v):
-            base = 1.0 - v / self.u
-            out = np.empty((2, v.size))
-            for start, stop in row_ranges(v.size, self._k.size, multiple=8):
-                block = _grid_powers(base[start:stop], self._k)
-                for out_row, w in zip(out, self._weights):
-                    out_row[start:stop] = block @ w
-            self._grid = (v.copy(), out)
-        return self._grid[1]
+        self._k = np.arange(pmf.n_top)
+        self._walk = GridWalk() if walk is None else walk
+        self._weights = self._walk.register(pmf)
 
     def curve(self, per_user: bool) -> Callable[[np.ndarray], np.ndarray]:
         """The eta2 objective with per_user, else the eta1 one."""
         w = self._weights[per_user]
+        u, k = self.u, self._k
 
         def f(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=float)
-            if v.size < 2:
-                return 0.5 * v * ((1.0 - v / self.u)[:, None] ** self._k @ w)
-            return 0.5 * v * self._grid_curves(v)[int(per_user)]
+            if v.size == 1:
+                x = float(v[0])
+                return np.array([0.5 * x * float(np.power(1.0 - x / u, k) @ w)])
+            return 0.5 * v * self._walk.products(self.pmf, 1.0 - v / u)[int(per_user)]
 
         return f
 
@@ -495,7 +541,9 @@ def _checked(measure: str, cond: bool, fh: float, fd: float) -> ConditionCheck:
     return ConditionCheck(condition_holds=cond, inequality_verified=verified)
 
 
-def mean_load_conditions(pmf: UserCountPmf) -> Dict[str, ConditionCheck]:
+def mean_load_conditions(
+    pmf: UserCountPmf, walk: Optional[GridWalk] = None
+) -> Dict[str, ConditionCheck]:
     """The mean-load tests guaranteeing that FH beats FD, keyed by measure,
     each with the direct comparison at u = 1 and n_des = n_max:
 
@@ -505,13 +553,14 @@ def mean_load_conditions(pmf: UserCountPmf) -> Dict[str, ConditionCheck]:
     Their hypothesis is a finite load with no mass at N = 0; any other law
     (Poisson, or q[0] > 0) gets no checks. A condition that holds while its
     comparison fails would contradict the guarantee, so that combination
-    raises. Both comparisons maximize over one FhCurves grid.
+    raises. Both comparisons maximize over one FhCurves grid, taken from
+    walk when one is given.
     """
     if not pmf.is_finite or pmf.weights[0] > 0.0:
         return {}
     n_max = pmf.n_max
     fd = FdConfig(n_des=n_max)
-    curves = FhCurves(pmf, 1.0)
+    curves = FhCurves(pmf, 1.0, walk)
     mean_n = pmf.mean()
     cond = mean_n < 0.5 * math.log((math.e**2 - 1.0) * n_max)
     fh, _ = curves.eta1()
@@ -539,6 +588,7 @@ def build_measure_reports(
     u: float,
     n_des: Optional[int] = None,
     epsilon: Optional[float] = None,
+    walk: Optional[GridWalk] = None,
 ) -> List[Measure]:
     """Every measure of FH, FD and AFH on a common user count law, in the
     order fh, fd, afh and eta1 to eta4 within a scheme; eta3 is left out
@@ -548,7 +598,8 @@ def build_measure_reports(
     v_dagger, v = u/n_max, v), FD its n_des, AFH no parameter. epsilon is
     the hop-count backoff used for FH's service measure when the eta1
     optimum sits at v = u; it defaults to u/1000 and must lie in (0, u/2),
-    as in epsilon_backoff_region.
+    as in epsilon_backoff_region. FH's curves come from walk when one is
+    given.
     """
     if epsilon is None:
         epsilon = 1e-3 * u
@@ -557,7 +608,7 @@ def build_measure_reports(
     fd_cfg = FdConfig(n_des=n_des) if n_des is not None else FdConfig.default_for(pmf, u)
     n_max = pmf.n_max
 
-    curves = FhCurves(pmf, u)
+    curves = FhCurves(pmf, u, walk)
     e1_fh, v_star = curves.eta1()
     e2_fh, v_dag = curves.eta2()
     eta4_v = v_star if v_star < u else u - epsilon

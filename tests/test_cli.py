@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -858,9 +859,9 @@ def test_sweep_refuses_a_lambda_past_the_user_cap(capsys):
     assert "too large to truncate" in json.loads(err)["message"]
 
 
-def test_one_grid_matrix_per_law_and_band(monkeypatch, pmf_finite_file, capsys):
-    # eta1 and eta2 share one grid matrix: one for measures at u, and one
-    # more for compare's two mean-load conditions at u = 1
+@pytest.fixture
+def grid_blocks(monkeypatch):
+    """The row count of every block of the FH power grid built, in order."""
     built = []
     grid_powers = fhshare.measures._grid_powers
 
@@ -869,12 +870,83 @@ def test_one_grid_matrix_per_law_and_band(monkeypatch, pmf_finite_file, capsys):
         return grid_powers(base, k)
 
     monkeypatch.setattr(fhshare.measures, "_grid_powers", counting)
+    return built
+
+
+def test_one_grid_matrix_per_law_and_band(grid_blocks, pmf_finite_file, capsys):
+    # eta1 and eta2 share one grid matrix, and so do compare's law at u = 8
+    # and its mean-load conditions at u = 1: both grids' 1 - v/u are 1 - i/4096
     assert run_cli(["measures", "--pmf", pmf_finite_file, "--u", "8"], capsys)[0] == 0
-    assert built == [GRID_POINTS]
-    built.clear()
+    assert grid_blocks == [GRID_POINTS]
+    grid_blocks.clear()
     code, out, _ = run_cli(["compare", "--pmf", pmf_finite_file, "--u", "8"], capsys)
     assert code == 0 and [r["kind"] for r in parse_csv(out)].count("condition") == 2
-    assert built == [GRID_POINTS, GRID_POINTS]
+    assert grid_blocks == [GRID_POINTS]
+
+
+def test_compare_walks_apart_where_the_grids_differ(grid_blocks, pmf_finite_file, capsys):
+    # at u = 16.1, 1 - v/u differs from 1 - v/1 in some last bits, so the
+    # conditions at u = 1 walk a grid of their own
+    u = 16.1
+    v = np.linspace(0.0, u, GRID_POINTS)
+    assert not np.array_equal(1.0 - v / u, 1.0 - v / u / u)
+    code, out, _ = run_cli(["compare", "--pmf", pmf_finite_file, "--u", str(u)], capsys)
+    assert code == 0 and [r["kind"] for r in parse_csv(out)].count("condition") == 2
+    assert grid_blocks == [GRID_POINTS, GRID_POINTS]
+
+
+def test_sweep_walks_the_grid_once_per_batch(grid_blocks, capsys):
+    # the eight lambdas of one batch share a walk, in blocks sized for the
+    # widest law; a ninth lambda starts another
+    assert fhshare.cli.SWEEP_BATCH == 8
+    code, out, _ = run_cli(["sweep", "--u", "16", "--lambdas", "0.5:4:0.5"], capsys)
+    assert code == 0 and len(parse_csv(out)) == 8
+    assert sum(grid_blocks) == GRID_POINTS
+    grid_blocks.clear()
+    code, out, _ = run_cli(["sweep", "--u", "7", "--lambdas", "2:10:1"], capsys)
+    assert code == 0 and len(parse_csv(out)) == 9
+    assert sum(grid_blocks) == 2 * GRID_POINTS
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_a_repeated_call_walks_the_grid_as_often_as_the_first(
+    grid_blocks, pmf_finite_file, capsys, command
+):
+    # no walk outlives its call: a second identical call in the same
+    # process builds every block again
+    argv = {
+        "compare": ["compare", "--pmf", pmf_finite_file, "--u", "8"],
+        "sweep": ["sweep", "--u", "16", "--lambdas", "0.5:4:0.5"],
+    }[command]
+    outs, walks = [], []
+    for _ in range(2):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        outs.append(out)
+        walks.append(list(grid_blocks))
+        grid_blocks.clear()
+    assert outs[0] == outs[1]
+    assert walks[0] == walks[1] and sum(walks[0]) == GRID_POINTS
+
+
+def test_sweep_peak_memory_does_not_grow_with_the_lambdas(capsys):
+    # sweep holds the curves of one batch of lambdas at a time (8 laws x 2
+    # x 4097 doubles, 512 KiB); three batches of the same lambdas add only
+    # their rows and output text
+    lambdas = ["0.5", "1", "2", "3", "5", "8", "13", "21"]
+    assert len(lambdas) == fhshare.cli.SWEEP_BATCH
+    assert main(["sweep", "--u", "16", "--lambdas", ",".join(lambdas)]) == 0  # warm-up
+    peaks = []
+    for repeat in (1, 3):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--u", "16", "--lambdas", ",".join(lambdas * repeat)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    # a batch kept past its end would add 65 KB per lambda
+    assert peaks[1] - peaks[0] <= 4096 * 2 * len(lambdas), peaks
 
 
 def test_compare_skips_conditions_with_mass_at_zero(tmp_path, capsys):

@@ -25,6 +25,7 @@ from fhshare.measures import (
     MAX_USER_COUNT,
     FdConfig,
     FhCurves,
+    GridWalk,
     UserCountPmf,
     _grid_powers,
     build_measure_reports,
@@ -195,6 +196,21 @@ def test_fh_curves_match_the_full_grid_bit_for_bit(lam, u):
 
 
 @st.composite
+def load_laws(draw, max_lambda=2000.0):
+    """A finite law of up to 40 counts, or a Poisson one up to max_lambda
+    truncated anywhere up to MAX_USER_COUNT."""
+    if draw(st.booleans(), label="finite"):
+        q = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40), label="q"))
+        q[-1] += 0.5
+        return UserCountPmf.finite(q / q.sum())
+    lam = draw(st.floats(0.1, max_lambda), label="lambda")
+    n_top = UserCountPmf.poisson(lam).n_top
+    if draw(st.booleans(), label="truncated further out"):
+        n_top = draw(st.integers(n_top, MAX_USER_COUNT), label="n_top")
+    return UserCountPmf.poisson(lam, n_top)
+
+
+@st.composite
 def blocked_curve_cases(draw):
     """A law (finite, or Poisson truncated anywhere up to MAX_USER_COUNT),
     a band size, a grid and a block size in cells, from below 8 rows to
@@ -203,16 +219,7 @@ def blocked_curve_cases(draw):
     whole matrix fits 16 MB): on other sizes OpenBLAS's split of the
     whole matrix across two threads can leave rows out of its groups of
     4, which moves the reference itself."""
-    if draw(st.booleans(), label="finite"):
-        q = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40), label="q"))
-        q[-1] += 0.5
-        pmf = UserCountPmf.finite(q / q.sum())
-    else:
-        lam = draw(st.floats(0.1, 2000.0), label="lambda")
-        n_top = UserCountPmf.poisson(lam).n_top
-        if draw(st.booleans(), label="truncated further out"):
-            n_top = draw(st.integers(n_top, MAX_USER_COUNT), label="n_top")
-        pmf = UserCountPmf.poisson(lam, n_top)
+    pmf = draw(load_laws())
     u = draw(st.sampled_from([1.0, 3.0, 16.0, 64.0]), label="u")
     most = max(1, min((GRID_POINTS - 1) // 8, (1 << 18) // pmf.n_top))
     j = draw(st.one_of(st.just(most), st.integers(1, most)), label="grid / 8")
@@ -254,6 +261,85 @@ def test_fh_curves_peak_memory_does_not_grow_with_the_law():
     # a few vectors of n_top values and a 512 KiB block with its temporaries
     assert peaks[1] - peaks[0] <= 64 * (4000 - 1000), peaks
     assert peaks[1] <= 32 * _blocks.BLOCK_DOUBLES, peaks
+
+
+def weight_vectors(pmf):
+    """(n q_n, q_n) for n >= 1: the eta1 and the eta2 curve's weights."""
+    q = pmf.weights[1:]
+    return np.arange(1, pmf.weights.size) * q, q
+
+
+@st.composite
+def shared_walk_cases(draw):
+    """Two to four laws of any widths, a band size, a grid of 8j + 1
+    abscissae and a block size in cells, from below 8 rows of the widest
+    law to many. At u = 16.1 the base vectors 1 - v/u and 1 - v/1 differ,
+    so the first law's curves at u = 1 take a walk of their own."""
+    laws = draw(st.lists(load_laws(max_lambda=600.0), min_size=2, max_size=4), label="laws")
+    width = max(pmf.n_top for pmf in laws)
+    u = draw(st.sampled_from([1.0, 3.0, 16.0, 16.1, 64.0]), label="u")
+    most = max(1, min((GRID_POINTS - 1) // 8, (1 << 18) // width))
+    j = draw(st.one_of(st.just(most), st.integers(1, most)), label="grid / 8")
+    cells = draw(st.integers(1, 48 * width), label="block cells")
+    return laws, u, 8 * j + 1, cells
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(shared_walk_cases())
+@example(([UserCountPmf.finite([0.0, 0.9, 0.1]), UserCountPmf.poisson(400.0)],
+          16.1, GRID_POINTS, 1 << 16))
+@example(([UserCountPmf.poisson(5.0), UserCountPmf.finite([0.0, 0.5, 0.25, 0.25])],
+          16.0, GRID_POINTS, 100))
+def test_a_shared_walk_gives_each_law_its_own_grid_product(case):
+    # laws registered on one GridWalk read their curves off one walk of
+    # the widest law's blocks; each law's curves, at u and the first's at
+    # u = 1 too, are still its own whole grid matrix times its weights
+    laws, u, size, cells = case
+    built = []
+
+    def counting(base, k):
+        built.append(k.size)
+        return _grid_powers(base, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
+        mp.setattr(measures, "_grid_powers", counting)
+        walk = GridWalk()
+        curves = [(FhCurves(pmf, u, walk), u) for pmf in laws]
+        curves.append((FhCurves(laws[0], 1.0, walk), 1.0))
+        for fh, band in curves:
+            v = np.linspace(0.0, band, size)
+            full = _grid_powers(1.0 - v / band, np.arange(fh.pmf.n_top))
+            for per_user, w in enumerate(weight_vectors(fh.pmf)):
+                got = fh.curve(bool(per_user))(v)
+                assert bits(got).tolist() == bits(0.5 * v * (full @ w)).tolist()
+    width = max(pmf.n_top for pmf in laws)
+    walks = 1 if np.array_equal(1.0 - np.linspace(0.0, u, size) / u,
+                                1.0 - np.linspace(0.0, 1.0, size)) else 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
+        per_walk = len(_blocks.row_ranges(size, width, multiple=8))
+    assert built == [width] * (walks * per_walk)
+    if size == GRID_POINTS:
+        # the maximizer's grid is 1 - i/4096 at every integer u
+        assert walks == (2 if u == 16.1 else 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(load_laws(), st.sampled_from([1.0, 3.0, 16.0, 16.1, 64.0]),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_one_abscissa_is_the_row_product_bit_for_bit(pmf, u, fractions):
+    # the golden-section steps' value on Python floats is the one-row
+    # matrix product (1 - v/u)[:, None] ** k @ w, as a 1-element array
+    fh = FhCurves(pmf, u)
+    k = np.arange(pmf.n_top)
+    for per_user, w in enumerate(weight_vectors(pmf)):
+        f = fh.curve(bool(per_user))
+        for x in fractions:
+            v = np.array([x * u])
+            got = f(v)
+            assert isinstance(got, np.ndarray) and got.shape == (1,)
+            assert bits(got).tolist() == bits(0.5 * v * ((1.0 - v / u)[:, None] ** k @ w)).tolist()
 
 
 def test_eta1_two_point_edge_optimum():

@@ -489,6 +489,21 @@ def test_entropy_mc_thread_and_stream_determinism():
         entropy_mc(m, 50, seed=1)
 
 
+def test_entropy_mc_threads_agree_at_a_wide_mixture():
+    # At 1350 components of dim 6 (the benchmark's mc_1350 shape), chunks
+    # of 2 rows move a few rows' log-densities in their last bit against
+    # chunks of 48, so the bytes hold only because a partition's chunks
+    # depend on its row count, the width and BLOCK_DOUBLES, never on the
+    # thread count; the second partition here is a short one
+    rng = np.random.default_rng(1350)
+    m = GaussianMixtureDiag(
+        weights=rng.dirichlet(np.ones(1350)),
+        variances=np.exp(rng.uniform(-3.0, 3.0, size=(1350, 6))),
+    )
+    n = mixture.MC_PARTITION + 4001
+    assert entropy_mc(m, n, seed=7, threads=1) == entropy_mc(m, n, seed=7, threads=2)
+
+
 def test_entropy_mc_vector_chain_rule():
     # Same variance in the second coordinate of every component makes the
     # coordinates independent: h(Y1, Y2) = h(Y1) + h(N(0, 3)).
