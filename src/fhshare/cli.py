@@ -454,7 +454,7 @@ def _build_parser() -> _Parser:
     def load_law(p):
         p.add_argument("--pmf", required=True)
         p.add_argument("--u", type=_positive_finite, required=True)
-        p.add_argument("--n-des", type=int, default=None)
+        p.add_argument("--n-des", type=_positive_int, default=None)
         p.add_argument("--epsilon", type=float, default=None)
         common(p)
 

@@ -142,7 +142,10 @@ def maximize_on_interval(
     f must accept a 1-D numpy array and return values elementwise. The
     grid holds GRID_POINTS evenly spaced abscissae including both ends;
     the best bracket is refined until its width is BRACKET_REL_TOL *
-    (hi - lo). Ties resolve toward the smaller argument.
+    (hi - lo), or until a step leaves it no narrower: where that width is
+    below the spacing of doubles at the bracket (hi - lo under about 2e-7
+    |hi|, or subnormal), rounding stops the steps short of it. Ties
+    resolve toward the smaller argument.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -163,7 +166,9 @@ def maximize_on_interval(
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
         fc, fd = f_scalar(c), f_scalar(d)
-        while b - a > tol:
+        width = math.inf
+        while tol < b - a < width:
+            width = b - a
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - _INVPHI * (b - a)
@@ -172,7 +177,10 @@ def maximize_on_interval(
                 a, c, fc = c, d, fd
                 d = a + _INVPHI * (b - a)
                 fd = f_scalar(d)
-        for xx, ff in ((c, fc), (d, fd), ((a + b) / 2.0, f_scalar((a + b) / 2.0))):
+        mid = (a + b) / 2.0
+        if math.isinf(mid):  # a + b overflows near the largest double
+            mid = a + (b - a) / 2.0
+        for xx, ff in ((c, fc), (d, fd), (mid, f_scalar(mid))):
             if ff > best_f or (ff == best_f and xx < best_x):
                 best_x, best_f = float(xx), float(ff)
     return best_x, best_f

@@ -15,9 +15,15 @@ in the band size u and are reported in absolute terms.
 
 FH's eta1 and eta2 maximize curves over a grid of hop counts; both are
 products with one matrix of powers (1 - v/u)^k (FhCurves). A GridWalk
-builds that matrix once per vector 1 - v/u for every law registered on
-it, in row blocks that are never all held at once, and the cells that
-underflow to 0.0 are never computed.
+builds rows of that matrix once per vector 1 - v/u for every law
+registered on it, in row blocks that are never all held at once, and the
+cells that underflow to 0.0 are never computed. For the maximizer it
+builds only the rows that can hold a curve's maximum: a probe of one row
+unit in 16, then the units where a bound on the curve reaches the largest
+probed value. The bound holds because S = sum_k w_k x^k with w_k >= 0 is
+nonincreasing in v and ln S is convex in ln x, x = 1 - v/u; every other
+row reads -inf, certified below the maximum, so the maximizer returns
+the whole grid's result bit for bit (see GridWalk).
 """
 from __future__ import annotations
 
@@ -37,7 +43,9 @@ _POISSON_TAIL = 1e-12
 # Largest user count a law may carry (Poisson lambda up to ~7500). The
 # measure curves walk their (4097 x n_top) grid in row blocks of about
 # 512 KiB, so maximizing both traces a peak of about 1.4 MB at any n_top
-# up to this cap; the cap bounds their time, about 0.3 s at n_top = 8000.
+# up to this cap; the cap bounds their time. At n_top = 8000, maximizing
+# both takes about 0.02 s on a 2-vCPU x86 host, and a curve on every row
+# of the grid (FhCurves.curve) about 0.16 s.
 MAX_USER_COUNT = 1 << 13
 # ln 2^-1075, half the smallest subnormal double: pow rounds every power
 # below it to 0.0, so a row b**k reaches 0.0 near k = _LOG_UNDERFLOW / ln b.
@@ -215,38 +223,187 @@ def _grid_powers(base: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-class GridWalk:
-    """The FH grid curves of the load laws registered on it, each power
-    grid walked once for all of them.
+# The maximizer's objective computes one unit of 8 grid rows in every
+# _PROBE_STRIDE, then the units where a bound on some curve can reach the
+# curve's largest probed value. The bound is raised by _SLACK relative
+# and by _FLOOR absolute, twice, which covers rounding (see GridWalk); no
+# chord is drawn to a sum below _NORMAL, whose rounding is not relative.
+_PROBE_STRIDE = 16
+_SLACK = 1e-9
+_FLOOR = 1e-300
+_NORMAL = np.finfo(float).tiny
+_LARGEST = np.finfo(float).max
 
-    A law's curves on abscissae v are the matrix of powers (1 - v/u)^k,
-    k = 0..n_top - 1, times its two weight vectors, so they depend on u
-    only through the base vector 1 - v/u. The first products() call on a
-    base vector walks it once: _grid_powers builds the matrix of the widest
-    law registered so far in _blocks.row_ranges of 8j rows, and every
-    registered law reads block[:, :n_top] @ w off each block. The curves
-    are kept under the vector's bytes, so a later call on an equal vector
-    walks nothing. On the maximizer's grid, linspace(0, u, 4097), 1 - v/u
-    is exactly 1 - i/4096 for every integer u, so one law's curves at u
-    and at u = 1 share a walk; at other u the two vectors can differ and
-    each gets a walk of its own.
+
+class _Walk:
+    """The grid products of a fixed list of laws on one base vector,
+    computed for every law a few units of rows at a time, each unit at
+    most once; a row not computed holds -inf. Unit i is rows 8i to
+    8i + 8, and the last unit runs on to the end of the grid."""
+
+    def __init__(
+        self,
+        base: np.ndarray,
+        laws: List[UserCountPmf],
+        weights: Dict[UserCountPmf, Tuple[np.ndarray, np.ndarray]],
+    ):
+        self.base = base
+        self.offset = {law: 2 * i for i, law in enumerate(laws)}
+        self.weights = [w for law in laws for w in weights[law]]
+        self.k = np.arange(max(law.n_top for law in laws))
+        self.products = np.full((len(self.weights), base.size), -np.inf)
+        self.left = base.size
+        self.probe = None
+        self.certified: List[np.ndarray] = []
+
+    def fill(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """Compute rows, whole units in order and none computed yet, or
+        with None every row not computed yet, for every law; return their
+        products."""
+        if rows is None and self.left < self.base.size:
+            rows = np.flatnonzero(self.products[0] == -np.inf)
+        base = self.base if rows is None else self.base[rows]
+        out = self.products if rows is None else np.empty((len(self.weights), base.size))
+        for start, stop in row_ranges(base.size, self.k.size, multiple=8):
+            block = _grid_powers(base[start:stop], self.k)
+            for row, w in zip(out, self.weights):
+                row[start:stop] = block[:, : w.size] @ w
+        if rows is not None:
+            self.products[:, rows] = out
+        self.left -= base.size
+        return out
+
+    def exact(self, pmf: UserCountPmf) -> np.ndarray:
+        """The law's products on every row."""
+        if self.left:
+            self.fill()
+        return self.products[self.offset[pmf] : self.offset[pmf] + 2]
+
+    def maximand(self, pmf: UserCountPmf, per_user: int, v: np.ndarray) -> np.ndarray:
+        """(v/2) times the law's products, -inf on rows certified below
+        the maximum at the ascending abscissae v."""
+        if self.left and not any(np.array_equal(v, seen) for seen in self.certified):
+            self.certify(v)
+            self.certified.append(v.copy())
+        return 0.5 * v * self.products[self.offset[pmf] + per_user]
+
+    def certify(self, v: np.ndarray) -> None:
+        """Compute every unit where, at abscissae v, the bound on some
+        curve reaches the curve's largest value on the probe: units 16j
+        and the last on a grid of 128j + 1 rows, every row on others."""
+        n = self.base.size
+        groups, odd = divmod(n - 1, 8 * _PROBE_STRIDE)
+        if odd or not groups:
+            self.fill()
+            return
+        if self.probe is None:
+            self.probe = self.chords(groups)
+        rows, s, chord = self.probe
+        top = (0.5 * v[rows] * s).max(axis=1)
+        # A unit is left out where (v/2) B < target for the bound B on its
+        # S: then (v/2)(B (1 + _SLACK) + _FLOOR) + _FLOOR < top, or < inf
+        # where top overflows. v > 0 past row 7, so a row left out reads
+        # (v/2)(-inf) = -inf, never 0 (-inf) = nan.
+        target = (np.minimum(top, _LARGEST) - _FLOOR * (0.5 * v[-1] + 1.0)) / (1.0 + _SLACK)
+        if not ((target > 0.0).all() and v[7] > 0.0):
+            self.fill()
+            return
+        # Over a unit, v is at most its last row's: ln(v/2) + ln B is
+        # tested against ln target.
+        x = np.log(0.5 * v[7 : n - 1 : 8]).reshape(groups, _PROBE_STRIDE)
+        reach = (x + chord >= np.log(target)[:, None, None]).any(axis=0).ravel()
+        need = np.flatnonzero(reach & (self.products[0, : n - 1 : 8] == -np.inf))
+        if need.size:
+            self.fill((8 * need[:, None] + np.arange(8)).ravel())
+
+    def chords(self, groups: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compute the probe, units 16j and the last; return its rows, its
+        products and, for every curve and unit 16j + i, ln B: the log of
+        the chord of ln S over ln(1 - v/u) at the unit's first row."""
+        n, stride = self.base.size, 8 * _PROBE_STRIDE
+        probed = stride * np.arange(groups)[:, None] + np.arange(8)
+        rows = np.append(probed.ravel(), np.arange(n - 9, n))
+        s = self.fill(rows)
+        # Unit 16j + i lies in gap j: after row a = 128j + 7, the last of
+        # probe unit 16j, and before row b, the first of the next probe
+        # unit; rows 8j + 7 and 8j + 8 of the probe hold S_a and S_b.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.log(self.base[: n - 1 : 8]).reshape(groups, _PROBE_STRIDE)
+            t_a = np.log(self.base[7 : n - 1 : stride])[:, None]
+            t_b = np.append(t[1:, 0], t[-1, -1])[:, None]
+            lam = (t - t_a) / np.minimum(t_b - t_a, -_NORMAL)
+            s_a, s_b = s[:, 7 : 8 * groups : 8, None], s[:, 8 : 8 * groups + 1 : 8, None]
+            log_a = np.log(s_a)
+            log_b = np.where(s_b >= _NORMAL, np.log(s_b), log_a)
+            # nan only where S_a = 0, so that S = 0 over the whole gap,
+            # and lam is not inside (0, 1): such a unit is left out rightly
+            chord = (1.0 - lam) * log_a + lam * log_b
+        return rows, s, chord
+
+
+class GridWalk:
+    """The FH grid curves of the load laws registered on it: each power
+    grid is walked once for all of them, and for the maximizer only where
+    a curve's maximum can lie.
+
+    A law's curves on abscissae v are the matrix of powers x^k, x = 1 -
+    v/u and k = 0..n_top - 1, times its two weight vectors, so they
+    depend on u only through the base vector x. The first call on a base
+    vector starts its walk for every law registered so far; a law
+    registered after that gets a walk of its own. A walk computes units
+    of 8 rows (the last unit runs on to the end of the grid) when they
+    are asked for, each unit once for every law of the walk: _grid_powers
+    builds the widest law's rows, in _blocks.row_ranges of whole units,
+    and each law reads block[:, :n_top] @ w off them. The products are
+    kept until the GridWalk is dropped; products() computes every unit
+    not computed yet. On the maximizer's grid, linspace(0, u, 4097),
+    1 - v/u is exactly 1 - i/4096 for every integer u, so one law's
+    curves at u and at u = 1 share a walk; at other u the two vectors can
+    differ and each gets a walk of its own.
+
+    maximand(), the objective of FhCurves.eta1 and eta2, computes only
+    the units that can hold a maximum. On a grid of 128j + 1 rows (the
+    maximizer's 4097 among them) its first call computes a probe: unit
+    16i, rows 128i to 128i + 8, for every i, and the last unit. With
+    S = sum_k w_k x^k and every w_k >= 0, S is nonincreasing in v and
+    ln S is convex in t = ln x, so between computed rows a < r < b
+
+      S_r <= min(S_a, exp((1 - lam) ln S_a + lam ln S_b)),
+      lam = (t_r - t_a) / (t_b - t_a),
+
+    and over a unit between two probe units, (v/2) S is at most v/2 at
+    the unit's last row times that bound at its first. Each call then
+    computes, once for its abscissae, every unit where this bound reaches
+    the largest probed value of some curve of some law on the walk; every
+    other row reads -inf. The bound on S is raised by 1e-9 relative and
+    1e-300 absolute, and (v/2) S by 1e-300 again. A computed S is within
+    about n_top ulps of the exact sum, far inside the 1e-9; no chord is
+    drawn to an S_b below the smallest normal double, whose rounding is
+    not relative; and where a curve's values stay below about 1e-300 no
+    row is left out. So every -inf row is certified strictly below its
+    curve's maximum, and the maximizer's argmax, its value and so its
+    bracket are those of the whole grid. A later call with other
+    abscissae on the same base vector (another u with the same grid) is
+    certified for its own and computes the units it adds.
+
+    The rows computed at once are whole units in grid order, the last
+    unit last. On the maximizer's grid of 8j + 1 abscissae every row but
+    the last is then in one of gemv's groups of 4, in the whole matrix as
+    in the rows computed (see _blocks), and the last row, v = u, is
+    (1, 0, 0, ...) and exact either way. gemv reads a law's columns
+    through the block's row stride, and a narrower law's columns hold the
+    same powers as its own matrix, so every computed value is the law's
+    whole matrix's, bit for bit.
 
     A GridWalk keeps two curve vectors per law and base vector until it
     is dropped, so whoever builds one bounds the laws it registers: the
     CLI builds one per command, and sweep one per batch of lambdas.
     Nothing is shared between GridWalks.
-
-    On the maximizer's grid of 8j + 1 abscissae every row but the last is
-    in one of gemv's groups of 4, in the whole matrix as in the blocks
-    (see _blocks), and the last row, v = u, is (1, 0, 0, ...) and exact
-    either way. gemv reads a law's columns through the block's row
-    stride, and a narrower law's columns hold the same powers as its own
-    matrix, so every law's curves are its whole matrix's, bit for bit.
     """
 
     def __init__(self):
         self._weights: Dict[UserCountPmf, Tuple[np.ndarray, np.ndarray]] = {}
-        self._curves: Dict[bytes, Dict[UserCountPmf, np.ndarray]] = {}
+        self._walks: List[Tuple[np.ndarray, Dict[UserCountPmf, _Walk]]] = []
 
     def register(self, pmf: UserCountPmf) -> Tuple[np.ndarray, np.ndarray]:
         """The law's weight vectors (n q_n, q_n) for n >= 1; from the next
@@ -256,27 +413,32 @@ class GridWalk:
             self._weights[pmf] = (np.arange(1, pmf.weights.size) * q, q)
         return self._weights[pmf]
 
+    def _walk(self, pmf: UserCountPmf, base: np.ndarray) -> _Walk:
+        """The walk of base that holds a registered law: the one started
+        for every law registered and not yet walked on base."""
+        for vector, by_law in self._walks:
+            if np.array_equal(vector, base):
+                break
+        else:
+            by_law = {}
+            self._walks.append((base, by_law))
+        if pmf not in by_law:
+            laws = [law for law in self._weights if law not in by_law]
+            by_law.update(dict.fromkeys(laws, _Walk(base, laws, self._weights)))
+        return by_law[pmf]
+
     def products(self, pmf: UserCountPmf, base: np.ndarray) -> np.ndarray:
         """(powers @ w for both of a registered law's weight vectors), a
         (2, base.size) array; the powers are base[:, None] ** k."""
-        walked = self._curves.setdefault(base.tobytes(), {})
-        if pmf not in walked:
-            walked.update(self._walk(base, [law for law in self._weights if law not in walked]))
-        return walked[pmf]
+        return self._walk(pmf, base).exact(pmf)
 
-    def _walk(
-        self, base: np.ndarray, laws: List[UserCountPmf]
-    ) -> Dict[UserCountPmf, np.ndarray]:
-        """The products of laws on base, from one pass over its grid."""
-        k = np.arange(max(law.n_top for law in laws))
-        out = {law: np.empty((2, base.size)) for law in laws}
-        for start, stop in row_ranges(base.size, k.size, multiple=8):
-            block = _grid_powers(base[start:stop], k)
-            for law in laws:
-                columns = block[:, : law.n_top]
-                for out_row, w in zip(out[law], self._weights[law]):
-                    out_row[start:stop] = columns @ w
-        return out
+    def maximand(
+        self, pmf: UserCountPmf, per_user: bool, v: np.ndarray, base: np.ndarray
+    ) -> np.ndarray:
+        """(v/2) products(pmf, base)[per_user] on every row computed, -inf
+        on the rest, each of which is certified below the maximum at the
+        ascending abscissae v: base = 1 - v/u (see the class docstring)."""
+        return self._walk(pmf, base).maximand(pmf, int(per_user), v)
 
 
 class FhCurves:
@@ -288,9 +450,12 @@ class FhCurves:
             eta2 objective for v < u.
 
     A call on more than one abscissa reads both curves' products from a
-    GridWalk, so maximizing both over [0, u] walks the grid once and never
-    holds it whole; laws built on one shared GridWalk share its walks. A
-    call on one abscissa x computes its row directly, on Python floats.
+    GridWalk; laws built on one shared GridWalk share its walks. curve()
+    reads every row. eta1 and eta2 maximize a private objective that
+    reads only the rows that can hold the maximum and -inf on the rest
+    (GridWalk.maximand), which gives the same argmax and value bit for
+    bit. A call on one abscissa x computes its row directly, on Python
+    floats.
     """
 
     def __init__(self, pmf: UserCountPmf, u: float, walk: Optional[GridWalk] = None):
@@ -302,6 +467,11 @@ class FhCurves:
 
     def curve(self, per_user: bool) -> Callable[[np.ndarray], np.ndarray]:
         """The eta2 objective with per_user, else the eta1 one."""
+        return self._curve(per_user, bounded=False)
+
+    def _curve(self, per_user: bool, bounded: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """curve(per_user), or with bounded the maximizer's objective,
+        which on a grid reads -inf where GridWalk.maximand leaves a row."""
         w = self._weights[per_user]
         u, k = self.u, self._k
 
@@ -310,13 +480,15 @@ class FhCurves:
             if v.size == 1:
                 x = float(v[0])
                 return np.array([0.5 * x * float(np.power(1.0 - x / u, k) @ w)])
+            if bounded:
+                return self._walk.maximand(self.pmf, per_user, v, 1.0 - v / u)
             return 0.5 * v * self._walk.products(self.pmf, 1.0 - v / u)[int(per_user)]
 
         return f
 
     def eta1(self) -> Tuple[float, float]:
         """Best expected SMG and its hop count: (value, v_star)."""
-        v_star, value = maximize_on_interval(self.curve(False), 0.0, self.u)
+        v_star, value = maximize_on_interval(self._curve(False, bounded=True), 0.0, self.u)
         return value, v_star
 
     def eta2(self) -> Tuple[float, float]:
@@ -328,7 +500,7 @@ class FhCurves:
         there) and compared against the interior optimum.
         """
         u = self.u
-        v_dag, value = maximize_on_interval(self.curve(True), 0.0, u)
+        v_dag, value = maximize_on_interval(self._curve(True, bounded=True), 0.0, u)
         boundary = 0.5 * u * self.pmf.weights[1]
         if boundary > value:
             return boundary, u

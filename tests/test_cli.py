@@ -1,4 +1,5 @@
 """Command line interface: output correctness, determinism, error paths."""
+import collections
 import contextlib
 import csv
 import io
@@ -702,6 +703,33 @@ def test_counts_below_one_name_the_rule(scen_fixed_file, capsys, flag):
         assert msg["error"] == "usage" and f"{flag}: {text}" in msg["message"]
 
 
+@pytest.mark.parametrize("sub", ["measures", "compare"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_n_des_below_one_is_a_usage_error(pmf_finite_file, capsys, sub, value):
+    # like every other count flag, --n-des below its minimum is named in
+    # a usage error, not refused later by FdConfig
+    argv = [sub, "--pmf", pmf_finite_file, "--u", "8", "--n-des", value]
+    code, out, err = run_cli(argv, capsys)
+    assert_usage_error(code, out, err, "--n-des")
+    assert f"--n-des: must be at least 1, got {value}" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["measures", "compare"])
+def test_a_subnormal_band_returns(pmf_finite_file, command):
+    # at --u 1e-320 the maximizer's bracket lies among subnormals, where
+    # the golden-section steps stop narrowing it; the command used to run
+    # for ever. In a child process, such a loop fails by the timeout.
+    src = os.path.dirname(os.path.dirname(fhshare.__file__))
+    argv = [sys.executable, "-m", "fhshare.cli", command, "--pmf", pmf_finite_file,
+            "--u", "1e-320"]
+    t0 = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert time.perf_counter() - t0 < 10.0
+    assert done.returncode == 0 and done.stderr == ""
+    assert len(parse_csv(done.stdout)) > 1
+
+
 @pytest.mark.parametrize("sub", ["levels", "measures", "sweep", "compare"])
 def test_threads_only_on_sampling_subcommands(scen_file, pmf_finite_file, capsys, sub):
     args = {
@@ -861,51 +889,79 @@ def test_sweep_refuses_a_lambda_past_the_user_cap(capsys):
 
 @pytest.fixture
 def grid_blocks(monkeypatch):
-    """The row count of every block of the FH power grid built, in order."""
+    """The base values of every block of FH power grid rows built, in
+    order."""
     built = []
     grid_powers = fhshare.measures._grid_powers
 
     def counting(base, k):
-        built.append(base.size)
+        built.append(base.copy())
         return grid_powers(base, k)
 
     monkeypatch.setattr(fhshare.measures, "_grid_powers", counting)
     return built
 
 
+def unit_grid(u):
+    """The base vector 1 - v/u of the maximizer's grid at band size u."""
+    return 1.0 - np.linspace(0.0, u, GRID_POINTS) / u
+
+
+def rows_built(blocks, *grids):
+    """The number of grid rows the blocks computed, after checking that
+    no row was computed twice in one walk: each base value turns up at
+    most as often as in the grids, one per walk."""
+    built = collections.Counter(np.concatenate(blocks).tolist())
+    assert built <= sum((collections.Counter(g.tolist()) for g in grids), collections.Counter())
+    return sum(built.values())
+
+
 def test_one_grid_matrix_per_law_and_band(grid_blocks, pmf_finite_file, capsys):
-    # eta1 and eta2 share one grid matrix, and so do compare's law at u = 8
-    # and its mean-load conditions at u = 1: both grids' 1 - v/u are 1 - i/4096
+    # eta1 and eta2 share one walk, and so do compare's law at u = 8 and
+    # its mean-load conditions at u = 1: both grids' 1 - v/u are 1 - i/4096
     assert run_cli(["measures", "--pmf", pmf_finite_file, "--u", "8"], capsys)[0] == 0
-    assert grid_blocks == [GRID_POINTS]
+    assert 0 < rows_built(grid_blocks, unit_grid(8.0)) < GRID_POINTS
     grid_blocks.clear()
     code, out, _ = run_cli(["compare", "--pmf", pmf_finite_file, "--u", "8"], capsys)
     assert code == 0 and [r["kind"] for r in parse_csv(out)].count("condition") == 2
-    assert grid_blocks == [GRID_POINTS]
+    assert np.array_equal(unit_grid(8.0), unit_grid(1.0))
+    assert 0 < rows_built(grid_blocks, unit_grid(8.0)) < GRID_POINTS
 
 
 def test_compare_walks_apart_where_the_grids_differ(grid_blocks, pmf_finite_file, capsys):
     # at u = 16.1, 1 - v/u differs from 1 - v/1 in some last bits, so the
-    # conditions at u = 1 walk a grid of their own
+    # conditions at u = 1 walk a grid of their own: row 0, 1 - 0/u = 1,
+    # is computed once in each walk
     u = 16.1
-    v = np.linspace(0.0, u, GRID_POINTS)
-    assert not np.array_equal(1.0 - v / u, 1.0 - v / u / u)
+    assert not np.array_equal(unit_grid(u), unit_grid(1.0))
     code, out, _ = run_cli(["compare", "--pmf", pmf_finite_file, "--u", str(u)], capsys)
     assert code == 0 and [r["kind"] for r in parse_csv(out)].count("condition") == 2
-    assert grid_blocks == [GRID_POINTS, GRID_POINTS]
+    rows_built(grid_blocks, unit_grid(u), unit_grid(1.0))
+    assert np.concatenate(grid_blocks).tolist().count(1.0) == 2
 
 
 def test_sweep_walks_the_grid_once_per_batch(grid_blocks, capsys):
-    # the eight lambdas of one batch share a walk, in blocks sized for the
-    # widest law; a ninth lambda starts another
+    # the eight lambdas of one batch share a walk, in blocks of the
+    # widest law's powers; a ninth lambda starts another, which computes
+    # row 0 again
     assert fhshare.cli.SWEEP_BATCH == 8
     code, out, _ = run_cli(["sweep", "--u", "16", "--lambdas", "0.5:4:0.5"], capsys)
     assert code == 0 and len(parse_csv(out)) == 8
-    assert sum(grid_blocks) == GRID_POINTS
+    rows_built(grid_blocks, unit_grid(16.0))
     grid_blocks.clear()
     code, out, _ = run_cli(["sweep", "--u", "7", "--lambdas", "2:10:1"], capsys)
     assert code == 0 and len(parse_csv(out)) == 9
-    assert sum(grid_blocks) == 2 * GRID_POINTS
+    rows_built(grid_blocks, unit_grid(7.0), unit_grid(7.0))
+    assert np.concatenate(grid_blocks).tolist().count(1.0) == 2
+
+
+def test_sweep_400_computes_a_fifth_of_its_grid_at_most(grid_blocks, capsys):
+    # the walk computes only the units whose bound reaches a curve's
+    # largest probed value; for Poisson(400) that is its probe and the
+    # few units around the maximum
+    code, out, _ = run_cli(["sweep", "--u", "16", "--lambdas", "400"], capsys)
+    assert code == 0 and len(parse_csv(out)) == 1
+    assert rows_built(grid_blocks, unit_grid(16.0)) <= 0.2 * GRID_POINTS
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep"])
@@ -913,7 +969,7 @@ def test_a_repeated_call_walks_the_grid_as_often_as_the_first(
     grid_blocks, pmf_finite_file, capsys, command
 ):
     # no walk outlives its call: a second identical call in the same
-    # process builds every block again
+    # process computes every row again
     argv = {
         "compare": ["compare", "--pmf", pmf_finite_file, "--u", "8"],
         "sweep": ["sweep", "--u", "16", "--lambdas", "0.5:4:0.5"],
@@ -923,10 +979,10 @@ def test_a_repeated_call_walks_the_grid_as_often_as_the_first(
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         outs.append(out)
-        walks.append(list(grid_blocks))
+        walks.append([block.size for block in grid_blocks])
         grid_blocks.clear()
     assert outs[0] == outs[1]
-    assert walks[0] == walks[1] and sum(walks[0]) == GRID_POINTS
+    assert walks[0] == walks[1] and 0 < sum(walks[0]) <= GRID_POINTS
 
 
 def test_sweep_peak_memory_does_not_grow_with_the_lambdas(capsys):

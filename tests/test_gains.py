@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhshare.gains import (
+    GRID_POINTS,
     _leave_one_out_products,
     integer_hop_mixture,
     maximize_on_interval,
@@ -267,3 +268,23 @@ def test_maximizer_flat_function():
     x, fx = maximize_on_interval(lambda t: np.full_like(t, 2.5), -1.0, 1.0)
     assert fx == 2.5
     assert x == -1.0
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0 + 1e-8), (1e20, 1e20 + 1e5), (0.0, 1e-320)])
+def test_maximizer_returns_where_rounding_stops_the_bracket(lo, hi):
+    # BRACKET_REL_TOL * (hi - lo) is below the spacing of doubles at the
+    # bracket, so the golden-section steps stop narrowing it first; these
+    # calls used to loop for ever. The objective refuses a thousandth
+    # call, so a loop that does not end fails instead of hanging.
+    mid = lo + (hi - lo) / 2
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        if len(calls) >= 1000:
+            raise RuntimeError("the golden-section loop does not end")
+        return -np.abs(t - mid)
+
+    x, fx = maximize_on_interval(f, lo, hi)
+    assert lo <= x <= hi and fx == -abs(x - mid)
+    assert fx >= f(np.linspace(lo, hi, GRID_POINTS)).max()

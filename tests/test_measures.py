@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from fhshare import _blocks, measures
-from fhshare.gains import GRID_POINTS, two_generator_profile
+from fhshare.gains import GRID_POINTS, maximize_on_interval, two_generator_profile
 from fhshare.measures import (
     _LOG_UNDERFLOW,
     MAX_USER_COUNT,
@@ -323,6 +323,85 @@ def test_a_shared_walk_gives_each_law_its_own_grid_product(case):
     if size == GRID_POINTS:
         # the maximizer's grid is 1 - i/4096 at every integer u
         assert walks == (2 if u == 16.1 else 1)
+
+
+@st.composite
+def maximized_laws(draw):
+    """A finite law of n_max 1 to 40, with or without mass at N = 0, all
+    its mass at N = 1 or all at N = 0, or a Poisson law up to 400."""
+    kind = draw(st.sampled_from(["finite", "poisson", "at one", "at zero"]), label="kind")
+    if kind == "at one":
+        return UserCountPmf.finite((0.0, 1.0))
+    if kind == "at zero":
+        return UserCountPmf.finite((1.0, 0.0))
+    if kind == "poisson":
+        return UserCountPmf.poisson(draw(st.floats(0.1, 400.0), label="lambda"))
+    q = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=41), label="q"))
+    q[-1] += 0.5
+    if not draw(st.booleans(), label="mass at zero"):
+        q[0] = 0.0
+    return UserCountPmf.finite(q / q.sum())
+
+
+BANDS = [1.0, 7.0, 16.0, 16.1, 1e-320, 1e308]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(maximized_laws(), min_size=1, max_size=3), st.sampled_from(BANDS),
+       st.integers(1, 1 << 17))
+@example([UserCountPmf.poisson(400.0)], 16.0, 1 << 16)
+@example([UserCountPmf.finite([0.0, 0.5, 0.5]), UserCountPmf.poisson(20.0)], 1e-320, 1 << 16)
+@example([UserCountPmf.poisson(20.0), UserCountPmf.finite([0.2, 0.3, 0.5])], 1e308, 100)
+@example([UserCountPmf.finite([0.0, 5e-324, 1.0 - 5e-324])], 1e308, 1 << 16)
+def test_the_maximizer_objective_is_exact_or_certified_below_the_maximum(laws, u, cells):
+    # eta1 and eta2 maximize an objective that reads -inf on the rows the
+    # walk leaves out. Every row it computes is the whole grid product,
+    # bit for bit; every row it leaves is strictly below the curve's
+    # maximum; so the maximizer returns the exact curve's (x, f) bits.
+    # The laws share one walk with the first one at u = 1, which shares
+    # its base vector at integer u and certifies its own abscissae.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
+        walk = GridWalk()
+        curves = [FhCurves(pmf, u, walk) for pmf in laws] + [FhCurves(laws[0], 1.0, walk)]
+        found = []
+        for fh in curves:
+            v = np.linspace(0.0, fh.u, GRID_POINTS)
+            full = _grid_powers(1.0 - v / fh.u, np.arange(fh.pmf.n_top))
+            for per_user, w in enumerate(weight_vectors(fh.pmf)):
+                objective = fh._curve(bool(per_user), bounded=True)
+                got, exact = objective(v), 0.5 * v * (full @ w)
+                kept = got != -np.inf
+                assert bits(got[kept]).tolist() == bits(exact[kept]).tolist()
+                assert (exact[~kept] < exact.max()).all()
+                found.append(maximize_on_interval(objective, 0.0, fh.u))
+    expected = [maximize_on_interval(FhCurves(fh.pmf, fh.u).curve(per_user), 0.0, fh.u)
+                for fh in curves for per_user in (False, True)]
+    assert bits(np.array(found)).tolist() == bits(np.array(expected)).tolist()
+
+
+def test_fh_curves_return_at_a_subnormal_band(monkeypatch):
+    # At u = 1e-320 the maximizer's bracket lies among subnormals, where
+    # the golden-section steps stop narrowing it; eta1 and eta2 used to
+    # loop for ever there. An objective that refuses a thousandth call
+    # turns such a loop into a failure.
+    def guarded(f, lo, hi):
+        calls = []
+
+        def once(v):
+            calls.append(1)
+            if len(calls) >= 1000:
+                raise RuntimeError("the golden-section loop does not end")
+            return f(v)
+
+        return maximize_on_interval(once, lo, hi)
+
+    monkeypatch.setattr(measures, "maximize_on_interval", guarded)
+    u = 1e-320
+    for pmf in (UserCountPmf.finite((0.0, 0.5, 0.5)), UserCountPmf.poisson(20.0)):
+        fh = FhCurves(pmf, u)
+        for value, v in (fh.eta1(), fh.eta2()):
+            assert 0.0 <= v <= u and 0.0 <= value <= u
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -676,20 +755,23 @@ def test_sufficient_conditions():
 
 
 def test_sufficient_conditions_share_unit_curves(monkeypatch):
-    # both conditions compare on one FhCurves grid at u = 1, and each
-    # check is the condition's formula beside the direct comparison
+    # both conditions compare on one FhCurves walk at u = 1, which
+    # computes no grid row twice, and each check is the condition's
+    # formula beside the direct comparison
     built = []
     grid_powers = measures._grid_powers
 
     def counting(base, k):
-        built.append(base.size)
+        built.append(base.copy())
         return grid_powers(base, k)
 
     monkeypatch.setattr(measures, "_grid_powers", counting)
     q1 = 0.7
     light = two_point(q1)
     checks = mean_load_conditions(light)
-    assert built == [GRID_POINTS]
+    rows = np.concatenate(built).tolist()
+    assert 0 < len(rows) == len(set(rows)) < GRID_POINTS
+    assert set(rows) <= set((1.0 - np.linspace(0.0, 1.0, GRID_POINTS)).tolist())
     mean_n = 2.0 - q1
     fd = FdConfig(n_des=2)
     assert checks["eta1"].condition_holds == (mean_n < 0.5 * math.log(2.0 * (math.e**2 - 1.0)))
@@ -701,21 +783,22 @@ def test_sufficient_conditions_share_unit_curves(monkeypatch):
 
 def test_a_wide_law_builds_each_grid_row_once(monkeypatch):
     # the sweep_400 law is too wide for one block: both curves come from
-    # one pass over the grid, in blocks of the same multiple of 8 rows
+    # one walk, in blocks of whole 8-row units (the last unit has 9), and
+    # no grid row is computed twice
     built = []
     grid_powers = measures._grid_powers
 
     def counting(base, k):
-        built.append(base.size)
+        built.append(base.copy())
         return grid_powers(base, k)
 
     monkeypatch.setattr(measures, "_grid_powers", counting)
     curves = FhCurves(UserCountPmf.poisson(400.0), 16.0)
     curves.eta1()
     curves.eta2()
-    assert sum(built) == GRID_POINTS
-    assert len(built) > 1 and built[0] % 8 == 0
-    assert built[:-1] == [built[0]] * (len(built) - 1)
+    assert len(built) > 1 and all(block.size % 8 in (0, 1) for block in built)
+    rows = np.concatenate(built).tolist()
+    assert len(rows) == len(set(rows)) < GRID_POINTS
 
 
 def test_sufficient_conditions_reject_mass_at_zero():
