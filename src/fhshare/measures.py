@@ -18,12 +18,13 @@ products with one matrix of powers (1 - v/u)^k (FhCurves). A GridWalk
 builds rows of that matrix once per vector 1 - v/u for every law
 registered on it, in row blocks that are never all held at once, and the
 cells that underflow to 0.0 are never computed. For the maximizer it
-builds only the rows that can hold a curve's maximum: a probe of one row
-unit in 16, then the units where a bound on the curve reaches the largest
-probed value. The bound holds because S = sum_k w_k x^k with w_k >= 0 is
-nonincreasing in v and ln S is convex in ln x, x = 1 - v/u; every other
-row reads -inf, certified below the maximum, so the maximizer returns
-the whole grid's result bit for bit (see GridWalk).
+builds, on grids wide enough to repay it, only the rows that can hold a
+curve's maximum: a probe of one 8-row unit in every 16, then the rows
+where a bound on the curve reaches the largest probed value. The bound
+holds because S = sum_k w_k x^k with w_k >= 0 is nonincreasing in v and
+ln S is convex in ln x, x = 1 - v/u; every other row reads -inf,
+certified below the maximum, so the maximizer returns the whole grid's
+result bit for bit (see GridWalk).
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ _POISSON_TAIL = 1e-12
 # 512 KiB, so maximizing both traces a peak of about 1.4 MB at any n_top
 # up to this cap; the cap bounds their time. At n_top = 8000, maximizing
 # both takes about 0.02 s on a 2-vCPU x86 host, and a curve on every row
-# of the grid (FhCurves.curve) about 0.16 s.
+# of the grid (FhCurves.curve) about 0.2 s.
 MAX_USER_COUNT = 1 << 13
 # ln 2^-1075, half the smallest subnormal double: pow rounds every power
 # below it to 0.0, so a row b**k reaches 0.0 near k = _LOG_UNDERFLOW / ln b.
@@ -223,12 +224,16 @@ def _grid_powers(base: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-# The maximizer's objective computes one unit of 8 grid rows in every
-# _PROBE_STRIDE, then the units where a bound on some curve can reach the
-# curve's largest probed value. The bound is raised by _SLACK relative
-# and by _FLOOR absolute, twice, which covers rounding (see GridWalk); no
-# chord is drawn to a sum below _NORMAL, whose rounding is not relative.
-_PROBE_STRIDE = 16
+# The maximizer's objective computes the first unit of 8 grid rows in
+# every _PROBE_EVERY rows, the last whole unit and the last row, then the
+# units where a bound on some curve can reach the curve's largest probed
+# value. The bound is raised by _SLACK relative and by _FLOOR absolute,
+# twice, which covers rounding (see GridWalk); no chord is drawn to a sum
+# below _NORMAL, whose rounding is not relative. A walk narrower than
+# _PRUNE_FROM powers is computed whole: its grid costs less than the
+# bookkeeping that would leave rows out.
+_PROBE_EVERY = 128
+_PRUNE_FROM = 8
 _SLACK = 1e-9
 _FLOOR = 1e-300
 _NORMAL = np.finfo(float).tiny
@@ -252,93 +257,113 @@ class _Walk:
         self.weights = [w for law in laws for w in weights[law]]
         self.k = np.arange(max(law.n_top for law in laws))
         self.products = np.full((len(self.weights), base.size), -np.inf)
-        self.left = base.size
-        self.probe = None
+        self.complete = False
+        self.chords: Optional[Tuple[np.ndarray, ...]] = None
         self.certified: List[np.ndarray] = []
 
-    def fill(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Compute rows, whole units in order and none computed yet, or
-        with None every row not computed yet, for every law; return their
-        products."""
-        if rows is None and self.left < self.base.size:
-            rows = np.flatnonzero(self.products[0] == -np.inf)
-        base = self.base if rows is None else self.base[rows]
-        out = self.products if rows is None else np.empty((len(self.weights), base.size))
+    def fill(self, base: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Every law's products on the grid rows with these bases, whole
+        units in grid order; into out when given."""
+        if out is None:
+            out = np.empty((len(self.weights), base.size))
         for start, stop in row_ranges(base.size, self.k.size, multiple=8):
             block = _grid_powers(base[start:stop], self.k)
             for row, w in zip(out, self.weights):
                 row[start:stop] = block[:, : w.size] @ w
-        if rows is not None:
-            self.products[:, rows] = out
-        self.left -= base.size
         return out
+
+    def fill_units(self, units: np.ndarray) -> None:
+        """Compute units i, ascending, none of them the last."""
+        rows = (8 * units[:, None] + np.arange(8)).ravel()
+        self.products[:, rows] = self.fill(self.base[rows])
+
+    def finish(self) -> None:
+        """Compute every row not computed yet."""
+        if self.chords is None:
+            self.fill(self.base, self.products)
+        else:
+            self.fill_units(np.flatnonzero(self.products[0, :-9:8] == -np.inf))
+        self.complete = True
 
     def exact(self, pmf: UserCountPmf) -> np.ndarray:
         """The law's products on every row."""
-        if self.left:
-            self.fill()
+        if not self.complete:
+            self.finish()
         return self.products[self.offset[pmf] : self.offset[pmf] + 2]
 
     def maximand(self, pmf: UserCountPmf, per_user: int, v: np.ndarray) -> np.ndarray:
         """(v/2) times the law's products, -inf on rows certified below
         the maximum at the ascending abscissae v."""
-        if self.left and not any(np.array_equal(v, seen) for seen in self.certified):
+        if not (self.complete or any(np.array_equal(v, seen) for seen in self.certified)):
             self.certify(v)
             self.certified.append(v.copy())
         return 0.5 * v * self.products[self.offset[pmf] + per_user]
 
     def certify(self, v: np.ndarray) -> None:
         """Compute every unit where, at abscissae v, the bound on some
-        curve reaches the curve's largest value on the probe: units 16j
-        and the last on a grid of 128j + 1 rows, every row on others."""
-        n = self.base.size
-        groups, odd = divmod(n - 1, 8 * _PROBE_STRIDE)
-        if odd or not groups:
-            self.fill()
+        curve reaches the curve's largest value on the probe (see
+        GridWalk). A grid not of 128j + 1 rows, or narrower than
+        _PRUNE_FROM powers, is computed whole."""
+        gaps, odd = divmod(self.base.size - 1, _PROBE_EVERY)
+        # v > 0 past row 7, so a row left out reads (v/2)(-inf) = -inf,
+        # never 0 (-inf) = nan
+        if odd or not gaps or self.k.size < _PRUNE_FROM or not v[8] > 0.0:
+            self.finish()
             return
-        if self.probe is None:
-            self.probe = self.chords(groups)
-        rows, s, chord = self.probe
-        top = (0.5 * v[rows] * s).max(axis=1)
-        # A unit is left out where (v/2) B < target for the bound B on its
-        # S: then (v/2)(B (1 + _SLACK) + _FLOOR) + _FLOOR < top, or < inf
-        # where top overflows. v > 0 past row 7, so a row left out reads
-        # (v/2)(-inf) = -inf, never 0 (-inf) = nan.
-        target = (np.minimum(top, _LARGEST) - _FLOOR * (0.5 * v[-1] + 1.0)) / (1.0 + _SLACK)
-        if not ((target > 0.0).all() and v[7] > 0.0):
-            self.fill()
-            return
-        # Over a unit, v is at most its last row's: ln(v/2) + ln B is
-        # tested against ln target.
-        x = np.log(0.5 * v[7 : n - 1 : 8]).reshape(groups, _PROBE_STRIDE)
-        reach = (x + chord >= np.log(target)[:, None, None]).any(axis=0).ravel()
-        need = np.flatnonzero(reach & (self.products[0, : n - 1 : 8] == -np.inf))
-        if need.size:
-            self.fill((8 * need[:, None] + np.arange(8)).ravel())
+        if self.chords is None:
+            self.chords = self.probe(gaps)
+        s, s_a, step, t_a, t_b = self.chords
+        # (v/2) S overflows to inf near u = 1e308, which keeps its rows;
+        # nan, where S_a = 0 or t = -inf, keeps a row too
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            half = 0.5 * _probe(v, gaps)
+            # A row is left out where (v/2) B < target for the bound B on
+            # its S: then (v/2)(B (1 + _SLACK) + _FLOOR) + _FLOOR < top,
+            # or < inf where top overflows.
+            top = np.minimum((half * s).max(axis=1), _LARGEST)
+            target = ((top - _FLOOR * (half[-1] + 1.0)) / (1.0 + _SLACK))[:, None]
+            # Over gap j, v <= v_b and S <= S_a: a gap where (v_b/2) S_a
+            # < target for every curve is left out whole.
+            fails = ~(half[8 : 8 * gaps + 1 : 8] * s_a < target)
+            hit = np.flatnonzero(fails.any(axis=0))
+            if not hit.size:
+                return
+            # In a gap that fails, each row is tested for every curve, in
+            # logs: ln(v/2) + ln S_a + lam (ln S_b - ln S_a) < ln target.
+            t = np.log(self.base[:-1].reshape(gaps, _PROBE_EVERY)[hit, 8:])
+            lam = (t - t_a[hit]) / np.minimum(t_b[hit] - t_a[hit], -_NORMAL)
+            ln_half = np.log(0.5 * v[:-1].reshape(gaps, _PROBE_EVERY)[hit, 8:])
+            room = np.log(target) - np.log(s_a[:, hit])
+            keep = ~(lam * step[:, hit, None] + ln_half < room[:, :, None])
+        units = _PROBE_EVERY // 8 * hit[:, None] + np.arange(1, _PROBE_EVERY // 8)
+        units = units[keep.reshape(len(s), hit.size, -1, 8).any(axis=(0, 3))]
+        units = units[self.products[0, 8 * units] == -np.inf]
+        if units.size:
+            self.fill_units(units)
 
-    def chords(self, groups: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compute the probe, units 16j and the last; return its rows, its
-        products and, for every curve and unit 16j + i, ln B: the log of
-        the chord of ln S over ln(1 - v/u) at the unit's first row."""
-        n, stride = self.base.size, 8 * _PROBE_STRIDE
-        probed = stride * np.arange(groups)[:, None] + np.arange(8)
-        rows = np.append(probed.ravel(), np.arange(n - 9, n))
-        s = self.fill(rows)
-        # Unit 16j + i lies in gap j: after row a = 128j + 7, the last of
-        # probe unit 16j, and before row b, the first of the next probe
-        # unit; rows 8j + 7 and 8j + 8 of the probe hold S_a and S_b.
+    def probe(self, gaps: int) -> Tuple[np.ndarray, ...]:
+        """Compute the probe, the first unit of every gap and the last
+        nine rows; return its products s and, for gap j between row a =
+        128j + 7 and row b, the first of the next probe unit: S_a,
+        ln S_b - ln S_a (0 where S_b < _NORMAL), t_a and t_b, t = ln(1 -
+        v/u)."""
+        c = len(self.weights)
+        base = _probe(self.base, gaps)
+        s = self.fill(base)
+        units = self.products[:, :-1].reshape(c, gaps, _PROBE_EVERY)[:, :, :8]
+        units[...] = s[:, :-9].reshape(c, gaps, 8)
+        self.products[:, -9:] = s[:, -9:]
+        a, b = np.s_[7 : 8 * gaps : 8], np.s_[8 : 8 * gaps + 1 : 8]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.log(self.base[: n - 1 : 8]).reshape(groups, _PROBE_STRIDE)
-            t_a = np.log(self.base[7 : n - 1 : stride])[:, None]
-            t_b = np.append(t[1:, 0], t[-1, -1])[:, None]
-            lam = (t - t_a) / np.minimum(t_b - t_a, -_NORMAL)
-            s_a, s_b = s[:, 7 : 8 * groups : 8, None], s[:, 8 : 8 * groups + 1 : 8, None]
-            log_a = np.log(s_a)
-            log_b = np.where(s_b >= _NORMAL, np.log(s_b), log_a)
-            # nan only where S_a = 0, so that S = 0 over the whole gap,
-            # and lam is not inside (0, 1): such a unit is left out rightly
-            chord = (1.0 - lam) * log_a + lam * log_b
-        return rows, s, chord
+            step = np.where(s[:, b] >= _NORMAL, np.log(s[:, b]) - np.log(s[:, a]), 0.0)
+            t = np.log(base)
+        return s, s[:, a], step, t[a, None], t[b, None]
+
+
+def _probe(x: np.ndarray, gaps: int) -> np.ndarray:
+    """x at the probe's rows: 128j to 128j + 8 for every j, and the last
+    nine."""
+    return np.concatenate((x[:-1].reshape(gaps, _PROBE_EVERY)[:, :8].ravel(), x[-9:]))
 
 
 class GridWalk:
@@ -362,19 +387,23 @@ class GridWalk:
     differ and each gets a walk of its own.
 
     maximand(), the objective of FhCurves.eta1 and eta2, computes only
-    the units that can hold a maximum. On a grid of 128j + 1 rows (the
-    maximizer's 4097 among them) its first call computes a probe: unit
-    16i, rows 128i to 128i + 8, for every i, and the last unit. With
-    S = sum_k w_k x^k and every w_k >= 0, S is nonincreasing in v and
-    ln S is convex in t = ln x, so between computed rows a < r < b
+    the units that can hold a maximum, on a grid of 128j + 1 rows (the
+    maximizer's 4097 among them) whose widest law has _PRUNE_FROM powers
+    or more; a narrower grid costs less than the bookkeeping of leaving
+    rows out, and is computed whole. The first call computes a probe:
+    unit 16j, rows 128j to 128j + 8, for every j, and the last unit. Gap
+    j is the rows between a = 128j + 7 and b, the first row of the next
+    probe unit. With S = sum_k w_k x^k and every w_k >= 0, S is
+    nonincreasing in v and ln S is convex in t = ln x, so for a < r < b
 
       S_r <= min(S_a, exp((1 - lam) ln S_a + lam ln S_b)),
-      lam = (t_r - t_a) / (t_b - t_a),
+      lam = (t_r - t_a) / (t_b - t_a).
 
-    and over a unit between two probe units, (v/2) S is at most v/2 at
-    the unit's last row times that bound at its first. Each call then
-    computes, once for its abscissae, every unit where this bound reaches
-    the largest probed value of some curve of some law on the walk; every
+    Each call then tests, once for its abscissae, every curve of every
+    law on the walk against the curve's largest probed value: a gap where
+    (v_b/2) S_a stays below it is left out whole, and in a gap where it
+    does not, each row r is tested with (v_r/2) times the chord bound.
+    The units that hold a row reaching the value are computed; every
     other row reads -inf. The bound on S is raised by 1e-9 relative and
     1e-300 absolute, and (v/2) S by 1e-300 again. A computed S is within
     about n_top ulps of the exact sum, far inside the 1e-9; no chord is
@@ -452,9 +481,9 @@ class FhCurves:
     A call on more than one abscissa reads both curves' products from a
     GridWalk; laws built on one shared GridWalk share its walks. curve()
     reads every row. eta1 and eta2 maximize a private objective that
-    reads only the rows that can hold the maximum and -inf on the rest
-    (GridWalk.maximand), which gives the same argmax and value bit for
-    bit. A call on one abscissa x computes its row directly, on Python
+    reads only the rows that can hold the maximum, and -inf on the rest,
+    each certified strictly below the maximum (GridWalk.maximand): so it
+    gives the same argmax and value bit for bit. A call on one abscissa x computes its row directly, on Python
     floats.
     """
 

@@ -916,16 +916,27 @@ def rows_built(blocks, *grids):
     return sum(built.values())
 
 
-def test_one_grid_matrix_per_law_and_band(grid_blocks, pmf_finite_file, capsys):
+def test_one_grid_matrix_per_law_and_band(grid_blocks, pmf_finite_file, tmp_path, capsys):
     # eta1 and eta2 share one walk, and so do compare's law at u = 8 and
-    # its mean-load conditions at u = 1: both grids' 1 - v/u are 1 - i/4096
-    assert run_cli(["measures", "--pmf", pmf_finite_file, "--u", "8"], capsys)[0] == 0
-    assert 0 < rows_built(grid_blocks, unit_grid(8.0)) < GRID_POINTS
-    grid_blocks.clear()
-    code, out, _ = run_cli(["compare", "--pmf", pmf_finite_file, "--u", "8"], capsys)
-    assert code == 0 and [r["kind"] for r in parse_csv(out)].count("condition") == 2
+    # its mean-load conditions at u = 1: both grids' 1 - v/u are 1 - i/4096.
+    # A law narrower than _PRUNE_FROM powers walks its whole grid in one
+    # block; a wider one computes only rows that can hold a maximum, each
+    # once
     assert np.array_equal(unit_grid(8.0), unit_grid(1.0))
-    assert 0 < rows_built(grid_blocks, unit_grid(8.0)) < GRID_POINTS
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"type": "finite", "q": [0.0] + [1.0 / 24] * 24}))
+    assert fhshare.measures._PRUNE_FROM <= 24
+    for sub in ("measures", "compare"):
+        for law, narrow in ((pmf_finite_file, True), (str(wide), False)):
+            code, out, _ = run_cli([sub, "--pmf", law, "--u", "8"], capsys)
+            assert code == 0
+            if sub == "compare":
+                assert [r["kind"] for r in parse_csv(out)].count("condition") == 2
+            if narrow:
+                assert [block.size for block in grid_blocks] == [GRID_POINTS]
+            else:
+                assert 0 < rows_built(grid_blocks, unit_grid(8.0)) < GRID_POINTS
+            grid_blocks.clear()
 
 
 def test_compare_walks_apart_where_the_grids_differ(grid_blocks, pmf_finite_file, capsys):

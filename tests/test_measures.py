@@ -348,20 +348,25 @@ BANDS = [1.0, 7.0, 16.0, 16.1, 1e-320, 1e308]
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(maximized_laws(), min_size=1, max_size=3), st.sampled_from(BANDS),
-       st.integers(1, 1 << 17))
-@example([UserCountPmf.poisson(400.0)], 16.0, 1 << 16)
-@example([UserCountPmf.finite([0.0, 0.5, 0.5]), UserCountPmf.poisson(20.0)], 1e-320, 1 << 16)
-@example([UserCountPmf.poisson(20.0), UserCountPmf.finite([0.2, 0.3, 0.5])], 1e308, 100)
-@example([UserCountPmf.finite([0.0, 5e-324, 1.0 - 5e-324])], 1e308, 1 << 16)
-def test_the_maximizer_objective_is_exact_or_certified_below_the_maximum(laws, u, cells):
+       st.integers(1, 1 << 17), st.sampled_from([1, measures._PRUNE_FROM]))
+@example([UserCountPmf.poisson(400.0)], 16.0, 1 << 16, measures._PRUNE_FROM)
+@example([UserCountPmf.finite([0.0, 0.5, 0.5]), UserCountPmf.poisson(20.0)], 1e-320, 1 << 16, 1)
+@example([UserCountPmf.poisson(20.0), UserCountPmf.finite([0.2, 0.3, 0.5])], 1e308, 100, 1)
+@example([UserCountPmf.finite([0.0, 5e-324, 1.0 - 5e-324])], 1e308, 1 << 16, 1)
+@example([UserCountPmf.finite([0.0, 0.9, 0.1])], 16.0, 1 << 16, 1)
+def test_the_maximizer_objective_is_exact_or_certified_below_the_maximum(
+    laws, u, cells, prune_from
+):
     # eta1 and eta2 maximize an objective that reads -inf on the rows the
     # walk leaves out. Every row it computes is the whole grid product,
     # bit for bit; every row it leaves is strictly below the curve's
     # maximum; so the maximizer returns the exact curve's (x, f) bits.
     # The laws share one walk with the first one at u = 1, which shares
-    # its base vector at integer u and certifies its own abscissae.
+    # its base vector at integer u and certifies its own abscissae. With
+    # prune_from 1 the walk leaves rows out of narrow laws' grids too.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
+        mp.setattr(measures, "_PRUNE_FROM", prune_from)
         walk = GridWalk()
         curves = [FhCurves(pmf, u, walk) for pmf in laws] + [FhCurves(laws[0], 1.0, walk)]
         found = []
@@ -755,9 +760,10 @@ def test_sufficient_conditions():
 
 
 def test_sufficient_conditions_share_unit_curves(monkeypatch):
-    # both conditions compare on one FhCurves walk at u = 1, which
-    # computes no grid row twice, and each check is the condition's
-    # formula beside the direct comparison
+    # both conditions compare on one FhCurves walk at u = 1, which for a
+    # law narrower than _PRUNE_FROM powers is one block of the whole grid,
+    # and each check is the condition's formula beside the direct
+    # comparison
     built = []
     grid_powers = measures._grid_powers
 
@@ -769,9 +775,8 @@ def test_sufficient_conditions_share_unit_curves(monkeypatch):
     q1 = 0.7
     light = two_point(q1)
     checks = mean_load_conditions(light)
-    rows = np.concatenate(built).tolist()
-    assert 0 < len(rows) == len(set(rows)) < GRID_POINTS
-    assert set(rows) <= set((1.0 - np.linspace(0.0, 1.0, GRID_POINTS)).tolist())
+    assert light.n_top < measures._PRUNE_FROM and len(built) == 1
+    assert np.array_equal(built[0], 1.0 - np.linspace(0.0, 1.0, GRID_POINTS))
     mean_n = 2.0 - q1
     fd = FdConfig(n_des=2)
     assert checks["eta1"].condition_holds == (mean_n < 0.5 * math.log(2.0 * (math.e**2 - 1.0)))
