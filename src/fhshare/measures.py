@@ -312,9 +312,9 @@ class _Walk:
             return
         if self.chords is None:
             self.chords = self.probe(gaps)
-        s, s_a, step, t_a, t_b = self.chords
+        s, s_a, ln_s_a, step, t_a, t_span = self.chords
         # (v/2) S overflows to inf near u = 1e308, which keeps its rows;
-        # nan, where S_a = 0 or t = -inf, keeps a row too
+        # nan, where t = -inf or target < 0, keeps a row too
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             half = 0.5 * _probe(v, gaps)
             # A row is left out where (v/2) B < target for the bound B on
@@ -328,25 +328,29 @@ class _Walk:
             hit = np.flatnonzero(fails.any(axis=0))
             if not hit.size:
                 return
-            # In a gap that fails, each row is tested for every curve, in
-            # logs: ln(v/2) + ln S_a + lam (ln S_b - ln S_a) < ln target.
+            # In a gap that fails, each row is tested for each curve that
+            # fails there, in logs: ln(v/2) + ln S_a + lam (ln S_b -
+            # ln S_a) < ln target.
+            gap, curve = np.nonzero(fails[:, hit].T)
+            j = hit[gap]
             t = np.log(self.base[:-1].reshape(gaps, _PROBE_EVERY)[hit, 8:])
-            lam = (t - t_a[hit]) / np.minimum(t_b[hit] - t_a[hit], -_NORMAL)
+            lam = (t - t_a[hit]) / t_span[hit]
             ln_half = np.log(0.5 * v[:-1].reshape(gaps, _PROBE_EVERY)[hit, 8:])
-            room = np.log(target) - np.log(s_a[:, hit])
-            keep = ~(lam * step[:, hit, None] + ln_half < room[:, :, None])
-        units = _PROBE_EVERY // 8 * hit[:, None] + np.arange(1, _PROBE_EVERY // 8)
-        units = units[keep.reshape(len(s), hit.size, -1, 8).any(axis=(0, 3))]
-        units = units[self.products[0, 8 * units] == -np.inf]
+            room = np.log(target[curve, 0]) - ln_s_a[curve, j]
+            keep = ~(lam[gap] * step[curve, j, None] + ln_half[gap] < room[:, None])
+        units = _PROBE_EVERY // 8 * j[:, None] + np.arange(1, _PROBE_EVERY // 8)
+        reach = np.zeros(self.base.size // 8, dtype=bool)
+        reach[units[keep.reshape(j.size, -1, 8).any(axis=2)]] = True
+        units = np.flatnonzero(reach & (self.products[0, :-1:8] == -np.inf))
         if units.size:
             self.fill_units(units)
 
     def probe(self, gaps: int) -> Tuple[np.ndarray, ...]:
         """Compute the probe, the first unit of every gap and the last
         nine rows; return its products s and, for gap j between row a =
-        128j + 7 and row b, the first of the next probe unit: S_a,
-        ln S_b - ln S_a (0 where S_b < _NORMAL), t_a and t_b, t = ln(1 -
-        v/u)."""
+        128j + 7 and row b, the first of the next probe unit: S_a, ln S_a,
+        ln S_b - ln S_a (0 where S_b < _NORMAL), t_a and t_b - t_a (at
+        most -_NORMAL), t = ln(1 - v/u)."""
         c = len(self.weights)
         base = _probe(self.base, gaps)
         s = self.fill(base)
@@ -355,9 +359,11 @@ class _Walk:
         self.products[:, -9:] = s[:, -9:]
         a, b = np.s_[7 : 8 * gaps : 8], np.s_[8 : 8 * gaps + 1 : 8]
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(s[:, b] >= _NORMAL, np.log(s[:, b]) - np.log(s[:, a]), 0.0)
+            ln_s_a = np.log(s[:, a])
+            step = np.where(s[:, b] >= _NORMAL, np.log(s[:, b]) - ln_s_a, 0.0)
             t = np.log(base)
-        return s, s[:, a], step, t[a, None], t[b, None]
+            t_span = np.minimum(t[b] - t[a], -_NORMAL)
+        return s, s[:, a], ln_s_a, step, t[a, None], t_span[:, None]
 
 
 def _probe(x: np.ndarray, gaps: int) -> np.ndarray:
@@ -402,9 +408,9 @@ class GridWalk:
     Each call then tests, once for its abscissae, every curve of every
     law on the walk against the curve's largest probed value: a gap where
     (v_b/2) S_a stays below it is left out whole, and in a gap where it
-    does not, each row r is tested with (v_r/2) times the chord bound.
-    The units that hold a row reaching the value are computed; every
-    other row reads -inf. The bound on S is raised by 1e-9 relative and
+    does not, each row r is tested with (v_r/2) times the chord bound for
+    the curves that reach it there. The units that hold a row reaching
+    the value are computed; every other row reads -inf. The bound on S is raised by 1e-9 relative and
     1e-300 absolute, and (v/2) S by 1e-300 again. A computed S is within
     about n_top ulps of the exact sum, far inside the 1e-9; no chord is
     drawn to an S_b below the smallest normal double, whose rounding is
