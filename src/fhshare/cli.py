@@ -31,12 +31,9 @@ from .model import (
 )
 
 # Most points of a start:stop:step grid of SNRs or lambdas: sweep spends
-# about 2 ms per lambda, so its longest grid runs in about 30 s.
+# at most about 0.35 ms per lambda (Poisson laws near the user cap, on a
+# 2-vCPU x86 host), so its longest grid runs in about 6 s.
 MAX_GRID_POINTS = 1 << 14
-# Lambdas whose FH curves sweep takes from one measures.GridWalk: on the
-# maximizer's 4097 abscissae their curves hold 8 x 2 x 4097 doubles, about
-# 512 KiB, dropped with the batch, so sweep's memory stays flat in its grid.
-SWEEP_BATCH = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -280,11 +277,11 @@ def cmd_measures(args) -> None:
     _emit(header, _columns(rows, len(header)), args.format, args.out)
 
 
-def _sweep_row(u: float, lam: float, curves: ms.FhCurves) -> tuple:
-    """The sweep row of the Poisson(lam) law of curves."""
-    pmf = curves.pmf
+def _sweep_row(u: float, lam: float) -> tuple:
+    """The sweep row of the Poisson(lam) law."""
+    pmf = ms.UserCountPmf.poisson(lam)
     fd_cfg = ms.FdConfig.default_for(pmf, u)
-    e1, v_star = curves.eta1()
+    e1, v_star = ms.eta1_fh_poisson_closed(lam, u)
     e2, omega = ms.eta2_fh_poisson_closed(lam, u)
     e2_fd = ms.eta2_fd(pmf, fd_cfg, u)
     return (
@@ -307,14 +304,7 @@ def _sweep_row(u: float, lam: float, curves: ms.FhCurves) -> tuple:
 
 
 def cmd_sweep(args) -> None:
-    u = args.u
-    rows = []
-    for first in range(0, len(args.lambdas), SWEEP_BATCH):
-        lambdas = args.lambdas[first : first + SWEEP_BATCH]
-        # the batch's first curve call walks the grid for all its laws
-        walk = ms.GridWalk()
-        batch = [ms.FhCurves(ms.UserCountPmf.poisson(lam), u, walk) for lam in lambdas]
-        rows += [_sweep_row(u, lam, curves) for lam, curves in zip(lambdas, batch)]
+    rows = [_sweep_row(args.u, lam) for lam in args.lambdas]
     header = [
         "u",
         "lam",
@@ -339,7 +329,7 @@ def cmd_compare(args) -> None:
     pmf = _load_pmf(args.pmf)
     u = args.u
     # FH's grid at u and the conditions' at u = 1, walked once where they agree
-    walk = ms.GridWalk()
+    walk = ms.GridWalk(pmf)
     measures = ms.build_measure_reports(
         pmf, u, n_des=args.n_des, epsilon=args.epsilon, walk=walk
     )

@@ -14,13 +14,13 @@ n_des; FH with v < u always serves everyone. All measures scale linearly
 in the band size u and are reported in absolute terms.
 
 FH's eta1 and eta2 maximize curves over a grid of hop counts; both are
-products with one matrix of powers (1 - v/u)^k (FhCurves). A GridWalk
-builds rows of that matrix once per vector 1 - v/u for every law
-registered on it, in row blocks that are never all held at once, and the
-cells that underflow to 0.0 are never computed. For the maximizer it
-builds, on grids wide enough to repay it, only the rows that can hold a
-curve's maximum: a probe of one 8-row unit in every 16, then the rows
-where a bound on the curve reaches the largest probed value. The bound
+products with one matrix of powers (1 - v/u)^k (FhCurves), built in row
+blocks that are never all held at once, and the cells that underflow to
+0.0 are never computed. For the maximizer a GridWalk builds the rows of
+a law's matrix once per vector 1 - v/u and, on grids wide enough to
+repay it, only the rows that can hold a curve's maximum: a probe of one
+8-row unit in every 16, then the rows where a bound on the curve reaches
+the largest probed value. The bound
 holds because S = sum_k w_k x^k with w_k >= 0 is nonincreasing in v and
 ln S is convex in ln x, x = 1 - v/u; every other row reads -inf,
 certified below the maximum, so the maximizer returns the whole grid's
@@ -240,64 +240,39 @@ _NORMAL = np.finfo(float).tiny
 _LARGEST = np.finfo(float).max
 
 
-class _Walk:
-    """The grid products of a fixed list of laws on one base vector,
-    computed for every law a few units of rows at a time, each unit at
-    most once; a row not computed holds -inf. Unit i is rows 8i to
-    8i + 8, and the last unit runs on to the end of the grid."""
+def _grid_products(base: np.ndarray, weights: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """powers @ w for each weight vector w, one row per base: the powers
+    base[:, None] ** k, k = 0..n - 1 for n = w.size, are built by
+    _grid_powers in _blocks.row_ranges of whole 8-row units in grid
+    order."""
+    k = np.arange(weights[0].size)
+    out = np.empty((len(weights), base.size))
+    for start, stop in row_ranges(base.size, k.size, multiple=8):
+        block = _grid_powers(base[start:stop], k)
+        for row, w in zip(out, weights):
+            row[start:stop] = block @ w
+    return out
 
-    def __init__(
-        self,
-        base: np.ndarray,
-        laws: List[UserCountPmf],
-        weights: Dict[UserCountPmf, Tuple[np.ndarray, np.ndarray]],
-    ):
+
+class _Walk:
+    """The grid products of one law on one base vector, computed a few
+    units of rows at a time, each unit at most once; a row not computed
+    holds -inf. Unit i is rows 8i to 8i + 8, and the last unit runs on to
+    the end of the grid. certified lists the abscissae certify() ran for,
+    and complete is set once every row is computed."""
+
+    def __init__(self, base: np.ndarray, weights: Tuple[np.ndarray, np.ndarray]):
         self.base = base
-        self.offset = {law: 2 * i for i, law in enumerate(laws)}
-        self.weights = [w for law in laws for w in weights[law]]
-        self.k = np.arange(max(law.n_top for law in laws))
-        self.products = np.full((len(self.weights), base.size), -np.inf)
+        self.weights = weights
+        self.products = np.full((len(weights), base.size), -np.inf)
         self.complete = False
         self.chords: Optional[Tuple[np.ndarray, ...]] = None
         self.certified: List[np.ndarray] = []
 
-    def fill(self, base: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Every law's products on the grid rows with these bases, whole
-        units in grid order; into out when given."""
-        if out is None:
-            out = np.empty((len(self.weights), base.size))
-        for start, stop in row_ranges(base.size, self.k.size, multiple=8):
-            block = _grid_powers(base[start:stop], self.k)
-            for row, w in zip(out, self.weights):
-                row[start:stop] = block[:, : w.size] @ w
-        return out
-
     def fill_units(self, units: np.ndarray) -> None:
         """Compute units i, ascending, none of them the last."""
         rows = (8 * units[:, None] + np.arange(8)).ravel()
-        self.products[:, rows] = self.fill(self.base[rows])
-
-    def finish(self) -> None:
-        """Compute every row not computed yet."""
-        if self.chords is None:
-            self.fill(self.base, self.products)
-        else:
-            self.fill_units(np.flatnonzero(self.products[0, :-9:8] == -np.inf))
-        self.complete = True
-
-    def exact(self, pmf: UserCountPmf) -> np.ndarray:
-        """The law's products on every row."""
-        if not self.complete:
-            self.finish()
-        return self.products[self.offset[pmf] : self.offset[pmf] + 2]
-
-    def maximand(self, pmf: UserCountPmf, per_user: int, v: np.ndarray) -> np.ndarray:
-        """(v/2) times the law's products, -inf on rows certified below
-        the maximum at the ascending abscissae v."""
-        if not (self.complete or any(np.array_equal(v, seen) for seen in self.certified)):
-            self.certify(v)
-            self.certified.append(v.copy())
-        return 0.5 * v * self.products[self.offset[pmf] + per_user]
+        self.products[:, rows] = _grid_products(self.base[rows], self.weights)
 
     def certify(self, v: np.ndarray) -> None:
         """Compute every unit where, at abscissae v, the bound on some
@@ -307,8 +282,9 @@ class _Walk:
         gaps, odd = divmod(self.base.size - 1, _PROBE_EVERY)
         # v > 0 past row 7, so a row left out reads (v/2)(-inf) = -inf,
         # never 0 (-inf) = nan
-        if odd or not gaps or self.k.size < _PRUNE_FROM or not v[8] > 0.0:
-            self.finish()
+        if odd or not gaps or self.weights[0].size < _PRUNE_FROM or not v[8] > 0.0:
+            self.products[:] = _grid_products(self.base, self.weights)
+            self.complete = True
             return
         if self.chords is None:
             self.chords = self.probe(gaps)
@@ -353,7 +329,7 @@ class _Walk:
         most -_NORMAL), t = ln(1 - v/u)."""
         c = len(self.weights)
         base = _probe(self.base, gaps)
-        s = self.fill(base)
+        s = _grid_products(base, self.weights)
         units = self.products[:, :-1].reshape(c, gaps, _PROBE_EVERY)[:, :, :8]
         units[...] = s[:, :-9].reshape(c, gaps, 8)
         self.products[:, -9:] = s[:, -9:]
@@ -373,51 +349,46 @@ def _probe(x: np.ndarray, gaps: int) -> np.ndarray:
 
 
 class GridWalk:
-    """The FH grid curves of the load laws registered on it: each power
-    grid is walked once for all of them, and for the maximizer only where
-    a curve's maximum can lie.
+    """The maximizer's FH grid curves of one load law: each power grid is
+    walked once, and only where a curve's maximum can lie.
 
-    A law's curves on abscissae v are the matrix of powers x^k, x = 1 -
+    The law's curves on abscissae v are the matrix of powers x^k, x = 1 -
     v/u and k = 0..n_top - 1, times its two weight vectors, so they
     depend on u only through the base vector x. The first call on a base
-    vector starts its walk for every law registered so far; a law
-    registered after that gets a walk of its own. A walk computes units
-    of 8 rows (the last unit runs on to the end of the grid) when they
-    are asked for, each unit once for every law of the walk: _grid_powers
-    builds the widest law's rows, in _blocks.row_ranges of whole units,
-    and each law reads block[:, :n_top] @ w off them. The products are
-    kept until the GridWalk is dropped; products() computes every unit
-    not computed yet. On the maximizer's grid, linspace(0, u, 4097),
-    1 - v/u is exactly 1 - i/4096 for every integer u, so one law's
-    curves at u and at u = 1 share a walk; at other u the two vectors can
-    differ and each gets a walk of its own.
+    vector starts its walk, which computes units of 8 rows (the last unit
+    runs on to the end of the grid) when asked for, each once for both
+    curves, through _grid_products, and keeps them until the GridWalk is
+    dropped. On the maximizer's grid, linspace(0, u, 4097), 1 - v/u is
+    exactly 1 - i/4096 for every integer u, so the curves at u and at
+    u = 1 share a walk; at other u the vectors can differ and each gets
+    a walk of its own.
 
     maximand(), the objective of FhCurves.eta1 and eta2, computes only
     the units that can hold a maximum, on a grid of 128j + 1 rows (the
-    maximizer's 4097 among them) whose widest law has _PRUNE_FROM powers
-    or more; a narrower grid costs less than the bookkeeping of leaving
-    rows out, and is computed whole. The first call computes a probe:
-    unit 16j, rows 128j to 128j + 8, for every j, and the last unit. Gap
-    j is the rows between a = 128j + 7 and b, the first row of the next
-    probe unit. With S = sum_k w_k x^k and every w_k >= 0, S is
-    nonincreasing in v and ln S is convex in t = ln x, so for a < r < b
+    maximizer's 4097 among them) of a law with _PRUNE_FROM powers or
+    more; a narrower grid costs less than the bookkeeping of leaving rows
+    out, and is computed whole. The first call computes a probe: unit
+    16j, rows 128j to 128j + 8, for every j, and the last unit. Gap j is
+    the rows between a = 128j + 7 and b, the first row of the next probe
+    unit. With S = sum_k w_k x^k and every w_k >= 0, S is nonincreasing
+    in v and ln S is convex in t = ln x, so for a < r < b
 
       S_r <= min(S_a, exp((1 - lam) ln S_a + lam ln S_b)),
       lam = (t_r - t_a) / (t_b - t_a).
 
-    Each call then tests, once for its abscissae, every curve of every
-    law on the walk against the curve's largest probed value: a gap where
-    (v_b/2) S_a stays below it is left out whole, and in a gap where it
-    does not, each row r is tested with (v_r/2) times the chord bound for
-    the curves that reach it there. The units that hold a row reaching
-    the value are computed; every other row reads -inf. The bound on S is raised by 1e-9 relative and
-    1e-300 absolute, and (v/2) S by 1e-300 again. A computed S is within
-    about n_top ulps of the exact sum, far inside the 1e-9; no chord is
-    drawn to an S_b below the smallest normal double, whose rounding is
-    not relative; and where a curve's values stay below about 1e-300 no
-    row is left out. So every -inf row is certified strictly below its
-    curve's maximum, and the maximizer's argmax, its value and so its
-    bracket are those of the whole grid. A later call with other
+    Each call then tests, once for its abscissae, both curves against
+    their largest probed values: a gap where (v_b/2) S_a stays below it
+    is left out whole, and in a gap where it does not, each row r is
+    tested with (v_r/2) times the chord bound for the curves that reach
+    it there. The units that hold a row reaching the value are computed;
+    every other row reads -inf. The bound on S is raised by 1e-9 relative
+    and 1e-300 absolute, and (v/2) S by 1e-300 again. A computed S is
+    within about n_top ulps of the exact sum, far inside the 1e-9; no
+    chord is drawn to an S_b below the smallest normal double, whose
+    rounding is not relative; and where a curve's values stay below about
+    1e-300 no row is left out. So every -inf row is certified strictly
+    below its curve's maximum, and the maximizer's argmax, its value and
+    so its bracket are those of the whole grid. A later call with other
     abscissae on the same base vector (another u with the same grid) is
     certified for its own and computes the units it adds.
 
@@ -425,55 +396,33 @@ class GridWalk:
     unit last. On the maximizer's grid of 8j + 1 abscissae every row but
     the last is then in one of gemv's groups of 4, in the whole matrix as
     in the rows computed (see _blocks), and the last row, v = u, is
-    (1, 0, 0, ...) and exact either way. gemv reads a law's columns
-    through the block's row stride, and a narrower law's columns hold the
-    same powers as its own matrix, so every computed value is the law's
-    whole matrix's, bit for bit.
-
-    A GridWalk keeps two curve vectors per law and base vector until it
-    is dropped, so whoever builds one bounds the laws it registers: the
-    CLI builds one per command, and sweep one per batch of lambdas.
-    Nothing is shared between GridWalks.
+    (1, 0, 0, ...) and exact either way: every computed value is the
+    whole matrix's, bit for bit. The CLI builds one GridWalk per command;
+    nothing is shared between GridWalks.
     """
 
-    def __init__(self):
-        self._weights: Dict[UserCountPmf, Tuple[np.ndarray, np.ndarray]] = {}
-        self._walks: List[Tuple[np.ndarray, Dict[UserCountPmf, _Walk]]] = []
+    def __init__(self, pmf: UserCountPmf):
+        self._pmf = pmf
+        q = pmf.weights[1:]
+        # the eta1 and the eta2 curve's weights, (n q_n, q_n) for n >= 1
+        self._weights = (np.arange(1, pmf.weights.size) * q, q)
+        self._walks: List[_Walk] = []
 
-    def register(self, pmf: UserCountPmf) -> Tuple[np.ndarray, np.ndarray]:
-        """The law's weight vectors (n q_n, q_n) for n >= 1; from the next
-        walk on, its curves are taken with every other law's."""
-        if pmf not in self._weights:
-            q = pmf.weights[1:]
-            self._weights[pmf] = (np.arange(1, pmf.weights.size) * q, q)
-        return self._weights[pmf]
-
-    def _walk(self, pmf: UserCountPmf, base: np.ndarray) -> _Walk:
-        """The walk of base that holds a registered law: the one started
-        for every law registered and not yet walked on base."""
-        for vector, by_law in self._walks:
-            if np.array_equal(vector, base):
+    def maximand(self, per_user: bool, v: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """(v/2) (powers @ w) for the per_user curve's weights w on every
+        row computed, -inf on the rest, each of which is certified below
+        the maximum at the ascending abscissae v: the powers are
+        base[:, None] ** k, base = 1 - v/u (see the class docstring)."""
+        for walk in self._walks:
+            if np.array_equal(walk.base, base):
                 break
         else:
-            by_law = {}
-            self._walks.append((base, by_law))
-        if pmf not in by_law:
-            laws = [law for law in self._weights if law not in by_law]
-            by_law.update(dict.fromkeys(laws, _Walk(base, laws, self._weights)))
-        return by_law[pmf]
-
-    def products(self, pmf: UserCountPmf, base: np.ndarray) -> np.ndarray:
-        """(powers @ w for both of a registered law's weight vectors), a
-        (2, base.size) array; the powers are base[:, None] ** k."""
-        return self._walk(pmf, base).exact(pmf)
-
-    def maximand(
-        self, pmf: UserCountPmf, per_user: bool, v: np.ndarray, base: np.ndarray
-    ) -> np.ndarray:
-        """(v/2) products(pmf, base)[per_user] on every row computed, -inf
-        on the rest, each of which is certified below the maximum at the
-        ascending abscissae v: base = 1 - v/u (see the class docstring)."""
-        return self._walk(pmf, base).maximand(pmf, int(per_user), v)
+            walk = _Walk(base, self._weights)
+            self._walks.append(walk)
+        if not (walk.complete or any(np.array_equal(v, seen) for seen in walk.certified)):
+            walk.certify(v)
+            walk.certified.append(v.copy())
+        return 0.5 * v * walk.products[int(per_user)]
 
 
 class FhCurves:
@@ -484,21 +433,21 @@ class FhCurves:
       eta2  E{SMG(v, N)/N} = (v/2) sum_{n >= 1} q_n (1 - v/u)^(n-1), the
             eta2 objective for v < u.
 
-    A call on more than one abscissa reads both curves' products from a
-    GridWalk; laws built on one shared GridWalk share its walks. curve()
-    reads every row. eta1 and eta2 maximize a private objective that
-    reads only the rows that can hold the maximum, and -inf on the rest,
-    each certified strictly below the maximum (GridWalk.maximand): so it
-    gives the same argmax and value bit for bit. A call on one abscissa x computes its row directly, on Python
-    floats.
+    curve() on more than one abscissa computes every row of the grid
+    product (_grid_products). eta1 and eta2 maximize a private objective
+    that reads the rows that can hold the maximum from a GridWalk of the
+    law, and -inf on the rest, each certified strictly below the maximum
+    (GridWalk.maximand): so it gives the same argmax and value bit for
+    bit. Curves built on one shared GridWalk share its walks. A call on
+    one abscissa x computes its row directly, on Python floats.
     """
 
     def __init__(self, pmf: UserCountPmf, u: float, walk: Optional[GridWalk] = None):
+        if walk is not None and walk._pmf is not pmf:
+            raise ValueError("walk holds the curves of another law")
         self.pmf = pmf
         self.u = u
-        self._k = np.arange(pmf.n_top)
-        self._walk = GridWalk() if walk is None else walk
-        self._weights = self._walk.register(pmf)
+        self._walk = GridWalk(pmf) if walk is None else walk
 
     def curve(self, per_user: bool) -> Callable[[np.ndarray], np.ndarray]:
         """The eta2 objective with per_user, else the eta1 one."""
@@ -507,8 +456,8 @@ class FhCurves:
     def _curve(self, per_user: bool, bounded: bool) -> Callable[[np.ndarray], np.ndarray]:
         """curve(per_user), or with bounded the maximizer's objective,
         which on a grid reads -inf where GridWalk.maximand leaves a row."""
-        w = self._weights[per_user]
-        u, k = self.u, self._k
+        w = self._walk._weights[per_user]
+        u, k = self.u, np.arange(self.pmf.n_top)
 
         def f(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=float)
@@ -516,8 +465,8 @@ class FhCurves:
                 x = float(v[0])
                 return np.array([0.5 * x * float(np.power(1.0 - x / u, k) @ w)])
             if bounded:
-                return self._walk.maximand(self.pmf, per_user, v, 1.0 - v / u)
-            return 0.5 * v * self._walk.products(self.pmf, 1.0 - v / u)[int(per_user)]
+                return self._walk.maximand(per_user, v, 1.0 - v / u)
+            return 0.5 * v * _grid_products(1.0 - v / u, (w,))[0]
 
         return f
 
@@ -552,7 +501,9 @@ def eta1_fd(pmf: UserCountPmf, fd: FdConfig, u: float) -> float:
     n_des = fd.n_des
 
     def f(n: np.ndarray) -> np.ndarray:
-        return np.where(n <= n_des, 0.5 * n * u / n_des, 0.5 * u)
+        # 0.5 n u overflows near u = 1e308, even on the rows past n_des
+        # that np.where drops; n_des may pass the int64 range
+        return np.where(n <= n_des, 0.5 * np.minimum(n, float(n_des)) * (u / n_des), 0.5 * u)
 
     return pmf.expect(f)
 
@@ -575,6 +526,21 @@ def _expm1_residual(x: float) -> float:
         k += 1
         term *= -x / (k + 2)
     return total
+
+
+def eta1_fh_poisson_closed(lam: float, u: float) -> Tuple[float, float]:
+    """Closed-form eta1 for FH under a Poisson(lam) user count.
+
+    E{SMG(v, N)} = (v/2) lam exp(-lam v/u) rises up to v = u/lam and falls
+    after it, so for lam >= 1 the optimum is u/(2e) at v_star = u/lam, and
+    for lam < 1 it is (u/2) lam exp(-lam) at the band edge v = u. Returns
+    (value, v_star).
+    """
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    if lam >= 1.0:
+        return 0.5 * u / math.e, u / lam
+    return 0.5 * u * lam * math.exp(-lam), u
 
 
 def eta2_fh_poisson_closed(lam: float, u: float) -> Tuple[float, float]:

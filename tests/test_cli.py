@@ -951,39 +951,46 @@ def test_compare_walks_apart_where_the_grids_differ(grid_blocks, pmf_finite_file
     assert np.concatenate(grid_blocks).tolist().count(1.0) == 2
 
 
-def test_sweep_walks_the_grid_once_per_batch(grid_blocks, capsys):
-    # the eight lambdas of one batch share a walk, in blocks of the
-    # widest law's powers; a ninth lambda starts another, which computes
-    # row 0 again
-    assert fhshare.cli.SWEEP_BATCH == 8
-    code, out, _ = run_cli(["sweep", "--u", "16", "--lambdas", "0.5:4:0.5"], capsys)
-    assert code == 0 and len(parse_csv(out)) == 8
-    rows_built(grid_blocks, unit_grid(16.0))
-    grid_blocks.clear()
-    code, out, _ = run_cli(["sweep", "--u", "7", "--lambdas", "2:10:1"], capsys)
-    assert code == 0 and len(parse_csv(out)) == 9
-    rows_built(grid_blocks, unit_grid(7.0), unit_grid(7.0))
-    assert np.concatenate(grid_blocks).tolist().count(1.0) == 2
+def test_sweep_builds_no_grid_rows(grid_blocks, capsys):
+    # sweep takes eta1 and eta2 from the Poisson closed forms, so it
+    # maximizes no curve: v_star is u/lambda, or u below lambda = 1
+    for u, lambdas, rates in (("16", "0.5:4:0.5", 8), ("7", "2:10:1", 9), ("16", "400", 1)):
+        code, out, _ = run_cli(["sweep", "--u", u, "--lambdas", lambdas], capsys)
+        rows = parse_csv(out)
+        assert code == 0 and len(rows) == rates
+        for r in rows:
+            lam = float(r["lam"])
+            assert float(r["v_star"]) == pytest.approx(float(u) / max(lam, 1.0), rel=1e-11)
+    assert grid_blocks == []
 
 
-def test_sweep_400_computes_a_fifth_of_its_grid_at_most(grid_blocks, capsys):
-    # the walk computes only the units whose bound reaches a curve's
-    # largest probed value; for Poisson(400) that is its probe and the
-    # few units around the maximum
+def test_sweep_400_computes_a_fifth_of_its_grid_at_most(grid_blocks, tmp_path, capsys):
+    # sweep's Poisson(400) row comes from the closed forms and builds no
+    # grid row; measures on the same law maximizes on the grid, and its
+    # walk computes only the units whose bound reaches a curve's largest
+    # probed value: the probe and the few units around the maximum
     code, out, _ = run_cli(["sweep", "--u", "16", "--lambdas", "400"], capsys)
     assert code == 0 and len(parse_csv(out)) == 1
-    assert rows_built(grid_blocks, unit_grid(16.0)) <= 0.2 * GRID_POINTS
+    assert grid_blocks == []
+    law = tmp_path / "poisson400.json"
+    law.write_text(json.dumps({"type": "poisson", "lambda": 400.0}))
+    code, _, _ = run_cli(["measures", "--pmf", str(law), "--u", "16"], capsys)
+    assert code == 0
+    assert 0 < rows_built(grid_blocks, unit_grid(16.0)) <= 0.2 * GRID_POINTS
 
 
-@pytest.mark.parametrize("command", ["compare", "sweep"])
+@pytest.mark.parametrize("command", ["compare", "measures"])
 def test_a_repeated_call_walks_the_grid_as_often_as_the_first(
-    grid_blocks, pmf_finite_file, capsys, command
+    grid_blocks, pmf_finite_file, tmp_path, capsys, command
 ):
     # no walk outlives its call: a second identical call in the same
-    # process computes every row again
+    # process computes every row again, on a narrow law's whole grid or
+    # a wide law's pruned one
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"type": "poisson", "lambda": 40.0}))
     argv = {
         "compare": ["compare", "--pmf", pmf_finite_file, "--u", "8"],
-        "sweep": ["sweep", "--u", "16", "--lambdas", "0.5:4:0.5"],
+        "measures": ["measures", "--pmf", str(wide), "--u", "16"],
     }[command]
     outs, walks = [], []
     for _ in range(2):
@@ -997,11 +1004,9 @@ def test_a_repeated_call_walks_the_grid_as_often_as_the_first(
 
 
 def test_sweep_peak_memory_does_not_grow_with_the_lambdas(capsys):
-    # sweep holds the curves of one batch of lambdas at a time (8 laws x 2
-    # x 4097 doubles, 512 KiB); three batches of the same lambdas add only
-    # their rows and output text
+    # sweep keeps nothing of a lambda's law past its row: three times the
+    # lambdas add only their rows and output text
     lambdas = ["0.5", "1", "2", "3", "5", "8", "13", "21"]
-    assert len(lambdas) == fhshare.cli.SWEEP_BATCH
     assert main(["sweep", "--u", "16", "--lambdas", ",".join(lambdas)]) == 0  # warm-up
     peaks = []
     for repeat in (1, 3):
@@ -1012,7 +1017,7 @@ def test_sweep_peak_memory_does_not_grow_with_the_lambdas(capsys):
         finally:
             tracemalloc.stop()
         capsys.readouterr()
-    # a batch kept past its end would add 65 KB per lambda
+    # a curve on the maximizer's grid kept per lambda would add 32 KB each
     assert peaks[1] - peaks[0] <= 4096 * 2 * len(lambdas), peaks
 
 
@@ -1196,6 +1201,20 @@ def test_sweep_past_the_closed_form_overflow(capsys):
     assert code == 0
     (row,) = parse_csv(out)
     assert float(row["eta2_fh"]) == pytest.approx(1.0233096e-3, rel=1e-7)
+
+
+def test_compare_scores_fd_eta1_at_the_largest_band(tmp_path, capsys):
+    # FD's eta1 at u = 1e308, n_des = floor(u), is (u/2) E{N}/n_des = 1.5;
+    # 0.5 n u overflows there, which must neither warn nor reach the output
+    path = tmp_path / "pmf.json"
+    path.write_text(json.dumps({"type": "poisson", "lambda": 3}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(["compare", "--pmf", str(path), "--u", "1e308"], capsys)
+    assert code == 0
+    (eta1,) = [r for r in parse_csv(out) if r["measure"] == "eta1"]
+    assert float(eta1["fd"]) == pytest.approx(1.5, rel=1e-9)
+    assert eta1["winner"] == "fh"
 
 
 def test_default_n_des_serves_one_user_below_one_sub_band(tmp_path, capsys):

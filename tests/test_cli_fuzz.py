@@ -109,7 +109,7 @@ def pmf_docs(draw, fault):
 BAD_NUMBERS = ["0", "-1", "nan", "inf", "1e400", "x", ""]
 FORMAT = ("--format", [None, "csv", "json"], ["yaml", ""])
 THREADS = ("--threads", [None, "1", "2"], ["0", "-1", "x"])
-U = ("--u", ["4", "10"], BAD_NUMBERS + ["0.5", "1e-300", "1e300", None])
+U = ("--u", ["4", "10"], BAD_NUMBERS + ["0.5", "1e-300", "1e300", "1e308", None])
 N_DES = ("--n-des", [None, "1", "3"], ["0", "-3", "1000000000", "x"])
 EPSILON = ("--epsilon", [None, "0.1"], BAD_NUMBERS + ["1e-300", "3"])
 PMF_FLAGS = [U, N_DES, EPSILON, FORMAT]

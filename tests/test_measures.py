@@ -9,8 +9,10 @@ Two-point user-count laws q = (0, q1, q2) admit exact optima by hand:
 
 Those expressions anchor the optimizer tests below.
 """
+import collections
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from fhshare.measures import (
     eta1_fh,
     eta2_afh,
     eta2_fd,
+    eta1_fh_poisson_closed,
     eta2_fh_poisson_closed,
     eta3_fd,
     eta3_fh,
@@ -269,60 +272,18 @@ def weight_vectors(pmf):
     return np.arange(1, pmf.weights.size) * q, q
 
 
-@st.composite
-def shared_walk_cases(draw):
-    """Two to four laws of any widths, a band size, a grid of 8j + 1
-    abscissae and a block size in cells, from below 8 rows of the widest
-    law to many. At u = 16.1 the base vectors 1 - v/u and 1 - v/1 differ,
-    so the first law's curves at u = 1 take a walk of their own."""
-    laws = draw(st.lists(load_laws(max_lambda=600.0), min_size=2, max_size=4), label="laws")
-    width = max(pmf.n_top for pmf in laws)
-    u = draw(st.sampled_from([1.0, 3.0, 16.0, 16.1, 64.0]), label="u")
-    most = max(1, min((GRID_POINTS - 1) // 8, (1 << 18) // width))
-    j = draw(st.one_of(st.just(most), st.integers(1, most)), label="grid / 8")
-    cells = draw(st.integers(1, 48 * width), label="block cells")
-    return laws, u, 8 * j + 1, cells
+def unit_grid(u):
+    """The base vector 1 - v/u of the maximizer's grid at band size u."""
+    return 1.0 - np.linspace(0.0, u, GRID_POINTS) / u
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(shared_walk_cases())
-@example(([UserCountPmf.finite([0.0, 0.9, 0.1]), UserCountPmf.poisson(400.0)],
-          16.1, GRID_POINTS, 1 << 16))
-@example(([UserCountPmf.poisson(5.0), UserCountPmf.finite([0.0, 0.5, 0.25, 0.25])],
-          16.0, GRID_POINTS, 100))
-def test_a_shared_walk_gives_each_law_its_own_grid_product(case):
-    # laws registered on one GridWalk read their curves off one walk of
-    # the widest law's blocks; each law's curves, at u and the first's at
-    # u = 1 too, are still its own whole grid matrix times its weights
-    laws, u, size, cells = case
-    built = []
-
-    def counting(base, k):
-        built.append(k.size)
-        return _grid_powers(base, k)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
-        mp.setattr(measures, "_grid_powers", counting)
-        walk = GridWalk()
-        curves = [(FhCurves(pmf, u, walk), u) for pmf in laws]
-        curves.append((FhCurves(laws[0], 1.0, walk), 1.0))
-        for fh, band in curves:
-            v = np.linspace(0.0, band, size)
-            full = _grid_powers(1.0 - v / band, np.arange(fh.pmf.n_top))
-            for per_user, w in enumerate(weight_vectors(fh.pmf)):
-                got = fh.curve(bool(per_user))(v)
-                assert bits(got).tolist() == bits(0.5 * v * (full @ w)).tolist()
-    width = max(pmf.n_top for pmf in laws)
-    walks = 1 if np.array_equal(1.0 - np.linspace(0.0, u, size) / u,
-                                1.0 - np.linspace(0.0, 1.0, size)) else 2
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
-        per_walk = len(_blocks.row_ranges(size, width, multiple=8))
-    assert built == [width] * (walks * per_walk)
-    if size == GRID_POINTS:
-        # the maximizer's grid is 1 - i/4096 at every integer u
-        assert walks == (2 if u == 16.1 else 1)
+def rows_built(blocks, *grids):
+    """The number of grid rows the blocks computed, after checking that
+    no row was computed twice in one walk: each base value turns up at
+    most as often as in the grids, one per walk."""
+    built = collections.Counter(np.concatenate(blocks).tolist() if blocks else [])
+    assert built <= sum((collections.Counter(g.tolist()) for g in grids), collections.Counter())
+    return sum(built.values())
 
 
 @st.composite
@@ -361,28 +322,51 @@ def test_the_maximizer_objective_is_exact_or_certified_below_the_maximum(
     # walk leaves out. Every row it computes is the whole grid product,
     # bit for bit; every row it leaves is strictly below the curve's
     # maximum; so the maximizer returns the exact curve's (x, f) bits.
-    # The laws share one walk with the first one at u = 1, which shares
-    # its base vector at integer u and certifies its own abscissae. With
-    # prune_from 1 the walk leaves rows out of narrow laws' grids too.
+    # Each law's GridWalk holds its curves at u and at u = 1, which share
+    # a base vector at integer u (and then no row is computed twice) and
+    # certify their own abscissae. With prune_from 1 the walk leaves rows
+    # out of narrow laws' grids too.
+    built = []
+
+    def counting(base, k):
+        built.append(base.copy())
+        return _grid_powers(base, k)
+
+    found, curves = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
         mp.setattr(measures, "_PRUNE_FROM", prune_from)
-        walk = GridWalk()
-        curves = [FhCurves(pmf, u, walk) for pmf in laws] + [FhCurves(laws[0], 1.0, walk)]
-        found = []
-        for fh in curves:
-            v = np.linspace(0.0, fh.u, GRID_POINTS)
-            full = _grid_powers(1.0 - v / fh.u, np.arange(fh.pmf.n_top))
-            for per_user, w in enumerate(weight_vectors(fh.pmf)):
-                objective = fh._curve(bool(per_user), bounded=True)
-                got, exact = objective(v), 0.5 * v * (full @ w)
-                kept = got != -np.inf
-                assert bits(got[kept]).tolist() == bits(exact[kept]).tolist()
-                assert (exact[~kept] < exact.max()).all()
-                found.append(maximize_on_interval(objective, 0.0, fh.u))
+        mp.setattr(measures, "_grid_powers", counting)
+        for pmf in laws:
+            walk = GridWalk(pmf)
+            pair = [FhCurves(pmf, u, walk), FhCurves(pmf, 1.0, walk)]
+            for fh in pair:
+                v = np.linspace(0.0, fh.u, GRID_POINTS)
+                full = _grid_powers(1.0 - v / fh.u, np.arange(pmf.n_top))
+                for per_user, w in enumerate(weight_vectors(pmf)):
+                    objective = fh._curve(bool(per_user), bounded=True)
+                    got, exact = objective(v), 0.5 * v * (full @ w)
+                    kept = got != -np.inf
+                    assert bits(got[kept]).tolist() == bits(exact[kept]).tolist()
+                    assert (exact[~kept] < exact.max()).all()
+                    found.append(maximize_on_interval(objective, 0.0, fh.u))
+            grids = {unit_grid(fh.u).tobytes(): unit_grid(fh.u) for fh in pair}.values()
+            rows_built(built, *grids)
+            built.clear()
+            curves += pair
     expected = [maximize_on_interval(FhCurves(fh.pmf, fh.u).curve(per_user), 0.0, fh.u)
                 for fh in curves for per_user in (False, True)]
     assert bits(np.array(found)).tolist() == bits(np.array(expected)).tolist()
+
+
+def test_a_walk_serves_only_its_own_law():
+    # a GridWalk holds one law's curves; another law's maximum read off
+    # them would be wrong, so FhCurves refuses the pairing
+    pmf = UserCountPmf.poisson(3.0)
+    walk = GridWalk(pmf)
+    with pytest.raises(ValueError, match="another law"):
+        FhCurves(UserCountPmf.poisson(3.0), 4.0, walk)
+    assert FhCurves(pmf, 4.0, walk).eta1() == FhCurves(pmf, 4.0).eta1()
 
 
 def test_fh_curves_return_at_a_subnormal_band(monkeypatch):
@@ -471,6 +455,27 @@ def test_eta1_poisson_closed_form_property(lam, u):
     assert abs(v_star - u / lam) <= 1e-6 * u
 
 
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.99, 1.0, 1.01, 3.0, 400.0])
+@pytest.mark.parametrize("u", [1.0, 7.0, 16.0, 16.1, 1e-3, 1e300])
+def test_eta1_poisson_closed_form_matches_numeric_optimum(lam, u):
+    # u/(2e) at v* = u/lam for lam >= 1, (u/2) lam e^-lam at v* = u below.
+    # The numeric v* sits where the maximum is flat: within about
+    # sqrt(eps) u of the optimum the objective's values agree to a few
+    # ulps, so golden section can stop anywhere there (1.4e-8 u at lam = 1,
+    # where the optimum is the band edge and the slope there is 0).
+    closed, v_star = eta1_fh_poisson_closed(lam, u)
+    numeric, v_num = FhCurves(UserCountPmf.poisson(lam), u).eta1()
+    assert closed == pytest.approx(numeric, rel=1e-9)
+    assert abs(v_star - v_num) <= 1e-7 * u
+    assert v_star == (u / lam if lam >= 1.0 else u)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, -math.inf, math.nan])
+def test_eta1_poisson_closed_form_refuses_a_rate_not_above_zero(lam):
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        eta1_fh_poisson_closed(lam, 4.0)
+
+
 def test_eta1_fd():
     u = 8.0
     assert eta1_fd(two_point(0.8), FdConfig(n_des=2), u) == pytest.approx(
@@ -478,6 +483,23 @@ def test_eta1_fd():
     )
     # n_des = 1: every extra user is turned away, E{SMG} = u/2 P{N >= 1}.
     assert eta1_fd(two_point(0.8), FdConfig(n_des=1), u) == pytest.approx(u / 2)
+
+
+@pytest.mark.parametrize("n_des", [1, 2, 4, int(1e308)])
+def test_eta1_fd_does_not_overflow_near_the_largest_band(n_des):
+    # 0.5 n u overflows at u = 1e308 for n >= 4, also on the rows past
+    # n_des that are replaced by u/2; eta1_fd must neither warn nor
+    # overflow, and at n_des = floor(u) it is (u/2) E{N}/n_des = 1.5
+    u = 1e308
+    pmf = UserCountPmf.poisson(3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = eta1_fd(pmf, FdConfig(n_des=n_des), u)
+    n = np.arange(1, pmf.weights.size)
+    want = 0.5 * u * float((pmf.weights[1:] * np.minimum(n / n_des, 1.0)).sum())
+    assert value == pytest.approx(want, rel=1e-12) and math.isfinite(value)
+    if n_des == int(1e308):
+        assert value == pytest.approx(1.5, rel=1e-9)
 
 
 def test_eta2_two_point_interior_optimum():
@@ -787,9 +809,11 @@ def test_sufficient_conditions_share_unit_curves(monkeypatch):
 
 
 def test_a_wide_law_builds_each_grid_row_once(monkeypatch):
-    # the sweep_400 law is too wide for one block: both curves come from
-    # one walk, in blocks of whole 8-row units (the last unit has 9), and
-    # no grid row is computed twice
+    # Poisson(400) is too wide for one block: both curves come from one
+    # walk, in blocks of whole 8-row units (the last unit has 9), and no
+    # grid row is computed twice. The walk computes only the units whose
+    # bound reaches a curve's largest probed value: the probe and the few
+    # units around the maximum, a fifth of the grid at most
     built = []
     grid_powers = measures._grid_powers
 
@@ -803,7 +827,7 @@ def test_a_wide_law_builds_each_grid_row_once(monkeypatch):
     curves.eta2()
     assert len(built) > 1 and all(block.size % 8 in (0, 1) for block in built)
     rows = np.concatenate(built).tolist()
-    assert len(rows) == len(set(rows)) < GRID_POINTS
+    assert len(rows) == len(set(rows)) <= 0.2 * GRID_POINTS
 
 
 def test_sufficient_conditions_reject_mass_at_zero():
