@@ -327,12 +327,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_compare(args) -> None:
     pmf = _load_pmf(args.pmf)
-    u = args.u
-    # FH's grid at u and the conditions' at u = 1, walked once where they agree
-    walk = ms.GridWalk(pmf)
-    measures = ms.build_measure_reports(
-        pmf, u, n_des=args.n_des, epsilon=args.epsilon, walk=walk
-    )
+    measures = ms.build_measure_reports(pmf, args.u, n_des=args.n_des, epsilon=args.epsilon)
     fd = {m.measure: m.value for m in measures if m.scheme == "fd"}
     rows = []
     for m in measures:
@@ -341,7 +336,7 @@ def cmd_compare(args) -> None:
         fh_val, fd_val = m.value, fd[m.measure]
         winner = "fh" if fh_val > fd_val else ("fd" if fd_val > fh_val else "tie")
         rows.append(("measure", m.measure, fh_val, fd_val, winner, None, None))
-    for name, chk in ms.mean_load_conditions(pmf, walk).items():
+    for name, chk in ms.mean_load_conditions(pmf).items():
         rows.append(
             ("condition", f"{name}_condition", None, None, None, chk.condition_holds,
              chk.inequality_verified)
@@ -359,10 +354,13 @@ def cmd_compare(args) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for an int of at least 1."""
+    """argparse type for an int of at least 1 that a double can hold (FD
+    divides the band by --n-des)."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.float_info.max:.6g}")
     return n
 
 

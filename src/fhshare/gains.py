@@ -4,8 +4,8 @@ The asymptotic per-user rate grows like (vbar_i / 2) * prod_{k != i}
 (1 - vbar_k / u) per doubling of SNR; the sum of those prefactors is the
 sum multiplexing gain (SMG). This module provides the SMG forms, the
 fair (common-v) special case, integer hop-count mixing for fractional
-targets, occupancy sampling, and the 1-D maximizer used by the measure
-optimizers.
+targets, occupancy sampling, and the certified maximizer of the FH measure
+curves.
 """
 from __future__ import annotations
 
@@ -17,12 +17,15 @@ import numpy as np
 from ._blocks import row_ranges
 from .model import HoppingProfile
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# maximize_on_interval: abscissae of the coarse grid (both ends included),
-# and the final bracket width relative to the interval.
-GRID_POINTS = 4097
-BRACKET_REL_TOL = 1e-9
+# maximize_on_interval: the cells it starts from, the ways an open cell
+# splits, and its margins, 1e-9 relative and 1e-300 absolute, far above
+# the rounding of a sum of n_top nonnegative terms; no chord is drawn to
+# a sum below the smallest normal double, whose rounding is not relative.
+_START = np.arange(129) / 128.0
+_SPLIT = np.arange(1, 16) / 16.0
+_SLACK = 1e-9
+_FLOOR = 1e-300
+_NORMAL = np.finfo(float).tiny
 
 
 def _leave_one_out_products(factors: np.ndarray) -> np.ndarray:
@@ -133,54 +136,157 @@ def _mark_smallest(scores: np.ndarray, counts: np.ndarray, out: np.ndarray) -> N
 
 
 def maximize_on_interval(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    sums: Callable[[np.ndarray], np.ndarray], u: float
 ) -> Tuple[float, float]:
-    """Deterministic 1-D maximizer: coarse grid, then golden-section.
+    """Certified maximum of an FH curve f(v) = (v/2) S(1 - v/u) over the
+    hop counts v in [0, u]: (v, f(v)).
 
-    f must accept a 1-D numpy array and return values elementwise. The
-    grid holds GRID_POINTS evenly spaced abscissae including both ends;
-    the best bracket is refined until its width is BRACKET_REL_TOL *
-    (hi - lo), or until a step leaves it no narrower: where that width is
-    below the spacing of doubles at the bracket (hi - lo under about 2e-7
-    |hi|, or subnormal), rounding stops the steps short of it. Ties
-    resolve toward the smaller argument.
+    sums maps a 1-D array of hop counts to the (3, len(v)) array of S, S'
+    and S'' at x = 1 - v/u, where S(x) = sum_k w_k x^k has every w_k >= 0.
+    So S, S' and S'' fall as v rises, ln S is convex in t = ln x, and
+    f' = g/2 with g = S - (v/u) S'. A cell [a, b] is closed when
+      - the chord of ln S in t, S(v) <= S_a (x/x_a)^beta with beta =
+        (ln S_a - ln S_b)/(t_a - t_b) >= 0 (0 where S_b is below the
+        smallest normal double or x_a = x_b), keeps f, whose bound peaks
+        at v = clip(u/(1 + beta), a, b), within (best + 1e-300)(1 + 1e-9)
+        of the largest f evaluated;
+      - f rises over it: S_b > (b/u) S'_a;
+      - f is concave on it, (b/u) S''_a <= 2 S'_b as f'' = ((v/u) S'' -
+        2 S')/(2u), and g does not turn from + to - between its ends;
+      - or no double lies inside it.
+    This is branch and bound, Piyavskii and Shubert's scheme with the
+    chord bound in place of a Lipschitz constant. S is evaluated at the
+    ends of 128 equal cells. Then, until nothing is added: from the best
+    point (the smallest v among equal f) the sign of g is followed to
+    where it turns, and that root of g is closed in on down to adjacent
+    doubles (_turning_point); once it is, every open cell is split 16
+    ways, or where f is concave searched the same way. No double in
+    [0, u] then has f above the margins of best. The point returned is
+    the end of the turn next to the best point with the larger f (the
+    smaller on a tie), where that f is within 1e-9 relative of best:
+    near a flat maximum rounding picks the best point, not the turn.
+    Otherwise it is the best point.
     """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    xs = np.linspace(lo, hi, GRID_POINTS)
-    fx = np.asarray(f(xs), dtype=float)
-    if fx.shape != xs.shape:
-        raise ValueError("objective must map arrays elementwise")
-    i = int(np.argmax(fx))
-    best_x, best_f = float(xs[i]), float(fx[i])
+    if not (u > 0.0 and math.isfinite(u)):
+        raise ValueError("need a positive finite u")
+    v = u * _START
+    sd = sums(v)
+    while True:
+        s, ds, _ = sd
+        f = 0.5 * v * s
+        g = s - (v / u) * ds
+        i = int(np.argmax(f))
+        m, lo = _turn(g, i)
+        added = [_turning_point(sums, u, v[lo : lo + 2], sd[:, lo : lo + 2])] if lo >= 0 else []
+        if not (added and added[0][0].size):
+            split, peaks = _open_cells(v, sd, g, u, f[i])
+            if split.any():
+                a, b = v[:-1][split, None], v[1:][split, None]
+                inner = a + (b - a) * _SPLIT
+                # ascending already; a cell a few doubles wide rounds some
+                # points onto its ends or each other (np.unique loads numpy.ma)
+                inner = inner[(a < inner) & (inner < b)]
+                inner = inner[np.append(True, inner[1:] != inner[:-1])]
+                added.append((inner, sums(inner)))
+            added += [_turning_point(sums, u, v[c : c + 2], sd[:, c : c + 2])
+                      for c in np.flatnonzero(peaks)]
+        added = [(x, y) for x, y in added if x.size]
+        if not added:
+            break
+        order = np.argsort(np.concatenate([v] + [x for x, _ in added]))
+        v = np.concatenate([v] + [x for x, _ in added])[order]
+        sd = np.concatenate([sd] + [y for _, y in added], axis=1)[:, order]
+    if lo >= 0:
+        m = lo + int(f[lo + 1] > f[lo])
+    if f[m] >= (1.0 - _SLACK) * f[i]:
+        i = m
+    return float(v[i]), float(f[i])
 
-    def f_scalar(x: float) -> float:
-        return float(f(np.array([x]))[0])
 
-    a = float(xs[i - 1]) if i > 0 else float(xs[0])
-    b = float(xs[i + 1]) if i + 1 < xs.size else float(xs[-1])
-    tol = BRACKET_REL_TOL * (hi - lo)
-    if b - a > tol:
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = f_scalar(c), f_scalar(d)
-        width = math.inf
-        while tol < b - a < width:
-            width = b - a
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = f_scalar(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = f_scalar(d)
-        mid = (a + b) / 2.0
-        if math.isinf(mid):  # a + b overflows near the largest double
-            mid = a + (b - a) / 2.0
-        for xx, ff in ((c, fc), (d, fd), (mid, f_scalar(mid))):
-            if ff > best_f or (ff == best_f and xx < best_x):
-                best_x, best_f = float(xx), float(ff)
-    return best_x, best_f
+def _open_cells(
+    v: np.ndarray, sd: np.ndarray, g: np.ndarray, u: float, best: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the cells between the points v that maximize_on_interval
+    cannot close (best is the largest f): those where f is not concave,
+    to be split, and those where it is and g turns, to be searched."""
+    s, ds, d2s = sd
+    a, b = v[:-1], v[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.log(1.0 - v / u)
+        ln_s = np.log(s)
+        span = t[:-1] - t[1:]
+        chord = (s[1:] >= _NORMAL) & (span > 0.0)
+        beta = np.where(chord, np.fmax((ln_s[:-1] - ln_s[1:]) / span, 0.0), 0.0)
+        peak = np.minimum(np.maximum(u / (1.0 + beta), a), b)
+        rise = np.where(beta > 0.0, beta * (np.log(1.0 - peak / u) - t[:-1]), 0.0)
+        bound = np.log(0.5 * peak) + ln_s[:-1] + rise
+    bv = (1.0 + _SLACK) * (b / u)
+    concave = bv * d2s[:-1] <= 2.0 * ds[1:]
+    closed = (bound <= math.log((best + _FLOOR) * (1.0 + _SLACK))) | (s[1:] > bv * ds[:-1])
+    cut = ~(closed | concave & ~((g[:-1] > 0.0) & (g[1:] < 0.0)))
+    return cut & ~concave, cut & concave
+
+
+def _turn(g: np.ndarray, i: int) -> Tuple[int, int]:
+    """From point i, follow the sign of g to where it turns: (m, lo) with
+    lo the cell where g goes from + to -, or -1 and m the point where g
+    is 0 or the end it runs to."""
+    if g[i] > 0.0:
+        after = np.flatnonzero(g[i:] <= 0.0)
+        m = i + int(after[0]) if after.size else g.size - 1
+        return m, m - 1 if g[m] < 0.0 else -1
+    if g[i] < 0.0:
+        before = np.flatnonzero(g[:i] >= 0.0)
+        m = int(before[-1]) if before.size else 0
+        return m, m if g[m] > 0.0 else -1
+    return i, -1
+
+
+def _turning_point(
+    sums: Callable[[np.ndarray], np.ndarray], u: float, ends: np.ndarray, sd: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The points strictly between ends, where g = S - (v/u) S' turns
+    from + to -, at which a search for its root down to adjacent doubles
+    (or a zero of g) evaluated the sums, and their sums columns. Newton's
+    method on g, g' = ((v/u) S'' - 2 S')/u, runs from the end with the
+    smaller |g| while each step stays in the bracket and halves |g|, with
+    bisections in between. Where it stalls in the rounding of g, its step
+    at most a sixteenth of the bracket, the search creeps toward the far
+    end by that step or one double, doubling, until g changes sign, and
+    bisects from there."""
+    (a, b), seen = ends.tolist(), {}
+    g_ends = sd[0] - (ends / u) * sd[1]
+    near = int(abs(g_ends[1]) < abs(g_ends[0]))
+    x, col = float(ends[near]), sd[:, near]
+    # creep: 0 for Newton, the creep's step, then inf (bisect) past the root
+    g_last, creep = math.inf, 0.0
+    while True:
+        g_x = float(col[0] - (x / u) * col[1])
+        if g_x == 0.0:
+            break
+        if g_x > 0.0:
+            a = x
+        else:
+            b = x
+        if creep and (g_x > 0.0) != (g_last > 0.0):
+            creep = math.inf
+        c = math.nan
+        if not creep:
+            dg = ((x / u) * float(col[2]) - 2.0 * float(col[1])) / u
+            step = -g_x / dg if dg < 0.0 else math.nan
+            halves = abs(g_x) <= 0.5 * abs(g_last)
+            if abs(step) <= (b - a) / 16.0 and (step + x == x or not halves):
+                creep = max(abs(step), math.ulp(x))
+            elif halves:
+                c = x + step
+        if creep:
+            c = x + math.copysign(creep, a + b - 2.0 * x)
+            creep *= 2.0
+        if not a < c < b:
+            c = a + 0.5 * (b - a)
+            if not a < c < b:
+                break
+        g_last, x = g_x, c
+        col = seen[x] = sums(np.array([x]))[:, 0]
+    points = sorted(seen)
+    return np.array(points), np.array([seen[c] for c in points]).reshape(-1, 3).T

@@ -13,18 +13,10 @@ FD splits the band into n_des equal slices and turns away users beyond
 n_des; FH with v < u always serves everyone. All measures scale linearly
 in the band size u and are reported in absolute terms.
 
-FH's eta1 and eta2 maximize curves over a grid of hop counts; both are
-products with one matrix of powers (1 - v/u)^k (FhCurves), built in row
-blocks that are never all held at once, and the cells that underflow to
-0.0 are never computed. For the maximizer a GridWalk builds the rows of
-a law's matrix once per vector 1 - v/u and, on grids wide enough to
-repay it, only the rows that can hold a curve's maximum: a probe of one
-8-row unit in every 16, then the rows where a bound on the curve reaches
-the largest probed value. The bound
-holds because S = sum_k w_k x^k with w_k >= 0 is nonincreasing in v and
-ln S is convex in ln x, x = 1 - v/u; every other row reads -inf,
-certified below the maximum, so the maximizer returns the whole grid's
-result bit for bit (see GridWalk).
+FH's eta1 and eta2 are the certified maxima over the hop count v of
+curves whose values on many v at once are one matrix of powers (1 -
+v/u)^k times weights (FhCurves), built in row blocks that are never all
+held at once, without the cells that underflow to 0.0.
 """
 from __future__ import annotations
 
@@ -42,11 +34,12 @@ from .mixture import PROB_TOL, check_probabilities
 
 _POISSON_TAIL = 1e-12
 # Largest user count a law may carry (Poisson lambda up to ~7500). The
-# measure curves walk their (4097 x n_top) grid in row blocks of about
-# 512 KiB, so maximizing both traces a peak of about 1.4 MB at any n_top
+# measure curves build their matrix of powers in row blocks of about
+# 512 KiB, so maximizing both traces a peak of about 1.7 MB at any n_top
 # up to this cap; the cap bounds their time. At n_top = 8000, maximizing
-# both takes about 0.02 s on a 2-vCPU x86 host, and a curve on every row
-# of the grid (FhCurves.curve) about 0.2 s.
+# both takes 13-16 ms on a 2-vCPU x86 host (a law with q_2 = 0.4 and
+# q_8000 = 0.6, Poisson(7000), Poisson(400) carried to n = 8192), and a
+# curve on 4097 hop counts (FhCurves.curve) about 0.17 s.
 MAX_USER_COUNT = 1 << 13
 # ln 2^-1075, half the smallest subnormal double: pow rounds every power
 # below it to 0.0, so a row b**k reaches 0.0 near k = _LOG_UNDERFLOW / ln b.
@@ -224,22 +217,6 @@ def _grid_powers(base: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-# The maximizer's objective computes the first unit of 8 grid rows in
-# every _PROBE_EVERY rows, the last whole unit and the last row, then the
-# units where a bound on some curve can reach the curve's largest probed
-# value. The bound is raised by _SLACK relative and by _FLOOR absolute,
-# twice, which covers rounding (see GridWalk); no chord is drawn to a sum
-# below _NORMAL, whose rounding is not relative. A walk narrower than
-# _PRUNE_FROM powers is computed whole: its grid costs less than the
-# bookkeeping that would leave rows out.
-_PROBE_EVERY = 128
-_PRUNE_FROM = 8
-_SLACK = 1e-9
-_FLOOR = 1e-300
-_NORMAL = np.finfo(float).tiny
-_LARGEST = np.finfo(float).max
-
-
 def _grid_products(base: np.ndarray, weights: Tuple[np.ndarray, ...]) -> np.ndarray:
     """powers @ w for each weight vector w, one row per base: the powers
     base[:, None] ** k, k = 0..n - 1 for n = w.size, are built by
@@ -254,240 +231,65 @@ def _grid_products(base: np.ndarray, weights: Tuple[np.ndarray, ...]) -> np.ndar
     return out
 
 
-class _Walk:
-    """The grid products of one law on one base vector, computed a few
-    units of rows at a time, each unit at most once; a row not computed
-    holds -inf. Unit i is rows 8i to 8i + 8, and the last unit runs on to
-    the end of the grid. certified lists the abscissae certify() ran for,
-    and complete is set once every row is computed."""
-
-    def __init__(self, base: np.ndarray, weights: Tuple[np.ndarray, np.ndarray]):
-        self.base = base
-        self.weights = weights
-        self.products = np.full((len(weights), base.size), -np.inf)
-        self.complete = False
-        self.chords: Optional[Tuple[np.ndarray, ...]] = None
-        self.certified: List[np.ndarray] = []
-
-    def fill_units(self, units: np.ndarray) -> None:
-        """Compute units i, ascending, none of them the last."""
-        rows = (8 * units[:, None] + np.arange(8)).ravel()
-        self.products[:, rows] = _grid_products(self.base[rows], self.weights)
-
-    def certify(self, v: np.ndarray) -> None:
-        """Compute every unit where, at abscissae v, the bound on some
-        curve reaches the curve's largest value on the probe (see
-        GridWalk). A grid not of 128j + 1 rows, or narrower than
-        _PRUNE_FROM powers, is computed whole."""
-        gaps, odd = divmod(self.base.size - 1, _PROBE_EVERY)
-        # v > 0 past row 7, so a row left out reads (v/2)(-inf) = -inf,
-        # never 0 (-inf) = nan
-        if odd or not gaps or self.weights[0].size < _PRUNE_FROM or not v[8] > 0.0:
-            self.products[:] = _grid_products(self.base, self.weights)
-            self.complete = True
-            return
-        if self.chords is None:
-            self.chords = self.probe(gaps)
-        s, s_a, ln_s_a, step, t_a, t_span = self.chords
-        # (v/2) S overflows to inf near u = 1e308, which keeps its rows;
-        # nan, where t = -inf or target < 0, keeps a row too
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            half = 0.5 * _probe(v, gaps)
-            # A row is left out where (v/2) B < target for the bound B on
-            # its S: then (v/2)(B (1 + _SLACK) + _FLOOR) + _FLOOR < top,
-            # or < inf where top overflows.
-            top = np.minimum((half * s).max(axis=1), _LARGEST)
-            target = ((top - _FLOOR * (half[-1] + 1.0)) / (1.0 + _SLACK))[:, None]
-            # Over gap j, v <= v_b and S <= S_a: a gap where (v_b/2) S_a
-            # < target for every curve is left out whole.
-            fails = ~(half[8 : 8 * gaps + 1 : 8] * s_a < target)
-            hit = np.flatnonzero(fails.any(axis=0))
-            if not hit.size:
-                return
-            # In a gap that fails, each row is tested for each curve that
-            # fails there, in logs: ln(v/2) + ln S_a + lam (ln S_b -
-            # ln S_a) < ln target.
-            gap, curve = np.nonzero(fails[:, hit].T)
-            j = hit[gap]
-            t = np.log(self.base[:-1].reshape(gaps, _PROBE_EVERY)[hit, 8:])
-            lam = (t - t_a[hit]) / t_span[hit]
-            ln_half = np.log(0.5 * v[:-1].reshape(gaps, _PROBE_EVERY)[hit, 8:])
-            room = np.log(target[curve, 0]) - ln_s_a[curve, j]
-            keep = ~(lam[gap] * step[curve, j, None] + ln_half[gap] < room[:, None])
-        units = _PROBE_EVERY // 8 * j[:, None] + np.arange(1, _PROBE_EVERY // 8)
-        reach = np.zeros(self.base.size // 8, dtype=bool)
-        reach[units[keep.reshape(j.size, -1, 8).any(axis=2)]] = True
-        units = np.flatnonzero(reach & (self.products[0, :-1:8] == -np.inf))
-        if units.size:
-            self.fill_units(units)
-
-    def probe(self, gaps: int) -> Tuple[np.ndarray, ...]:
-        """Compute the probe, the first unit of every gap and the last
-        nine rows; return its products s and, for gap j between row a =
-        128j + 7 and row b, the first of the next probe unit: S_a, ln S_a,
-        ln S_b - ln S_a (0 where S_b < _NORMAL), t_a and t_b - t_a (at
-        most -_NORMAL), t = ln(1 - v/u)."""
-        c = len(self.weights)
-        base = _probe(self.base, gaps)
-        s = _grid_products(base, self.weights)
-        units = self.products[:, :-1].reshape(c, gaps, _PROBE_EVERY)[:, :, :8]
-        units[...] = s[:, :-9].reshape(c, gaps, 8)
-        self.products[:, -9:] = s[:, -9:]
-        a, b = np.s_[7 : 8 * gaps : 8], np.s_[8 : 8 * gaps + 1 : 8]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln_s_a = np.log(s[:, a])
-            step = np.where(s[:, b] >= _NORMAL, np.log(s[:, b]) - ln_s_a, 0.0)
-            t = np.log(base)
-            t_span = np.minimum(t[b] - t[a], -_NORMAL)
-        return s, s[:, a], ln_s_a, step, t[a, None], t_span[:, None]
-
-
-def _probe(x: np.ndarray, gaps: int) -> np.ndarray:
-    """x at the probe's rows: 128j to 128j + 8 for every j, and the last
-    nine."""
-    return np.concatenate((x[:-1].reshape(gaps, _PROBE_EVERY)[:, :8].ravel(), x[-9:]))
-
-
-class GridWalk:
-    """The maximizer's FH grid curves of one load law: each power grid is
-    walked once, and only where a curve's maximum can lie.
-
-    The law's curves on abscissae v are the matrix of powers x^k, x = 1 -
-    v/u and k = 0..n_top - 1, times its two weight vectors, so they
-    depend on u only through the base vector x. The first call on a base
-    vector starts its walk, which computes units of 8 rows (the last unit
-    runs on to the end of the grid) when asked for, each once for both
-    curves, through _grid_products, and keeps them until the GridWalk is
-    dropped. On the maximizer's grid, linspace(0, u, 4097), 1 - v/u is
-    exactly 1 - i/4096 for every integer u, so the curves at u and at
-    u = 1 share a walk; at other u the vectors can differ and each gets
-    a walk of its own.
-
-    maximand(), the objective of FhCurves.eta1 and eta2, computes only
-    the units that can hold a maximum, on a grid of 128j + 1 rows (the
-    maximizer's 4097 among them) of a law with _PRUNE_FROM powers or
-    more; a narrower grid costs less than the bookkeeping of leaving rows
-    out, and is computed whole. The first call computes a probe: unit
-    16j, rows 128j to 128j + 8, for every j, and the last unit. Gap j is
-    the rows between a = 128j + 7 and b, the first row of the next probe
-    unit. With S = sum_k w_k x^k and every w_k >= 0, S is nonincreasing
-    in v and ln S is convex in t = ln x, so for a < r < b
-
-      S_r <= min(S_a, exp((1 - lam) ln S_a + lam ln S_b)),
-      lam = (t_r - t_a) / (t_b - t_a).
-
-    Each call then tests, once for its abscissae, both curves against
-    their largest probed values: a gap where (v_b/2) S_a stays below it
-    is left out whole, and in a gap where it does not, each row r is
-    tested with (v_r/2) times the chord bound for the curves that reach
-    it there. The units that hold a row reaching the value are computed;
-    every other row reads -inf. The bound on S is raised by 1e-9 relative
-    and 1e-300 absolute, and (v/2) S by 1e-300 again. A computed S is
-    within about n_top ulps of the exact sum, far inside the 1e-9; no
-    chord is drawn to an S_b below the smallest normal double, whose
-    rounding is not relative; and where a curve's values stay below about
-    1e-300 no row is left out. So every -inf row is certified strictly
-    below its curve's maximum, and the maximizer's argmax, its value and
-    so its bracket are those of the whole grid. A later call with other
-    abscissae on the same base vector (another u with the same grid) is
-    certified for its own and computes the units it adds.
-
-    The rows computed at once are whole units in grid order, the last
-    unit last. On the maximizer's grid of 8j + 1 abscissae every row but
-    the last is then in one of gemv's groups of 4, in the whole matrix as
-    in the rows computed (see _blocks), and the last row, v = u, is
-    (1, 0, 0, ...) and exact either way: every computed value is the
-    whole matrix's, bit for bit. The CLI builds one GridWalk per command;
-    nothing is shared between GridWalks.
-    """
-
-    def __init__(self, pmf: UserCountPmf):
-        self._pmf = pmf
-        q = pmf.weights[1:]
-        # the eta1 and the eta2 curve's weights, (n q_n, q_n) for n >= 1
-        self._weights = (np.arange(1, pmf.weights.size) * q, q)
-        self._walks: List[_Walk] = []
-
-    def maximand(self, per_user: bool, v: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """(v/2) (powers @ w) for the per_user curve's weights w on every
-        row computed, -inf on the rest, each of which is certified below
-        the maximum at the ascending abscissae v: the powers are
-        base[:, None] ** k, base = 1 - v/u (see the class docstring)."""
-        for walk in self._walks:
-            if np.array_equal(walk.base, base):
-                break
-        else:
-            walk = _Walk(base, self._weights)
-            self._walks.append(walk)
-        if not (walk.complete or any(np.array_equal(v, seen) for seen in walk.certified)):
-            walk.certify(v)
-            walk.certified.append(v.copy())
-        return 0.5 * v * walk.products[int(per_user)]
-
-
 class FhCurves:
     """The FH objectives of one load law at one band size u, as functions
     of the hop count v, vectorized over v:
 
       eta1  E{SMG(v, N)} = (v/2) sum_{n >= 1} n q_n (1 - v/u)^(n-1),
-      eta2  E{SMG(v, N)/N} = (v/2) sum_{n >= 1} q_n (1 - v/u)^(n-1), the
-            eta2 objective for v < u.
+      eta2  E{SMG(v, N)/N} = (v/2) sum_{n >= 1} q_n (1 - v/u)^(n-1).
 
-    curve() on more than one abscissa computes every row of the grid
-    product (_grid_products). eta1 and eta2 maximize a private objective
-    that reads the rows that can hold the maximum from a GridWalk of the
-    law, and -inf on the rest, each certified strictly below the maximum
-    (GridWalk.maximand): so it gives the same argmax and value bit for
-    bit. Curves built on one shared GridWalk share its walks. A call on
-    one abscissa x computes its row directly, on Python floats.
+    Each is (v/2) S(x), x = 1 - v/u, for a sum S = sum_k w_k x^k with
+    every w_k >= 0. curve() computes it through the grid product
+    (_grid_products); eta1 and eta2 hand S, S' and S'' to
+    gains.maximize_on_interval, which certifies its maximum.
     """
 
-    def __init__(self, pmf: UserCountPmf, u: float, walk: Optional[GridWalk] = None):
-        if walk is not None and walk._pmf is not pmf:
-            raise ValueError("walk holds the curves of another law")
+    def __init__(self, pmf: UserCountPmf, u: float):
         self.pmf = pmf
         self.u = u
-        self._walk = GridWalk(pmf) if walk is None else walk
+        q = pmf.weights[1:]
+        # the eta1 and the eta2 curve's weights, (n q_n, q_n) for n >= 1
+        self._weights = (np.arange(1, pmf.weights.size) * q, q)
 
     def curve(self, per_user: bool) -> Callable[[np.ndarray], np.ndarray]:
         """The eta2 objective with per_user, else the eta1 one."""
-        return self._curve(per_user, bounded=False)
-
-    def _curve(self, per_user: bool, bounded: bool) -> Callable[[np.ndarray], np.ndarray]:
-        """curve(per_user), or with bounded the maximizer's objective,
-        which on a grid reads -inf where GridWalk.maximand leaves a row."""
-        w = self._walk._weights[per_user]
-        u, k = self.u, np.arange(self.pmf.n_top)
+        w, u = self._weights[per_user], self.u
 
         def f(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=float)
-            if v.size == 1:
-                x = float(v[0])
-                return np.array([0.5 * x * float(np.power(1.0 - x / u, k) @ w)])
-            if bounded:
-                return self._walk.maximand(per_user, v, 1.0 - v / u)
             return 0.5 * v * _grid_products(1.0 - v / u, (w,))[0]
 
         return f
 
+    def _sums(self, per_user: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """The maximizer's objective: S, S' and S'' of the per_user curve
+        at x = 1 - v/u, from one matrix of powers; a root step's one
+        abscissa is computed directly, on a Python float."""
+        w, u = self._weights[per_user], self.u
+        k = np.arange(w.size)
+        # rows w_k, (k + 1) w_{k+1} and (k + 1)(k + 2) w_{k+2}
+        stacked = np.zeros((3, w.size))
+        stacked[0] = w
+        stacked[1, :-1] = k[1:] * w[1:]
+        stacked[2, :-2] = k[1:-1] * k[2:] * w[2:]
+
+        def sums(v: np.ndarray) -> np.ndarray:
+            if v.size == 1:
+                return (stacked @ np.power(1.0 - float(v[0]) / u, k))[:, None]
+            return _grid_products(1.0 - v / u, tuple(stacked))
+
+        return sums
+
     def eta1(self) -> Tuple[float, float]:
         """Best expected SMG and its hop count: (value, v_star)."""
-        v_star, value = maximize_on_interval(self._curve(False, bounded=True), 0.0, self.u)
+        v_star, value = maximize_on_interval(self._sums(False), self.u)
         return value, v_star
 
     def eta2(self) -> Tuple[float, float]:
         """Best expected worst-user gain with everyone served and its hop
-        count: (value, v_dagger).
-
-        The objective is continuous on [0, u); the boundary point v = u is
-        scored separately under the service rule (only N = 1 counts
-        there) and compared against the interior optimum.
-        """
-        u = self.u
-        v_dag, value = maximize_on_interval(self._curve(True, bounded=True), 0.0, u)
-        boundary = 0.5 * u * self.pmf.weights[1]
-        if boundary > value:
-            return boundary, u
+        count: (value, v_dagger). At v = u only a lone user is served, and
+        the curve there is (u/2) q_1, that rule's value."""
+        v_dag, value = maximize_on_interval(self._sums(True), self.u)
         return value, v_dag
 
 
@@ -714,9 +516,7 @@ def _checked(measure: str, cond: bool, fh: float, fd: float) -> ConditionCheck:
     return ConditionCheck(condition_holds=cond, inequality_verified=verified)
 
 
-def mean_load_conditions(
-    pmf: UserCountPmf, walk: Optional[GridWalk] = None
-) -> Dict[str, ConditionCheck]:
+def mean_load_conditions(pmf: UserCountPmf) -> Dict[str, ConditionCheck]:
     """The mean-load tests guaranteeing that FH beats FD, keyed by measure,
     each with the direct comparison at u = 1 and n_des = n_max:
 
@@ -726,14 +526,13 @@ def mean_load_conditions(
     Their hypothesis is a finite load with no mass at N = 0; any other law
     (Poisson, or q[0] > 0) gets no checks. A condition that holds while its
     comparison fails would contradict the guarantee, so that combination
-    raises. Both comparisons maximize over one FhCurves grid, taken from
-    walk when one is given.
+    raises.
     """
     if not pmf.is_finite or pmf.weights[0] > 0.0:
         return {}
     n_max = pmf.n_max
     fd = FdConfig(n_des=n_max)
-    curves = FhCurves(pmf, 1.0, walk)
+    curves = FhCurves(pmf, 1.0)
     mean_n = pmf.mean()
     cond = mean_n < 0.5 * math.log((math.e**2 - 1.0) * n_max)
     fh, _ = curves.eta1()
@@ -761,7 +560,6 @@ def build_measure_reports(
     u: float,
     n_des: Optional[int] = None,
     epsilon: Optional[float] = None,
-    walk: Optional[GridWalk] = None,
 ) -> List[Measure]:
     """Every measure of FH, FD and AFH on a common user count law, in the
     order fh, fd, afh and eta1 to eta4 within a scheme; eta3 is left out
@@ -771,8 +569,7 @@ def build_measure_reports(
     v_dagger, v = u/n_max, v), FD its n_des, AFH no parameter. epsilon is
     the hop-count backoff used for FH's service measure when the eta1
     optimum sits at v = u; it defaults to u/1000 and must lie in (0, u/2),
-    as in epsilon_backoff_region. FH's curves come from walk when one is
-    given.
+    as in epsilon_backoff_region.
     """
     if epsilon is None:
         epsilon = 1e-3 * u
@@ -781,7 +578,7 @@ def build_measure_reports(
     fd_cfg = FdConfig(n_des=n_des) if n_des is not None else FdConfig.default_for(pmf, u)
     n_max = pmf.n_max
 
-    curves = FhCurves(pmf, u, walk)
+    curves = FhCurves(pmf, u)
     e1_fh, v_star = curves.eta1()
     e2_fh, v_dag = curves.eta2()
     eta4_v = v_star if v_star < u else u - epsilon

@@ -1,5 +1,4 @@
 """Command line interface: output correctness, determinism, error paths."""
-import collections
 import contextlib
 import csv
 import io
@@ -23,7 +22,6 @@ import fhshare.cli
 import fhshare.measures
 import fhshare.sim
 from fhshare.cli import _emit, _parse_floats, main
-from fhshare.gains import GRID_POINTS
 from fhshare.model import (
     HoppingProfile,
     NetworkScenario,
@@ -714,11 +712,26 @@ def test_n_des_below_one_is_a_usage_error(pmf_finite_file, capsys, sub, value):
     assert f"--n-des: must be at least 1, got {value}" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("sub", ["measures", "compare"])
+def test_n_des_past_the_double_range_is_a_usage_error(tmp_path, capsys, sub):
+    # FD divides the band by n_des, so a count no double holds is refused
+    # by name, not met by an OverflowError; the largest that fits runs
+    law = tmp_path / "poisson3.json"
+    law.write_text(json.dumps({"type": "poisson", "lambda": 3.0}))
+    argv = [sub, "--pmf", str(law), "--u", "4", "--n-des"]
+    code, out, err = run_cli(argv + ["1" + "0" * 400], capsys)
+    assert_usage_error(code, out, err, "--n-des")
+    assert "must be at most 1.79769e+308" in json.loads(err)["message"]
+    code, out, _ = run_cli(argv + [str(int(sys.float_info.max))], capsys)
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("command", ["measures", "compare"])
 def test_a_subnormal_band_returns(pmf_finite_file, command):
-    # at --u 1e-320 the maximizer's bracket lies among subnormals, where
-    # the golden-section steps stop narrowing it; the command used to run
-    # for ever. In a child process, such a loop fails by the timeout.
+    # at --u 1e-320 the maximizer's cells lie among subnormals, where its
+    # search for the turn of f' stops at the spacing of doubles; an older
+    # maximizer ran for ever here. In a child process, such a loop fails
+    # by the timeout.
     src = os.path.dirname(os.path.dirname(fhshare.__file__))
     argv = [sys.executable, "-m", "fhshare.cli", command, "--pmf", pmf_finite_file,
             "--u", "1e-320"]
@@ -902,55 +915,6 @@ def grid_blocks(monkeypatch):
     return built
 
 
-def unit_grid(u):
-    """The base vector 1 - v/u of the maximizer's grid at band size u."""
-    return 1.0 - np.linspace(0.0, u, GRID_POINTS) / u
-
-
-def rows_built(blocks, *grids):
-    """The number of grid rows the blocks computed, after checking that
-    no row was computed twice in one walk: each base value turns up at
-    most as often as in the grids, one per walk."""
-    built = collections.Counter(np.concatenate(blocks).tolist())
-    assert built <= sum((collections.Counter(g.tolist()) for g in grids), collections.Counter())
-    return sum(built.values())
-
-
-def test_one_grid_matrix_per_law_and_band(grid_blocks, pmf_finite_file, tmp_path, capsys):
-    # eta1 and eta2 share one walk, and so do compare's law at u = 8 and
-    # its mean-load conditions at u = 1: both grids' 1 - v/u are 1 - i/4096.
-    # A law narrower than _PRUNE_FROM powers walks its whole grid in one
-    # block; a wider one computes only rows that can hold a maximum, each
-    # once
-    assert np.array_equal(unit_grid(8.0), unit_grid(1.0))
-    wide = tmp_path / "wide.json"
-    wide.write_text(json.dumps({"type": "finite", "q": [0.0] + [1.0 / 24] * 24}))
-    assert fhshare.measures._PRUNE_FROM <= 24
-    for sub in ("measures", "compare"):
-        for law, narrow in ((pmf_finite_file, True), (str(wide), False)):
-            code, out, _ = run_cli([sub, "--pmf", law, "--u", "8"], capsys)
-            assert code == 0
-            if sub == "compare":
-                assert [r["kind"] for r in parse_csv(out)].count("condition") == 2
-            if narrow:
-                assert [block.size for block in grid_blocks] == [GRID_POINTS]
-            else:
-                assert 0 < rows_built(grid_blocks, unit_grid(8.0)) < GRID_POINTS
-            grid_blocks.clear()
-
-
-def test_compare_walks_apart_where_the_grids_differ(grid_blocks, pmf_finite_file, capsys):
-    # at u = 16.1, 1 - v/u differs from 1 - v/1 in some last bits, so the
-    # conditions at u = 1 walk a grid of their own: row 0, 1 - 0/u = 1,
-    # is computed once in each walk
-    u = 16.1
-    assert not np.array_equal(unit_grid(u), unit_grid(1.0))
-    code, out, _ = run_cli(["compare", "--pmf", pmf_finite_file, "--u", str(u)], capsys)
-    assert code == 0 and [r["kind"] for r in parse_csv(out)].count("condition") == 2
-    rows_built(grid_blocks, unit_grid(u), unit_grid(1.0))
-    assert np.concatenate(grid_blocks).tolist().count(1.0) == 2
-
-
 def test_sweep_builds_no_grid_rows(grid_blocks, capsys):
     # sweep takes eta1 and eta2 from the Poisson closed forms, so it
     # maximizes no curve: v_star is u/lambda, or u below lambda = 1
@@ -966,9 +930,8 @@ def test_sweep_builds_no_grid_rows(grid_blocks, capsys):
 
 def test_sweep_400_computes_a_fifth_of_its_grid_at_most(grid_blocks, tmp_path, capsys):
     # sweep's Poisson(400) row comes from the closed forms and builds no
-    # grid row; measures on the same law maximizes on the grid, and its
-    # walk computes only the units whose bound reaches a curve's largest
-    # probed value: the probe and the few units around the maximum
+    # grid row; measures on the same law maximizes both curves, on fewer
+    # hop counts than a fifth of a 4097-point grid
     code, out, _ = run_cli(["sweep", "--u", "16", "--lambdas", "400"], capsys)
     assert code == 0 and len(parse_csv(out)) == 1
     assert grid_blocks == []
@@ -976,16 +939,16 @@ def test_sweep_400_computes_a_fifth_of_its_grid_at_most(grid_blocks, tmp_path, c
     law.write_text(json.dumps({"type": "poisson", "lambda": 400.0}))
     code, _, _ = run_cli(["measures", "--pmf", str(law), "--u", "16"], capsys)
     assert code == 0
-    assert 0 < rows_built(grid_blocks, unit_grid(16.0)) <= 0.2 * GRID_POINTS
+    assert 0 < sum(block.size for block in grid_blocks) <= 0.2 * 4097
 
 
 @pytest.mark.parametrize("command", ["compare", "measures"])
 def test_a_repeated_call_walks_the_grid_as_often_as_the_first(
     grid_blocks, pmf_finite_file, tmp_path, capsys, command
 ):
-    # no walk outlives its call: a second identical call in the same
-    # process computes every row again, on a narrow law's whole grid or
-    # a wide law's pruned one
+    # nothing outlives a call: a second identical call in the same process
+    # computes the same rows of powers again, on a narrow law or a wide
+    # one, and fewer than a 4097-point grid has
     wide = tmp_path / "wide.json"
     wide.write_text(json.dumps({"type": "poisson", "lambda": 40.0}))
     argv = {
@@ -1000,7 +963,7 @@ def test_a_repeated_call_walks_the_grid_as_often_as_the_first(
         walks.append([block.size for block in grid_blocks])
         grid_blocks.clear()
     assert outs[0] == outs[1]
-    assert walks[0] == walks[1] and 0 < sum(walks[0]) <= GRID_POINTS
+    assert walks[0] == walks[1] and 0 < sum(walks[0]) < 4097
 
 
 def test_sweep_peak_memory_does_not_grow_with_the_lambdas(capsys):

@@ -1,4 +1,4 @@
-"""Multiplexing gain formulas, hop samplers, and the 1-D maximizer."""
+"""Multiplexing gain formulas, hop samplers, and the FH curve maximizer."""
 import math
 
 import numpy as np
@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fhshare.gains import (
-    GRID_POINTS,
     _leave_one_out_products,
     integer_hop_mixture,
     maximize_on_interval,
@@ -17,6 +16,7 @@ from fhshare.gains import (
     two_generator_profile,
     v_opt,
 )
+from fhshare.measures import FhCurves, UserCountPmf
 from fhshare.model import HoppingProfile
 
 
@@ -237,54 +237,81 @@ def test_sample_occupancy_ties_follow_the_argsort_order(u, levels):
         assert straddle.sum() > n_slots // 10
 
 
+def fh_objective(pmf, u, per_user=False):
+    """The maximizer's objective for an FH curve: S, S' and S'' of the law's
+    eta1 curve (eta2 with per_user) at x = 1 - v/u."""
+    return FhCurves(pmf, u)._sums(per_user)
+
+
 def test_maximizer_quadratic():
-    x, fx = maximize_on_interval(lambda t: -((t - math.pi) ** 2), 0.0, 10.0)
-    assert x == pytest.approx(math.pi, abs=1e-7)
-    assert fx == pytest.approx(0.0, abs=1e-13)
+    # q = (0, 0.4, 0.6): the eta1 curve (v/2)(q1 + 2 q2 (1 - v/u)) is a
+    # quadratic in v with its peak at v = u (1 + q2)/(4 q2) = 2u/3
+    u = 10.0
+    x, fx = maximize_on_interval(fh_objective(UserCountPmf.finite((0.0, 0.4, 0.6)), u), u)
+    assert x == pytest.approx(2.0 * u / 3.0, abs=1e-12 * u)
+    assert fx == pytest.approx(0.8 * u / 3.0, rel=1e-13)
 
 
 def test_maximizer_multimodal():
-    # sin(t) + 0.1 t on [0, 16]: interior peaks at acos(-0.1) + 2 pi k,
-    # highest one inside the window is k = 2.
-    x, fx = maximize_on_interval(lambda t: np.sin(t) + 0.1 * t, 0.0, 16.0)
-    x_true = math.acos(-0.1) + 4 * math.pi
-    assert x == pytest.approx(x_true, abs=1e-6)
-    assert fx == pytest.approx(math.sin(x_true) + 0.1 * x_true, rel=1e-12)
+    # q2 = 0.4, q8000 = 0.6: a broad peak of 1.6 at v = 8 and a narrow one,
+    # about u/8000 wide, near v = 0.002; the narrow one is higher
+    q = np.zeros(8001)
+    q[2], q[8000] = 0.4, 0.6
+    u = 16.0
+    fh = FhCurves(UserCountPmf.finite(q), u)
+    x, fx = maximize_on_interval(fh._sums(False), u)
+    v = np.linspace(0.0, 0.01, 100001)
+    dense = 0.5 * v * (0.8 * (1.0 - v / u) + 4800.0 * (1.0 - v / u) ** 7999)
+    assert fx >= dense.max() * (1.0 - 1e-12) and fx > 1.7667
+    assert abs(x - v[np.argmax(dense)]) <= 1e-7
 
 
 def test_maximizer_boundary_and_ties():
-    # Increasing objective: the boundary point wins.
-    x, fx = maximize_on_interval(lambda t: t, 0.0, 5.0)
-    assert x == 5.0 and fx == 5.0
-    # cos has equal maxima at 0 and 2 pi; ties resolve to the smaller x.
-    x, fx = maximize_on_interval(np.cos, 0.0, 4 * math.pi)
-    assert x == pytest.approx(0.0, abs=1e-6)
-    assert fx == pytest.approx(1.0, rel=0, abs=0)
-    with pytest.raises(ValueError):
-        maximize_on_interval(np.cos, 1.0, 1.0)
+    # a law with n_max = 1: S = 1 and the curve v/2 rises to the band edge
+    x, fx = maximize_on_interval(fh_objective(UserCountPmf.finite((0.0, 1.0)), 5.0), 5.0)
+    assert x == 5.0 and fx == 2.5
+    # q1 = 0.8 > 2 q2: the eta1 curve rises all the way to v = u
+    x, fx = maximize_on_interval(fh_objective(UserCountPmf.finite((0.0, 0.8, 0.2)), 8.0), 8.0)
+    assert x == 8.0 and fx == pytest.approx(3.2, rel=1e-15)
+    # all mass at N = 0: the curve is 0 everywhere, a tie at every v,
+    # which resolves to the smallest
+    flat = fh_objective(UserCountPmf.finite((1.0, 0.0)), 4.0)
+    assert maximize_on_interval(flat, 4.0) == (0.0, 0.0)
+    for u in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite u"):
+            maximize_on_interval(flat, u)
 
 
 def test_maximizer_flat_function():
-    x, fx = maximize_on_interval(lambda t: np.full_like(t, 2.5), -1.0, 1.0)
-    assert fx == 2.5
-    assert x == -1.0
+    # q1 = q2 = 1/2: the eta2 curve (v/2)(1/2 + (1 - v/u)/2) is flat at its
+    # peak v = u, where f' = 0; the maximizer reads the turn of f', not
+    # which of the equal-looking values near u rounds highest
+    for u in (1.0, 7.0, 16.1, 1e308):
+        x, fx = maximize_on_interval(fh_objective(UserCountPmf.finite((0.0, 0.5, 0.5)), u, True), u)
+        assert x == pytest.approx(u, rel=1e-15) and fx == pytest.approx(0.25 * u, rel=1e-15)
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 1.0 + 1e-8), (1e20, 1e20 + 1e5), (0.0, 1e-320)])
 def test_maximizer_returns_where_rounding_stops_the_bracket(lo, hi):
-    # BRACKET_REL_TOL * (hi - lo) is below the spacing of doubles at the
-    # bracket, so the golden-section steps stop narrowing it first; these
-    # calls used to loop for ever. The objective refuses a thousandth
-    # call, so a loop that does not end fails instead of hanging.
-    mid = lo + (hi - lo) / 2
+    # At u = hi a Poisson law with lambda = u / mid peaks at v = u / lambda
+    # inside [lo, hi]: a bracket a few doubles wide near 1e20, and one of
+    # subnormal doubles, where the search for the turn of f' stops at the
+    # spacing of doubles. The objective refuses a thousandth call, so a
+    # search that does not end fails instead of hanging.
+    u, mid = hi, lo + (hi - lo) / 2
+    sums = fh_objective(UserCountPmf.poisson(u / mid), u)
     calls = []
 
-    def f(t):
-        calls.append(t.size)
+    def guarded(v):
+        calls.append(v.size)
         if len(calls) >= 1000:
-            raise RuntimeError("the golden-section loop does not end")
-        return -np.abs(t - mid)
+            raise RuntimeError("the maximizer does not end")
+        return sums(v)
 
-    x, fx = maximize_on_interval(f, lo, hi)
-    assert lo <= x <= hi and fx == -abs(x - mid)
-    assert fx >= f(np.linspace(lo, hi, GRID_POINTS)).max()
+    x, fx = maximize_on_interval(guarded, u)
+    assert lo <= x <= hi
+    assert fx == pytest.approx(0.5 * x * sums(np.array([x]))[0, 0], rel=1e-15, abs=1e-320)
+    # within the maximizer's margins, whose 1e-300 absolute covers every
+    # value of a curve on subnormal hop counts
+    v = np.linspace(lo, hi, 4097)
+    assert (0.5 * v * sums(v)[0]).max() <= (fx + 1e-300) * (1.0 + 2.5e-9)

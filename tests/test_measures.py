@@ -9,7 +9,6 @@ Two-point user-count laws q = (0, q1, q2) admit exact optima by hand:
 
 Those expressions anchor the optimizer tests below.
 """
-import collections
 import math
 import tracemalloc
 import warnings
@@ -21,13 +20,12 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from fhshare import _blocks, measures
-from fhshare.gains import GRID_POINTS, maximize_on_interval, two_generator_profile
+from fhshare.gains import maximize_on_interval, two_generator_profile
 from fhshare.measures import (
     _LOG_UNDERFLOW,
     MAX_USER_COUNT,
     FdConfig,
     FhCurves,
-    GridWalk,
     UserCountPmf,
     _grid_powers,
     build_measure_reports,
@@ -57,6 +55,9 @@ TEN_USER_MIX = UserCountPmf.finite(
 # u/16 equals u/(2*8), the n_des = 8 value with the 2% overflow mass
 # ignored.
 REPORTED_TEN_USER_ETA2_FD_PER_U = 1.0 / 16.0
+# Abscissae of the grids the curve tests evaluate on, 0 to u inclusive:
+# 8j + 1 of them, the shape on which gemv's groups of 4 hold every row.
+GRID_POINTS = 4097
 
 
 def two_point(q1):
@@ -272,20 +273,6 @@ def weight_vectors(pmf):
     return np.arange(1, pmf.weights.size) * q, q
 
 
-def unit_grid(u):
-    """The base vector 1 - v/u of the maximizer's grid at band size u."""
-    return 1.0 - np.linspace(0.0, u, GRID_POINTS) / u
-
-
-def rows_built(blocks, *grids):
-    """The number of grid rows the blocks computed, after checking that
-    no row was computed twice in one walk: each base value turns up at
-    most as often as in the grids, one per walk."""
-    built = collections.Counter(np.concatenate(blocks).tolist() if blocks else [])
-    assert built <= sum((collections.Counter(g.tolist()) for g in grids), collections.Counter())
-    return sum(built.values())
-
-
 @st.composite
 def maximized_laws(draw):
     """A finite law of n_max 1 to 40, with or without mass at N = 0, all
@@ -307,83 +294,73 @@ def maximized_laws(draw):
 BANDS = [1.0, 7.0, 16.0, 16.1, 1e-320, 1e308]
 
 
+def certified(value, exact):
+    """value is within the maximizer's margins of every exact curve value:
+    1e-9 relative, twice (once for the bound, once for the root that may
+    stand in for the best point), and 1e-300 absolute."""
+    return bool((exact <= (value + 1e-300) * (1.0 + 2.5e-9)).all())
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(maximized_laws(), min_size=1, max_size=3), st.sampled_from(BANDS),
-       st.integers(1, 1 << 17), st.sampled_from([1, measures._PRUNE_FROM]))
-@example([UserCountPmf.poisson(400.0)], 16.0, 1 << 16, measures._PRUNE_FROM)
-@example([UserCountPmf.finite([0.0, 0.5, 0.5]), UserCountPmf.poisson(20.0)], 1e-320, 1 << 16, 1)
-@example([UserCountPmf.poisson(20.0), UserCountPmf.finite([0.2, 0.3, 0.5])], 1e308, 100, 1)
-@example([UserCountPmf.finite([0.0, 5e-324, 1.0 - 5e-324])], 1e308, 1 << 16, 1)
-@example([UserCountPmf.finite([0.0, 0.9, 0.1])], 16.0, 1 << 16, 1)
-def test_the_maximizer_objective_is_exact_or_certified_below_the_maximum(
-    laws, u, cells, prune_from
-):
-    # eta1 and eta2 maximize an objective that reads -inf on the rows the
-    # walk leaves out. Every row it computes is the whole grid product,
-    # bit for bit; every row it leaves is strictly below the curve's
-    # maximum; so the maximizer returns the exact curve's (x, f) bits.
-    # Each law's GridWalk holds its curves at u and at u = 1, which share
-    # a base vector at integer u (and then no row is computed twice) and
-    # certify their own abscissae. With prune_from 1 the walk leaves rows
-    # out of narrow laws' grids too.
-    built = []
-
-    def counting(base, k):
-        built.append(base.copy())
-        return _grid_powers(base, k)
-
-    found, curves = [], []
+       st.integers(1, 1 << 17))
+@example([UserCountPmf.poisson(400.0)], 16.0, 1 << 16)
+@example([UserCountPmf.finite([0.0, 0.5, 0.5]), UserCountPmf.poisson(20.0)], 1e-320, 1 << 16)
+@example([UserCountPmf.poisson(20.0), UserCountPmf.finite([0.2, 0.3, 0.5])], 1e308, 100)
+@example([UserCountPmf.finite([0.0, 5e-324, 1.0 - 5e-324])], 1e308, 1 << 16)
+@example([UserCountPmf.finite([0.0, 0.9, 0.1])], 16.0, 1 << 16)
+def test_the_maximizer_objective_is_exact_or_certified_below_the_maximum(laws, u, cells):
+    # The maximizer's objective gives S, the grid product, bit for bit on
+    # every array of abscissae it is asked for, in row blocks of any size,
+    # and to rounding on the one abscissa of a root step; S' and S'' are
+    # the grid products of k w_k and k (k - 1) w_k. Every
+    # value of the exact curve, on the 4097-point grid and at every
+    # abscissa the maximizer asked for, is within its margins of the
+    # value it returns, which is the curve at the hop count it returns.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_blocks, "BLOCK_DOUBLES", cells)
-        mp.setattr(measures, "_PRUNE_FROM", prune_from)
-        mp.setattr(measures, "_grid_powers", counting)
         for pmf in laws:
-            walk = GridWalk(pmf)
-            pair = [FhCurves(pmf, u, walk), FhCurves(pmf, 1.0, walk)]
-            for fh in pair:
-                v = np.linspace(0.0, fh.u, GRID_POINTS)
-                full = _grid_powers(1.0 - v / fh.u, np.arange(pmf.n_top))
+            for fh in (FhCurves(pmf, u), FhCurves(pmf, 1.0)):
+                k = np.arange(pmf.n_top)
                 for per_user, w in enumerate(weight_vectors(pmf)):
-                    objective = fh._curve(bool(per_user), bounded=True)
-                    got, exact = objective(v), 0.5 * v * (full @ w)
-                    kept = got != -np.inf
-                    assert bits(got[kept]).tolist() == bits(exact[kept]).tolist()
-                    assert (exact[~kept] < exact.max()).all()
-                    found.append(maximize_on_interval(objective, 0.0, fh.u))
-            grids = {unit_grid(fh.u).tobytes(): unit_grid(fh.u) for fh in pair}.values()
-            rows_built(built, *grids)
-            built.clear()
-            curves += pair
-    expected = [maximize_on_interval(FhCurves(fh.pmf, fh.u).curve(per_user), 0.0, fh.u)
-                for fh in curves for per_user in (False, True)]
-    assert bits(np.array(found)).tolist() == bits(np.array(expected)).tolist()
+                    asked = []
+                    sums = fh._sums(bool(per_user))
 
+                    def recording(v):
+                        asked.append(v.copy())
+                        return sums(v)
 
-def test_a_walk_serves_only_its_own_law():
-    # a GridWalk holds one law's curves; another law's maximum read off
-    # them would be wrong, so FhCurves refuses the pairing
-    pmf = UserCountPmf.poisson(3.0)
-    walk = GridWalk(pmf)
-    with pytest.raises(ValueError, match="another law"):
-        FhCurves(UserCountPmf.poisson(3.0), 4.0, walk)
-    assert FhCurves(pmf, 4.0, walk).eta1() == FhCurves(pmf, 4.0).eta1()
+                    x, fx = maximize_on_interval(recording, fh.u)
+                    grid = np.linspace(0.0, fh.u, GRID_POINTS)
+                    for v in asked + [grid]:
+                        powers = _grid_powers(1.0 - v / fh.u, k)
+                        got = sums(v)
+                        want = [powers @ w, powers[:, :-1] @ (k[1:] * w[1:]),
+                                powers[:, :-2] @ (k[1:-1] * k[2:] * w[2:])]
+                        if v.size > 1:
+                            assert bits(got[0]).tolist() == bits(want[0]).tolist()
+                        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+                        assert certified(fx, 0.5 * v * want[0])
+                    assert 0.0 <= x <= fh.u
+                    assert fx == pytest.approx(float(fh.curve(bool(per_user))(np.array([x]))[0]),
+                                               rel=1e-14, abs=1e-320)
 
 
 def test_fh_curves_return_at_a_subnormal_band(monkeypatch):
-    # At u = 1e-320 the maximizer's bracket lies among subnormals, where
-    # the golden-section steps stop narrowing it; eta1 and eta2 used to
-    # loop for ever there. An objective that refuses a thousandth call
-    # turns such a loop into a failure.
-    def guarded(f, lo, hi):
+    # At u = 1e-320 every cell of the maximizer lies among subnormals,
+    # where the search for the turn of f' stops at the spacing of doubles.
+    # An objective that refuses a thousandth call turns a search that does
+    # not end into a failure.
+    def guarded(sums, u):
         calls = []
 
         def once(v):
             calls.append(1)
             if len(calls) >= 1000:
-                raise RuntimeError("the golden-section loop does not end")
-            return f(v)
+                raise RuntimeError("the maximizer does not end")
+            return sums(v)
 
-        return maximize_on_interval(once, lo, hi)
+        return maximize_on_interval(once, u)
 
     monkeypatch.setattr(measures, "maximize_on_interval", guarded)
     u = 1e-320
@@ -393,12 +370,70 @@ def test_fh_curves_return_at_a_subnormal_band(monkeypatch):
             assert 0.0 <= v <= u and 0.0 <= value <= u
 
 
+def two_peaks(u):
+    """q2 = 0.4 and q8000 = 0.6 at band u: the eta1 curve has a broad peak
+    of 0.1 u at v = u/2 and a narrow one, about u/8000 wide, near v =
+    u/8000, which is higher."""
+    q = np.zeros(8001)
+    q[2], q[8000] = 0.4, 0.6
+    return FhCurves(UserCountPmf.finite(q), u)
+
+
+@pytest.mark.parametrize("u", [16.0, 1.0])
+def test_a_peak_narrower_than_any_grid_cell_is_found(u):
+    # a grid of 4097 hop counts samples the narrow peak at 75% of its
+    # height, below the broad one, and so had printed 1.6 at v = 8 for u =
+    # 16: 9.4% low
+    fh = two_peaks(u)
+    value, v_star = fh.eta1()
+    assert value >= 1.7667 * u / 16.0 and v_star < 0.01 * u / 16.0
+    assert certified(value, dense_peak_scan(fh.pmf, u, False))
+
+
+@st.composite
+def sparse_wide_laws(draw):
+    """A finite law of 2 to 4 masses at counts up to MAX_USER_COUNT."""
+    counts = draw(st.lists(st.integers(1, MAX_USER_COUNT), min_size=2, max_size=4,
+                           unique=True), label="counts")
+    mass = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(counts),
+                                  max_size=len(counts)), label="masses"))
+    q = np.zeros(max(counts) + 1)
+    q[counts] = mass / mass.sum()
+    return UserCountPmf.finite(q)
+
+
+def dense_peak_scan(pmf, u, per_user):
+    """The largest value of a curve over 20001 hop counts around each term's
+    own peak v = u/n, and over 4097 on [0, u]: the curve of the law's
+    nonzero masses only, so that wide laws stay cheap."""
+    n = np.flatnonzero(pmf.weights)
+    n = n[n > 0]
+    q = pmf.weights[n]
+    w = q if per_user else n * q
+    v = np.concatenate([np.linspace(0.0, u, GRID_POINTS)]
+                       + [np.linspace(0.0, min(u, 4.0 * u / m), 20001) for m in n])
+    values = [0.5 * chunk * (np.power(1.0 - chunk[:, None] / u, n - 1) @ w)
+              for chunk in np.array_split(v, 16)]
+    return np.concatenate(values).max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sparse_wide_laws(), st.sampled_from([1.0, 16.0, 16.1]))
+@example(two_peaks(16.0).pmf, 16.0)
+def test_sparse_wide_laws_reach_a_dense_scan(pmf, u):
+    # no peak of a law of few far-apart masses is lost: eta1 and eta2 are
+    # at least a dense scan's maximum, less the maximizer's margins
+    fh = FhCurves(pmf, u)
+    for (value, _), per_user in ((fh.eta1(), False), (fh.eta2(), True)):
+        assert certified(value, dense_peak_scan(pmf, u, per_user))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(load_laws(), st.sampled_from([1.0, 3.0, 16.0, 16.1, 64.0]),
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_one_abscissa_is_the_row_product_bit_for_bit(pmf, u, fractions):
-    # the golden-section steps' value on Python floats is the one-row
-    # matrix product (1 - v/u)[:, None] ** k @ w, as a 1-element array
+    # a curve on one abscissa is the one-row matrix product
+    # (1 - v/u)[:, None] ** k @ w, as a 1-element array
     fh = FhCurves(pmf, u)
     k = np.arange(pmf.n_top)
     for per_user, w in enumerate(weight_vectors(pmf)):
@@ -422,7 +457,7 @@ def test_eta1_two_point_interior_optimum():
     # q1 = 0.4 < 2 q2: stationary point v = u (1 + q2) / (4 q2) = 2u/3.
     u = 8.0
     value, v_star = eta1_fh(two_point(0.4), u)
-    assert v_star == pytest.approx(2.0 * u / 3.0, abs=1e-6 * u)
+    assert v_star == pytest.approx(2.0 * u / 3.0, abs=1e-12 * u)
     assert value == pytest.approx(u * 1.6**2 / (16 * 0.6), abs=1e-9 * u)
     assert value == pytest.approx(0.8 * u / 3.0, abs=1e-9 * u)
     # Independent coarse grid can only do worse.
@@ -452,21 +487,19 @@ def test_eta1_poisson_closed_form_property(lam, u):
     # (v/2) lam exp(-lam v/u) peaks at v* = u/lam <= u with value u/(2e)
     value, v_star = eta1_fh(UserCountPmf.poisson(lam), u)
     assert abs(value - u / (2 * math.e)) <= 1e-9 * u
-    assert abs(v_star - u / lam) <= 1e-6 * u
+    assert abs(v_star - u / lam) <= 1e-12 * u
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.99, 1.0, 1.01, 3.0, 400.0])
 @pytest.mark.parametrize("u", [1.0, 7.0, 16.0, 16.1, 1e-3, 1e300])
 def test_eta1_poisson_closed_form_matches_numeric_optimum(lam, u):
     # u/(2e) at v* = u/lam for lam >= 1, (u/2) lam e^-lam at v* = u below.
-    # The numeric v* sits where the maximum is flat: within about
-    # sqrt(eps) u of the optimum the objective's values agree to a few
-    # ulps, so golden section can stop anywhere there (1.4e-8 u at lam = 1,
-    # where the optimum is the band edge and the slope there is 0).
+    # The numeric v* is the root of f' found to the rounding of f', which
+    # is about eps u, not sqrt(eps) u where the values of f stop telling.
     closed, v_star = eta1_fh_poisson_closed(lam, u)
     numeric, v_num = FhCurves(UserCountPmf.poisson(lam), u).eta1()
     assert closed == pytest.approx(numeric, rel=1e-9)
-    assert abs(v_star - v_num) <= 1e-7 * u
+    assert abs(v_star - v_num) <= 1e-12 * u
     assert v_star == (u / lam if lam >= 1.0 else u)
 
 
@@ -782,10 +815,9 @@ def test_sufficient_conditions():
 
 
 def test_sufficient_conditions_share_unit_curves(monkeypatch):
-    # both conditions compare on one FhCurves walk at u = 1, which for a
-    # law narrower than _PRUNE_FROM powers is one block of the whole grid,
-    # and each check is the condition's formula beside the direct
-    # comparison
+    # both conditions compare on one FhCurves at u = 1, whose eta1 and
+    # eta2 maximizations start from the same hop counts on [0, 1], and
+    # each check is the condition's formula beside the direct comparison
     built = []
     grid_powers = measures._grid_powers
 
@@ -797,8 +829,8 @@ def test_sufficient_conditions_share_unit_curves(monkeypatch):
     q1 = 0.7
     light = two_point(q1)
     checks = mean_load_conditions(light)
-    assert light.n_top < measures._PRUNE_FROM and len(built) == 1
-    assert np.array_equal(built[0], 1.0 - np.linspace(0.0, 1.0, GRID_POINTS))
+    starts = [base for base in built if base[0] == 1.0 and base[-1] == 0.0]
+    assert len(starts) == 2 and np.array_equal(starts[0], starts[1])
     mean_n = 2.0 - q1
     fd = FdConfig(n_des=2)
     assert checks["eta1"].condition_holds == (mean_n < 0.5 * math.log(2.0 * (math.e**2 - 1.0)))
@@ -809,11 +841,9 @@ def test_sufficient_conditions_share_unit_curves(monkeypatch):
 
 
 def test_a_wide_law_builds_each_grid_row_once(monkeypatch):
-    # Poisson(400) is too wide for one block: both curves come from one
-    # walk, in blocks of whole 8-row units (the last unit has 9), and no
-    # grid row is computed twice. The walk computes only the units whose
-    # bound reaches a curve's largest probed value: the probe and the few
-    # units around the maximum, a fifth of the grid at most
+    # Poisson(400): each maximization computes a hop count's row of powers
+    # at most once, in row blocks, and the two together compute fewer
+    # than a tenth of the rows of a 4097-point grid
     built = []
     grid_powers = measures._grid_powers
 
@@ -823,11 +853,14 @@ def test_a_wide_law_builds_each_grid_row_once(monkeypatch):
 
     monkeypatch.setattr(measures, "_grid_powers", counting)
     curves = FhCurves(UserCountPmf.poisson(400.0), 16.0)
-    curves.eta1()
-    curves.eta2()
-    assert len(built) > 1 and all(block.size % 8 in (0, 1) for block in built)
-    rows = np.concatenate(built).tolist()
-    assert len(rows) == len(set(rows)) <= 0.2 * GRID_POINTS
+    rows = 0
+    for measure in (curves.eta1, curves.eta2):
+        built.clear()
+        measure()
+        bases = np.concatenate(built).tolist()
+        assert len(bases) == len(set(bases))
+        rows += len(bases)
+    assert rows < 0.1 * GRID_POINTS
 
 
 def test_sufficient_conditions_reject_mass_at_zero():
